@@ -21,13 +21,18 @@ there on the profile is confined below the well zero and its node count is
 final), when the variation passes the guard magnitude, or when the stepper
 gives up (step budget / underflow).  Callers choose via ``StopPolicy``
 whether the energy trap should stop the run; the guards are always active.
+
+The step is written out as straight-line scalar code, with every sum taken
+in the tableau's accumulation order (stage by stage, left to right), so
+that trajectories and every artifact built from them stay byte-identical
+to the generic per-stage loop it replaces.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Iterator
 
 from .field import FieldParams, ParameterError, abs_pow
@@ -43,11 +48,8 @@ _A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),  # 5th-order weights (FSAL)
 )
-
-# 5th-order solution weights (row 7 of _A is the same by FSAL construction).
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 
 # Difference between the 5th- and embedded 4th-order weights.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
@@ -62,6 +64,28 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+
+# The step in ``integrate`` writes every sum out term by term, in tableau
+# order.  Terms with a zero weight are left out, as the generic loop skipped
+# them.  Each dense-coefficient sum starts from ``0.0 +`` like the loop's
+# accumulator did: an all-zero sum then stays +0.0 (the constant shot
+# alpha = 1 would otherwise store -0.0), and a zero term added to it cannot
+# change it.
+assert _A[6][1] == _E[1] == 0.0 and not any(_P[1]) and not any(row[0] for row in _P[1:])
+_C2, _C3, _C4, _C5, _C6 = _C[1:6]
+(_A21,) = _A[1]
+_A31, _A32 = _A[2]
+_A41, _A42, _A43 = _A[3]
+_A51, _A52, _A53, _A54 = _A[4]
+_A61, _A62, _A63, _A64, _A65 = _A[5]
+_B1, _B3, _B4, _B5, _B6 = (_A[6][j] for j in (0, 2, 3, 4, 5))
+_E1, _E3, _E4, _E5, _E6, _E7 = (_E[j] for j in (0, 2, 3, 4, 5, 6))
+_P11, _P12, _P13, _P14 = _P[0]
+_P32, _P33, _P34 = _P[2][1:]
+_P42, _P43, _P44 = _P[3][1:]
+_P52, _P53, _P54 = _P[4][1:]
+_P62, _P63, _P64 = _P[5][1:]
+_P72, _P73, _P74 = _P[6][1:]
 
 _MAX_STEP = 0.25  # keeps dense segments finer than any oscillation of the profile
 _MIN_FACTOR = 0.2
@@ -100,24 +124,10 @@ class IntegratorControls:
 
     def tightened(self, factor: float) -> "IntegratorControls":
         """Same controls with both tolerances divided by ``factor``."""
-        return IntegratorControls(
-            r0=self.r0,
-            abs_tol=self.abs_tol / factor,
-            rel_tol=self.rel_tol / factor,
-            r_max=self.r_max,
-            v_guard=self.v_guard,
-            max_steps=self.max_steps,
-        )
+        return replace(self, abs_tol=self.abs_tol / factor, rel_tol=self.rel_tol / factor)
 
     def with_rmax(self, r_max: float) -> "IntegratorControls":
-        return IntegratorControls(
-            r0=self.r0,
-            abs_tol=self.abs_tol,
-            rel_tol=self.rel_tol,
-            r_max=r_max,
-            v_guard=self.v_guard,
-            max_steps=self.max_steps,
-        )
+        return replace(self, r_max=r_max)
 
 
 @dataclass(frozen=True)
@@ -291,15 +301,6 @@ class Trajectory:
         )
 
 
-def _error_norm(err: tuple, y0: tuple, y1: tuple, atol: float, rtol: float) -> float:
-    acc = 0.0
-    for i in range(4):
-        scale = atol + rtol * max(abs(y0[i]), abs(y1[i]))
-        q = err[i] / scale
-        acc += q * q
-    return math.sqrt(0.25 * acc)
-
-
 def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Trajectory:
     """March the system outward from the series start until a stop fires.
 
@@ -316,29 +317,28 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     p = fld.p
     p_m1 = p - 1.0
     inv_p_p1 = 1.0 / (p + 1.0)
+    atol, rtol, r_max, v_guard = ctl.abs_tol, ctl.rel_tol, ctl.r_max, ctl.v_guard
 
-    def deriv(r: float, y: tuple) -> tuple:
-        u, up, v, vp = y
+    def deriv(r: float, u: float, up: float, v: float, vp: float) -> tuple:
         if u == 0.0:
             apw = 0.0
         else:
             apw = math.exp(p_m1 * math.log(abs(u)))
         drag = n_minus_1 / r
-        return (up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v)
+        return up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v
 
-    def energy(y: tuple) -> float:
-        u = y[0]
+    def energy(u: float, up: float) -> float:
         well = -0.5 * u * u
         if u != 0.0:
             well += math.exp((p + 1.0) * math.log(abs(u))) * inv_p_p1
-        return 0.5 * y[1] * y[1] + well
+        return 0.5 * up * up + well
 
     start = series_start(params)
     r = start.r
-    y = (start.u, start.up, start.v, start.vp)
+    u, up, v, vp = start.u, start.up, start.v, start.vp
 
     knots = [r]
-    states = [y]
+    states = [(u, up, v, vp)]
     seg_coeffs: list[tuple] = []
 
     def finish(tag: str, detail: str = "") -> Trajectory:
@@ -352,13 +352,13 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.
-    if policy.stop_on_energy and energy(y) <= 0.0:
+    if policy.stop_on_energy and energy(u, up) <= 0.0:
         return finish(ENERGY_NONPOSITIVE, "energy nonpositive at series start")
-    if abs(y[2]) > ctl.v_guard:
+    if abs(v) > v_guard:
         return finish(VARIATION_DIVERGED, "variation guard tripped at series start")
 
-    k1 = deriv(r, y)
-    h = min(10.0 * r, _MAX_STEP, ctl.r_max - r)
+    k1u, k1up, k1v, k1vp = deriv(r, u, up, v, vp)
+    h = min(10.0 * r, _MAX_STEP, r_max - r)
     steps = 0
 
     while True:
@@ -368,76 +368,101 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
             return finish(STEP_UNDERFLOW, f"step size {h:.3e} underflowed at r={r:.6e}")
 
         clipped = False
-        if r + h >= ctl.r_max:
-            h = ctl.r_max - r
+        if r + h >= r_max:
+            h = r_max - r
             clipped = True
 
-        k = [k1]
-        for s in range(1, 6):
-            acc = [0.0, 0.0, 0.0, 0.0]
-            a_row = _A[s]
-            for j, a in enumerate(a_row):
-                if a != 0.0:
-                    kj = k[j]
-                    for c in range(4):
-                        acc[c] += a * kj[c]
-            ys = tuple(y[c] + h * acc[c] for c in range(4))
-            k.append(deriv(r + _C[s] * h, ys))
+        k2u, k2up, k2v, k2vp = deriv(
+            r + _C2 * h,
+            u + h * (_A21 * k1u),
+            up + h * (_A21 * k1up),
+            v + h * (_A21 * k1v),
+            vp + h * (_A21 * k1vp),
+        )
+        k3u, k3up, k3v, k3vp = deriv(
+            r + _C3 * h,
+            u + h * (_A31 * k1u + _A32 * k2u),
+            up + h * (_A31 * k1up + _A32 * k2up),
+            v + h * (_A31 * k1v + _A32 * k2v),
+            vp + h * (_A31 * k1vp + _A32 * k2vp),
+        )
+        k4u, k4up, k4v, k4vp = deriv(
+            r + _C4 * h,
+            u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+            up + h * (_A41 * k1up + _A42 * k2up + _A43 * k3up),
+            v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
+            vp + h * (_A41 * k1vp + _A42 * k2vp + _A43 * k3vp),
+        )
+        k5u, k5up, k5v, k5vp = deriv(
+            r + _C5 * h,
+            u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+            up + h * (_A51 * k1up + _A52 * k2up + _A53 * k3up + _A54 * k4up),
+            v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+            vp + h * (_A51 * k1vp + _A52 * k2vp + _A53 * k3vp + _A54 * k4vp),
+        )
+        k6u, k6up, k6v, k6vp = deriv(
+            r + _C6 * h,
+            u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+            up + h * (_A61 * k1up + _A62 * k2up + _A63 * k3up + _A64 * k4up + _A65 * k5up),
+            v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+            vp + h * (_A61 * k1vp + _A62 * k2vp + _A63 * k3vp + _A64 * k4vp + _A65 * k5vp),
+        )
+        u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        up_new = up + h * (_B1 * k1up + _B3 * k3up + _B4 * k4up + _B5 * k5up + _B6 * k6up)
+        v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        vp_new = vp + h * (_B1 * k1vp + _B3 * k3vp + _B4 * k4vp + _B5 * k5vp + _B6 * k6vp)
+        r_new = r_max if clipped else r + h
+        k7u, k7up, k7v, k7vp = deriv(r_new, u_new, up_new, v_new, vp_new)
 
-        acc = [0.0, 0.0, 0.0, 0.0]
-        for j in range(6):
-            b = _A[6][j]
-            if b != 0.0:
-                kj = k[j]
-                for c in range(4):
-                    acc[c] += b * kj[c]
-        y_new = tuple(y[c] + h * acc[c] for c in range(4))
-        r_new = ctl.r_max if clipped else r + h
-        k7 = deriv(r_new, y_new)
-        k.append(k7)
-
-        err = [0.0, 0.0, 0.0, 0.0]
-        for j in range(7):
-            e = _E[j]
-            if e != 0.0:
-                kj = k[j]
-                for c in range(4):
-                    err[c] += e * kj[c]
-        err = tuple(err[c] * h for c in range(4))
-
-        if not all(math.isfinite(val) for val in y_new):
+        if not (math.isfinite(u_new) and math.isfinite(up_new)
+                and math.isfinite(v_new) and math.isfinite(vp_new)):
             return finish(STEP_UNDERFLOW, f"non-finite state after step at r={r:.6e}")
 
-        norm = _error_norm(err, y, y_new, ctl.abs_tol, ctl.rel_tol)
+        # RMS of the embedded error estimate, each component over its scale.
+        err_u = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u) * h
+        err_up = (_E1 * k1up + _E3 * k3up + _E4 * k4up + _E5 * k5up + _E6 * k6up + _E7 * k7up) * h
+        err_v = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v) * h
+        err_vp = (_E1 * k1vp + _E3 * k3vp + _E4 * k4vp + _E5 * k5vp + _E6 * k6vp + _E7 * k7vp) * h
+        q_u = err_u / (atol + rtol * max(abs(u), abs(u_new)))
+        q_up = err_up / (atol + rtol * max(abs(up), abs(up_new)))
+        q_v = err_v / (atol + rtol * max(abs(v), abs(v_new)))
+        q_vp = err_vp / (atol + rtol * max(abs(vp), abs(vp_new)))
+        norm = math.sqrt(0.25 * (q_u * q_u + q_up * q_up + q_v * q_v + q_vp * q_vp))
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
 
         # Accepted: store dense coefficients Q = K^T P for this segment.
-        coeffs = []
-        for c in range(4):
-            q0 = q1 = q2 = q3 = 0.0
-            for j in range(7):
-                kjc = k[j][c]
-                if kjc != 0.0:
-                    pj = _P[j]
-                    q0 += kjc * pj[0]
-                    q1 += kjc * pj[1]
-                    q2 += kjc * pj[2]
-                    q3 += kjc * pj[3]
-            coeffs.append((q0, q1, q2, q3))
-        seg_coeffs.append(tuple(coeffs))
+        seg_coeffs.append((
+            (0.0 + k1u * _P11,
+             0.0 + k1u * _P12 + k3u * _P32 + k4u * _P42 + k5u * _P52 + k6u * _P62 + k7u * _P72,
+             0.0 + k1u * _P13 + k3u * _P33 + k4u * _P43 + k5u * _P53 + k6u * _P63 + k7u * _P73,
+             0.0 + k1u * _P14 + k3u * _P34 + k4u * _P44 + k5u * _P54 + k6u * _P64 + k7u * _P74),
+            (0.0 + k1up * _P11,
+             0.0 + k1up * _P12 + k3up * _P32 + k4up * _P42 + k5up * _P52 + k6up * _P62 + k7up * _P72,
+             0.0 + k1up * _P13 + k3up * _P33 + k4up * _P43 + k5up * _P53 + k6up * _P63 + k7up * _P73,
+             0.0 + k1up * _P14 + k3up * _P34 + k4up * _P44 + k5up * _P54 + k6up * _P64 + k7up * _P74),
+            (0.0 + k1v * _P11,
+             0.0 + k1v * _P12 + k3v * _P32 + k4v * _P42 + k5v * _P52 + k6v * _P62 + k7v * _P72,
+             0.0 + k1v * _P13 + k3v * _P33 + k4v * _P43 + k5v * _P53 + k6v * _P63 + k7v * _P73,
+             0.0 + k1v * _P14 + k3v * _P34 + k4v * _P44 + k5v * _P54 + k6v * _P64 + k7v * _P74),
+            (0.0 + k1vp * _P11,
+             0.0 + k1vp * _P12 + k3vp * _P32 + k4vp * _P42 + k5vp * _P52 + k6vp * _P62 + k7vp * _P72,
+             0.0 + k1vp * _P13 + k3vp * _P33 + k4vp * _P43 + k5vp * _P53 + k6vp * _P63 + k7vp * _P73,
+             0.0 + k1vp * _P14 + k3vp * _P34 + k4vp * _P44 + k5vp * _P54 + k6vp * _P64 + k7vp * _P74),
+        ))
         knots.append(r_new)
-        states.append(y_new)
+        states.append((u_new, up_new, v_new, vp_new))
         steps += 1
 
-        r, y, k1 = r_new, y_new, k7
+        r, u, up, v, vp = r_new, u_new, up_new, v_new, vp_new
+        k1u, k1up, k1v, k1vp = k7u, k7up, k7v, k7vp
 
-        if policy.stop_on_energy and energy(y) <= 0.0:
+        if policy.stop_on_energy and energy(u, up) <= 0.0:
             return finish(ENERGY_NONPOSITIVE, "profile energy reached zero")
-        if abs(y[2]) > ctl.v_guard or abs(y[3]) > ctl.v_guard:
-            return finish(VARIATION_DIVERGED, f"variation guard {ctl.v_guard:.1e} tripped")
-        if clipped or r >= ctl.r_max:
+        if abs(v) > v_guard or abs(vp) > v_guard:
+            return finish(VARIATION_DIVERGED, f"variation guard {v_guard:.1e} tripped")
+        if clipped or r >= r_max:
             return finish(REACHED_RMAX)
 
         if norm == 0.0:
@@ -445,8 +470,3 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
         h = min(h * factor, _MAX_STEP)
-
-
-def eval_dense(traj: Trajectory, r: float) -> State:
-    """Module-level alias of Trajectory.eval_dense (symmetry with ``rhs``)."""
-    return traj.eval_dense(r)

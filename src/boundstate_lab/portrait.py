@@ -352,6 +352,27 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     )
 
 
+def _midpoint_u(traj: Trajectory) -> list[float]:
+    """u at the midpoint of every dense segment, bit for bit as eval_dense.
+
+    The segment's quartic is read directly, with the arithmetic of
+    ``Trajectory.eval_dense`` but without its search and ``State``.  The
+    stepper's minimum step keeps every midpoint strictly inside its own
+    segment; only a final step clipped to r_max can be shorter, and
+    eval_dense reads that last segment too.
+    """
+    knots, states = traj.knots, traj.states
+    mids = []
+    for i, (coeffs_u, _, _, _) in enumerate(traj.seg_coeffs):
+        r_lo = knots[i]
+        r_hi = knots[i + 1]
+        h = r_hi - r_lo
+        theta = (0.5 * (r_lo + r_hi) - r_lo) / h
+        q0, q1, q2, q3 = coeffs_u
+        mids.append(states[i][0] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))))
+    return mids
+
+
 def count_nodes(traj: Trajectory) -> NodeCount:
     """Sign changes of u over the run; final only in the energy trap.
 
@@ -363,9 +384,8 @@ def count_nodes(traj: Trajectory) -> NodeCount:
         raise IndeterminateCount(f"run ended with {tag}: {traj.termination.detail}")
     count = 0
     prev = traj.states[0][0]
-    for i in range(len(traj.seg_coeffs)):
-        mid = traj.eval_dense(0.5 * (traj.knots[i] + traj.knots[i + 1])).u
-        for val in (mid, traj.states[i + 1][0]):
+    for mid, (u_hi, _, _, _) in zip(_midpoint_u(traj), traj.states[1:]):
+        for val in (mid, u_hi):
             if val != 0.0:
                 if prev != 0.0 and (prev < 0.0) != (val < 0.0):
                     count += 1

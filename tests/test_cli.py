@@ -1,11 +1,14 @@
 """Command-line tests: exit codes, artifacts, config handling, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import boundstate_lab
 from boundstate_lab.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -175,11 +178,14 @@ def test_missing_command_exits_one():
 
 
 def test_console_script_entry_point(tmp_path):
-    # one end-to-end run through the installed script
+    # one end-to-end run through the installed script; the child imports the
+    # package this test imported, installed or not
+    package_root = str(Path(boundstate_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "boundstate_lab.cli", "classify", "--alpha", "5",
          "--out", str(tmp_path / "c")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == EXIT_OK
     payload = json.loads((tmp_path / "c.json").read_text())
     assert payload["result"]["node_count"] == 1

@@ -1,6 +1,8 @@
 """Integrator tests: exact constant shot, dense output, traps, energy decay."""
 
+import hashlib
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from boundstate_lab import (
 from boundstate_lab.integrate import (
     ENERGY_NONPOSITIVE,
     REACHED_RMAX,
+    STEP_LIMIT,
     VARIATION_DIVERGED,
     DenseRangeError,
 )
@@ -161,3 +164,65 @@ def test_knots_cover_and_terminate_cleanly():
     assert len(traj.knots) == len(traj.states)
     assert len(traj.seg_coeffs) == len(traj.knots) - 1
     assert math.isfinite(traj.termination.r_stop)
+
+
+def _bits_digest(traj):
+    """SHA-256 of the packed knots, states and dense coefficients."""
+    flat = list(traj.knots)
+    for state in traj.states:
+        flat.extend(state)
+    for seg in traj.seg_coeffs:
+        for coeffs in seg:
+            flat.extend(coeffs)
+    return hashlib.sha256(struct.pack(f"<{len(flat)}d", *flat)).hexdigest()
+
+
+_CTL = IntegratorControls()
+
+# Digests recorded from the generic per-stage DOPRI5 loop; the straight-line
+# step must reproduce its trajectories bit for bit, signed zeros included.
+GOLDEN_BITS = [
+    ("classify_p3", FL, 5.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 261,
+     "e8904b4e1a6b88afad2644c6480de745ee541eb4ffedac71df90bfe24cd33468"),
+    ("full_p3", FL, 5.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 4154,
+     "6ac3ab6fda714ae52f595dca5f3284c43ba71292b1e2e5e33e5445ab4fe65bf8"),
+    ("classify_p1_5", FieldParams(3, 1.5), 3.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 120,
+     "2360a75797c05b625835d2185a4ff8cb4f6f568cf8bcc275ff56b25a18f7dcc9"),
+    ("full_p1_5", FieldParams(3, 1.5), 3.0, _CTL.with_rmax(40.0), FULL_RANGE_POLICY,
+     REACHED_RMAX, 821, "e0b73c405d7f2e3cbf17f73469cb1e6f2ba0ad3c2fa4885ebe8e03b15dff1406"),
+    ("full_n4_p2_5", FieldParams(4, 2.5), 7.0, _CTL.with_rmax(40.0), FULL_RANGE_POLICY,
+     REACHED_RMAX, 1344, "8dfe4bd8b6cb44109ee0f202ba7ef1814fb6465240d3983231b202ff8dcf752a"),
+    # u' starts at -0.0 on the constant shot: the signed-zero case
+    ("rest_height", FL, 1.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 3362,
+     "b9c04e2766c91328aaf94a96e4f20a4ffd08cf638cd30c752f596b1db46e3350"),
+    ("rmax_clipped", FL, 2.0, _CTL.with_rmax(7.3), FULL_RANGE_POLICY, REACHED_RMAX, 343,
+     "3cc34ec284223f2a842ec8f86d732dfd77519c9041084e55780f86841d4fcff0"),
+    ("tightened", FL, 3.0, _CTL.tightened(10.0).with_rmax(15.0), FULL_RANGE_POLICY,
+     REACHED_RMAX, 1159, "a461cc86ed5b397e9fe08ecb77f480abc2534fc1810feb64413e17df0ff385b2"),
+    ("guard", FL, 4.337387679942187, _CTL.with_rmax(200.0), FULL_RANGE_POLICY,
+     VARIATION_DIVERGED, 979, "dce3dcd6426f427bf14bc90977b180a02e5bb37cf53dfafc6a146e076ef844a2"),
+    ("step_limit", FL, 5.0, IntegratorControls(max_steps=40), FULL_RANGE_POLICY, STEP_LIMIT, 41,
+     "4a13b05edf1a27cf4fefec71b8ada5990ffa0537c8d427f12a102d8ed95cf71e"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, alpha, controls, policy, tag, n_knots, digest",
+    [case[1:] for case in GOLDEN_BITS],
+    ids=[case[0] for case in GOLDEN_BITS],
+)
+def test_trajectory_bits_match_the_recorded_digests(field, alpha, controls, policy, tag,
+                                                     n_knots, digest):
+    traj = integrate(ProblemParams(field, alpha, controls), policy)
+    assert traj.termination.tag == tag
+    assert len(traj.knots) == n_knots
+    assert _bits_digest(traj) == digest
+
+
+def test_control_helpers_change_only_their_fields():
+    base = IntegratorControls(r0=1e-7, v_guard=1e9, max_steps=1000)
+    tight = base.tightened(4.0)
+    assert tight == IntegratorControls(r0=1e-7, abs_tol=0.25e-12, rel_tol=0.25e-10,
+                                       v_guard=1e9, max_steps=1000)
+    assert base.with_rmax(7.5) == IntegratorControls(r0=1e-7, r_max=7.5, v_guard=1e9,
+                                                     max_steps=1000)

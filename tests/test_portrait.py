@@ -14,7 +14,7 @@ from boundstate_lab import (
     integrate,
     unique_inflection_check,
 )
-from boundstate_lab.portrait import SEMI_TAIL, TAIL_OSCILLATORY
+from boundstate_lab.portrait import SEMI_TAIL, TAIL_OSCILLATORY, _midpoint_u
 
 FL = FieldParams(3, 3.0)
 
@@ -124,3 +124,18 @@ def test_unique_inflection_on_the_bracket_midpoint(mid1_struct):
     assert all(len(iv.radii) == 1 for iv in report.intervals)
     for iv in report.intervals:
         assert iv.lo < iv.radii[0] < iv.hi
+
+
+@pytest.mark.parametrize("alpha, rmax, zeros",
+                         [(3.0, None, 0), (5.0, None, 1), (20.0, None, 2), (35.0, None, 3),
+                          (2.0, 7.3, 0)])
+def test_midpoint_read_is_bitwise_eval_dense(alpha, rmax, zeros):
+    # rmax=None: classify run ending in the energy trap; otherwise a full-range
+    # run whose last step is clipped to r_max
+    traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
+    mids = _midpoint_u(traj)
+    assert len(mids) == len(traj.seg_coeffs)
+    for i, mid in enumerate(mids):
+        r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
+        assert mid.hex() == traj.eval_dense(r_mid).u.hex()
+    assert count_nodes(traj).count == zeros
