@@ -57,6 +57,8 @@ class SolutionClass:
     oscillation_center: int | None
     witness: Witness
     detail: str = ""
+    # the shot the class was read from; None only for the constant shot
+    trajectory: Trajectory | None = dc_field(default=None, compare=False, repr=False)
 
 
 def _decay_evidence(traj: Trajectory, decay_eps: float, slope_eps: float) -> tuple[bool, float | None]:
@@ -109,7 +111,7 @@ def classify(
             up_end=end.up,
             energy_nonpositive_radius=traj.termination.r_stop,
         )
-        return SolutionClass(OSCILLATORY, count.count, center, w, "trapped by the well")
+        return SolutionClass(OSCILLATORY, count.count, center, w, "trapped by the well", traj)
     if tag == REACHED_RMAX:
         decayed, err = _decay_evidence(traj, decay_eps, slope_eps)
         w = Witness(
@@ -123,16 +125,16 @@ def classify(
             count = count_nodes(traj)
             return SolutionClass(
                 BOUND_STATE_CANDIDATE, count.count, None, w,
-                "reached r_max inside the decay funnel",
+                "reached r_max inside the decay funnel", traj,
             )
-        return SolutionClass(INDETERMINATE, None, None, w, "no decision at r_max")
+        return SolutionClass(INDETERMINATE, None, None, w, "no decision at r_max", traj)
     w = Witness(
         r_stop=traj.termination.r_stop,
         termination_tag=tag,
         u_end=end.u,
         up_end=end.up,
     )
-    return SolutionClass(INDETERMINATE, None, None, w, traj.termination.detail)
+    return SolutionClass(INDETERMINATE, None, None, w, traj.termination.detail, traj)
 
 
 def node_count_of_alpha(
@@ -189,9 +191,16 @@ class AlphaLadder:
 
 
 class _CountCache:
+    """Final node counts by height for one field under one set of controls.
+
+    One cache can serve every bracket search of a run: a height is then
+    integrated once, and ``audit`` checks monotonicity over every count the
+    run has seen.
+    """
+
     def __init__(self, field: FieldParams, controls: IntegratorControls | None):
         self.field = field
-        self.controls = controls
+        self.controls = controls if controls is not None else IntegratorControls()
         self.seen: dict[float, int] = {}
 
     def __call__(self, alpha: float) -> int:
@@ -219,6 +228,8 @@ def find_alpha_k(
     tol: float = 1e-10,
     controls: IntegratorControls | None = None,
     expansion_cap: float = 1e4,
+    *,
+    counts: _CountCache | None = None,
 ) -> LadderEntry:
     """Bracket the k-th jump amplitude by bisection on the node count.
 
@@ -226,14 +237,19 @@ def find_alpha_k(
     exactly k nodes on the left edge and k+1 on the right.  The search
     starts just above the upper critical amplitude (where the count is 0)
     and doubles outward; every count evaluated along the way is audited
-    for monotonicity in alpha.
+    for monotonicity in alpha.  ``counts`` lets searches for several k
+    share their counts; it must be built for the same field and controls.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    own = _CountCache(field, controls)
+    if counts is None:
+        counts = own
+    elif (counts.field, counts.controls) != (own.field, own.controls):
+        raise ValueError("count cache was built for another field or other controls")
     amps = critical_amplitudes(field)
-    counts = _CountCache(field, controls)
 
     lo = amps.alpha_upper_star * (1.0 + 1e-6)
     if counts(lo) > k:
@@ -275,9 +291,10 @@ def build_ladder(
     controls: IntegratorControls | None = None,
 ) -> AlphaLadder:
     """Ladder entries for k = 0 .. k_max; amplitudes must come out increasing."""
+    counts = _CountCache(field, controls)
     entries = []
     for k in range(k_max + 1):
-        entries.append(find_alpha_k(field, k, tol=tol, controls=controls))
+        entries.append(find_alpha_k(field, k, tol=tol, controls=controls, counts=counts))
     for prev, cur in zip(entries, entries[1:]):
         if not cur.alpha_lo > prev.alpha_hi:
             raise MonotonicityViolation(

@@ -27,14 +27,13 @@ import sys
 from dataclasses import dataclass, fields as dc_fields
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from . import io as artio
 from .classify import (
     INDETERMINATE,
     BracketNotFound,
     MonotonicityViolation,
     SolutionClass,
+    _CountCache,
     classify,
     find_alpha_k,
 )
@@ -419,11 +418,12 @@ def cmd_ladder(cfg: RunConfig) -> int:
     field = cfg.field()
     k_lo, k_hi = cfg.need_k_range()
     controls = cfg.controls()
+    counts = _CountCache(field, controls)
     entries: list[dict[str, Any]] = []
     ok = 0
     for k in range(k_lo, k_hi + 1):
         try:
-            entry = find_alpha_k(field, k, tol=cfg.tol, controls=controls)
+            entry = find_alpha_k(field, k, tol=cfg.tol, controls=controls, counts=counts)
         except (BracketNotFound, MonotonicityViolation, IndeterminateCount) as exc:
             entries.append({"k": k, "status": "failed", "error": str(exc)})
             _note(f"k={k}: failed ({exc})")
@@ -454,11 +454,15 @@ def cmd_ladder(cfg: RunConfig) -> int:
 
 
 def _sweep_grid(cfg: RunConfig) -> list[float]:
+    """Evenly spaced heights with both ends exact, as numpy.linspace spaces them."""
     if cfg.alpha_range is not None:
         lo, hi = cfg.alpha_range
-        if lo == hi:
+        if lo == hi or cfg.points == 1:
             return [lo]
-        return [float(a) for a in np.linspace(lo, hi, cfg.points)]
+        step = (hi - lo) / (cfg.points - 1)
+        grid = [lo + i * step for i in range(cfg.points)]
+        grid[-1] = hi
+        return grid
     return [cfg.need_alpha()]
 
 
@@ -472,7 +476,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         sc = classify(field, alpha, controls)
         z_1: float | None = None
         if sc.node_count is not None and sc.node_count > 0:
-            traj = integrate(ProblemParams(field, alpha, controls), FULL_RANGE_POLICY)
+            # The stop policy never changes a step, so the classify shot is a
+            # prefix of the full-range shot and has crossed its first zero.
+            # A retry at 2*r_max is not: it can cross zeros past r_max.
+            traj = sc.trajectory
+            if traj.params.controls.r_max != controls.r_max:
+                traj = integrate(ProblemParams(field, alpha, controls), FULL_RANGE_POLICY)
             zeros = find_zeros(traj, "u")
             z_1 = zeros[0] if zeros else None
         if sc.tag == INDETERMINATE:

@@ -272,11 +272,6 @@ class Trajectory:
             out.append(y_lo[c] + h * w)
         return State(r=r, u=out[0], up=out[1], v=out[2], vp=out[3])
 
-    def energy_at(self, state: State) -> float:
-        p = self.params.field.p
-        u = state.u
-        return 0.5 * state.up * state.up - 0.5 * u * u + abs_pow(u, p + 1.0) / (p + 1.0)
-
     def truncated_at(self, r_cut: float) -> "Trajectory":
         """Copy keeping only whole dense segments ending at or before r_cut.
 

@@ -352,8 +352,9 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     )
 
 
-def _midpoint_u(traj: Trajectory) -> list[float]:
-    """u at the midpoint of every dense segment, bit for bit as eval_dense.
+def _midpoint_values(traj: Trajectory, c: int) -> list[float]:
+    """State component c at the midpoint of every dense segment, bit for bit
+    as eval_dense.
 
     The segment's quartic is read directly, with the arithmetic of
     ``Trajectory.eval_dense`` but without its search and ``State``.  The
@@ -363,13 +364,13 @@ def _midpoint_u(traj: Trajectory) -> list[float]:
     """
     knots, states = traj.knots, traj.states
     mids = []
-    for i, (coeffs_u, _, _, _) in enumerate(traj.seg_coeffs):
+    for i, coeffs in enumerate(traj.seg_coeffs):
         r_lo = knots[i]
         r_hi = knots[i + 1]
         h = r_hi - r_lo
         theta = (0.5 * (r_lo + r_hi) - r_lo) / h
-        q0, q1, q2, q3 = coeffs_u
-        mids.append(states[i][0] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))))
+        q0, q1, q2, q3 = coeffs[c]
+        mids.append(states[i][c] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))))
     return mids
 
 
@@ -384,7 +385,7 @@ def count_nodes(traj: Trajectory) -> NodeCount:
         raise IndeterminateCount(f"run ended with {tag}: {traj.termination.detail}")
     count = 0
     prev = traj.states[0][0]
-    for mid, (u_hi, _, _, _) in zip(_midpoint_u(traj), traj.states[1:]):
+    for mid, (u_hi, _, _, _) in zip(_midpoint_values(traj, 0), traj.states[1:]):
         for val in (mid, u_hi):
             if val != 0.0:
                 if prev != 0.0 and (prev < 0.0) != (val < 0.0):
@@ -432,10 +433,26 @@ def unique_inflection_check(traj: Trajectory, portrait: PhasePortrait) -> Inflec
     return InflectionReport(intervals=tuple(intervals), unique_everywhere=ok)
 
 
+_COMPONENTS = ("u", "up", "v", "vp")
+
+
 def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
-    """Zero radii of one state component (cheap path: no phase structure)."""
-    if component not in ("u", "up", "v", "vp"):
+    """Zero radii of one state component (cheap path: no phase structure).
+
+    The scan reads the same grid as ``_grid`` (knots and segment
+    midpoints), straight from the stored states and segments.
+    """
+    if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    rs, sts = _grid(traj)
-    vals = [getattr(s, component) for s in sts]
+    c = _COMPONENTS.index(component)
+    knots, states = traj.knots, traj.states
+    rs: list[float] = []
+    vals: list[float] = []
+    for i, mid in enumerate(_midpoint_values(traj, c)):
+        rs.append(knots[i])
+        vals.append(states[i][c])
+        rs.append(0.5 * (knots[i] + knots[i + 1]))
+        vals.append(mid)
+    rs.append(knots[-1])
+    vals.append(states[-1][c])
     return _sign_change_roots(rs, vals, lambda r: getattr(traj.eval_dense(r), component))

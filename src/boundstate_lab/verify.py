@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .classify import (
     OSCILLATORY,
     LadderEntry,
+    _CountCache,
     classify,
     find_alpha_k,
     node_count_of_alpha,
@@ -331,13 +332,16 @@ def renewability_audit(
     return RenewabilityReport(tuple(audits))
 
 
-def _prepare(case: CaseSpec, plan: VerificationPlan) -> _Prepared:
+def _prepare(case: CaseSpec, plan: VerificationPlan,
+             counts: dict[FieldParams, _CountCache]) -> _Prepared:
     field = case.field
     amps = critical_amplitudes(field)
     entry = None
     if case.family in (GROUND_BRACKET, BOUND_BRACKET):
         k = 0 if case.family == GROUND_BRACKET else int(case.k)
-        entry = find_alpha_k(field, k, tol=plan.bracket_tol, controls=plan.controls)
+        cache = counts.setdefault(field, _CountCache(field, plan.controls))
+        entry = find_alpha_k(field, k, tol=plan.bracket_tol, controls=plan.controls,
+                             counts=cache)
         alpha = entry.midpoint
         ctrl = plan.controls.with_rmax(plan.r_max_bracket)
     else:
@@ -933,9 +937,10 @@ def run_checks(plan: VerificationPlan) -> VerificationReport:
     """Execute every requested check on every case; one record per pair."""
     plan.validate()
     records: list[CheckRecord] = []
+    counts: dict[FieldParams, _CountCache] = {}  # bracket searches share counts per field
     for case in plan.cases:
         try:
-            prep = _prepare(case, plan)
+            prep = _prepare(case, plan, counts)
         except Exception as exc:
             for check in plan.checks:
                 records.append(CheckRecord(check, case.label, FAIL, None, 0,

@@ -1,19 +1,28 @@
 """Classifier tests: frozen jump amplitudes, tags, ladders, zero monotonicity."""
 
+import importlib
+
 import pytest
 
 from boundstate_lab import (
     BOUND_STATE_CANDIDATE,
     CONSTANT,
+    FULL_RANGE_POLICY,
     OSCILLATORY,
     BracketNotFound,
     FieldParams,
     IntegratorControls,
+    ProblemParams,
     classify,
     find_alpha_k,
+    find_zeros,
+    integrate,
     node_count_of_alpha,
     zero_monotonicity_scan,
 )
+from boundstate_lab.classify import _CountCache
+
+classify_module = importlib.import_module("boundstate_lab.classify")
 
 # jump amplitudes frozen from an independent coarse-grid + bisection oracle
 # run at 10x tighter integrator tolerances
@@ -116,3 +125,73 @@ def test_first_zero_decreases_with_amplitude(field33):
     zs = report.first_zeros
     assert all(z is not None for z in zs)
     assert all(b < a for a, b in zip(zs, zs[1:]))
+
+
+# (field, alpha_k, k): shots from alpha_k * (1 + 1e-9) carry k + 1 zeros
+JUST_ABOVE_JUMPS = [
+    (FieldParams(3, 3.0), ALPHA_33[0], 0),
+    (FieldParams(3, 3.0), ALPHA_33[1], 1),
+    (FieldParams(3, 3.0), ALPHA_33[2], 2),
+    (FieldParams(3, 1.5), sum(BRACKET_3_15[0]) / 2, 0),
+    (FieldParams(3, 1.5), sum(BRACKET_3_15[1]) / 2, 1),
+    (FieldParams(4, 2.0), sum(BRACKET_42[0]) / 2, 0),
+    (FieldParams(4, 2.0), sum(BRACKET_42[1]) / 2, 1),
+]
+
+
+@pytest.mark.parametrize("field, alpha_k, k", JUST_ABOVE_JUMPS)
+def test_classify_shot_has_the_full_range_first_zero(field, alpha_k, k):
+    alpha = alpha_k * (1.0 + 1e-9)
+    sc = classify(field, alpha)
+    assert sc.tag == OSCILLATORY and sc.node_count == k + 1
+    full = integrate(ProblemParams(field, alpha), FULL_RANGE_POLICY)
+    assert find_zeros(sc.trajectory, "u")[0].hex() == find_zeros(full, "u")[0].hex()
+
+
+def test_retried_classify_shot_shares_a_first_zero_before_r_max(field33):
+    # at r_max = 12 the shot has not decided by r_max, so classify retries at
+    # r_max = 24; its first zero lies in the stretch both runs step alike
+    alpha = ALPHA_33[1] * (1.0 + 1e-9)
+    ctrl = IntegratorControls(r_max=12.0)
+    sc = classify(field33, alpha, ctrl)
+    assert sc.trajectory.params.controls.r_max == 24.0
+    full = integrate(ProblemParams(field33, alpha, ctrl), FULL_RANGE_POLICY)
+    assert find_zeros(sc.trajectory, "u")[0].hex() == find_zeros(full, "u")[0].hex()
+
+
+def test_constant_shot_has_no_trajectory(field33):
+    assert classify(field33, 1.0).trajectory is None
+    assert classify(field33, 5.0).trajectory is not None
+
+
+def _count_integrations(monkeypatch):
+    calls = []
+    original = classify_module.integrate
+
+    def counted(params, policy):
+        calls.append(params.alpha)
+        return original(params, policy)
+
+    monkeypatch.setattr(classify_module, "integrate", counted)
+    return calls
+
+
+def test_shared_count_cache_gives_the_same_brackets_with_fewer_shots(field33, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    fresh = [find_alpha_k(field33, k, tol=1e-8) for k in range(3)]
+    fresh_calls = len(calls)
+    calls.clear()
+    counts = _CountCache(field33, None)
+    shared = [find_alpha_k(field33, k, tol=1e-8, counts=counts) for k in range(3)]
+    assert shared == fresh
+    assert len(calls) == len(counts.seen) < fresh_calls
+
+
+def test_count_cache_for_another_field_or_controls_is_rejected(field33):
+    with pytest.raises(ValueError):
+        find_alpha_k(field33, 0, counts=_CountCache(FieldParams(3, 1.5), None))
+    with pytest.raises(ValueError):
+        find_alpha_k(field33, 0, counts=_CountCache(field33, IntegratorControls(r_max=50.0)))
+    # None means the default controls, on either side
+    counts = _CountCache(field33, IntegratorControls())
+    assert find_alpha_k(field33, 0, tol=1e-6, counts=counts).nodes_hi == 1

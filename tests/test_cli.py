@@ -1,11 +1,13 @@
 """Command-line tests: exit codes, artifacts, config handling, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boundstate_lab
@@ -15,7 +17,10 @@ from boundstate_lab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _sweep_grid,
+    build_parser,
     main,
+    resolve_config,
 )
 from boundstate_lab.io import SCHEMA
 
@@ -94,6 +99,57 @@ def test_sweep_single_point_gives_one_row(tmp_path):
     assert len(rows) == 1
     assert rows[0]["node_count"] == 1
     assert rows[0]["z_1"] == pytest.approx(1.1058387, abs=1e-5)
+
+
+def _count_integrations(monkeypatch):
+    """Record (alpha, r_max, policy) of every integrate call sweep makes."""
+    calls = []
+    for name in ("boundstate_lab.classify", "boundstate_lab.cli"):
+        module = importlib.import_module(name)
+        original = module.integrate
+
+        def counted(params, policy, original=original):
+            calls.append((params.alpha, params.controls.r_max, policy))
+            return original(params, policy)
+
+        monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
+def test_sweep_integrates_each_grid_point_once(tmp_path, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--alpha-range", "2..31", "--points", "7", "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads((tmp_path / "sw.json").read_text())["rows"]
+    assert [row["node_count"] for row in rows] == [0, 1, 1, 2, 2, 2, 3]
+    assert all((row["z_1"] is None) == (row["node_count"] == 0) for row in rows)
+    assert sorted(alpha for alpha, _, _ in calls) == [row["alpha"] for row in rows]
+
+
+def test_sweep_after_a_retry_reads_z1_within_r_max(tmp_path, monkeypatch):
+    # Classify retries this shot at r_max = 16 and finds its zero past 8.
+    # The row keeps the full-range shot's z_1: none before r_max = 8.
+    calls = _count_integrations(monkeypatch)
+    alpha = repr(4.337387679942187 * (1.0 + 1e-9))
+    out = tmp_path / "retry"
+    assert main(["sweep", "--alpha", alpha, "--rmax", "8", "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads((tmp_path / "retry.json").read_text())["rows"]
+    assert rows[0]["node_count"] == 1
+    assert rows[0]["z_1"] is None
+    assert [r_max for _, r_max, _ in calls] == [8.0, 16.0, 8.0]
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.5, 16.0, 1), (0.5, 16.0, 2), (0.5, 16.0, 16), (0.1, 20.0, 200),
+    (0.49816, 15.91, 16), (1.0, 40.0, 200), (2.0, 2.0000000001, 3), (1e-3, 1e4, 57),
+])
+def test_sweep_grid_is_numpy_linspace_bitwise(lo, hi, points):
+    cfg = resolve_config(build_parser().parse_args(
+        ["sweep", "--alpha-range", f"{lo!r}..{hi!r}", "--points", str(points)]))
+    grid = _sweep_grid(cfg)
+    assert [a.hex() for a in grid] == [float(a).hex() for a in np.linspace(lo, hi, points)]
 
 
 def test_verify_residual_preset_passes(tmp_path, capsys):

@@ -14,7 +14,12 @@ from boundstate_lab import (
     integrate,
     unique_inflection_check,
 )
-from boundstate_lab.portrait import SEMI_TAIL, TAIL_OSCILLATORY, _midpoint_u
+from boundstate_lab.portrait import (
+    SEMI_TAIL,
+    TAIL_OSCILLATORY,
+    _midpoint_values,
+    _sign_change_roots,
+)
 
 FL = FieldParams(3, 3.0)
 
@@ -133,9 +138,33 @@ def test_midpoint_read_is_bitwise_eval_dense(alpha, rmax, zeros):
     # rmax=None: classify run ending in the energy trap; otherwise a full-range
     # run whose last step is clipped to r_max
     traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
-    mids = _midpoint_u(traj)
-    assert len(mids) == len(traj.seg_coeffs)
-    for i, mid in enumerate(mids):
-        r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
-        assert mid.hex() == traj.eval_dense(r_mid).u.hex()
+    for c, name in enumerate(("u", "up", "v", "vp")):
+        mids = _midpoint_values(traj, c)
+        assert len(mids) == len(traj.seg_coeffs)
+        for i, mid in enumerate(mids):
+            r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
+            assert mid.hex() == getattr(traj.eval_dense(r_mid), name).hex()
     assert count_nodes(traj).count == zeros
+
+
+def _zeros_on_eval_dense_grid(traj, component):
+    """Reference find_zeros: every grid value read through eval_dense."""
+    rs = []
+    for i in range(len(traj.knots) - 1):
+        rs += [traj.knots[i], 0.5 * (traj.knots[i] + traj.knots[i + 1])]
+    rs.append(traj.knots[-1])
+    vals = [getattr(traj.eval_dense(r), component) for r in rs]
+    return _sign_change_roots(rs, vals, lambda r: getattr(traj.eval_dense(r), component))
+
+
+@pytest.mark.parametrize("component", ["u", "up", "v", "vp"])
+@pytest.mark.parametrize("alpha, rmax", [(5.0, None), (20.0, None), (35.0, 9.37), (2.0, 7.3)])
+def test_find_zeros_matches_an_eval_dense_grid_bitwise(component, alpha, rmax):
+    # rmax=None: classify run ending in the energy trap; otherwise a full-range
+    # run whose last step is clipped to r_max
+    traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
+    if rmax is not None:
+        assert traj.knots[-1] == rmax
+    got = find_zeros(traj, component)
+    want = _zeros_on_eval_dense_grid(traj, component)
+    assert [z.hex() for z in got] == [z.hex() for z in want]
