@@ -61,13 +61,21 @@ def csv_text(
     rows: Iterable[Sequence[Any]],
     config: Mapping[str, Any],
 ) -> str:
-    """CSV with config comment lines, a header row, and 17-digit floats."""
+    """CSV with config comment lines, a header row, and 17-digit floats.
+
+    A row of plain floats is rendered by one ``%`` format; ``'%.17g' % x``
+    gives the same text as ``fnum(x)``.  Any other row goes cell by cell.
+    """
     out = _config_lines(config)
     out.append(",".join(columns))
+    floats = ",".join(["%.17g"] * len(columns))
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} != header width {len(columns)}")
-        out.append(",".join(cell(x) for x in row))
+        if all(type(x) is float for x in row):
+            out.append(floats % tuple(row))
+        else:
+            out.append(",".join(cell(x) for x in row))
     return "\n".join(out) + "\n"
 
 
@@ -113,7 +121,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, float]]:
-    return [(s.r, s.u, s.up, s.v, s.vp) for s in traj.samples()]
+    return [(r, *state) for r, state in zip(traj.knots, traj.states)]
 
 
 def trajectory_csv(traj: Trajectory, config: Mapping[str, Any]) -> str:

@@ -24,15 +24,15 @@ loose for the requested structure).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .field import CriticalAmplitudes, abs_pow
+from .field import CriticalAmplitudes, FieldParams, abs_pow
 from .integrate import (
     ENERGY_NONPOSITIVE,
     STEP_LIMIT,
     STEP_UNDERFLOW,
-    State,
     Trajectory,
 )
 
@@ -160,22 +160,6 @@ def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _grid(traj: Trajectory) -> tuple[list[float], list[State]]:
-    """Knots plus segment midpoints; fine enough to isolate every event."""
-    rs: list[float] = []
-    states: list[State] = []
-    knots = traj.knots
-    for i in range(len(knots) - 1):
-        rs.append(knots[i])
-        states.append(traj.state_at_knot(i))
-        mid = 0.5 * (knots[i] + knots[i + 1])
-        rs.append(mid)
-        states.append(traj.eval_dense(mid))
-    rs.append(knots[-1])
-    states.append(traj.state_at_knot(len(knots) - 1))
-    return rs, states
-
-
 def _sign_change_roots(
     rs: list[float],
     vals: list[float],
@@ -191,10 +175,32 @@ def _sign_change_roots(
     return roots
 
 
-def _u_second(traj: Trajectory, s: State) -> float:
-    fld = traj.params.field
-    fu = (abs_pow(s.u, fld.p - 1.0) - 1.0) * s.u
-    return -(fld.n - 1.0) / s.r * s.up - fu
+def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
+    fu = (abs_pow(u, fld.p - 1.0) - 1.0) * u
+    return -(fld.n - 1.0) / r * up - fu
+
+
+def _grid_radii(traj: Trajectory) -> list[float]:
+    """Knots plus segment midpoints; fine enough to isolate every event."""
+    knots = traj.knots
+    rs: list[float] = []
+    for r_lo, r_hi in zip(knots, knots[1:]):
+        rs.append(r_lo)
+        rs.append(0.5 * (r_lo + r_hi))
+    rs.append(knots[-1])
+    return rs
+
+
+def _grid_values(traj: Trajectory, c: int) -> list[float]:
+    """State component c on the ``_grid_radii`` grid: the stored state at
+    each knot and the dense value at each segment midpoint."""
+    states = traj.states
+    vals: list[float] = []
+    for state, mid in zip(states, _midpoint_values(traj, c)):
+        vals.append(state[c])
+        vals.append(mid)
+    vals.append(states[-1][c])
+    return vals
 
 
 def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePortrait:
@@ -205,16 +211,17 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     """
     fld = traj.params.field
     alpha_star = amplitudes.alpha_star
-    rs, sts = _grid(traj)
-    us = [s.u for s in sts]
-    ups = [s.up for s in sts]
-    vs = [s.v for s in sts]
-    upps = [_u_second(traj, s) for s in sts]
+    rs = _grid_radii(traj)
+    us, ups, vs = (_grid_values(traj, c) for c in range(3))
+    upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]
 
     du = lambda r: traj.eval_dense(r).u
     dup = lambda r: traj.eval_dense(r).up
     dv = lambda r: traj.eval_dense(r).v
-    dupp = lambda r: _u_second(traj, traj.eval_dense(r))
+
+    def dupp(r: float) -> float:
+        s = traj.eval_dense(r)
+        return _u_second(fld, r, s.u, s.up)
 
     zero_rs = _sign_change_roots(rs, us, du)
     crit_rs = _sign_change_roots(rs, ups, dup)
@@ -284,10 +291,12 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     # profile is monotone between its endpoints' criticals, so each level
     # is crossed at most once per half-phase.
     def crossing(level: float, lo: float, hi: float) -> Optional[float]:
+        # Grid points strictly inside (lo, hi) read u from the scan above:
+        # eval_dense there gives the same |u|.  Only the ends are evaluated.
         g = lambda r: abs(traj.eval_dense(r).u) - level
-        pts = [r for r in rs if lo < r < hi]
-        grid = [lo] + pts + [hi]
-        gv = [g(r) for r in grid]
+        a, b = bisect_right(rs, lo), bisect_left(rs, hi)
+        grid = [lo] + rs[a:b] + [hi]
+        gv = [g(lo)] + [abs(u) - level for u in us[a:b]] + [g(hi)]
         for i in range(len(grid) - 1):
             if gv[i] == 0.0:
                 return grid[i]
@@ -439,20 +448,11 @@ _COMPONENTS = ("u", "up", "v", "vp")
 def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
     """Zero radii of one state component (cheap path: no phase structure).
 
-    The scan reads the same grid as ``_grid`` (knots and segment
+    The scan reads the grid of ``detect_events`` (knots and segment
     midpoints), straight from the stored states and segments.
     """
     if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    c = _COMPONENTS.index(component)
-    knots, states = traj.knots, traj.states
-    rs: list[float] = []
-    vals: list[float] = []
-    for i, mid in enumerate(_midpoint_values(traj, c)):
-        rs.append(knots[i])
-        vals.append(states[i][c])
-        rs.append(0.5 * (knots[i] + knots[i + 1]))
-        vals.append(mid)
-    rs.append(knots[-1])
-    vals.append(states[-1][c])
-    return _sign_change_roots(rs, vals, lambda r: getattr(traj.eval_dense(r), component))
+    vals = _grid_values(traj, _COMPONENTS.index(component))
+    return _sign_change_roots(_grid_radii(traj), vals,
+                              lambda r: getattr(traj.eval_dense(r), component))

@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, artifacts, config handling, determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -17,6 +18,8 @@ from boundstate_lab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    OUTDIR_ENV,
+    _AUX_COLUMNS,
     _sweep_grid,
     build_parser,
     main,
@@ -245,3 +248,41 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     payload = json.loads((tmp_path / "c.json").read_text())
     assert payload["result"]["node_count"] == 1
+
+
+# Artifact digests recorded from the per-cell CSV writer and the _grid-based
+# event scan; a faster writer or scan must reproduce every byte.
+GOLDEN_ARTIFACTS = [
+    (3, "3", "3", "solve", "s33a3.csv",
+     "4ca77038bc4ec8c0716e461af1e527ca22e44cf98338e0296ad299d9d8efb8bc"),
+    (3, "3", "3", "solve", "s33a3.portrait.json",
+     "c2029162c6c9591be7adbe45ac8978304b04acc7604989e3e246ab25eaf79182"),
+    (3, "3", "3", "export", "s33a3.csv",
+     "5f1e34174545a7863ecae90e9ffd1c2be1b0939e98b22ffa5f216fdcf522f647"),
+    (3, "3", "6", "solve", "s33a6.csv",
+     "8c28d787dc953e90f55769345ec72971af6527302ead56b364c5146711542b40"),
+    (3, "3", "6", "solve", "s33a6.portrait.json",
+     "79f305aa63ec7c82b915801cb28012405989b4a77590a3b7471df6612ce94823"),
+    (3, "3", "6", "export", "s33a6.csv",
+     "1d8cd020dfebf5ec12f693ec579cf94aef61457459005d31fcba9cc2e7dd779a"),
+    (3, "1.5", "2.5", "solve", "s315a2.5.csv",
+     "e9a53f67abe902bcb5f56cad65dee072ee00ff82dbc612a37f7a5626b0aba062"),
+    (3, "1.5", "2.5", "solve", "s315a2.5.portrait.json",
+     "3f1cbf33d73de5fbdaa657ee770680f892336d8a9add95c85b4963bd665b720b"),
+    (3, "1.5", "2.5", "export", "s315a2.5.csv",
+     "aff53f7ade4f04504cea206dbffb00034130032ac671dd222aaf0668aa6f68f6"),
+]
+
+
+@pytest.mark.parametrize("n, p, alpha, command, name, digest", GOLDEN_ARTIFACTS)
+def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
+                                                   n, p, alpha, command, name, digest):
+    # a relative --out and no output directory keep the echoed out line fixed
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    stem = name.removesuffix(".portrait.json").removesuffix(".csv")
+    args = [command, "--n", str(n), "--p", p, "--alpha", alpha, "--out", stem]
+    if command == "export":
+        args += ["--functionals", ",".join(_AUX_COLUMNS)]
+    assert main(args) == EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -2,7 +2,10 @@
 
 import json
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +70,51 @@ def test_csv_text_layout():
 def test_csv_text_rejects_ragged_rows():
     with pytest.raises(ValueError):
         csv_text(("a", "b"), [(1,)], {})
+    with pytest.raises(ValueError):
+        csv_text(("a", "b"), [(1.0, 2.0), (1.0, 2.0, 3.0)], {})
+    with pytest.raises(ValueError):
+        csv_text(("a", "b"), [[1.0]], {})
+
+
+def _cell_by_cell(columns, rows, config):
+    """Reference CSV: every cell rendered through ``cell``."""
+    head = csv_text(columns, [], config)
+    return head + "".join(",".join(cell(x) for x in row) + "\n" for row in rows)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17,
+                   0.1, -2.5, 123456789.0, 1.0 / 3.0]
+
+
+def _random_doubles(count, seed):
+    rng = random.Random(seed)
+    return list(struct.unpack(f"<{count}d", rng.randbytes(8 * count)))
+
+
+def test_csv_float_rows_match_the_cell_by_cell_text():
+    values = _SPECIAL_FLOATS + _random_doubles(5 * 400 - len(_SPECIAL_FLOATS), seed=5)
+    rows = [tuple(values[i:i + 5]) for i in range(0, len(values), 5)]
+    columns = ("a", "b", "c", "d", "e")
+    config = {"n": 3, "p": 3.0}
+    assert csv_text(columns, rows, config) == _cell_by_cell(columns, rows, config)
+    # rows given as lists
+    lists = [list(row) for row in rows]
+    assert csv_text(columns, lists, config) == _cell_by_cell(columns, rows, config)
+
+
+def test_csv_mixed_and_numpy_rows_match_the_cell_by_cell_text():
+    columns = ("a", "b", "c", "d")
+    rows = [
+        (0.5, None, 2.0, -0.0),
+        (True, 0.25, False, 1.5),
+        (3, 0.5, 10**20, -7),
+        ("tag", 1e17, "Oscillatory", math.nan),
+        tuple(np.float64(x) for x in (0.1, -0.0, 1e17, 5e-324)),
+        [np.float64(2.5), 1.0, None, "x"],
+    ]
+    assert csv_text(columns, rows, {}) == _cell_by_cell(columns, rows, {})
+    assert csv_text(columns, rows, {}).splitlines()[4] == "3,0.5,100000000000000000000,-7"
 
 
 def test_json_text_is_sorted_and_newline_terminated():

@@ -1,8 +1,11 @@
 """Event-detection tests: zeros, criticals, labels, node counts, inflections."""
 
+from typing import Optional
+
 import pytest
 
 from boundstate_lab import (
+    CLASSIFY_POLICY,
     FULL_RANGE_POLICY,
     FieldParams,
     IntegratorControls,
@@ -14,10 +17,20 @@ from boundstate_lab import (
     integrate,
     unique_inflection_check,
 )
+from boundstate_lab.field import CriticalAmplitudes, abs_pow
+from boundstate_lab.integrate import ENERGY_NONPOSITIVE, State, Trajectory
 from boundstate_lab.portrait import (
+    _RADIUS_TOL,
+    _TANGENCY_TOL,
     SEMI_TAIL,
     TAIL_OSCILLATORY,
+    AmbiguousEvent,
+    InterlacingViolation,
+    LabeledPoint,
+    PhaseLabels,
+    PhasePortrait,
     _midpoint_values,
+    _refine_root,
     _sign_change_roots,
 )
 
@@ -168,3 +181,247 @@ def test_find_zeros_matches_an_eval_dense_grid_bitwise(component, alpha, rmax):
     got = find_zeros(traj, component)
     want = _zeros_on_eval_dense_grid(traj, component)
     assert [z.hex() for z in got] == [z.hex() for z in want]
+
+
+# Reference detect_events: the scan that builds a State through eval_dense at
+# every segment midpoint and reads every crossing grid point through eval_dense.
+def _ref_grid(traj: Trajectory) -> tuple[list[float], list[State]]:
+    """Knots plus segment midpoints; fine enough to isolate every event."""
+    rs: list[float] = []
+    states: list[State] = []
+    knots = traj.knots
+    for i in range(len(knots) - 1):
+        rs.append(knots[i])
+        states.append(traj.state_at_knot(i))
+        mid = 0.5 * (knots[i] + knots[i + 1])
+        rs.append(mid)
+        states.append(traj.eval_dense(mid))
+    rs.append(knots[-1])
+    states.append(traj.state_at_knot(len(knots) - 1))
+    return rs, states
+
+
+def _ref_u_second(traj: Trajectory, s: State) -> float:
+    fld = traj.params.field
+    fu = (abs_pow(s.u, fld.p - 1.0) - 1.0) * s.u
+    return -(fld.n - 1.0) / s.r * s.up - fu
+
+
+def _ref_detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePortrait:
+    """Locate all events and assemble the phase structure.
+
+    Raises InterlacingViolation when zeros/criticals cannot be reconciled
+    and AmbiguousEvent when two located events collapse onto each other.
+    """
+    fld = traj.params.field
+    alpha_star = amplitudes.alpha_star
+    rs, sts = _ref_grid(traj)
+    us = [s.u for s in sts]
+    ups = [s.up for s in sts]
+    vs = [s.v for s in sts]
+    upps = [_ref_u_second(traj, s) for s in sts]
+
+    du = lambda r: traj.eval_dense(r).u
+    dup = lambda r: traj.eval_dense(r).up
+    dv = lambda r: traj.eval_dense(r).v
+    dupp = lambda r: _ref_u_second(traj, traj.eval_dense(r))
+
+    zero_rs = _sign_change_roots(rs, us, du)
+    crit_rs = _sign_change_roots(rs, ups, dup)
+    zv_rs = _sign_change_roots(rs, vs, dv)
+    infl_rs = _sign_change_roots(rs, upps, dupp)
+
+    zeros_u = [LabeledPoint(r=r, value=traj.eval_dense(r).up) for r in zero_rs]
+    zeros_v = [LabeledPoint(r=r, value=traj.eval_dense(r).vp) for r in zv_rs]
+    crits_all = [LabeledPoint(r=r, value=traj.eval_dense(r).u) for r in crit_rs]
+
+    # Overlap guard: a zero and a critical of u cannot coincide (the profile
+    # would be identically zero), nor can two events of the same kind.
+    merged = sorted(zero_rs + crit_rs)
+    for i in range(len(merged) - 1):
+        if merged[i + 1] - merged[i] < 10.0 * _RADIUS_TOL * max(1.0, merged[i]):
+            raise AmbiguousEvent(
+                f"events at r={merged[i]!r} and r={merged[i + 1]!r} overlap within locator tolerance"
+            )
+
+    # Split criticals into phase criticals (interlaced with zeros, plus the
+    # one bound-like critical after the last zero whose height clears the
+    # well zero) and trapped-tail criticals.
+    k = len(zeros_u)
+    crits_phase: list[LabeledPoint] = []
+    tail_crits: list[LabeledPoint] = []
+    if k == 0:
+        tail_crits = crits_all
+    else:
+        before_first = [c for c in crits_all if c.r < zeros_u[0].r]
+        if before_first:
+            raise InterlacingViolation(
+                f"{len(before_first)} critical point(s) before the first zero; "
+                "integration tolerance too loose?"
+            )
+        for i in range(k - 1):
+            inside = [c for c in crits_all if zeros_u[i].r < c.r < zeros_u[i + 1].r]
+            if len(inside) != 1:
+                raise InterlacingViolation(
+                    f"expected exactly one critical between zeros {i + 1} and {i + 2}, found {len(inside)}"
+                )
+            crits_phase.append(inside[0])
+        after_last = [c for c in crits_all if c.r > zeros_u[-1].r]
+        if after_last:
+            head = after_last[0]
+            if abs(head.value) > alpha_star:
+                crits_phase.append(head)
+                rest = after_last[1:]
+            else:
+                rest = after_last
+            for c in rest:
+                if abs(c.value) > alpha_star * (1.0 + _TANGENCY_TOL):
+                    raise InterlacingViolation(
+                        f"trapped-tail critical at r={c.r} has |u|={abs(c.value)} above the well zero"
+                    )
+            tail_crits = rest
+
+    bound_like = len(crits_phase) == k and k > 0
+    if k == 0:
+        bound_like = len(crits_all) == 0
+
+    if traj.termination.tag == ENERGY_NONPOSITIVE or tail_crits:
+        phase_kind = TAIL_OSCILLATORY
+    else:
+        phase_kind = SEMI_TAIL
+
+    # Phase labels.  Phase i spans (c_{i-1}, c_i) with c_0 the origin; the
+    # profile is monotone between its endpoints' criticals, so each level
+    # is crossed at most once per half-phase.
+    def crossing(level: float, lo: float, hi: float) -> Optional[float]:
+        g = lambda r: abs(traj.eval_dense(r).u) - level
+        pts = [r for r in rs if lo < r < hi]
+        grid = [lo] + pts + [hi]
+        gv = [g(r) for r in grid]
+        for i in range(len(grid) - 1):
+            if gv[i] == 0.0:
+                return grid[i]
+            if gv[i + 1] == 0.0 or (gv[i] < 0.0) != (gv[i + 1] < 0.0):
+                return _refine_root(g, grid[i], grid[i + 1])
+        return None
+
+    def labeled(r: Optional[float]) -> Optional[LabeledPoint]:
+        if r is None:
+            return None
+        return LabeledPoint(r=r, value=traj.eval_dense(r).u)
+
+    phases: list[PhaseLabels] = []
+    truncated = False
+    for i in range(1, k + 1):
+        left = crits_phase[i - 2].r if i >= 2 else traj.r_start
+        z = zeros_u[i - 1]
+        right = crits_phase[i - 1].r if i - 1 < len(crits_phase) else None
+        uncertain: list[str] = []
+        b = labeled(crossing(alpha_star, left, z.r))
+        r1 = labeled(crossing(1.0, b.r if b else left, z.r))
+        rbar = bbar = None
+        if right is not None:
+            rbar = labeled(crossing(1.0, z.r, right))
+            bbar = labeled(crossing(alpha_star, rbar.r if rbar else z.r, right))
+            c_height = abs(traj.eval_dense(right).u)
+            for name, level in (("bbar", alpha_star), ("rbar", 1.0)):
+                if abs(c_height - level) < _TANGENCY_TOL * max(1.0, level):
+                    uncertain.append(name)
+        else:
+            truncated = True
+        phases.append(
+            PhaseLabels(
+                index=i,
+                b=b,
+                r=r1,
+                z=z,
+                rbar=rbar,
+                bbar=bbar,
+                uncertain=tuple(uncertain),
+            )
+        )
+
+    # Bound-like decay after the closing critical: record where |u| falls
+    # back through alpha_star and 1 (the final, zero-less entry).
+    if bound_like and phase_kind == SEMI_TAIL:
+        left = crits_phase[-1].r if crits_phase else traj.r_start
+        b = labeled(crossing(alpha_star, left, traj.r_end))
+        r1 = labeled(crossing(1.0, b.r if b else left, traj.r_end))
+        if b is not None or r1 is not None:
+            phases.append(PhaseLabels(index=k + 1, b=b, r=r1))
+
+    return PhasePortrait(
+        zeros_u=zeros_u,
+        crits_u=crits_phase,
+        tail_crits_u=tail_crits,
+        zeros_v=zeros_v,
+        inflections_u=infl_rs,
+        phases=phases,
+        phase_kind=phase_kind,
+        truncated=truncated,
+    )
+
+
+def _outcome(detect, traj, amps):
+    """The portrait's repr (every float to the last bit, signed zeros
+    included), or the error it raised."""
+    try:
+        return repr(detect(traj, amps))
+    except (InterlacingViolation, AmbiguousEvent) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+FL_315 = FieldParams(3, 1.5)
+FL_42 = FieldParams(4, 2.0)
+EVENT_SHOTS = [
+    # 0-3 zeros at three (n, p) points
+    *[(FL, alpha) for alpha in (3.0, 8.0, 20.0, 35.0)],
+    *[(FL_315, alpha) for alpha in (3.0, 6.0, 12.0, 20.0)],
+    *[(FL_42, alpha) for alpha in (5.0, 20.0, 60.0, 120.0)],
+    # either side of the first jump at (3, 3), and the constant shot
+    (FL, 4.337387679942187 * (1.0 - 1e-9)),
+    (FL, 4.337387679942187 * (1.0 + 1e-9)),
+    (FL, 1.0),
+]
+
+
+@pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
+                         ids=["classify", "full_range"])
+@pytest.mark.parametrize("field, alpha", EVENT_SHOTS)
+def test_detect_events_matches_the_eval_dense_grid_bitwise(field, alpha, policy):
+    traj = integrate(ProblemParams(field, alpha), policy)
+    amps = critical_amplitudes(field)
+    assert _outcome(detect_events, traj, amps) == _outcome(_ref_detect_events, traj, amps)
+
+
+@pytest.mark.parametrize("alpha, rmax, cut", [(35.0, 9.37, None), (2.0, 7.3, None),
+                                              (20.0, 30.0, 6.0)])
+def test_detect_events_on_clipped_and_truncated_runs_bitwise(alpha, rmax, cut):
+    traj = _run(alpha, rmax)
+    assert traj.knots[-1] == rmax
+    if cut is not None:
+        traj = traj.truncated_at(cut)
+    amps = critical_amplitudes(FL)
+    assert _outcome(detect_events, traj, amps) == _outcome(_ref_detect_events, traj, amps)
+
+
+def test_detect_events_on_the_structural_copy_bitwise(mid1_struct):
+    amps = critical_amplitudes(FL)
+    want = _outcome(_ref_detect_events, mid1_struct, amps)
+    assert _outcome(detect_events, mid1_struct, amps) == want
+
+
+def test_detect_events_reads_its_grid_from_the_stored_segments(monkeypatch):
+    # an eval_dense scan of the midpoints alone takes one call per segment
+    traj = integrate(ProblemParams(FL, 8.0))
+    calls = []
+    original = Trajectory.eval_dense
+
+    def counted(self, r):
+        calls.append(r)
+        return original(self, r)
+
+    monkeypatch.setattr(Trajectory, "eval_dense", counted)
+    portrait = detect_events(traj, critical_amplitudes(FL))
+    assert len(portrait.zeros_u) == 1
+    assert 0 < len(calls) < len(traj.knots)
