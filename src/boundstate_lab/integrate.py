@@ -111,7 +111,9 @@ class DenseRangeError(ValueError):
 class IntegratorControls:
     """Stepper knobs.
 
-    r0 is the series-start radius; ``None`` resolves to 1e-6 * max(1, alpha).
+    r0 is the series-start radius; ``None`` resolves to 1e-6 * max(1, alpha),
+    shrunk at large heights so the truncated series stays within abs_tol
+    (see ``series_start``).
     Per-step local error is kept under abs_tol + rel_tol * |component|.
     """
 
@@ -194,19 +196,30 @@ def series_start(params: ProblemParams) -> State:
     """Second-order Taylor state at r0 with O(r0**4) truncation error.
 
     Both u and v are even in r at the origin; their curvatures there are
-    -f(alpha)/n and -f'(alpha)/n.
+    -f(alpha)/n and -f'(alpha)/n.  The dropped r0**4 terms are
+    f f' r0**4 / (8n(n+2)) in u and (f'**2 + f'' f) r0**4 / (8n(n+2)) in v,
+    all at alpha.  The default r0 is 1e-6 * max(1, alpha) wherever both stay
+    within abs_tol; at larger heights, where the core narrows like
+    alpha**(-(p-1)/2), it shrinks to the radius where the larger of them
+    equals abs_tol.
     """
     alpha = params.alpha
     fld = params.field
-    r0 = params.controls.r0
-    if r0 is None:
-        r0 = 1e-6 * max(1.0, alpha)
-    if not (0.0 < r0 < params.controls.r_max):
-        raise ParameterError(f"series start r0={r0} must lie in (0, r_max)")
     apw = abs_pow(alpha, fld.p - 1.0)
     f_alpha = (apw - 1.0) * alpha
     fp_alpha = fld.p * apw - 1.0
     n = float(fld.n)
+    r0 = params.controls.r0
+    if r0 is None:
+        r0 = 1e-6 * max(1.0, alpha)
+        fpp_alpha = fld.p * (fld.p - 1.0) * apw / alpha
+        c4 = max(abs(f_alpha * fp_alpha), abs(fp_alpha * fp_alpha + fpp_alpha * f_alpha))
+        c4 /= 8.0 * n * (n + 2.0)
+        abs_tol = params.controls.abs_tol
+        if c4 * r0**4 > abs_tol:
+            r0 = (abs_tol / c4) ** 0.25
+    if not (0.0 < r0 < params.controls.r_max):
+        raise ParameterError(f"series start r0={r0} must lie in (0, r_max)")
     return State(
         r=r0,
         u=alpha - f_alpha * r0 * r0 / (2.0 * n),
