@@ -5,14 +5,17 @@ A shot from height alpha either stays trapped in the potential well
 separatrix (a bound-state candidate with exponential decay), or sits at the
 rest height alpha = 1.  Between consecutive ladder amplitudes the node count
 is constant, and it jumps by one at each alpha_k; find_alpha_k brackets the
-jump by bisection on the final node count.
+jump by bisection on the final node count, integrating only the midpoints
+near a Newton estimate of alpha_k that each counted shot reads from its
+variation v.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldParams, critical_amplitudes
+from .field import FieldParams, abs_pow, critical_amplitudes
 from .integrate import (
     CLASSIFY_POLICY,
     ENERGY_NONPOSITIVE,
@@ -137,6 +140,22 @@ def classify(
     return SolutionClass(INDETERMINATE, None, None, w, traj.termination.detail, traj)
 
 
+def _counted_shot(
+    field: FieldParams, alpha: float, ctrl: IntegratorControls
+) -> tuple[Trajectory, NodeCount]:
+    """The classify-policy shot from alpha and its node count, retried once
+    at doubled r_max while the count is still provisional there."""
+    traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
+    count = count_nodes(traj)
+    if not count.final and traj.termination.tag == REACHED_RMAX:
+        traj = integrate(
+            ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
+            CLASSIFY_POLICY,
+        )
+        count = count_nodes(traj)
+    return traj, count
+
+
 def node_count_of_alpha(
     field: FieldParams,
     alpha: float,
@@ -149,15 +168,60 @@ def node_count_of_alpha(
     once at doubled r_max.
     """
     ctrl = controls if controls is not None else IntegratorControls()
-    traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
-    count = count_nodes(traj)
-    if not count.final and traj.termination.tag == REACHED_RMAX:
-        traj = integrate(
-            ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
-            CLASSIFY_POLICY,
-        )
-        count = count_nodes(traj)
-    return count
+    return _counted_shot(field, alpha, ctrl)[1]
+
+
+def _alpha_k_estimates(traj: Trajectory, count: int) -> tuple[float, ...]:
+    """Newton estimates of alpha_0 .. alpha_count read from one shot.
+
+    Near alpha_k the shot is u ~ U_k + (alpha - alpha_k) v.  On its tail U_k
+    keeps to the zero-energy separatrix, drift from the drag term included:
+
+        G(u, u') = u' + (kappa(u) + (n-1)/(2r)) u ~ 0,
+        kappa(u) = sqrt(1 - 2|u|**(p-1)/(p+1)),
+
+    which is g(u) = u' + (1 + (n-1)/(2r)) u once |u|**(p-1) is negligible.
+    Estimate j is alpha - G/(dG/dalpha) at the knot, at or after the j-th
+    sign change of u at the knots (from the start for j = 0), where
+    |u| + |u'| is least; dG/dalpha is G's linearisation applied to (v, v').
+    Keeping kappa matters at p < 2, where |u|**(p-1) is still large on the
+    stretch of tail an undershooting shot reaches.  An index whose knot lies
+    off the separatrix's range, whose dG/dalpha vanishes, or whose sign
+    change the knots never show, gets nan.
+    """
+    alpha = traj.params.alpha
+    fld = traj.params.field
+    half_drag = 0.5 * (fld.n - 1.0)
+    knots, states = traj.knots, traj.states
+    out = []
+    start = 0
+    prev = states[0][0]
+    for j in range(count + 1):
+        if j > 0:
+            # first knot past the j-th sign change
+            while start < len(states):
+                u = states[start][0]
+                if u != 0.0:
+                    crossed = prev != 0.0 and (prev < 0.0) != (u < 0.0)
+                    prev = u
+                    if crossed:
+                        break
+                start += 1
+            if start == len(states):
+                out.extend([math.nan] * (count + 1 - j))
+                break
+        best = min(range(start, len(states)),
+                   key=lambda i: abs(states[i][0]) + abs(states[i][1]))
+        u, up, v, vp = states[best]
+        s = 2.0 * abs_pow(u, fld.p - 1.0) / (fld.p + 1.0)
+        if s >= 1.0:
+            out.append(math.nan)
+            continue
+        kappa = math.sqrt(1.0 - s)
+        damp = kappa + half_drag / knots[best]
+        g_v = vp + (damp - 0.5 * (fld.p - 1.0) * s / kappa) * v
+        out.append(alpha - (up + damp * u) / g_v if g_v != 0.0 else math.nan)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -195,22 +259,32 @@ class _CountCache:
 
     One cache can serve every bracket search of a run: a height is then
     integrated once, and ``audit`` checks monotonicity over every count the
-    run has seen.
+    run has seen.  Next to each count it keeps the shot's estimates of
+    alpha_0 .. alpha_count (``_alpha_k_estimates``), never the shot itself.
+    ``integrated``, ``skipped`` and ``fallbacks`` count the heights
+    integrated, the bisection midpoints decided from an estimate without
+    integrating, and the searches that had to redo plain bisection.
     """
 
     def __init__(self, field: FieldParams, controls: IntegratorControls | None):
         self.field = field
         self.controls = controls if controls is not None else IntegratorControls()
         self.seen: dict[float, int] = {}
+        self.estimates: dict[float, tuple[float, ...]] = {}
+        self.integrated = 0
+        self.skipped = 0
+        self.fallbacks = 0
 
     def __call__(self, alpha: float) -> int:
         if alpha not in self.seen:
-            count = node_count_of_alpha(self.field, alpha, self.controls)
+            traj, count = _counted_shot(self.field, alpha, self.controls)
+            self.integrated += 1
             if not count.final:
                 raise IndeterminateCount(
                     f"node count at alpha={alpha} still provisional after retry"
                 )
             self.seen[alpha] = count.count
+            self.estimates[alpha] = _alpha_k_estimates(traj, count.count)
         return self.seen[alpha]
 
     def audit(self) -> None:
@@ -220,6 +294,41 @@ class _CountCache:
                 raise MonotonicityViolation(
                     f"node count fell from {n0} to {n1} between alpha={a0} and {a1}"
                 )
+
+
+def _bisect(counts: _CountCache, k: int, lo: float, hi: float, tol: float,
+            predict: bool) -> tuple[float, float]:
+    """Bisect [lo, hi] on the node count down to relative width tol.
+
+    With ``predict``, a midpoint that is not yet counted is decided without
+    integrating once it lies farther than a margin from the latest estimate
+    of alpha_k: the margin is 10x the change between the last two estimates
+    and at least 4*tol*mid.  Estimates come from the counted heights with k
+    or k+1 zeros.  The midpoints are those of plain bisection; a search whose
+    guesses were all right returns its bracket bit for bit.
+    """
+    guesses: list[float] = []
+    while hi - lo > tol * lo:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if predict and len(guesses) >= 2 and mid not in counts.seen:
+            margin = max(10.0 * abs(guesses[-1] - guesses[-2]), 4.0 * tol * mid)
+            if abs(mid - guesses[-1]) > margin:
+                counts.skipped += 1
+                if mid < guesses[-1]:
+                    lo = mid
+                else:
+                    hi = mid
+                continue
+        count = counts(mid)
+        if count <= k:
+            lo = mid
+        else:
+            hi = mid
+        if count - k in (0, 1) and not math.isnan(counts.estimates[mid][k]):
+            guesses.append(counts.estimates[mid][k])
+    return lo, hi
 
 
 def find_alpha_k(
@@ -239,6 +348,12 @@ def find_alpha_k(
     and doubles outward; every count evaluated along the way is audited
     for monotonicity in alpha.  ``counts`` lets searches for several k
     share their counts; it must be built for the same field and controls.
+
+    The bisection integrates only the midpoints near the Newton estimate
+    of alpha_k that each counted shot carries (see ``_bisect``).  Both ends
+    of the bracket are always counted: if they do not carry (k, k+1) nodes
+    a guess was wrong, and plain bisection runs again from the doubling
+    bracket over the same counts.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -266,22 +381,20 @@ def find_alpha_k(
                 f"no jump past {k} nodes below alpha={hi:.6g}"
             )
 
-    while hi - lo > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if counts(mid) <= k:
-            lo = mid
-        else:
-            hi = mid
-
+    out_lo, out_hi = _bisect(counts, k, lo, hi, tol, predict=True)
+    nodes_lo, nodes_hi = counts(out_lo), counts(out_hi)
     counts.audit()
-    nodes_lo, nodes_hi = counts(lo), counts(hi)
+    if (nodes_lo, nodes_hi) != (k, k + 1):
+        counts.fallbacks += 1
+        out_lo, out_hi = _bisect(counts, k, lo, hi, tol, predict=False)
+        counts.audit()
+        nodes_lo, nodes_hi = counts(out_lo), counts(out_hi)
     if nodes_lo != k or nodes_hi != k + 1:
         raise BracketNotFound(
             f"bracket closed on counts ({nodes_lo}, {nodes_hi}), wanted ({k}, {k + 1})"
         )
-    return LadderEntry(k=k, alpha_lo=lo, alpha_hi=hi, nodes_lo=nodes_lo, nodes_hi=nodes_hi)
+    return LadderEntry(k=k, alpha_lo=out_lo, alpha_hi=out_hi, nodes_lo=nodes_lo,
+                       nodes_hi=nodes_hi)
 
 
 def build_ladder(

@@ -12,8 +12,11 @@ from boundstate_lab import (
     BracketNotFound,
     FieldParams,
     IntegratorControls,
+    MonotonicityViolation,
+    NodeCount,
     ProblemParams,
     classify,
+    critical_amplitudes,
     find_alpha_k,
     find_zeros,
     integrate,
@@ -184,7 +187,7 @@ def test_shared_count_cache_gives_the_same_brackets_with_fewer_shots(field33, mo
     counts = _CountCache(field33, None)
     shared = [find_alpha_k(field33, k, tol=1e-8, counts=counts) for k in range(3)]
     assert shared == fresh
-    assert len(calls) == len(counts.seen) < fresh_calls
+    assert len(calls) == counts.integrated == len(counts.seen) < fresh_calls
 
 
 def test_count_cache_for_another_field_or_controls_is_rejected(field33):
@@ -195,3 +198,78 @@ def test_count_cache_for_another_field_or_controls_is_rejected(field33):
     # None means the default controls, on either side
     counts = _CountCache(field33, IntegratorControls())
     assert find_alpha_k(field33, 0, tol=1e-6, counts=counts).nodes_hi == 1
+
+
+# --- predict-and-verify bracket search ---------------------------------------
+
+def _plain_bracket(counts, k, tol):
+    """Reference search: the doubling phase, then a count at every midpoint."""
+    upper = critical_amplitudes(counts.field).alpha_upper_star
+    lo, hi = upper * (1.0 + 1e-6), 2.0 * upper
+    while counts(hi) <= k:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol * lo:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if counts(mid) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+SEARCH_POINTS = [((3, 3.0), 1e-10), ((3, 1.5), 1e-10), ((4, 2.0), 1e-10), ((5, 1.6), 1e-10),
+                 ((3, 4.0), 1e-10), ((3, 3.0), 1e-12), ((3, 1.25), 1e-12)]
+
+
+@pytest.mark.parametrize("point, tol", SEARCH_POINTS)
+def test_predicted_brackets_are_the_plain_bisection_brackets(point, tol):
+    counts = _CountCache(FieldParams(*point), None)
+    entries = [find_alpha_k(counts.field, k, tol=tol, counts=counts) for k in range(3)]
+    assert counts.fallbacks == 0
+    assert counts.skipped > 0
+    assert counts.integrated == len(counts.seen)
+    integrated = counts.integrated
+    for k, entry in enumerate(entries):
+        lo, hi = _plain_bracket(counts, k, tol)
+        assert (entry.alpha_lo.hex(), entry.alpha_hi.hex()) == (lo.hex(), hi.hex())
+    # the plain search needed heights the predicted one never integrated
+    assert len(counts.seen) > integrated
+
+
+def test_a_biased_estimate_falls_back_to_the_plain_bracket(field33, monkeypatch):
+    original = classify_module._alpha_k_estimates
+
+    def biased(traj, count):
+        return tuple(e * (1.0 + 1e-3) for e in original(traj, count))
+
+    monkeypatch.setattr(classify_module, "_alpha_k_estimates", biased)
+    counts = _CountCache(field33, None)
+    entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
+    assert counts.fallbacks == 1
+    assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
+    assert (entry.nodes_lo, entry.nodes_hi) == (0, 1)
+
+
+def test_a_non_monotone_count_never_yields_a_silent_bracket(field33, monkeypatch):
+    # one zero too many on a window just below alpha_0: the real shots still
+    # estimate alpha_0, so the guesses run into the window
+    alpha_0 = ALPHA_33[0]
+    window = (alpha_0 * (1.0 - 1e-6), alpha_0 * (1.0 - 1e-8))
+    original = classify_module._counted_shot
+
+    def faulty(field, alpha, ctrl):
+        traj, count = original(field, alpha, ctrl)
+        if window[0] < alpha < window[1]:
+            count = NodeCount(count.count + 1, count.final)
+        return traj, count
+
+    monkeypatch.setattr(classify_module, "_counted_shot", faulty)
+    counts = _CountCache(field33, None)
+    try:
+        entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
+    except MonotonicityViolation:
+        return
+    assert counts.fallbacks == 1
+    assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
