@@ -444,6 +444,11 @@ def identity_residuals(
     stencil on the dense output and compared to the closed-form right side
     evaluated at the probe.  Residuals are reported relative to the largest
     magnitude (of either side) the identity attains over the probe set.
+    An identity whose two sides stay below abs_tol / h_scale at every probe,
+    the derivative error an abs_tol-sized error in its left side makes
+    across the stencil, has no scale to be read against and is reported
+    undefined (no probes used).  On the constant shot alpha = 1, where u = 1
+    and u' = 0 exactly, that holds for the identities in u alone.
     With strict=True a probe failing an identity's guard raises
     ProbeUndefined instead of being skipped.
     """
@@ -471,13 +476,14 @@ def identity_residuals(
             want = rhs(s_mid, field, a)
             per[name].append((abs(fd - want), max(abs(fd), abs(want)), r))
 
+    resolution = traj.params.controls.abs_tol / h_scale
     recs = []
     for name in names:
         rows = per[name]
-        if not rows:
+        scale = max((row[1] for row in rows), default=0.0)
+        if scale < resolution:  # no probes at all, or nothing to resolve
             recs.append(IdentityResidual(name, 0, 0.0, 0.0, math.nan))
             continue
-        scale = max(1.0e-30, max(row[1] for row in rows))
         worst = max(rows, key=lambda row: row[0])
         recs.append(IdentityResidual(name, len(rows), worst[0], scale, worst[2]))
 

@@ -127,6 +127,24 @@ def test_strict_mode_raises_on_guarded_probes():
     assert report.residuals[0].probes_used == 0
 
 
+def test_constant_shot_reports_its_trivial_identities_as_undefined():
+    # u = 1 and u' = 0 exactly, so the identities in u alone read 0 = 0 up to
+    # roundoff; pohozaev_scaled used to score a relative residual of 1 there.
+    # The identities that carry v still have something to measure.
+    traj = integrate(ProblemParams(FieldParams(3, 1.25), 1.0), FULL_RANGE_POLICY)
+    events = []
+    for comp in ("v", "vp"):
+        events.extend(find_zeros(traj, comp))
+    probes = probe_radii(traj, 500, r_hi=40.0, exclusion_radii=events)
+    report = identity_residuals(traj, probes)
+    by_name = {rec.identity: rec for rec in report.residuals}
+    for name in ("energy", "pohozaev_scaled", "pohozaev_p2", "log_slope", "flux_u"):
+        assert by_name[name].probes_used == 0
+    for name in ("energy_layer", "pohozaev", "wronskian_m", "flux_v"):
+        assert by_name[name].probes_used > 400
+    assert report.worst().max_rel_residual < 1e-6
+
+
 def test_bridge_integral_empty_range_is_flagged():
     traj = _full_run(3.0, rmax=10.0)
     out = bridge_integral(traj, 2.0, 1.5, 1.0)

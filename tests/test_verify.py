@@ -80,6 +80,13 @@ def test_core_preset_passes_at_the_reference_point(field33):
             assert rec.notes
 
 
+def test_identity_residuals_pass_on_the_constant_shot_at_a_shallow_exponent():
+    case = CaseSpec(FieldParams(3, 1.25), EXPLICIT, alpha=1.0)
+    report = run_checks(VerificationPlan(cases=(case,), checks=("identity_residuals",)))
+    (rec,) = report.records
+    assert rec.status == PASS, rec.notes
+
+
 def test_full_preset_fails_only_on_the_tail_slope(field33):
     cases = (CaseSpec(field33, BOUND_BRACKET, k=1),)
     plan = VerificationPlan(cases=cases, checks=PRESETS["full"])
