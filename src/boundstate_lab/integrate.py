@@ -180,18 +180,6 @@ class TerminationCause:
     detail: str = ""
 
 
-def rhs(state: State, params: FieldParams) -> tuple[float, float, float, float]:
-    """Right-hand side of the first-order system at r > 0."""
-    if state.r <= 0.0:
-        raise ParameterError(f"rhs needs r > 0, got r={state.r}")
-    u, up, v, vp = state.u, state.up, state.v, state.vp
-    apw = abs_pow(u, params.p - 1.0)
-    fu = (apw - 1.0) * u
-    fpu = params.p * apw - 1.0
-    drag = (params.n - 1.0) / state.r
-    return (up, -drag * up - fu, vp, -drag * vp - fpu * v)
-
-
 def series_start(params: ProblemParams) -> State:
     """Second-order Taylor state at r0 with O(r0**4) truncation error.
 

@@ -15,10 +15,8 @@ from boundstate_lab import (
     IntegratorControls,
     ParameterError,
     ProblemParams,
-    State,
     big_F,
     integrate,
-    rhs,
     series_start,
 )
 from boundstate_lab.integrate import (
@@ -46,11 +44,6 @@ def test_rest_height_shot_is_exactly_constant():
     # the variation still evolves: v'' + (2/r)v' + 2v = 0 oscillates
     vs = [s.v for s in traj.samples()]
     assert min(vs) < 0.0 < max(vs)
-
-
-def test_rhs_requires_positive_radius():
-    with pytest.raises(ParameterError):
-        rhs(State(r=0.0, u=1.0, up=0.0, v=1.0, vp=0.0), FL)
 
 
 def test_series_start_matches_curvature():
