@@ -129,7 +129,7 @@ def test_strict_mode_raises_on_guarded_probes():
 
 def test_constant_shot_reports_its_trivial_identities_as_undefined():
     # u = 1 and u' = 0 exactly, so the identities in u alone read 0 = 0 up to
-    # roundoff; pohozaev_scaled used to score a relative residual of 1 there.
+    # roundoff, and a relative residual there is roundoff over roundoff.
     # The identities that carry v still have something to measure.
     traj = integrate(ProblemParams(FieldParams(3, 1.25), 1.0), FULL_RANGE_POLICY)
     events = []

@@ -3,8 +3,8 @@
 The oracle shares no code with the package: its own fourth-order Taylor
 start, inside the core length alpha**(-(p-1)/2) at any height, then scipy's
 ``solve_ivp`` to the radius where the energy first drops to zero, from
-where on the node count is final.  The two points here are the ones where
-the series start used to sit outside the core at large heights.
+where on the node count is final.  At both points alpha_2 lies at heights
+where the series start has to shrink below its default radius.
 """
 
 import pytest
