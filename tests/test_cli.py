@@ -286,3 +286,23 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
         args += ["--functionals", ",".join(_AUX_COLUMNS)]
     assert main(args) == EXIT_OK
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+GOLDEN_VERIFY = [
+    (3, "3", "v33.json",
+     "94960ff98abf5028b1da6a22e9b690ce73596dcd80122be56459fd560afec750"),
+    (3, "1.25", "v3125.json",
+     "8020b7d67f7b4504ace4d9cee35443396dc9d81ba2f98ce4aabceb6c9c662711"),
+]
+
+
+@pytest.mark.parametrize("n, p, name, digest", GOLDEN_VERIFY)
+def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
+                                                        n, p, name, digest):
+    # the core preset's JSON report, margins to 17 digits, pinned byte for byte
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    stem = name.removesuffix(".json")
+    assert main(["verify", "--preset", "core", "--n", str(n), "--p", p,
+                 "--out", stem]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
