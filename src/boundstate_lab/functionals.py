@@ -8,16 +8,30 @@ tail weight ϖ.  Each functional satisfies a first-order identity in r; the
 identity checker differentiates the left side by central differences on the
 dense output and compares against the closed-form right side, normalized by
 the largest magnitude seen for that identity along the trajectory.
-"""
 
+Where each formula lives:
+
+* ``eval_aux`` defines all of the above, and ``AuxSample`` carries them.
+* ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
+  barrier B_a.
+* ``_IDENTITIES`` maps each identity to its two sides.  Both read an
+  ``AuxSample`` and its ``State``.  The left sides not in ``AuxSample``
+  (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the two slopes) are
+  written there, and so is every right side.
+* f, F, F_a, κ_a, g1 and g2 come from ``field``; u'' comes from
+  ``portrait._u_second``.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .field import FieldParams, abs_pow, big_F, big_F_a, f, f_prime, g1, g2, kappa_a
+from .field import (
+    FieldParams, abs_pow, big_F, big_F_a, critical_amplitudes, f, f_prime, g1, g2, kappa_a,
+)
 from .integrate import State, Trajectory
+from .portrait import _u_second
 from .quadrature import adaptive_quadrature
 
 _GOLDEN = 0.6180339887498949
@@ -75,17 +89,6 @@ class AuxSample:
     varpi: float | None
 
 
-@dataclass(frozen=True)
-class ParametricSample:
-    """The a-indexed family W_a = Q - a M and its tilted-energy correction."""
-
-    r: float
-    a: float
-    W_a: float
-    B_a: float | None
-    F_a_of_u: float
-
-
 def eval_aux(state: State, field: FieldParams) -> AuxSample:
     n, p = field.n, field.p
     r, u, up, v, vp = state.r, state.u, state.up, state.v, state.vp
@@ -130,204 +133,113 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     )
 
 
-def eval_parametric(state: State, a: float, field: FieldParams) -> ParametricSample:
-    n = field.n
-    r, u, up, v, vp = state.r, state.u, state.up, state.v, state.vp
-    fu = f(u, field)
-    rn1 = r ** (n - 1)
-    Q = r**n * (up * vp + fu * v) + (n - 2) * rn1 * up * v
-    M = rn1 * (up * v - u * vp)
-    W = Q - a * M
-    B = None
-    if up != 0.0:
-        B = W - 2.0 * big_F_a(u, a, field) * rn1 * v / up
-    return ParametricSample(r=r, a=a, W_a=W, B_a=B, F_a_of_u=big_F_a(u, a, field))
+# Identity registry: name -> (lhs, rhs, guards).  Both sides read the
+# AuxSample and the State at one radius, with the field and the family
+# parameter a; lhs is differentiated by central differences and rhs is the
+# closed form its derivative must equal.  guards names what must stay away
+# from zero at the probe: "u", "up", or "r" (the minimum-radius guard).
+_Side = Callable[[AuxSample, State, FieldParams, float], float]
 
 
-# Identity registry.  Each entry maps a name to (lhs, rhs, guards) where lhs
-# is the quantity differentiated by central differences, rhs is the closed
-# form its derivative must equal, and guards names the state variables that
-# must stay away from zero ("u", "up").
-_StateFn = Callable[[State, FieldParams, float], float]
+def _family_w(x: AuxSample, a: float) -> float:
+    """W_a = Q - a M; T1 and T2 are its members at a = g1(u) and g2(u)."""
+    return x.Q - a * x.M
 
 
-def _id_table() -> dict[str, tuple[_StateFn, _StateFn, tuple[str, ...]]]:
-    def _E(s, fl, a):
-        return 0.5 * s.up**2 + big_F(s.u, fl)
-
-    def _E_rhs(s, fl, a):
-        return -(fl.n - 1) * s.up**2 / s.r
-
-    def _Ehat(s, fl, a):
-        return s.r ** (2 * (fl.n - 1)) * _E(s, fl, a)
-
-    def _Ehat_rhs(s, fl, a):
-        return 2.0 * (fl.n - 1) * s.r ** (2 * fl.n - 3) * big_F(s.u, fl)
-
-    def _P(s, fl, a):
-        return 2.0 * s.r**fl.n * _E(s, fl, a) + (fl.n - 2) * s.r ** (fl.n - 1) * s.u * s.up
-
-    def _P_rhs(s, fl, a):
-        n = fl.n
-        return s.r ** (n - 1) * (2.0 * n * big_F(s.u, fl) - (n - 2) * s.u * f(s.u, fl))
-
-    def _P_rhs_crit(s, fl, a):
-        upper = ((fl.p + 1.0) * 2.0 / ((fl.n + 2.0) - fl.p * (fl.n - 2.0))) ** (1.0 / (fl.p - 1.0))
-        return 2.0 * s.r ** (fl.n - 1) * s.u**2 * (abs_pow(s.u / upper, fl.p - 1.0) - 1.0)
-
-    def _P1(s, fl, a):
-        n = fl.n
-        return s.r**n * (s.up**2 + s.u * f(s.u, fl)) + (n - 2) * s.r ** (n - 1) * s.u * s.up
-
-    def _P2(s, fl, a):
-        n = fl.n
-        return s.r**n * (s.up**2 + (n - 2) / n * s.u * f(s.u, fl)) + (n - 2) * s.r ** (n - 1) * s.u * s.up
-
-    def _P2_rhs(s, fl, a):
-        n, p = fl.n, fl.p
-        star = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
-        upper = ((p + 1.0) * 2.0 / ((n + 2.0) - p * (n - 2.0))) ** (1.0 / (p - 1.0))
-        return -(4.0 / n) * s.r**n * s.u * s.up * (abs_pow(star * s.u / upper, p - 1.0) - 1.0)
-
-    def _P_over_rn(s, fl, a):
-        return _P(s, fl, a) / s.r**fl.n
-
-    def _P_over_rn_rhs(s, fl, a):
-        return -fl.n / s.r ** (fl.n + 1) * _P2(s, fl, a)
-
-    def _omega(s, fl, a):
-        return -s.r * s.up / s.u
-
-    def _omega_rhs(s, fl, a):
-        return _P1(s, fl, a) / (s.r ** (fl.n - 1) * s.u**2)
-
-    def _what(s, fl, a):
-        return -s.up / s.u
-
-    def _what_rhs(s, fl, a):
-        w = -s.up / s.u
-        return w * w - (fl.n - 1) / s.r * w - 1.0 + abs_pow(s.u, fl.p - 1.0)
-
-    def _rho(s, fl, a):
-        return s.r ** (fl.n - 1) * (f_prime(s.u, fl) * s.up * s.v - f(s.u, fl) * s.vp)
-
-    def _rho_rhs(s, fl, a):
-        p = fl.p
-        return p * (p - 1.0) * s.r ** (fl.n - 1) * math.copysign(abs_pow(s.u, p - 2.0), s.u) * s.up**2 * s.v
-
-    def _Q(s, fl, a):
-        n = fl.n
-        return s.r**n * (s.up * s.vp + f(s.u, fl) * s.v) + (n - 2) * s.r ** (n - 1) * s.up * s.v
-
-    def _Q_rhs(s, fl, a):
-        return 2.0 * s.r ** (fl.n - 1) * f(s.u, fl) * s.v
-
-    def _M(s, fl, a):
-        return s.r ** (fl.n - 1) * (s.up * s.v - s.u * s.vp)
-
-    def _M_rhs(s, fl, a):
-        p = fl.p
-        return (p - 1.0) * s.r ** (fl.n - 1) * s.u * abs_pow(s.u, p - 1.0) * s.v
-
-    def _W(s, fl, a):
-        return _Q(s, fl, a) - a * _M(s, fl, a)
-
-    def _W_rhs(s, fl, a):
-        return 2.0 * s.r ** (fl.n - 1) * s.u * s.v * kappa_a(s.u, a, fl)
-
-    def _T1(s, fl, a):
-        return _Q(s, fl, a) - g1(s.u, fl) * _M(s, fl, a)
-
-    def _T1_rhs(s, fl, a):
-        return -2.0 * s.u * s.up / abs_pow(s.u, fl.p + 1.0) * _M(s, fl, a)
-
-    def _T2(s, fl, a):
-        return _Q(s, fl, a) - g2(s.u, fl) * _M(s, fl, a)
-
-    def _T2_rhs(s, fl, a):
-        p = fl.p
-        lead = (p - 1.0) * s.r ** (fl.n - 1) * s.u * s.v
-        return lead - (p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * _M(s, fl, a)
-
-    def _varpi(s, fl, a):
-        p = fl.p
-        return (p - 1.0) / (p + 1.0) * s.r ** (fl.n - 1) * (s.v / s.up) * abs_pow(s.u, p + 1.0)
-
-    def _T2_rhs_tail(s, fl, a):
-        p = fl.p
-        return -(p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * (_M(s, fl, a) - _varpi(s, fl, a))
-
-    def _B0(s, fl, a):
-        return _Q(s, fl, a) - 2.0 * big_F(s.u, fl) * s.r ** (fl.n - 1) * s.v / s.up
-
-    def _phi(s, fl, a):
-        Qn = _Q(s, fl, a) + fl.n * s.r ** (fl.n - 1) * s.up * s.v
-        return Qn / (s.r * s.up**2)
-
-    def _B0_rhs(s, fl, a):
-        return -2.0 * big_F(s.u, fl) * _phi(s, fl, a)
-
-    def _Ba(s, fl, a):
-        return _W(s, fl, a) - 2.0 * big_F_a(s.u, a, fl) * s.r ** (fl.n - 1) * s.v / s.up
-
-    def _Ba_rhs(s, fl, a):
-        return -2.0 * big_F_a(s.u, a, fl) * _phi(s, fl, a)
-
-    def _rnu(s, fl, a):
-        return s.r ** (fl.n - 1) * s.up
-
-    def _rnu_rhs(s, fl, a):
-        return -s.r ** (fl.n - 1) * f(s.u, fl)
-
-    def _rnv(s, fl, a):
-        return s.r ** (fl.n - 1) * s.vp
-
-    def _rnv_rhs(s, fl, a):
-        return -s.r ** (fl.n - 1) * f_prime(s.u, fl) * s.v
-
-    def _pair(s, fl, a):
-        return s.up * s.vp + f(s.u, fl) * s.v
-
-    def _pair_rhs(s, fl, a):
-        return -2.0 * (fl.n - 1) / s.r * s.up * s.vp
-
-    def _qslope(s, fl, a):
-        return _Q(s, fl, a) / (s.r ** (fl.n - 1) * s.up)
-
-    def _qslope_rhs(s, fl, a):
-        Q2 = _Q(s, fl, a) + 2.0 * s.r ** (fl.n - 1) * s.up * s.v
-        return f(s.u, fl) * Q2 / (s.r ** (fl.n - 1) * s.up**2)
-
-    def _vslope(s, fl, a):
-        return s.r ** (fl.n - 1) * s.v / s.up
-
-    return {
-        "energy": (_E, _E_rhs, ()),
-        "energy_layer": (_Ehat, _Ehat_rhs, ()),
-        "pohozaev": (_P, _P_rhs, ()),
-        "pohozaev_crit": (_P, _P_rhs_crit, ()),
-        "pohozaev_p2": (_P2, _P2_rhs, ()),
-        "pohozaev_scaled": (_P_over_rn, _P_over_rn_rhs, ("r",)),
-        "log_slope": (_omega, _omega_rhs, ("u",)),
-        "riccati": (_what, _what_rhs, ("u",)),
-        "pairing_rho": (_rho, _rho_rhs, ("u",)),
-        "pairing_q": (_Q, _Q_rhs, ()),
-        "wronskian_m": (_M, _M_rhs, ()),
-        "family_w": (_W, _W_rhs, ()),
-        "corrected_t1": (_T1, _T1_rhs, ("u",)),
-        "corrected_t2": (_T2, _T2_rhs, ("u",)),
-        "corrected_t2_tail": (_T2, _T2_rhs_tail, ("u", "up")),
-        "barrier_b0": (_B0, _B0_rhs, ("up",)),
-        "barrier_ba": (_Ba, _Ba_rhs, ("up",)),
-        "flux_u": (_rnu, _rnu_rhs, ()),
-        "flux_v": (_rnv, _rnv_rhs, ()),
-        "pair_product": (_pair, _pair_rhs, ()),
-        "q_slope": (_qslope, _qslope_rhs, ("up",)),
-        "v_slope": (_vslope, _phi, ("up",)),
-    }
+def _barrier_ba(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    """B_a = W_a - 2 F_a(u) r^(n-1) v / u', the tilted analogue of B0."""
+    return _family_w(x, a) - 2.0 * big_F_a(s.u, a, fl) * s.r ** (fl.n - 1) * s.v / s.up
 
 
-_IDENTITIES = _id_table()
+def _p_crit_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    upper = critical_amplitudes(fl).alpha_upper_star
+    return 2.0 * s.r ** (fl.n - 1) * s.u**2 * (abs_pow(s.u / upper, fl.p - 1.0) - 1.0)
+
+
+def _p2_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    amp = critical_amplitudes(fl)
+    ratio = amp.alpha_star * s.u / amp.alpha_upper_star
+    return -(4.0 / fl.n) * s.r**fl.n * s.u * s.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
+
+
+def _riccati_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    w = -s.up / s.u
+    return w * w - (fl.n - 1) / s.r * w - 1.0 + abs_pow(s.u, fl.p - 1.0)
+
+
+def _rho_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    p = fl.p
+    u_pm2 = math.copysign(abs_pow(s.u, p - 2.0), s.u)
+    return p * (p - 1.0) * s.r ** (fl.n - 1) * u_pm2 * s.up**2 * s.v
+
+
+def _t2_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+    p = fl.p
+    lead = (p - 1.0) * s.r ** (fl.n - 1) * s.u * s.v
+    return lead - (p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * x.M
+
+
+_IDENTITIES: dict[str, tuple[_Side, _Side, tuple[str, ...]]] = {
+    "energy": (
+        lambda x, s, fl, a: x.E,
+        lambda x, s, fl, a: -(fl.n - 1) * s.up**2 / s.r, ()),
+    "energy_layer": (
+        lambda x, s, fl, a: x.E_hat,
+        lambda x, s, fl, a: 2.0 * (fl.n - 1) * s.r ** (2 * fl.n - 3) * big_F(s.u, fl), ()),
+    "pohozaev": (
+        lambda x, s, fl, a: x.P,
+        lambda x, s, fl, a: s.r ** (fl.n - 1) * (
+            2.0 * fl.n * big_F(s.u, fl) - (fl.n - 2) * s.u * f(s.u, fl)), ()),
+    "pohozaev_crit": (lambda x, s, fl, a: x.P, _p_crit_rhs, ()),
+    "pohozaev_p2": (lambda x, s, fl, a: x.P2, _p2_rhs, ()),
+    "pohozaev_scaled": (
+        lambda x, s, fl, a: x.P / s.r**fl.n,
+        lambda x, s, fl, a: -fl.n / s.r ** (fl.n + 1) * x.P2, ("r",)),
+    "log_slope": (
+        lambda x, s, fl, a: x.omega,
+        lambda x, s, fl, a: x.P1 / (s.r ** (fl.n - 1) * s.u**2), ("u",)),
+    "riccati": (lambda x, s, fl, a: -s.up / s.u, _riccati_rhs, ("u",)),
+    "pairing_rho": (lambda x, s, fl, a: x.rho, _rho_rhs, ("u",)),
+    "pairing_q": (
+        lambda x, s, fl, a: x.Q,
+        lambda x, s, fl, a: 2.0 * s.r ** (fl.n - 1) * f(s.u, fl) * s.v, ()),
+    "wronskian_m": (
+        lambda x, s, fl, a: x.M,
+        lambda x, s, fl, a: (fl.p - 1.0) * s.r ** (fl.n - 1) * s.u
+        * abs_pow(s.u, fl.p - 1.0) * s.v, ()),
+    "family_w": (
+        lambda x, s, fl, a: _family_w(x, a),
+        lambda x, s, fl, a: 2.0 * s.r ** (fl.n - 1) * s.u * s.v * kappa_a(s.u, a, fl), ()),
+    "corrected_t1": (
+        lambda x, s, fl, a: x.T1,
+        lambda x, s, fl, a: -2.0 * s.u * s.up / abs_pow(s.u, fl.p + 1.0) * x.M, ("u",)),
+    "corrected_t2": (lambda x, s, fl, a: x.T2, _t2_rhs, ("u",)),
+    "corrected_t2_tail": (
+        lambda x, s, fl, a: x.T2,
+        lambda x, s, fl, a: -(fl.p + 1.0) * s.u * s.up / abs_pow(s.u, fl.p + 1.0)
+        * (x.M - x.varpi), ("u", "up")),
+    "barrier_b0": (
+        lambda x, s, fl, a: x.B0,
+        lambda x, s, fl, a: -2.0 * big_F(s.u, fl) * x.phi_n, ("up",)),
+    "barrier_ba": (
+        _barrier_ba,
+        lambda x, s, fl, a: -2.0 * big_F_a(s.u, a, fl) * x.phi_n, ("up",)),
+    "flux_u": (
+        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.up,
+        lambda x, s, fl, a: -s.r ** (fl.n - 1) * f(s.u, fl), ()),
+    "flux_v": (
+        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.vp,
+        lambda x, s, fl, a: -s.r ** (fl.n - 1) * f_prime(s.u, fl) * s.v, ()),
+    "pair_product": (
+        lambda x, s, fl, a: s.up * s.vp + f(s.u, fl) * s.v,
+        lambda x, s, fl, a: -2.0 * (fl.n - 1) / s.r * s.up * s.vp, ()),
+    "q_slope": (
+        lambda x, s, fl, a: x.Q / (s.r ** (fl.n - 1) * s.up),
+        lambda x, s, fl, a: f(s.u, fl) * x.Q2 / (s.r ** (fl.n - 1) * s.up**2), ("up",)),
+    "v_slope": (
+        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.v / s.up,
+        lambda x, s, fl, a: x.phi_n, ("up",)),
+}
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(_IDENTITIES)
 
@@ -362,8 +274,7 @@ def _up_admissible(state: State, field: FieldParams) -> bool:
     # u'' from the field equation bounds how fast u' can cross zero.  The
     # floors are 1.5x the u ones: quotients by u' are differentiated, which
     # squares the amplification near a critical radius.
-    upp = abs((field.n - 1) / state.r * state.up + f(state.u, field))
-    scale = max(1.0, upp)
+    scale = max(1.0, abs(_u_second(field, state.r, state.u, state.up)))
     return abs(state.up) >= 1.5 * _ABS_FLOOR and abs(state.up) >= 1.5 * _RATIO_FLOOR * scale
 
 
@@ -459,22 +370,36 @@ def identity_residuals(
             raise KeyError(f"unknown identity: {name}")
 
     per = {name: [] for name in names}  # (residual, scale contribution, r)
+    conn_worst = 0.0
+    conn_r = math.nan
+    conn_n = 0
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
         h = h_scale * max(1.0, r)
-        s_mid = traj.eval_dense(r)
-        s_lo = traj.eval_dense(r - h)
-        s_hi = traj.eval_dense(r + h)
+        s_mid, s_lo, s_hi = (traj.eval_dense(x) for x in (r, r - h, r + h))
+        x_mid, x_lo, x_hi = (eval_aux(s, field) for s in (s_mid, s_lo, s_hi))
         for name in names:
             lhs, rhs, guards = _IDENTITIES[name]
             if not _admits(s_mid, field, guards):
                 if strict:
                     raise ProbeUndefined(f"identity {name} undefined near r={r}")
                 continue
-            fd = (lhs(s_hi, field, a) - lhs(s_lo, field, a)) / (2.0 * h)
-            want = rhs(s_mid, field, a)
+            fd = (lhs(x_hi, s_hi, field, a) - lhs(x_lo, s_lo, field, a)) / (2.0 * h)
+            want = rhs(x_mid, s_mid, field, a)
             per[name].append((abs(fd - want), max(abs(fd), abs(want)), r))
+
+        # Pointwise connection between the u-frame and v-frame functionals:
+        # Q - P v/u = omega (M - varpi), checked without differentiation.
+        if not (_u_admissible(s_mid) and _up_admissible(s_mid, field)):
+            continue
+        pv_u = x_mid.P * s_mid.v / s_mid.u
+        rel = abs(x_mid.Q - pv_u - x_mid.omega * (x_mid.M - x_mid.varpi))
+        rel /= abs(x_mid.Q) + abs(pv_u) + 1e-30
+        conn_n += 1
+        if rel > conn_worst:
+            conn_worst = rel
+            conn_r = r
 
     resolution = traj.params.controls.abs_tol / h_scale
     recs = []
@@ -486,25 +411,6 @@ def identity_residuals(
             continue
         worst = max(rows, key=lambda row: row[0])
         recs.append(IdentityResidual(name, len(rows), worst[0], scale, worst[2]))
-
-    # Pointwise connection between the u-frame and v-frame functionals:
-    # Q - P v/u = omega (M - varpi), checked without differentiation.
-    conn_worst = 0.0
-    conn_r = math.nan
-    conn_n = 0
-    for r in probes:
-        s = traj.eval_dense(r)
-        if not (_u_admissible(s) and _up_admissible(s, field)):
-            continue
-        aux = eval_aux(s, field)
-        lhs = aux.Q - aux.P * s.v / s.u
-        rhs = aux.omega * (aux.M - aux.varpi)
-        scale = abs(aux.Q) + abs(aux.P * s.v / s.u) + 1e-30
-        rel = abs(lhs - rhs) / scale
-        conn_n += 1
-        if rel > conn_worst:
-            conn_worst = rel
-            conn_r = r
     return IdentityReport(tuple(recs), conn_worst, conn_r, conn_n)
 
 

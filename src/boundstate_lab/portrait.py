@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .field import CriticalAmplitudes, FieldParams, abs_pow
+from .field import CriticalAmplitudes, FieldParams, f
 from .integrate import (
     ENERGY_NONPOSITIVE,
     STEP_LIMIT,
@@ -176,8 +176,7 @@ def _sign_change_roots(
 
 
 def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
-    fu = (abs_pow(u, fld.p - 1.0) - 1.0) * u
-    return -(fld.n - 1.0) / r * up - fu
+    return -(fld.n - 1.0) / r * up - f(u, fld)
 
 
 def _grid_radii(traj: Trajectory) -> list[float]:

@@ -40,6 +40,7 @@ from .integrate import (
 )
 from .portrait import (
     PhasePortrait,
+    _grid_radii,
     detect_events,
     find_zeros,
     unique_inflection_check,
@@ -238,16 +239,7 @@ def truncate_for_structure(traj: Trajectory, decay_eps: float = 1e-6) -> Traject
 
 
 def _sample_radii(traj: Trajectory, r_lo: float, r_hi: float) -> list[float]:
-    out = []
-    knots = traj.knots
-    for i, r in enumerate(knots):
-        if r_lo <= r <= r_hi:
-            out.append(r)
-        if i + 1 < len(knots):
-            mid = 0.5 * (r + knots[i + 1])
-            if r_lo <= mid <= r_hi:
-                out.append(mid)
-    return sorted(out)
+    return [r for r in _grid_radii(traj) if r_lo <= r <= r_hi]
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:

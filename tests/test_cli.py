@@ -290,7 +290,7 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
-     "94960ff98abf5028b1da6a22e9b690ce73596dcd80122be56459fd560afec750"),
+     "7c4d6f2a655d8355694231d6ae05811cd53192930e8012a04edca0b760645984"),
     (3, "1.25", "v3125.json",
      "8020b7d67f7b4504ace4d9cee35443396dc9d81ba2f98ce4aabceb6c9c662711"),
 ]

@@ -17,13 +17,14 @@ from boundstate_lab import (
     critical_amplitudes,
     detect_events,
     eval_aux,
-    eval_parametric,
     find_zeros,
+    g1,
     identity_residuals,
     integrate,
     probe_radii,
 )
-from boundstate_lab import find_alpha_k, truncate_for_structure
+from boundstate_lab import find_alpha_k, functionals, truncate_for_structure
+from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
 
 FL = FieldParams(3, 3.0)
 
@@ -56,12 +57,12 @@ def test_aux_sample_none_branches():
 
 def test_parametric_family_interpolates_corrected_wronskians():
     aux = eval_aux(HAND_STATE, FL)
+    family_w = functionals._IDENTITIES["family_w"][0]
     for a in (-1.0, 0.0, 0.75, 2.0):
-        par = eval_parametric(HAND_STATE, a, FL)
-        assert par.W_a == pytest.approx(aux.Q - a * aux.M, rel=1e-14)
+        assert family_w(aux, HAND_STATE, FL, a) == pytest.approx(aux.Q - a * aux.M, rel=1e-14)
     # at a = g1(u) the family member coincides with T1
-    par = eval_parametric(HAND_STATE, 0.75, FL)
-    assert par.W_a == pytest.approx(aux.T1, rel=1e-14)
+    assert g1(HAND_STATE.u, FL) == 0.75
+    assert family_w(aux, HAND_STATE, FL, 0.75) == pytest.approx(aux.T1, rel=1e-14)
 
 
 def _full_run(alpha, rmax=40.0):
@@ -177,3 +178,222 @@ def test_bridge_integral_positive_on_the_shallow_ground_case():
     assert out.value > 0.0
     assert out.value == pytest.approx(5.533309580e-03, rel=1e-6)
     assert out.error_estimate < 1e-12
+
+
+# The identity registry as it stood when each side wrote out its own
+# functionals, one closure per side; kept as a reference for the bits.
+def _reference_table():
+    def _E(s, fl, a):
+        return 0.5 * s.up**2 + big_F(s.u, fl)
+
+    def _E_rhs(s, fl, a):
+        return -(fl.n - 1) * s.up**2 / s.r
+
+    def _Ehat(s, fl, a):
+        return s.r ** (2 * (fl.n - 1)) * _E(s, fl, a)
+
+    def _Ehat_rhs(s, fl, a):
+        return 2.0 * (fl.n - 1) * s.r ** (2 * fl.n - 3) * big_F(s.u, fl)
+
+    def _P(s, fl, a):
+        return 2.0 * s.r**fl.n * _E(s, fl, a) + (fl.n - 2) * s.r ** (fl.n - 1) * s.u * s.up
+
+    def _P_rhs(s, fl, a):
+        n = fl.n
+        return s.r ** (n - 1) * (2.0 * n * big_F(s.u, fl) - (n - 2) * s.u * f(s.u, fl))
+
+    def _P_rhs_crit(s, fl, a):
+        upper = ((fl.p + 1.0) * 2.0 / ((fl.n + 2.0) - fl.p * (fl.n - 2.0))) ** (1.0 / (fl.p - 1.0))
+        return 2.0 * s.r ** (fl.n - 1) * s.u**2 * (abs_pow(s.u / upper, fl.p - 1.0) - 1.0)
+
+    def _P1(s, fl, a):
+        n = fl.n
+        return s.r**n * (s.up**2 + s.u * f(s.u, fl)) + (n - 2) * s.r ** (n - 1) * s.u * s.up
+
+    def _P2(s, fl, a):
+        n = fl.n
+        return s.r**n * (s.up**2 + (n - 2) / n * s.u * f(s.u, fl)) + (n - 2) * s.r ** (n - 1) * s.u * s.up
+
+    def _P2_rhs(s, fl, a):
+        n, p = fl.n, fl.p
+        star = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+        upper = ((p + 1.0) * 2.0 / ((n + 2.0) - p * (n - 2.0))) ** (1.0 / (p - 1.0))
+        return -(4.0 / n) * s.r**n * s.u * s.up * (abs_pow(star * s.u / upper, p - 1.0) - 1.0)
+
+    def _P_over_rn(s, fl, a):
+        return _P(s, fl, a) / s.r**fl.n
+
+    def _P_over_rn_rhs(s, fl, a):
+        return -fl.n / s.r ** (fl.n + 1) * _P2(s, fl, a)
+
+    def _omega(s, fl, a):
+        return -s.r * s.up / s.u
+
+    def _omega_rhs(s, fl, a):
+        return _P1(s, fl, a) / (s.r ** (fl.n - 1) * s.u**2)
+
+    def _what(s, fl, a):
+        return -s.up / s.u
+
+    def _what_rhs(s, fl, a):
+        w = -s.up / s.u
+        return w * w - (fl.n - 1) / s.r * w - 1.0 + abs_pow(s.u, fl.p - 1.0)
+
+    def _rho(s, fl, a):
+        return s.r ** (fl.n - 1) * (f_prime(s.u, fl) * s.up * s.v - f(s.u, fl) * s.vp)
+
+    def _rho_rhs(s, fl, a):
+        p = fl.p
+        return p * (p - 1.0) * s.r ** (fl.n - 1) * math.copysign(abs_pow(s.u, p - 2.0), s.u) * s.up**2 * s.v
+
+    def _Q(s, fl, a):
+        n = fl.n
+        return s.r**n * (s.up * s.vp + f(s.u, fl) * s.v) + (n - 2) * s.r ** (n - 1) * s.up * s.v
+
+    def _Q_rhs(s, fl, a):
+        return 2.0 * s.r ** (fl.n - 1) * f(s.u, fl) * s.v
+
+    def _M(s, fl, a):
+        return s.r ** (fl.n - 1) * (s.up * s.v - s.u * s.vp)
+
+    def _M_rhs(s, fl, a):
+        p = fl.p
+        return (p - 1.0) * s.r ** (fl.n - 1) * s.u * abs_pow(s.u, p - 1.0) * s.v
+
+    def _W(s, fl, a):
+        return _Q(s, fl, a) - a * _M(s, fl, a)
+
+    def _W_rhs(s, fl, a):
+        return 2.0 * s.r ** (fl.n - 1) * s.u * s.v * kappa_a(s.u, a, fl)
+
+    def _T1(s, fl, a):
+        return _Q(s, fl, a) - g1(s.u, fl) * _M(s, fl, a)
+
+    def _T1_rhs(s, fl, a):
+        return -2.0 * s.u * s.up / abs_pow(s.u, fl.p + 1.0) * _M(s, fl, a)
+
+    def _T2(s, fl, a):
+        return _Q(s, fl, a) - g2(s.u, fl) * _M(s, fl, a)
+
+    def _T2_rhs(s, fl, a):
+        p = fl.p
+        lead = (p - 1.0) * s.r ** (fl.n - 1) * s.u * s.v
+        return lead - (p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * _M(s, fl, a)
+
+    def _varpi(s, fl, a):
+        p = fl.p
+        return (p - 1.0) / (p + 1.0) * s.r ** (fl.n - 1) * (s.v / s.up) * abs_pow(s.u, p + 1.0)
+
+    def _T2_rhs_tail(s, fl, a):
+        p = fl.p
+        return -(p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * (_M(s, fl, a) - _varpi(s, fl, a))
+
+    def _B0(s, fl, a):
+        return _Q(s, fl, a) - 2.0 * big_F(s.u, fl) * s.r ** (fl.n - 1) * s.v / s.up
+
+    def _phi(s, fl, a):
+        Qn = _Q(s, fl, a) + fl.n * s.r ** (fl.n - 1) * s.up * s.v
+        return Qn / (s.r * s.up**2)
+
+    def _B0_rhs(s, fl, a):
+        return -2.0 * big_F(s.u, fl) * _phi(s, fl, a)
+
+    def _Ba(s, fl, a):
+        return _W(s, fl, a) - 2.0 * big_F_a(s.u, a, fl) * s.r ** (fl.n - 1) * s.v / s.up
+
+    def _Ba_rhs(s, fl, a):
+        return -2.0 * big_F_a(s.u, a, fl) * _phi(s, fl, a)
+
+    def _rnu(s, fl, a):
+        return s.r ** (fl.n - 1) * s.up
+
+    def _rnu_rhs(s, fl, a):
+        return -s.r ** (fl.n - 1) * f(s.u, fl)
+
+    def _rnv(s, fl, a):
+        return s.r ** (fl.n - 1) * s.vp
+
+    def _rnv_rhs(s, fl, a):
+        return -s.r ** (fl.n - 1) * f_prime(s.u, fl) * s.v
+
+    def _pair(s, fl, a):
+        return s.up * s.vp + f(s.u, fl) * s.v
+
+    def _pair_rhs(s, fl, a):
+        return -2.0 * (fl.n - 1) / s.r * s.up * s.vp
+
+    def _qslope(s, fl, a):
+        return _Q(s, fl, a) / (s.r ** (fl.n - 1) * s.up)
+
+    def _qslope_rhs(s, fl, a):
+        Q2 = _Q(s, fl, a) + 2.0 * s.r ** (fl.n - 1) * s.up * s.v
+        return f(s.u, fl) * Q2 / (s.r ** (fl.n - 1) * s.up**2)
+
+    def _vslope(s, fl, a):
+        return s.r ** (fl.n - 1) * s.v / s.up
+
+    return {
+        "energy": (_E, _E_rhs, ()),
+        "energy_layer": (_Ehat, _Ehat_rhs, ()),
+        "pohozaev": (_P, _P_rhs, ()),
+        "pohozaev_crit": (_P, _P_rhs_crit, ()),
+        "pohozaev_p2": (_P2, _P2_rhs, ()),
+        "pohozaev_scaled": (_P_over_rn, _P_over_rn_rhs, ("r",)),
+        "log_slope": (_omega, _omega_rhs, ("u",)),
+        "riccati": (_what, _what_rhs, ("u",)),
+        "pairing_rho": (_rho, _rho_rhs, ("u",)),
+        "pairing_q": (_Q, _Q_rhs, ()),
+        "wronskian_m": (_M, _M_rhs, ()),
+        "family_w": (_W, _W_rhs, ()),
+        "corrected_t1": (_T1, _T1_rhs, ("u",)),
+        "corrected_t2": (_T2, _T2_rhs, ("u",)),
+        "corrected_t2_tail": (_T2, _T2_rhs_tail, ("u", "up")),
+        "barrier_b0": (_B0, _B0_rhs, ("up",)),
+        "barrier_ba": (_Ba, _Ba_rhs, ("up",)),
+        "flux_u": (_rnu, _rnu_rhs, ()),
+        "flux_v": (_rnv, _rnv_rhs, ()),
+        "pair_product": (_pair, _pair_rhs, ()),
+        "q_slope": (_qslope, _qslope_rhs, ("up",)),
+        "v_slope": (_vslope, _phi, ("up",)),
+    }
+
+
+
+# Sides that now read eval_aux's up*up and (r*up)*up where the reference
+# squares with up**2: equal up to roundoff, not bit for bit.
+_RESPELLED_SIDES = {
+    ("energy", 0), ("energy_layer", 0), ("pohozaev", 0), ("pohozaev_crit", 0),
+    ("pohozaev_p2", 0), ("pohozaev_scaled", 0), ("pohozaev_scaled", 1),
+    ("log_slope", 1), ("barrier_b0", 1), ("barrier_ba", 1), ("v_slope", 1),
+}
+
+
+@pytest.mark.parametrize("field, alpha", [
+    (FieldParams(3, 3.0), 5.0),
+    (FieldParams(3, 1.25), 10.0),
+    (FieldParams(4, 2.0), 15.0),
+    (FieldParams(5, 1.6), 30.0),
+])
+def test_registry_sides_match_the_reference_table(field, alpha):
+    controls = IntegratorControls().with_rmax(40.0)
+    traj = integrate(ProblemParams(field, alpha, controls), FULL_RANGE_POLICY)
+    assert find_zeros(traj, "u")  # the shot crosses zero, so u changes sign
+    reference = _reference_table()
+    assert set(reference) == set(IDENTITY_NAMES)
+    knots = 0
+    for i in range(len(traj.knots)):
+        s = traj.state_at_knot(i)
+        if s.u == 0.0 or s.up == 0.0:
+            continue
+        knots += 1
+        aux = eval_aux(s, field)
+        for name, (lhs, rhs, _) in functionals._IDENTITIES.items():
+            sides = zip((lhs, rhs), reference[name][:2])
+            for side, (new, old) in enumerate(sides):
+                for a in (1.0, 0.3):
+                    got, want = new(aux, s, field, a), old(s, field, a)
+                    if (name, side) in _RESPELLED_SIDES:
+                        assert abs(got - want) <= 1e-15 * abs(want), (name, side, s)
+                    else:
+                        assert got == want, (name, side, s)
+    assert knots > 100
