@@ -21,6 +21,7 @@ Where each formula lives:
 * f, F, F_a, κ_a, g1 and g2 come from ``field``; u'' comes from
   ``portrait._u_second``.
 """
+
 from __future__ import annotations
 
 import math
