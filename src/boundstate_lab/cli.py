@@ -57,7 +57,6 @@ from .portrait import (
     find_zeros,
 )
 from .verify import (
-    CHECK_IDS,
     PRESETS,
     MalformedPlan,
     VerificationPlan,

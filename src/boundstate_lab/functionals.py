@@ -37,10 +37,15 @@ from .quadrature import adaptive_quadrature
 
 _GOLDEN = 0.6180339887498949
 
+# Central-difference step of the identity checks, relative to max(1, r).
+# probe_radii shifts each probe so that r - h and r + h fall inside one dense
+# segment, which holds only for the h identity_residuals differentiates with.
+_H_SCALE = 1e-5
+
 # Guard thresholds for identities with a removable or genuine singularity.
 # Probes are admissible only when the denominator variable is both large
 # relative to its derivative scale and large in absolute terms, so a central
-# difference with h ~ 1e-5 never straddles a sign change.
+# difference with h ~ _H_SCALE never straddles a sign change.
 _RATIO_FLOOR = 0.04
 _ABS_FLOOR = 0.02
 
@@ -300,7 +305,6 @@ def probe_radii(
     r_lo: float | None = None,
     r_hi: float | None = None,
     exclusion_radii: Iterable[float] = (),
-    h_scale: float = 1e-5,
     exclusion_halfwidth: float = 0.05,
 ) -> list[float]:
     """Low-discrepancy probe radii, kept clear of events and segment knots.
@@ -325,7 +329,7 @@ def probe_radii(
     for _ in range(count):
         x = (x + _GOLDEN) % 1.0
         r = lo + span * x
-        h = h_scale * max(1.0, r)
+        h = _H_SCALE * max(1.0, r)
         if r - 2.0 * h <= lo or r + 2.0 * h >= hi:
             continue
         if any(abs(r - e) < exclusion_halfwidth for e in excl):
@@ -347,7 +351,6 @@ def identity_residuals(
     probes: Sequence[float],
     identities: Sequence[str] | None = None,
     a: float = 1.0,
-    h_scale: float = 1e-5,
     strict: bool = False,
 ) -> IdentityReport:
     """Central-difference check of every registered identity at the probes.
@@ -356,8 +359,8 @@ def identity_residuals(
     stencil on the dense output and compared to the closed-form right side
     evaluated at the probe.  Residuals are reported relative to the largest
     magnitude (of either side) the identity attains over the probe set.
-    An identity whose two sides stay below abs_tol / h_scale at every probe,
-    the derivative error an abs_tol-sized error in its left side makes
+    An identity whose two sides stay below abs_tol / _H_SCALE at every
+    probe, the derivative error an abs_tol-sized error in its left side makes
     across the stencil, has no scale to be read against and is reported
     undefined (no probes used).  On the constant shot alpha = 1, where u = 1
     and u' = 0 exactly, that holds for the identities in u alone.
@@ -377,7 +380,7 @@ def identity_residuals(
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
-        h = h_scale * max(1.0, r)
+        h = _H_SCALE * max(1.0, r)
         s_mid, s_lo, s_hi = (traj.eval_dense(x) for x in (r, r - h, r + h))
         x_mid, x_lo, x_hi = (eval_aux(s, field) for s in (s_mid, s_lo, s_hi))
         for name in names:
@@ -402,7 +405,7 @@ def identity_residuals(
             conn_worst = rel
             conn_r = r
 
-    resolution = traj.params.controls.abs_tol / h_scale
+    resolution = traj.params.controls.abs_tol / _H_SCALE
     recs = []
     for name in names:
         rows = per[name]
@@ -430,9 +433,9 @@ def bridge_integral(
     b_i: float,
     tau_i: float,
     u_tilde: float,
-    rel_tol: float = 1e-10,
 ) -> BridgeIntegral:
-    """I = integral over (b_i, tau_i) of u^2 (1 - |u/ũ|^{p-1}) Qn / (r u'^2).
+    """I = integral over (b_i, tau_i) of u^2 (1 - |u/ũ|^{p-1}) φ_n,
+    with φ_n = Qn / (r u'^2) read from ``eval_aux``.
 
     Flags an empty range (tau_i <= b_i) rather than failing; raises
     SingularityWarning if u' vanishes at any quadrature node.
@@ -450,9 +453,8 @@ def bridge_integral(
         s = traj.eval_dense(r)
         if s.up == 0.0:
             raise SingularityWarning(f"u' vanishes at r={r} inside the bridge range")
-        aux = eval_aux(s, field)
         weight = s.u**2 * (1.0 - abs_pow(s.u / u_tilde, p - 1.0))
-        return weight * aux.Qn / (r * s.up**2)
+        return weight * eval_aux(s, field).phi_n
 
-    value, err = adaptive_quadrature(integrand, b_i, tau_i, rel_tol=rel_tol)
+    value, err = adaptive_quadrature(integrand, b_i, tau_i, rel_tol=1e-10)
     return BridgeIntegral(value, err, b_i, tau_i, u_tilde, False)

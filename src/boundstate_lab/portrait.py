@@ -116,12 +116,13 @@ class NodeCount:
     final: bool
 
 
-def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
     """Root of g in [lo, hi] by bisection with secant polish.
 
-    Assumes g(lo) and g(hi) have opposite (nonzero) signs.  Bisection takes
-    the bracket down to ~1e3 times the target tolerance, then secant steps
-    finish; a secant step that leaves the bracket falls back to bisection.
+    Returns None when g(lo) and g(hi) are nonzero and share a sign, so the
+    bracket holds no root to refine.  Bisection takes the bracket down to
+    ~1e3 times the target tolerance, then secant steps finish; a secant
+    step that leaves the bracket falls back to bisection.
     """
     glo = g(lo)
     ghi = g(hi)
@@ -130,7 +131,7 @@ def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     if ghi == 0.0:
         return hi
     if (glo < 0.0) == (ghi < 0.0):
-        raise ValueError("root refinement called without a sign change")
+        return None
     tol = _RADIUS_TOL * max(1.0, abs(hi))
     while hi - lo > 1e3 * tol:
         mid = 0.5 * (lo + hi)

@@ -8,6 +8,10 @@ structural checks on the midpoint shot truncated where it leaves the decay
 funnel, since beyond that radius the shot diverges from the bound state it
 shadows.  Every derived quantity is cross-checked against a re-integration
 at 10x tighter tolerances before its checks run.
+
+This module locates no event and spells out no functional itself: event
+radii, level crossings included, are located in ``portrait`` and every
+comparison functional is written in ``functionals``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .integrate import (
 from .portrait import (
     PhasePortrait,
     _grid_radii,
+    _refine_root,
     detect_events,
     find_zeros,
     unique_inflection_check,
@@ -55,44 +60,8 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped-undefined"
 
-CHECK_IDS: tuple[str, ...] = (
-    "energy_monotone",
-    "velocity_bound",
-    "positivity_core",
-    "omega_monotone",
-    "p_over_rn_monotone",
-    "qm_first_phase",
-    "t1_first_phase",
-    "q1q2m_first_phase",
-    "renewability",
-    "reflection",
-    "tango",
-    "tau_localization",
-    "unique_inflection",
-    "bridge_integral",
-    "identity_residuals",
-    "tail_asymptotics",
-    "v_divergence",
-    "tail_dichotomy",
-    "ladder_jump",
-)
-
-# Check sets for the named verification presets.  The core preset leaves out
-# tail_asymptotics: the 0.05 slope band is unreachable at the radii where
-# |u| crosses 1e-5 (the logarithmic slope carries an intrinsic -1/r term),
-# so that check is reserved for the full preset as a known-red diagnostic.
-PRESETS: dict[str, tuple[str, ...]] = {
-    "core": tuple(c for c in CHECK_IDS if c != "tail_asymptotics"),
-    "residual": (
-        "tango",
-        "tau_localization",
-        "qm_first_phase",
-        "renewability",
-        "bridge_integral",
-        "identity_residuals",
-    ),
-    "full": CHECK_IDS,
-}
+_R_MAX_BRACKET = 40.0  # r_max of the bracket-midpoint shots
+_DECAY_EPS = 1e-6  # truncate_for_structure cuts where |u| <= 10 * _DECAY_EPS
 
 
 class MalformedPlan(ValueError):
@@ -133,8 +102,6 @@ class VerificationPlan:
     checks: tuple[str, ...]
     controls: IntegratorControls = IntegratorControls()
     bracket_tol: float = 1e-12
-    r_max_bracket: float = 40.0
-    decay_eps: float = 1e-6
 
     def validate(self) -> None:
         if not self.cases:
@@ -174,28 +141,6 @@ class VerificationReport:
         return worst
 
 
-@dataclass(frozen=True)
-class PhaseAudit:
-    phase: int
-    q_at_c: float
-    m_at_c: float
-    t2_at_c: float
-    q_at_b: float | None
-    q_at_bbar: float | None
-    t2_window_min: float | None
-    status: str
-    notes: str = ""
-
-
-@dataclass(frozen=True)
-class RenewabilityReport:
-    audits: tuple[PhaseAudit, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(a.status != FAIL for a in self.audits)
-
-
 @dataclass
 class _Prepared:
     case: CaseSpec
@@ -208,13 +153,13 @@ class _Prepared:
     portrait_note: str = ""
 
 
-def truncate_for_structure(traj: Trajectory, decay_eps: float = 1e-6) -> Trajectory:
+def truncate_for_structure(traj: Trajectory) -> Trajectory:
     """Cut a bracket-midpoint shot where it leaves the decay funnel.
 
     The anchor is the last critical radius with |u| above the well edge
     (later criticals belong to the captured oscillation, not the shadowed
     bound state); the cut lands at the first knot past the anchor where
-    |u| <= 10 * decay_eps.  Without such a knot the cut falls back to the
+    |u| <= 10 * _DECAY_EPS.  Without such a knot the cut falls back to the
     minimum of |u| past the anchor.
     """
     amps = critical_amplitudes(traj.params.field)
@@ -222,7 +167,7 @@ def truncate_for_structure(traj: Trajectory, decay_eps: float = 1e-6) -> Traject
     for r in find_zeros(traj, "up"):
         if abs(traj.eval_dense(r).u) > amps.alpha_star:
             anchor = r
-    floor = 10.0 * decay_eps
+    floor = 10.0 * _DECAY_EPS
     best_r = None
     best_u = math.inf
     for i, r in enumerate(traj.knots):
@@ -249,81 +194,6 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _bisect_abs_u(traj: Trajectory, mu: float, lo: float, hi: float) -> float | None:
-    """Radius in (lo, hi) with |u| = mu, assuming |u| is monotone there."""
-    f_lo = abs(traj.eval_dense(lo).u) - mu
-    f_hi = abs(traj.eval_dense(hi).u) - mu
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = abs(traj.eval_dense(mid).u) - mu
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def renewability_audit(
-    traj: Trajectory,
-    portrait: PhasePortrait,
-    field: FieldParams,
-) -> RenewabilityReport:
-    """Per-phase renewal: Q, M, T2 > 0 at c_i, Q(b̄_i) > Q(b_i), and T2 > 0
-    on a probe grid across [c_{i-1}, b_i].  Phases without a resolved right
-    critical point are reported skipped."""
-    audits = []
-    crits = [pt.r for pt in portrait.crits_u]
-    for ph in portrait.phases:
-        i = ph.index
-        if i - 1 >= len(crits):
-            audits.append(PhaseAudit(i, math.nan, math.nan, math.nan, None, None,
-                                     None, SKIPPED, "phase truncated before c_i"))
-            continue
-        c_i = crits[i - 1]
-        c_prev = crits[i - 2] if i >= 2 else traj.r_start
-        aux_c = eval_aux(traj.eval_dense(c_i), field)
-        t2_c = aux_c.T2 if aux_c.T2 is not None else math.nan
-        q_b = q_bbar = None
-        note = ""
-        if ph.b is not None and ph.bbar is not None:
-            q_b = eval_aux(traj.eval_dense(ph.b.r), field).Q
-            q_bbar = eval_aux(traj.eval_dense(ph.bbar.r), field).Q
-        else:
-            note = "b or b̄ label unresolved"
-        t2_min = None
-        t2_scale = abs(t2_c)
-        if ph.b is not None:
-            vals = []
-            for r in _grid(c_prev + 1e-9 * max(1.0, c_prev), ph.b.r, 48):
-                aux = eval_aux(traj.eval_dense(r), field)
-                if aux.T2 is not None:
-                    vals.append(aux.T2)
-            if vals:
-                t2_min = min(vals)
-                t2_scale = max(t2_scale, max(abs(v) for v in vals))
-        ok = aux_c.Q > 0.0 and aux_c.M > 0.0 and (not math.isnan(t2_c) and t2_c > 0.0)
-        if q_b is not None and q_bbar is not None:
-            ok = ok and q_bbar > q_b
-        # T2 vanishes like a high power of r at the origin, so the window min
-        # is graded against the window scale with the usual relative slack
-        if t2_min is not None:
-            ok = ok and t2_min > -1e-9 * t2_scale
-        audits.append(PhaseAudit(
-            phase=i, q_at_c=aux_c.Q, m_at_c=aux_c.M, t2_at_c=t2_c,
-            q_at_b=q_b, q_at_bbar=q_bbar, t2_window_min=t2_min,
-            status=PASS if ok else FAIL, notes=note,
-        ))
-    return RenewabilityReport(tuple(audits))
-
-
 def _prepare(case: CaseSpec, plan: VerificationPlan,
              counts: dict[FieldParams, _CountCache]) -> _Prepared:
     field = case.field
@@ -335,13 +205,13 @@ def _prepare(case: CaseSpec, plan: VerificationPlan,
         entry = find_alpha_k(field, k, tol=plan.bracket_tol, controls=plan.controls,
                              counts=cache)
         alpha = entry.midpoint
-        ctrl = plan.controls.with_rmax(plan.r_max_bracket)
+        ctrl = plan.controls.with_rmax(_R_MAX_BRACKET)
     else:
         alpha = float(case.alpha)
         ctrl = plan.controls
     full = integrate(ProblemParams(field, alpha, ctrl), FULL_RANGE_POLICY)
     if entry is not None:
-        struct = truncate_for_structure(full, plan.decay_eps)
+        struct = truncate_for_structure(full)
     else:
         struct = full
     portrait = None
@@ -406,7 +276,10 @@ def _skip(check: str, prep: _Prepared, why: str) -> CheckRecord:
 
 
 def _nodal_limit(prep: _Prepared) -> float | None:
-    """Largest zero radius, the right end of the nodal positivity windows."""
+    """Right end of the nodal positivity windows: the structural cut of a
+    bracket shot, else the largest zero radius (None without zeros)."""
+    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
+        return prep.struct.r_end
     if prep.portrait is None or not prep.portrait.zeros_u:
         return None
     return prep.portrait.zeros_u[-1].r
@@ -473,13 +346,9 @@ def _positivity_scan(
 
 
 def _check_positivity_core(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
-        r_hi = prep.struct.r_end
-    else:
-        z_last = _nodal_limit(prep)
-        if z_last is None:
-            return _skip("positivity_core", prep, "no zeros: positivity window undefined")
-        r_hi = z_last
+    r_hi = _nodal_limit(prep)
+    if r_hi is None:
+        return _skip("positivity_core", prep, "no zeros: positivity window undefined")
     worst, n, note = _positivity_scan(prep, ("E", "P", "P1", "P2"), r_hi)
     return _rec("positivity_core", prep, PASS if worst >= 0.0 else FAIL, worst, n, note)
 
@@ -516,13 +385,9 @@ def _check_omega_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecor
 
 
 def _check_p_over_rn_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
-        r_hi = prep.struct.r_end
-    else:
-        z_last = _nodal_limit(prep)
-        if z_last is None:
-            return _skip("p_over_rn_monotone", prep, "no zeros: window undefined")
-        r_hi = z_last
+    r_hi = _nodal_limit(prep)
+    if r_hi is None:
+        return _skip("p_over_rn_monotone", prep, "no zeros: window undefined")
     fl = prep.case.field
     n = fl.n
     # dividing by r^n amplifies absolute error in P without bound near the
@@ -578,19 +443,10 @@ def _check_t1_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRecor
     r_hi = _first_phase_limit(prep)
     if r_hi is None:
         return _skip("t1_first_phase", prep, "no z_1 or tau_1 resolved")
-    fl = prep.case.field
-    radii = _sample_radii(prep.struct, prep.struct.r_start, r_hi * (1.0 - 1e-3))
-    vals = []
-    for r in radii:
-        aux = eval_aux(prep.struct.eval_dense(r), fl)
-        if aux.T1 is not None:
-            vals.append(aux.T1)
-    if not vals:
+    worst, n, _ = _positivity_scan(prep, ("T1",), r_hi * (1.0 - 1e-3))
+    if math.isinf(worst):
         return _skip("t1_first_phase", prep, "no admissible samples")
-    scale = max(abs(v) for v in vals) or 1e-300
-    worst = min(v / scale + 1e-9 for v in vals)
-    return _rec("t1_first_phase", prep, PASS if worst >= 0.0 else FAIL,
-                worst, len(vals))
+    return _rec("t1_first_phase", prep, PASS if worst >= 0.0 else FAIL, worst, n)
 
 
 def _check_q1q2m_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
@@ -613,22 +469,46 @@ def _check_q1q2m_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRe
 
 
 def _check_renewability(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+    """Per-phase renewal: Q, M, T2 > 0 at c_i, Q(b̄_i) > Q(b_i), and T2 > 0
+    on a probe grid across [c_{i-1}, b_i].  Phases without a resolved right
+    critical point are left out."""
     port = prep.portrait
     if port is None or not port.crits_u:
         return _skip("renewability", prep, "no resolved phase criticals")
-    report = renewability_audit(prep.struct, port, prep.case.field)
-    live = [a for a in report.audits if a.status != SKIPPED]
+    traj, fl = prep.struct, prep.case.field
+    crits = [pt.r for pt in port.crits_u]
+    live = [ph for ph in port.phases if ph.index - 1 < len(crits)]
     if not live:
         return _skip("renewability", prep, "all phases truncated")
+    passed = True
     margin = math.inf
-    for a in live:
-        scale = max(abs(a.q_at_c), abs(a.m_at_c), abs(a.t2_at_c), 1e-300)
-        margin = min(margin, a.q_at_c / scale, a.m_at_c / scale, a.t2_at_c / scale)
-        if a.q_at_b is not None and a.q_at_bbar is not None:
-            margin = min(margin, (a.q_at_bbar - a.q_at_b) / max(abs(a.q_at_bbar), 1e-300))
-        if a.t2_window_min is not None:
-            margin = min(margin, a.t2_window_min / scale + 1e-9)
-    status = PASS if report.passed and margin > 0.0 else FAIL
+    for ph in live:
+        i = ph.index
+        c_prev = crits[i - 2] if i >= 2 else traj.r_start
+        aux_c = eval_aux(traj.eval_dense(crits[i - 1]), fl)
+        t2_c = aux_c.T2 if aux_c.T2 is not None else math.nan
+        scale = max(abs(aux_c.Q), abs(aux_c.M), abs(t2_c), 1e-300)
+        margin = min(margin, aux_c.Q / scale, aux_c.M / scale, t2_c / scale)
+        passed = passed and aux_c.Q > 0.0 and aux_c.M > 0.0 and t2_c > 0.0
+        if ph.b is not None and ph.bbar is not None:
+            q_b = eval_aux(traj.eval_dense(ph.b.r), fl).Q
+            q_bbar = eval_aux(traj.eval_dense(ph.bbar.r), fl).Q
+            margin = min(margin, (q_bbar - q_b) / max(abs(q_bbar), 1e-300))
+            passed = passed and q_bbar > q_b
+        vals = []
+        if ph.b is not None:
+            for r in _grid(c_prev + 1e-9 * max(1.0, c_prev), ph.b.r, 48):
+                aux = eval_aux(traj.eval_dense(r), fl)
+                if aux.T2 is not None:
+                    vals.append(aux.T2)
+        if vals:
+            # T2 vanishes like a high power of r at the origin, so the window
+            # min is graded against the window scale with the usual slack
+            t2_min = min(vals)
+            margin = min(margin, t2_min / scale + 1e-9)
+            t2_scale = max(abs(t2_c), max(abs(v) for v in vals))
+            passed = passed and t2_min > -1e-9 * t2_scale
+    status = PASS if passed and margin > 0.0 else FAIL
     return _rec("renewability", prep, status, margin, len(live),
                 f"{len(live)} phase(s) audited")
 
@@ -655,8 +535,9 @@ def _check_reflection(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
         z_i = ph.z.r
         for j in range(12):
             mu = amps.alpha_star + (u_ci - amps.alpha_star) * j / 12.0
-            r_mu = _bisect_abs_u(traj, mu, c_prev + 1e-9, z_i - 1e-9)
-            rbar_mu = _bisect_abs_u(traj, mu, z_i + 1e-9, c_i - 1e-9)
+            level = lambda r: abs(traj.eval_dense(r).u) - mu
+            r_mu = _refine_root(level, c_prev + 1e-9, z_i - 1e-9)
+            rbar_mu = _refine_root(level, z_i + 1e-9, c_i - 1e-9)
             if r_mu is None or rbar_mu is None:
                 continue
             sa = traj.eval_dense(r_mu)
@@ -825,7 +706,8 @@ def _check_tail_asymptotics(prep: _Prepared, plan: VerificationPlan) -> CheckRec
     # refine to the |u| = band_lo crossing if the run dips past it
     lo, hi = last_r, traj.r_end
     if abs(traj.eval_dense(hi).u) <= band_lo:
-        r_star = _bisect_abs_u(traj, band_lo * (1.0 + 1e-12), lo, hi) or last_r
+        mu = band_lo * (1.0 + 1e-12)
+        r_star = _refine_root(lambda r: abs(traj.eval_dense(r).u) - mu, lo, hi) or last_r
     else:
         r_star = last_r
     st = traj.eval_dense(r_star)
@@ -922,6 +804,25 @@ _CHECKS = {
     "v_divergence": _check_v_divergence,
     "tail_dichotomy": _check_tail_dichotomy,
     "ladder_jump": _check_ladder_jump,
+}
+
+CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
+
+# Check sets for the named verification presets.  The core preset leaves out
+# tail_asymptotics: the 0.05 slope band is unreachable at the radii where
+# |u| crosses 1e-5 (the logarithmic slope carries an intrinsic -1/r term),
+# so that check is reserved for the full preset as a known-red diagnostic.
+PRESETS: dict[str, tuple[str, ...]] = {
+    "core": tuple(c for c in CHECK_IDS if c != "tail_asymptotics"),
+    "residual": (
+        "tango",
+        "tau_localization",
+        "qm_first_phase",
+        "renewability",
+        "bridge_integral",
+        "identity_residuals",
+    ),
+    "full": CHECK_IDS,
 }
 
 

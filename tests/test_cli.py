@@ -290,9 +290,9 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
-     "7c4d6f2a655d8355694231d6ae05811cd53192930e8012a04edca0b760645984"),
+     "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30"),
     (3, "1.25", "v3125.json",
-     "8020b7d67f7b4504ace4d9cee35443396dc9d81ba2f98ce4aabceb6c9c662711"),
+     "7b26cd06d3ca55c8a17daa043470e8e0b4b4a6efbee10537e6c0b690abdd4d77"),
 ]
 
 

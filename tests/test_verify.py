@@ -15,6 +15,8 @@ from boundstate_lab import (
     run_checks,
     truncate_for_structure,
 )
+from boundstate_lab.field import critical_amplitudes
+from boundstate_lab.portrait import _refine_root
 from boundstate_lab.verify import (
     BOUND_BRACKET,
     EXPLICIT,
@@ -23,6 +25,7 @@ from boundstate_lab.verify import (
     OSCILLATORY_CASE,
     PASS,
     SKIPPED,
+    _prepare,
 )
 
 
@@ -122,3 +125,80 @@ def test_worst_margin_table(field33):
     worst = report.worst_by_check()
     assert set(worst) <= {"energy_monotone", "positivity_core"}
     assert all(math.isfinite(v) for v in worst.values())
+
+
+def _bisect_abs_u(traj, mu, lo, hi):
+    """Reference locator: radius in (lo, hi) with |u| = mu by 80 bisection
+    steps, assuming |u| is monotone there; None without a sign change."""
+    f_lo = abs(traj.eval_dense(lo).u) - mu
+    f_hi = abs(traj.eval_dense(hi).u) - mu
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = abs(traj.eval_dense(mid).u) - mu
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _reflection_windows(prep):
+    """Every (level, lo, hi) the reflection check hands the level locator."""
+    port = prep.portrait
+    alpha_star = critical_amplitudes(prep.case.field).alpha_star
+    crits = [pt.r for pt in port.crits_u]
+    traj = prep.struct
+    for ph in port.phases:
+        i = ph.index
+        if i - 1 >= len(crits) or ph.z is None:
+            continue
+        c_i = crits[i - 1]
+        c_prev = crits[i - 2] if i >= 2 else traj.r_start
+        u_ci = abs(traj.eval_dense(c_i).u)
+        if u_ci <= alpha_star:
+            continue
+        for j in range(12):
+            mu = alpha_star + (u_ci - alpha_star) * j / 12.0
+            yield mu, c_prev + 1e-9, ph.z.r - 1e-9
+            yield mu, ph.z.r + 1e-9, c_i - 1e-9
+
+
+@pytest.mark.parametrize("p", [3.0, 1.25])
+def test_level_locator_matches_the_bisection_reference(p):
+    field = FieldParams(3, p)
+    counts = {}
+    located = 0
+    for k in (1, 2):
+        case = CaseSpec(field, BOUND_BRACKET, k=k)
+        prep = _prepare(case, VerificationPlan(cases=(case,), checks=("reflection",)), counts)
+        traj = prep.struct
+        for mu, lo, hi in _reflection_windows(prep):
+            want = _bisect_abs_u(traj, mu, lo, hi)
+            got = _refine_root(lambda r: abs(traj.eval_dense(r).u) - mu, lo, hi)
+            if want is None:
+                assert got is None
+                continue
+            located += 1
+            # _refine_root returns the midpoint of its last bracket.  When a
+            # secant step lands on the root, the next ones round onto the
+            # bracket end and fall back to bisection, and 8 such halvings can
+            # leave the bracket a few times wider than its nominal
+            # 1e-12 max(1, r); the worst seen on these shots is 3.9 times.
+            assert abs(got - want) <= 1e-11 * max(1.0, want), (k, mu, got, want)
+    assert located > 0
+
+
+def test_level_locator_returns_none_without_a_sign_change(mid1_struct):
+    traj = mid1_struct
+    top = max(abs(st[0]) for st in traj.states)
+    above = lambda r: abs(traj.eval_dense(r).u) - 2.0 * top
+    assert _refine_root(above, traj.r_start, traj.r_end) is None
+    assert _refine_root(lambda r: -1.0 - r * r, -1.0, 1.0) is None
