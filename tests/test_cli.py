@@ -288,6 +288,33 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# The classify, ladder and sweep tables in both formats, recorded before the
+# option table replaced the per-key converters, flags and defaults of cli.py.
+GOLDEN_TABLES = [
+    (["classify", "--alpha", "5"], "c33a5.json",
+     "2fa5e9883ffae22fb4a9307ab3c822b3334867296762ac95bbc0b49075a5f77d"),
+    (["classify", "--alpha", "5"], "c33a5.csv",
+     "5b4974cb186945590ac8231689a04953847750a5262d539f89c83f89b65205bc"),
+    (["ladder", "--k", "0..1", "--tol", "1e-8"], "l33k01.json",
+     "86017b26c109ac2c7d87ba5ed2baeb1a74fe27707403d9ba339cbf1123d145d2"),
+    (["ladder", "--k", "0..1", "--tol", "1e-8"], "l33k01.csv",
+     "d040292864fa7059538e1f004ba938702b30314facaeefddfe829634237df70a"),
+    (["sweep", "--alpha-range", "2..31", "--points", "7"], "w33a2_31.json",
+     "7957e45dd21c868ac9b809a4ea11fb88629cccd45ac582469b588c0d5d5abc14"),
+    (["sweep", "--alpha-range", "2..31", "--points", "7"], "w33a2_31.csv",
+     "1a04e2408c2efcc967bdba040aedf5ce728196e14df2c9b49e3600ecd06db201"),
+]
+
+
+@pytest.mark.parametrize("args, name, digest", GOLDEN_TABLES)
+def test_table_bytes_match_the_recorded_digests(tmp_path, monkeypatch, args, name, digest):
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    stem, _, fmt = name.rpartition(".")
+    assert main(args + ["--n", "3", "--p", "3", "--format", fmt, "--out", stem]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
      "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30"),
