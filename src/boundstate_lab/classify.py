@@ -32,6 +32,14 @@ OSCILLATORY = "Oscillatory"
 BOUND_STATE_CANDIDATE = "BoundStateCandidate"
 INDETERMINATE = "Indeterminate"
 
+# Decay evidence at r_max: |u| below _DECAY_EPS and log slope u'/u within
+# _SLOPE_EPS of the decay rate -1.
+_DECAY_EPS = 1e-6
+_SLOPE_EPS = 0.05
+
+# find_alpha_k gives up once its doubling passes this multiple of alpha_upper_star.
+_EXPANSION_CAP = 1e4
+
 
 class BracketNotFound(RuntimeError):
     """No amplitude bracket with the requested node-count jump."""
@@ -64,27 +72,25 @@ class SolutionClass:
     trajectory: Trajectory | None = dc_field(default=None, compare=False, repr=False)
 
 
-def _decay_evidence(traj: Trajectory, decay_eps: float, slope_eps: float) -> tuple[bool, float | None]:
+def _decay_evidence(traj: Trajectory) -> tuple[bool, float | None]:
     end = traj.state_at_knot(len(traj.knots) - 1)
-    if abs(end.u) >= decay_eps or end.u == 0.0:
+    if abs(end.u) >= _DECAY_EPS or end.u == 0.0:
         return False, None
     err = abs(end.up / end.u + 1.0)
-    return err < slope_eps, err
+    return err < _SLOPE_EPS, err
 
 
 def classify(
     field: FieldParams,
     alpha: float,
     controls: IntegratorControls | None = None,
-    decay_eps: float = 1e-6,
-    slope_eps: float = 0.05,
 ) -> SolutionClass:
     """Classify the shot from height alpha.
 
     Constant at the rest height; Oscillatory once the energy turns
     nonpositive (the shot is trapped and oscillates around +-1 forever);
-    BoundStateCandidate when the run reaches r_max with |u| < decay_eps and
-    logarithmic slope within slope_eps of the decay rate -1.  A run that
+    BoundStateCandidate when the run reaches r_max with |u| < _DECAY_EPS and
+    logarithmic slope within _SLOPE_EPS of the decay rate -1.  A run that
     reaches r_max without decay evidence is retried once at doubled r_max
     before giving up as Indeterminate.
     """
@@ -95,7 +101,7 @@ def classify(
 
     traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
     if traj.termination.tag == REACHED_RMAX:
-        decayed, _ = _decay_evidence(traj, decay_eps, slope_eps)
+        decayed, _ = _decay_evidence(traj)
         if not decayed:
             traj = integrate(
                 ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
@@ -116,7 +122,7 @@ def classify(
         )
         return SolutionClass(OSCILLATORY, count.count, center, w, "trapped by the well", traj)
     if tag == REACHED_RMAX:
-        decayed, err = _decay_evidence(traj, decay_eps, slope_eps)
+        decayed, err = _decay_evidence(traj)
         w = Witness(
             r_stop=traj.termination.r_stop,
             termination_tag=tag,
@@ -336,7 +342,6 @@ def find_alpha_k(
     k: int,
     tol: float = 1e-10,
     controls: IntegratorControls | None = None,
-    expansion_cap: float = 1e4,
     *,
     counts: _CountCache | None = None,
 ) -> LadderEntry:
@@ -375,7 +380,7 @@ def find_alpha_k(
     while counts(hi) <= k:
         lo = hi
         hi *= 2.0
-        if hi > expansion_cap * amps.alpha_upper_star:
+        if hi > _EXPANSION_CAP * amps.alpha_upper_star:
             counts.audit()
             raise BracketNotFound(
                 f"no jump past {k} nodes below alpha={hi:.6g}"

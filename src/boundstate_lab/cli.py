@@ -47,6 +47,7 @@ from .integrate import (
     IntegrationError,
     IntegratorControls,
     ProblemParams,
+    Trajectory,
     integrate,
 )
 from .portrait import (
@@ -75,8 +76,6 @@ OUTDIR_ENV = "BOUNDSTATE_LAB_OUTDIR"
 _TOL_LO = 1e-15
 _TOL_HI = 1e-3
 
-_GAVE_UP = (STEP_LIMIT, STEP_UNDERFLOW)
-
 _AUX_COLUMNS = tuple(f.name for f in dc_fields(AuxSample) if f.name != "r")
 
 
@@ -91,95 +90,78 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_float_range(text: str) -> tuple[float, float]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        value = float(text)
-        return (value, value)
-    return (float(lo), float(hi))
+def _parse_range(kind: Callable[[str], Any]) -> Callable[[str], tuple[Any, Any]]:
+    """Parser of ``LO..HI`` (or one value, a range of one) over kind."""
+    def parse(text: str) -> tuple[Any, Any]:
+        lo, sep, hi = text.partition("..")
+        if not sep:
+            value = kind(text)
+            return (value, value)
+        return (kind(lo), kind(hi))
 
-
-def _parse_int_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return (value, value)
-    return (int(lo), int(hi))
+    parse.__name__ = f"{kind.__name__} range"  # argparse names it in its errors
+    return parse
 
 
 def _parse_name_list(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-COMMANDS = ("solve", "classify", "ladder", "sweep", "verify", "export")
+_CONTROLS = IntegratorControls()
+_FORMATS = ("json", "csv")
 
-# config-file key -> converter to the typed value the flag would carry
-_CONVERTERS: dict[str, Callable[[str], Any]] = {
-    "n": int,
-    "p": float,
-    "alpha": float,
-    "alpha_range": _parse_float_range,
-    "k": _parse_int_range,
-    "points": int,
-    "tol": float,
-    "rmax": float,
-    "abs_tol": float,
-    "rel_tol": float,
-    "out": str,
-    "format": str,
-    "preset": str,
-    "checks": _parse_name_list,
-    "functionals": _parse_name_list,
+# One row per option: key -> (converter, default, help).  The flag is the key
+# with "-" for "_"; a config file uses the key itself and the same converter.
+# The format default (None here) is csv for export and sweep, json otherwise.
+_OPTIONS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
+    "n": (int, 3, "space dimension"),
+    "p": (float, 3.0, "nonlinearity exponent"),
+    "alpha": (float, None, "shooting height"),
+    "alpha_range": (_parse_range(float), None, "alpha grid range"),
+    "k": (_parse_range(int), None, "node count or count range"),
+    "points": (int, 200, "grid size for sweep (default 200)"),
+    "tol": (float, 1e-10, "bracket tolerance (relative)"),
+    "rmax": (float, _CONTROLS.r_max, "integration range"),
+    "abs_tol": (float, _CONTROLS.abs_tol, "integrator absolute tolerance"),
+    "rel_tol": (float, _CONTROLS.rel_tol, "integrator relative tolerance"),
+    "out": (str, None, "output path stem (suffixes appended per artifact)"),
+    "format": (str, None, "tabular artifact format"),
+    "preset": (str, "core", "verify: check preset (core|residual|full)"),
+    "checks": (_parse_name_list, None, "verify: explicit comma-separated check ids"),
+    "functionals": (_parse_name_list, (), "export: extra functional columns"),
+}
+
+# argparse settings beyond type and help, for the flags that have any
+_FLAG_EXTRAS: dict[str, dict[str, Any]] = {
+    "alpha_range": {"metavar": "LO..HI"},
+    "k": {"metavar": "K|LO..HI"},
+    "format": {"choices": _FORMATS},
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="boundstate-lab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    for name in COMMANDS:
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_DISPATCH))
+    for name in _DISPATCH:
         cmd = sub.add_parser(name, add_help=True)
         cmd.add_argument("--config", type=str, default=None,
                          help="flat key=value file; flags override it")
-        cmd.add_argument("--n", type=int, default=None, help="space dimension")
-        cmd.add_argument("--p", type=float, default=None, help="nonlinearity exponent")
-        cmd.add_argument("--alpha", type=float, default=None, help="shooting height")
-        cmd.add_argument("--alpha-range", dest="alpha_range",
-                         type=_parse_float_range, default=None,
-                         metavar="LO..HI", help="alpha grid range")
-        cmd.add_argument("--k", type=_parse_int_range, default=None,
-                         metavar="K|LO..HI", help="node count or count range")
-        cmd.add_argument("--points", type=int, default=None,
-                         help="grid size for sweep (default 200)")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="bracket tolerance (relative)")
-        cmd.add_argument("--rmax", type=float, default=None, help="integration range")
-        cmd.add_argument("--abs-tol", dest="abs_tol", type=float, default=None,
-                         help="integrator absolute tolerance")
-        cmd.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
-                         help="integrator relative tolerance")
-        cmd.add_argument("--out", type=str, default=None,
-                         help="output path stem (suffixes appended per artifact)")
-        cmd.add_argument("--format", type=str, default=None,
-                         choices=("json", "csv"), help="tabular artifact format")
-        cmd.add_argument("--preset", type=str, default=None,
-                         help="verify: check preset (core|residual|full)")
-        cmd.add_argument("--checks", type=_parse_name_list, default=None,
-                         help="verify: explicit comma-separated check ids")
-        cmd.add_argument("--functionals", type=_parse_name_list, default=None,
-                         help="export: extra functional columns")
+        for key, (convert, _, text) in _OPTIONS.items():
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
+                             default=None, help=text, **_FLAG_EXTRAS.get(key, {}))
     return parser
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation (defaults applied)."""
+    """One fully resolved invocation (defaults applied); fields are the _OPTIONS keys."""
 
     command: str
     n: int
     p: float
     alpha: float | None
     alpha_range: tuple[float, float] | None
-    k_range: tuple[int, int] | None
+    k: tuple[int, int] | None
     points: int
     tol: float
     rmax: float
@@ -204,11 +186,13 @@ class RunConfig:
             raise UsageError(f"--points must be at least 1, got {self.points}")
         if self.alpha_range is not None and self.alpha_range[0] > self.alpha_range[1]:
             raise UsageError(f"empty alpha range {self.alpha_range[0]:g}..{self.alpha_range[1]:g}")
-        if self.k_range is not None:
-            if self.k_range[0] > self.k_range[1]:
-                raise UsageError(f"empty k range {self.k_range[0]}..{self.k_range[1]}")
-            if self.k_range[0] < 0:
+        if self.k is not None:
+            if self.k[0] > self.k[1]:
+                raise UsageError(f"empty k range {self.k[0]}..{self.k[1]}")
+            if self.k[0] < 0:
                 raise UsageError("node counts are nonnegative")
+        if self.format not in _FORMATS:
+            raise UsageError(f"unknown format {self.format!r}; choose from {', '.join(_FORMATS)}")
         if self.command == "verify" and self.preset not in PRESETS:
             raise UsageError(
                 f"unknown preset {self.preset!r}; choose from {', '.join(sorted(PRESETS))}"
@@ -232,9 +216,9 @@ class RunConfig:
         return self.alpha
 
     def need_k_range(self) -> tuple[int, int]:
-        if self.k_range is None:
+        if self.k is None:
             raise UsageError(f"{self.command} needs --k (a count or LO..HI)")
-        return self.k_range
+        return self.k
 
     def echo(self) -> dict[str, Any]:
         """The resolved configuration embedded in every artifact."""
@@ -253,7 +237,7 @@ class RunConfig:
         if self.command == "export":
             out["functionals"] = ",".join(self.functionals)
         if self.command == "ladder":
-            out["k"] = f"{self.k_range[0]}..{self.k_range[1]}" if self.k_range else ""
+            out["k"] = f"{self.k[0]}..{self.k[1]}" if self.k else ""
             out["tol"] = self.tol
         if self.command == "sweep":
             if self.alpha_range is not None:
@@ -271,7 +255,7 @@ class RunConfig:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file entries over defaults."""
     if not args.command:
-        raise UsageError("missing command; choose from " + ", ".join(COMMANDS))
+        raise UsageError("missing command; choose from " + ", ".join(_DISPATCH))
     file_cfg: dict[str, str] = {}
     if args.config is not None:
         try:
@@ -279,59 +263,37 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
     for key in file_cfg:
-        if key not in _CONVERTERS and key != "command":
+        if key not in _OPTIONS and key != "command":
             raise UsageError(f"unknown config key {key!r}")
     if file_cfg.get("command", args.command) != args.command:
         raise UsageError(
             f"config file names command {file_cfg['command']!r}, invoked {args.command!r}"
         )
 
-    def pick(name: str, default: Any) -> Any:
-        flag = getattr(args, name)
+    def pick(key: str) -> Any:
+        flag = getattr(args, key)
         if flag is not None:
             return flag
-        if name in file_cfg:
+        convert, default, _ = _OPTIONS[key]
+        if key in file_cfg:
             try:
-                return _CONVERTERS[name](file_cfg[name])
+                return convert(file_cfg[key])
             except ValueError as exc:
-                raise UsageError(f"config key {name}: {exc}") from exc
+                raise UsageError(f"config key {key}: {exc}") from exc
         return default
 
-    defaults = IntegratorControls()
-    cfg = RunConfig(
-        command=args.command,
-        n=pick("n", 3),
-        p=pick("p", 3.0),
-        alpha=pick("alpha", None),
-        alpha_range=pick("alpha_range", None),
-        k_range=pick("k", None),
-        points=pick("points", 200),
-        tol=pick("tol", 1e-10),
-        rmax=pick("rmax", defaults.r_max),
-        abs_tol=pick("abs_tol", defaults.abs_tol),
-        rel_tol=pick("rel_tol", defaults.rel_tol),
-        out=pick("out", None),
-        format=pick("format", "csv" if args.command in ("export", "sweep") else "json"),
-        preset=pick("preset", "core"),
-        checks=pick("checks", None),
-        functionals=pick("functionals", ()),
-    )
+    values = {key: pick(key) for key in _OPTIONS}
+    if values["format"] is None:
+        values["format"] = "csv" if args.command in ("export", "sweep") else "json"
+    cfg = RunConfig(command=args.command, **values)
     cfg.validate()
     return cfg
 
 
-_DEFAULT_STEMS = {
-    "solve": "solve",
-    "classify": "classify",
-    "ladder": "ladder",
-    "sweep": "sweep",
-    "verify": "verify_report",
-    "export": "export",
-}
-
-
 def _out_stem(cfg: RunConfig) -> str:
-    stem = cfg.out if cfg.out is not None else _DEFAULT_STEMS[cfg.command]
+    stem = cfg.out
+    if stem is None:  # each command's own name, but verify writes verify_report
+        stem = "verify_report" if cfg.command == "verify" else cfg.command
     outdir = os.environ.get(OUTDIR_ENV, "")
     if outdir:
         return os.path.join(outdir, stem)
@@ -359,15 +321,22 @@ def _tabular(cfg: RunConfig, stem: str, columns: Sequence[str],
     return stem + ".json", artio.json_text(payload)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    field = cfg.field()
-    traj = integrate(ProblemParams(field, cfg.need_alpha(), cfg.controls()),
+def _full_shot(cfg: RunConfig) -> Trajectory | None:
+    """The full-range shot from --alpha, or None (with a note) if it gave up."""
+    traj = integrate(ProblemParams(cfg.field(), cfg.need_alpha(), cfg.controls()),
                      FULL_RANGE_POLICY)
-    if traj.termination.tag in _GAVE_UP:
+    if traj.termination.tag in (STEP_LIMIT, STEP_UNDERFLOW):
         _note(f"integration gave up: {traj.termination.tag} at r={traj.termination.r_stop:g} "
               f"{traj.termination.detail}")
+        return None
+    return traj
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    traj = _full_shot(cfg)
+    if traj is None:
         return EXIT_INTEGRATOR
-    portrait = detect_events(traj, critical_amplitudes(field))
+    portrait = detect_events(traj, critical_amplitudes(traj.params.field))
     _note(f"terminated {traj.termination.tag} at r={traj.termination.r_stop:.6g}; "
           f"{len(traj.knots)} samples, {len(portrait.zeros_u)} zeros, "
           f"phase kind {portrait.phase_kind}")
@@ -413,6 +382,10 @@ def _class_row(alpha: float, sc: SolutionClass) -> tuple:
             w.termination_tag, w.energy_nonpositive_radius, w.decay_slope_error)
 
 
+_LADDER_COLUMNS = ("k", "status", "alpha_lo", "alpha_hi", "nodes_lo", "nodes_hi",
+                   "midpoint", "width")
+
+
 def cmd_ladder(cfg: RunConfig) -> int:
     field = cfg.field()
     k_lo, k_hi = cfg.need_k_range()
@@ -428,23 +401,13 @@ def cmd_ladder(cfg: RunConfig) -> int:
             _note(f"k={k}: failed ({exc})")
             continue
         ok += 1
-        entries.append({
-            "k": k,
-            "status": "ok",
-            "alpha_lo": entry.alpha_lo,
-            "alpha_hi": entry.alpha_hi,
-            "nodes_lo": entry.nodes_lo,
-            "nodes_hi": entry.nodes_hi,
-            "midpoint": entry.midpoint,
-            "width": entry.width,
-        })
+        entries.append({"k": k, "status": "ok",
+                        **{name: getattr(entry, name) for name in _LADDER_COLUMNS[2:]}})
         _note(f"k={k}: [{entry.alpha_lo:.12g}, {entry.alpha_hi:.12g}]")
     stem = _out_stem(cfg)
     if cfg.format == "csv":
-        columns = ("k", "status", "alpha_lo", "alpha_hi", "nodes_lo", "nodes_hi",
-                   "midpoint", "width")
-        rows = [tuple(e.get(c) for c in columns) for e in entries]
-        files = [(stem + ".csv", artio.csv_text(columns, rows, cfg.echo()))]
+        rows = [tuple(e.get(c) for c in _LADDER_COLUMNS) for e in entries]
+        files = [(stem + ".csv", artio.csv_text(_LADDER_COLUMNS, rows, cfg.echo()))]
     else:
         payload = artio.artifact({"entries": entries, "succeeded": ok}, cfg.echo())
         files = [(stem + ".json", artio.json_text(payload))]
@@ -485,9 +448,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             z_1 = zeros[0] if zeros else None
         if sc.tag == INDETERMINATE:
             warnings += 1
-        else:
-            if sc.node_count is not None:
-                counts.append((alpha, sc.node_count))
+        elif sc.node_count is not None:
+            counts.append((alpha, sc.node_count))
         rows.append((alpha, sc.node_count, sc.tag, z_1,
                      sc.witness.energy_nonpositive_radius))
     for (a_prev, c_prev), (a_cur, c_cur) in zip(counts, counts[1:]):
@@ -518,13 +480,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    field = cfg.field()
-    traj = integrate(ProblemParams(field, cfg.need_alpha(), cfg.controls()),
-                     FULL_RANGE_POLICY)
-    if traj.termination.tag in _GAVE_UP:
-        _note(f"integration gave up: {traj.termination.tag} at r={traj.termination.r_stop:g} "
-              f"{traj.termination.detail}")
+    traj = _full_shot(cfg)
+    if traj is None:
         return EXIT_INTEGRATOR
+    field = traj.params.field
     columns = list(artio.TRAJECTORY_COLUMNS) + list(cfg.functionals)
     rows = []
     for state in traj.samples():

@@ -54,6 +54,12 @@ _ABS_FLOOR = 0.02
 # they carry a minimum-radius guard.
 _R_FLOOR = 0.1
 
+# Half-width of the moat probe_radii keeps around each exclusion radius.
+_EXCLUSION_HALFWIDTH = 0.05
+
+# identity_residuals checks the family W_a and its barrier B_a at this a.
+_FAMILY_A = 1.0
+
 
 class ProbeUndefined(ValueError):
     """A probe radius landed where an identity's functions are undefined."""
@@ -305,12 +311,11 @@ def probe_radii(
     r_lo: float | None = None,
     r_hi: float | None = None,
     exclusion_radii: Iterable[float] = (),
-    exclusion_halfwidth: float = 0.05,
 ) -> list[float]:
     """Low-discrepancy probe radii, kept clear of events and segment knots.
 
     A golden-ratio sequence fills (r_lo, r_hi).  Candidates within
-    exclusion_halfwidth of an exclusion radius are dropped: for fractional
+    _EXCLUSION_HALFWIDTH of an exclusion radius are dropped: for fractional
     powers the state is only finitely smooth across zeros of u, so the
     interpolant needs a real moat there, not just collision avoidance.
     Candidates whose central-difference stencil would straddle a
@@ -332,7 +337,7 @@ def probe_radii(
         h = _H_SCALE * max(1.0, r)
         if r - 2.0 * h <= lo or r + 2.0 * h >= hi:
             continue
-        if any(abs(r - e) < exclusion_halfwidth for e in excl):
+        if any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl):
             continue
         seg = traj.segment_index(r)
         a, b = knots[seg], knots[seg + 1]
@@ -350,8 +355,6 @@ def identity_residuals(
     traj: Trajectory,
     probes: Sequence[float],
     identities: Sequence[str] | None = None,
-    a: float = 1.0,
-    strict: bool = False,
 ) -> IdentityReport:
     """Central-difference check of every registered identity at the probes.
 
@@ -363,9 +366,9 @@ def identity_residuals(
     probe, the derivative error an abs_tol-sized error in its left side makes
     across the stencil, has no scale to be read against and is reported
     undefined (no probes used).  On the constant shot alpha = 1, where u = 1
-    and u' = 0 exactly, that holds for the identities in u alone.
-    With strict=True a probe failing an identity's guard raises
-    ProbeUndefined instead of being skipped.
+    and u' = 0 exactly, that holds for the identities in u alone.  A probe
+    failing an identity's guard is skipped for that identity.  The family
+    identities are checked at a = _FAMILY_A.
     """
     field = traj.params.field
     names = list(identities) if identities is not None else list(_IDENTITIES)
@@ -386,11 +389,9 @@ def identity_residuals(
         for name in names:
             lhs, rhs, guards = _IDENTITIES[name]
             if not _admits(s_mid, field, guards):
-                if strict:
-                    raise ProbeUndefined(f"identity {name} undefined near r={r}")
                 continue
-            fd = (lhs(x_hi, s_hi, field, a) - lhs(x_lo, s_lo, field, a)) / (2.0 * h)
-            want = rhs(x_mid, s_mid, field, a)
+            fd = (lhs(x_hi, s_hi, field, _FAMILY_A) - lhs(x_lo, s_lo, field, _FAMILY_A)) / (2.0 * h)
+            want = rhs(x_mid, s_mid, field, _FAMILY_A)
             per[name].append((abs(fd - want), max(abs(fd), abs(want)), r))
 
         # Pointwise connection between the u-frame and v-frame functionals:

@@ -435,17 +435,23 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
              0.0 + k1u * _P13 + k3u * _P33 + k4u * _P43 + k5u * _P53 + k6u * _P63 + k7u * _P73,
              0.0 + k1u * _P14 + k3u * _P34 + k4u * _P44 + k5u * _P54 + k6u * _P64 + k7u * _P74),
             (0.0 + k1up * _P11,
-             0.0 + k1up * _P12 + k3up * _P32 + k4up * _P42 + k5up * _P52 + k6up * _P62 + k7up * _P72,
-             0.0 + k1up * _P13 + k3up * _P33 + k4up * _P43 + k5up * _P53 + k6up * _P63 + k7up * _P73,
-             0.0 + k1up * _P14 + k3up * _P34 + k4up * _P44 + k5up * _P54 + k6up * _P64 + k7up * _P74),
+             0.0 + k1up * _P12 + k3up * _P32 + k4up * _P42
+                   + k5up * _P52 + k6up * _P62 + k7up * _P72,
+             0.0 + k1up * _P13 + k3up * _P33 + k4up * _P43
+                   + k5up * _P53 + k6up * _P63 + k7up * _P73,
+             0.0 + k1up * _P14 + k3up * _P34 + k4up * _P44
+                   + k5up * _P54 + k6up * _P64 + k7up * _P74),
             (0.0 + k1v * _P11,
              0.0 + k1v * _P12 + k3v * _P32 + k4v * _P42 + k5v * _P52 + k6v * _P62 + k7v * _P72,
              0.0 + k1v * _P13 + k3v * _P33 + k4v * _P43 + k5v * _P53 + k6v * _P63 + k7v * _P73,
              0.0 + k1v * _P14 + k3v * _P34 + k4v * _P44 + k5v * _P54 + k6v * _P64 + k7v * _P74),
             (0.0 + k1vp * _P11,
-             0.0 + k1vp * _P12 + k3vp * _P32 + k4vp * _P42 + k5vp * _P52 + k6vp * _P62 + k7vp * _P72,
-             0.0 + k1vp * _P13 + k3vp * _P33 + k4vp * _P43 + k5vp * _P53 + k6vp * _P63 + k7vp * _P73,
-             0.0 + k1vp * _P14 + k3vp * _P34 + k4vp * _P44 + k5vp * _P54 + k6vp * _P64 + k7vp * _P74),
+             0.0 + k1vp * _P12 + k3vp * _P32 + k4vp * _P42
+                   + k5vp * _P52 + k6vp * _P62 + k7vp * _P72,
+             0.0 + k1vp * _P13 + k3vp * _P33 + k4vp * _P43
+                   + k5vp * _P53 + k6vp * _P63 + k7vp * _P73,
+             0.0 + k1vp * _P14 + k3vp * _P34 + k4vp * _P44
+                   + k5vp * _P54 + k6vp * _P64 + k7vp * _P74),
         ))
         knots.append(r_new)
         states.append((u_new, up_new, v_new, vp_new))

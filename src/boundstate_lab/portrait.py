@@ -237,9 +237,8 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     merged = sorted(zero_rs + crit_rs)
     for i in range(len(merged) - 1):
         if merged[i + 1] - merged[i] < 10.0 * _RADIUS_TOL * max(1.0, merged[i]):
-            raise AmbiguousEvent(
-                f"events at r={merged[i]!r} and r={merged[i + 1]!r} overlap within locator tolerance"
-            )
+            raise AmbiguousEvent(f"events at r={merged[i]!r} and r={merged[i + 1]!r} "
+                                 "overlap within locator tolerance")
 
     # Split criticals into phase criticals (interlaced with zeros, plus the
     # one bound-like critical after the last zero whose height clears the
@@ -259,9 +258,8 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
         for i in range(k - 1):
             inside = [c for c in crits_all if zeros_u[i].r < c.r < zeros_u[i + 1].r]
             if len(inside) != 1:
-                raise InterlacingViolation(
-                    f"expected exactly one critical between zeros {i + 1} and {i + 2}, found {len(inside)}"
-                )
+                raise InterlacingViolation(f"expected exactly one critical between zeros "
+                                           f"{i + 1} and {i + 2}, found {len(inside)}")
             crits_phase.append(inside[0])
         after_last = [c for c in crits_all if c.r > zeros_u[-1].r]
         if after_last:
@@ -273,9 +271,8 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
                 rest = after_last
             for c in rest:
                 if abs(c.value) > alpha_star * (1.0 + _TANGENCY_TOL):
-                    raise InterlacingViolation(
-                        f"trapped-tail critical at r={c.r} has |u|={abs(c.value)} above the well zero"
-                    )
+                    raise InterlacingViolation(f"trapped-tail critical at r={c.r} has "
+                                               f"|u|={abs(c.value)} above the well zero")
             tail_crits = rest
 
     bound_like = len(crits_phase) == k and k > 0
@@ -401,45 +398,6 @@ def count_nodes(traj: Trajectory) -> NodeCount:
                     count += 1
                 prev = val
     return NodeCount(count=count, final=(tag == ENERGY_NONPOSITIVE))
-
-
-@dataclass(frozen=True)
-class InflectionInterval:
-    lo: float
-    hi: float
-    radii: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class InflectionReport:
-    intervals: tuple[InflectionInterval, ...]
-    unique_everywhere: bool
-
-
-def unique_inflection_check(traj: Trajectory, portrait: PhasePortrait) -> InflectionReport:
-    """Count concavity flips per descending half-phase.
-
-    Each interval from a critical point (or the origin) down to the next
-    zero -- and, for a bound-like run, from the closing critical down to
-    where the decaying profile crosses the rest height -- should contain
-    exactly one inflection of u.
-    """
-    intervals: list[InflectionInterval] = []
-    ok = True
-    for ph in portrait.phases:
-        if ph.z is not None:
-            lo = traj.r_start if ph.index == 1 else portrait.crits_u[ph.index - 2].r
-            hi = ph.z.r
-        elif ph.r is not None:
-            lo = portrait.crits_u[-1].r if portrait.crits_u else traj.r_start
-            hi = ph.r.r
-        else:
-            continue
-        inside = tuple(x for x in portrait.inflections_u if lo < x < hi)
-        intervals.append(InflectionInterval(lo=lo, hi=hi, radii=inside))
-        if len(inside) != 1:
-            ok = False
-    return InflectionReport(intervals=tuple(intervals), unique_everywhere=ok)
 
 
 _COMPONENTS = ("u", "up", "v", "vp")

@@ -48,7 +48,6 @@ from .portrait import (
     _refine_root,
     detect_events,
     find_zeros,
-    unique_inflection_check,
 )
 
 GROUND_BRACKET = "GroundBracket"
@@ -628,17 +627,30 @@ def _check_tau_localization(prep: _Prepared, plan: VerificationPlan) -> CheckRec
 
 
 def _check_unique_inflection(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+    # One inflection of u per window from a critical point (or the origin)
+    # down to the next zero, and on a bound-like run from the closing
+    # critical down to where u crosses the rest height.
     port = prep.portrait
     if port is None or not _phaseful(prep):
         return _skip("unique_inflection", prep,
                      prep.portrait_note or "no phase structure resolved")
-    report = unique_inflection_check(prep.struct, port)
-    if not report.intervals:
+    r_start = prep.struct.r_start
+    windows: list[tuple[float, float, int]] = []
+    for ph in port.phases:
+        if ph.z is not None:
+            lo = r_start if ph.index == 1 else port.crits_u[ph.index - 2].r
+            hi = ph.z.r
+        elif ph.r is not None:
+            lo = port.crits_u[-1].r if port.crits_u else r_start
+            hi = ph.r.r
+        else:
+            continue
+        windows.append((lo, hi, sum(lo < x < hi for x in port.inflections_u)))
+    if not windows:
         return _skip("unique_inflection", prep, "no concavity windows resolved")
-    bad = [iv for iv in report.intervals if len(iv.radii) != 1]
-    note = "; ".join(f"({iv.lo:.4g},{iv.hi:.4g}) count={len(iv.radii)}" for iv in bad)
-    return _rec("unique_inflection", prep, PASS if report.unique_everywhere else FAIL,
-                1.0 if not bad else 0.0, len(report.intervals), note)
+    bad = [f"({lo:.4g},{hi:.4g}) count={count}" for lo, hi, count in windows if count != 1]
+    return _rec("unique_inflection", prep, FAIL if bad else PASS,
+                0.0 if bad else 1.0, len(windows), "; ".join(bad))
 
 
 def _check_bridge_integral(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:

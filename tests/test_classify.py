@@ -88,13 +88,14 @@ def test_class_tags(field33):
     assert mid.oscillation_center in (-1, 1)
 
 
-def test_bracket_midpoint_classifies_as_a_candidate(field33, ladder33):
+def test_bracket_midpoint_classifies_as_a_candidate(field33, ladder33, monkeypatch):
     # at r = 12 the midpoint still shadows the bound state: |u| ~ 1.4e-6
     # and slope error ~ 0.085 (~1/r).  Farther out the bisection offset
     # has grown like e^r and poisons the slope before the energy trap.
+    monkeypatch.setattr(classify_module, "_DECAY_EPS", 1e-5)
+    monkeypatch.setattr(classify_module, "_SLOPE_EPS", 0.1)
     alpha = ladder33.entry(0).midpoint
-    result = classify(field33, alpha, IntegratorControls().with_rmax(12.0),
-                      decay_eps=1e-5, slope_eps=0.1)
+    result = classify(field33, alpha, IntegratorControls().with_rmax(12.0))
     assert result.tag == BOUND_STATE_CANDIDATE
     assert result.node_count == 0
     assert result.witness.decay_slope_error is not None
@@ -109,9 +110,10 @@ def test_node_counts_step_up_through_the_ladder(field33):
     assert node_count_of_alpha(field33, 5.0).final
 
 
-def test_bracket_search_gives_up_at_the_expansion_cap(field33):
+def test_bracket_search_gives_up_at_the_expansion_cap(field33, monkeypatch):
+    monkeypatch.setattr(classify_module, "_EXPANSION_CAP", 1.5)
     with pytest.raises(BracketNotFound):
-        find_alpha_k(field33, 0, expansion_cap=1.5)
+        find_alpha_k(field33, 0)
 
 
 def test_bracket_tolerance_must_be_positive(field33):

@@ -20,6 +20,7 @@ from boundstate_lab.cli import (
     EXIT_VERIFY,
     OUTDIR_ENV,
     _AUX_COLUMNS,
+    _OPTIONS,
     _sweep_grid,
     build_parser,
     main,
@@ -222,6 +223,38 @@ def test_config_file_unknown_key_exits_one(tmp_path):
     cfg.write_text("nn=3\n")
     assert run_cli("solve", "--alpha", "2", "--config", str(cfg),
                    cwd=tmp_path) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_format_exits_one_and_writes_nothing(tmp_path, source):
+    args = ["classify", "--alpha", "5", "--out", str(tmp_path / "c")]
+    if source == "flag":
+        args += ["--format", "xml"]
+    else:
+        (tmp_path / "run.cfg").write_text("format=xml\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if source == "config" else [])
+
+
+# one value per option key, in the text a flag or a config file carries
+OPTION_TEXTS = {
+    "n": "4", "p": "2.5", "alpha": "3", "alpha_range": "1..2", "k": "0..2", "points": "9",
+    "tol": "1e-9", "rmax": "50", "abs_tol": "1e-11", "rel_tol": "1e-9", "out": "x",
+    "format": "csv", "preset": "full", "checks": "energy_monotone", "functionals": "E,Q",
+}
+
+
+@pytest.mark.parametrize("key", list(_OPTIONS))
+def test_flag_and_config_file_resolve_alike(tmp_path, key):
+    text = OPTION_TEXTS[key]
+    (tmp_path / "run.cfg").write_text(f"{key}={text}\n")
+    parser = build_parser()
+    by_flag = resolve_config(parser.parse_args(["verify", "--" + key.replace("_", "-"), text]))
+    by_file = resolve_config(parser.parse_args(["verify", "--config", str(tmp_path / "run.cfg")]))
+    default = resolve_config(parser.parse_args(["verify"]))
+    assert by_flag == by_file
+    assert getattr(by_flag, key) != getattr(default, key)
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

@@ -70,14 +70,15 @@ def _full_run(alpha, rmax=40.0):
                      FULL_RANGE_POLICY)
 
 
-def test_probe_radii_respects_the_exclusion_moat():
+def test_probe_radii_respects_the_exclusion_moat(monkeypatch):
     traj = _full_run(5.0, rmax=20.0)
     zeros = find_zeros(traj, "u")
     probes = probe_radii(traj, 200, exclusion_radii=zeros)
     assert len(probes) > 100
     for z in zeros:
         assert all(abs(r - z) >= 0.05 for r in probes)
-    wide = probe_radii(traj, 200, exclusion_radii=zeros, exclusion_halfwidth=0.5)
+    monkeypatch.setattr(functionals, "_EXCLUSION_HALFWIDTH", 0.5)
+    wide = probe_radii(traj, 200, exclusion_radii=zeros)
     for z in zeros:
         assert all(abs(r - z) >= 0.5 for r in wide)
 
@@ -115,15 +116,12 @@ def test_out_of_range_probes_are_refused():
         identity_residuals(traj, [traj.r_end + 1.0])
 
 
-def test_strict_mode_raises_on_guarded_probes():
+def test_guarded_probes_leave_the_identity_unmeasured():
     # u' == 0 everywhere on the constant shot, so every probe fails the
-    # u'-guard of the barrier identity
+    # u'-guard of the barrier identity, which is recorded as unmeasured
     traj = integrate(ProblemParams(FL, 1.0, IntegratorControls().with_rmax(10.0)),
                      FULL_RANGE_POLICY)
     probes = probe_radii(traj, 50)
-    with pytest.raises(ProbeUndefined):
-        identity_residuals(traj, probes, identities=["barrier_b0"], strict=True)
-    # non-strict mode records the identity as unmeasured instead
     report = identity_residuals(traj, probes, identities=["barrier_b0"])
     assert report.residuals[0].probes_used == 0
 

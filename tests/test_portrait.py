@@ -15,7 +15,6 @@ from boundstate_lab import (
     detect_events,
     find_zeros,
     integrate,
-    unique_inflection_check,
 )
 from boundstate_lab.field import CriticalAmplitudes, abs_pow
 from boundstate_lab.integrate import ENERGY_NONPOSITIVE, State, Trajectory
@@ -133,15 +132,6 @@ def test_zeros_interlace_with_criticals_on_a_two_node_shot():
     assert len(zs) == 2
     for i, c in enumerate(cs[: len(zs) - 1]):
         assert zs[i] < c < zs[i + 1]
-
-
-def test_unique_inflection_on_the_bracket_midpoint(mid1_struct):
-    portrait = detect_events(mid1_struct, critical_amplitudes(FL))
-    report = unique_inflection_check(mid1_struct, portrait)
-    assert report.unique_everywhere
-    assert all(len(iv.radii) == 1 for iv in report.intervals)
-    for iv in report.intervals:
-        assert iv.lo < iv.radii[0] < iv.hi
 
 
 @pytest.mark.parametrize("alpha, rmax, zeros",

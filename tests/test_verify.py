@@ -202,3 +202,15 @@ def test_level_locator_returns_none_without_a_sign_change(mid1_struct):
     above = lambda r: abs(traj.eval_dense(r).u) - 2.0 * top
     assert _refine_root(above, traj.r_start, traj.r_end) is None
     assert _refine_root(lambda r: -1.0 - r * r, -1.0, 1.0) is None
+
+
+def test_unique_inflection_on_the_bracket_midpoint(field33):
+    # the k = 1 shot has two descending windows: the origin down to its zero,
+    # and its closing critical down to where u crosses the rest height
+    case = CaseSpec(field33, BOUND_BRACKET, k=1)
+    report = run_checks(VerificationPlan(cases=(case,), checks=("unique_inflection",)))
+    (rec,) = report.records
+    assert rec.status == PASS, rec.notes
+    assert rec.probes == 2
+    assert rec.margin == 1.0
+    assert rec.notes == ""
