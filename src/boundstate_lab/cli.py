@@ -191,6 +191,8 @@ class RunConfig:
                 raise UsageError(f"empty k range {self.k[0]}..{self.k[1]}")
             if self.k[0] < 0:
                 raise UsageError("node counts are nonnegative")
+        if self.out is not None and not os.path.basename(self.out):
+            raise UsageError(f"--out needs a file name stem, got {self.out!r}")
         if self.format not in _FORMATS:
             raise UsageError(f"unknown format {self.format!r}; choose from {', '.join(_FORMATS)}")
         if self.command == "verify" and self.preset not in PRESETS:

@@ -25,7 +25,10 @@ whether the energy trap should stop the run; the guards are always active.
 The step is written out as straight-line scalar code, with every sum taken
 in the tableau's accumulation order (stage by stage, left to right), so
 that trajectories and every artifact built from them stay byte-identical
-to the generic per-stage loop it replaces.
+to the generic per-stage loop it replaces.  The right-hand side, the
+energy-trap test and the error norm's max(|y|, |y_new|) are inlined into
+the step as well; each keeps the arithmetic order of the closure or call
+it replaced, so the bits stay the same.
 """
 
 from __future__ import annotations
@@ -314,20 +317,8 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     p_m1 = p - 1.0
     inv_p_p1 = 1.0 / (p + 1.0)
     atol, rtol, r_max, v_guard = ctl.abs_tol, ctl.rel_tol, ctl.r_max, ctl.v_guard
-
-    def deriv(r: float, u: float, up: float, v: float, vp: float) -> tuple:
-        if u == 0.0:
-            apw = 0.0
-        else:
-            apw = math.exp(p_m1 * math.log(abs(u)))
-        drag = n_minus_1 / r
-        return up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v
-
-    def energy(u: float, up: float) -> float:
-        well = -0.5 * u * u
-        if u != 0.0:
-            well += math.exp((p + 1.0) * math.log(abs(u))) * inv_p_p1
-        return 0.5 * up * up + well
+    stop_on_energy = policy.stop_on_energy
+    exp, log = math.exp, math.log
 
     start = series_start(params)
     r = start.r
@@ -347,13 +338,23 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
         )
 
     # The start state can already sit in the trap (e.g. alpha below the well
-    # zero); report it without taking a step.
-    if policy.stop_on_energy and energy(u, up) <= 0.0:
-        return finish(ENERGY_NONPOSITIVE, "energy nonpositive at series start")
+    # zero); report it without taking a step.  The energy is
+    # E = u'^2/2 - u^2/2 + |u|^(p+1)/(p+1).
+    if stop_on_energy:
+        well = -0.5 * u * u
+        if u != 0.0:
+            well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
+        if 0.5 * up * up + well <= 0.0:
+            return finish(ENERGY_NONPOSITIVE, "energy nonpositive at series start")
     if abs(v) > v_guard:
         return finish(VARIATION_DIVERGED, "variation guard tripped at series start")
 
-    k1u, k1up, k1v, k1vp = deriv(r, u, up, v, vp)
+    # The right-hand side (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v)
+    # with f(u) = (|u|^(p-1) - 1) u, written out here and at every stage.
+    apw = 0.0 if u == 0.0 else exp(p_m1 * log(abs(u)))
+    drag = n_minus_1 / r
+    k1u, k1up = up, -drag * up - (apw - 1.0) * u
+    k1v, k1vp = vp, -drag * vp - (p * apw - 1.0) * v
     h = min(10.0 * r, _MAX_STEP, r_max - r)
     steps = 0
 
@@ -368,47 +369,57 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
             h = r_max - r
             clipped = True
 
-        k2u, k2up, k2v, k2vp = deriv(
-            r + _C2 * h,
-            u + h * (_A21 * k1u),
-            up + h * (_A21 * k1up),
-            v + h * (_A21 * k1v),
-            vp + h * (_A21 * k1vp),
-        )
-        k3u, k3up, k3v, k3vp = deriv(
-            r + _C3 * h,
-            u + h * (_A31 * k1u + _A32 * k2u),
-            up + h * (_A31 * k1up + _A32 * k2up),
-            v + h * (_A31 * k1v + _A32 * k2v),
-            vp + h * (_A31 * k1vp + _A32 * k2vp),
-        )
-        k4u, k4up, k4v, k4vp = deriv(
-            r + _C4 * h,
-            u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-            up + h * (_A41 * k1up + _A42 * k2up + _A43 * k3up),
-            v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
-            vp + h * (_A41 * k1vp + _A42 * k2vp + _A43 * k3vp),
-        )
-        k5u, k5up, k5v, k5vp = deriv(
-            r + _C5 * h,
-            u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-            up + h * (_A51 * k1up + _A52 * k2up + _A53 * k3up + _A54 * k4up),
-            v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-            vp + h * (_A51 * k1vp + _A52 * k2vp + _A53 * k3vp + _A54 * k4vp),
-        )
-        k6u, k6up, k6v, k6vp = deriv(
-            r + _C6 * h,
-            u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
-            up + h * (_A61 * k1up + _A62 * k2up + _A63 * k3up + _A64 * k4up + _A65 * k5up),
-            v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-            vp + h * (_A61 * k1vp + _A62 * k2vp + _A63 * k3vp + _A64 * k4vp + _A65 * k5vp),
-        )
+        # Stages 2-6.  A stage's slopes k.u and k.v are its own u' and v', so
+        # only its u and v need locals (su, sv).
+        su = u + h * (_A21 * k1u)
+        k2u = up + h * (_A21 * k1up)
+        sv = v + h * (_A21 * k1v)
+        k2v = vp + h * (_A21 * k1vp)
+        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
+        drag = n_minus_1 / (r + _C2 * h)
+        k2up = -drag * k2u - (apw - 1.0) * su
+        k2vp = -drag * k2v - (p * apw - 1.0) * sv
+        su = u + h * (_A31 * k1u + _A32 * k2u)
+        k3u = up + h * (_A31 * k1up + _A32 * k2up)
+        sv = v + h * (_A31 * k1v + _A32 * k2v)
+        k3v = vp + h * (_A31 * k1vp + _A32 * k2vp)
+        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
+        drag = n_minus_1 / (r + _C3 * h)
+        k3up = -drag * k3u - (apw - 1.0) * su
+        k3vp = -drag * k3v - (p * apw - 1.0) * sv
+        su = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+        k4u = up + h * (_A41 * k1up + _A42 * k2up + _A43 * k3up)
+        sv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+        k4v = vp + h * (_A41 * k1vp + _A42 * k2vp + _A43 * k3vp)
+        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
+        drag = n_minus_1 / (r + _C4 * h)
+        k4up = -drag * k4u - (apw - 1.0) * su
+        k4vp = -drag * k4v - (p * apw - 1.0) * sv
+        su = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+        k5u = up + h * (_A51 * k1up + _A52 * k2up + _A53 * k3up + _A54 * k4up)
+        sv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+        k5v = vp + h * (_A51 * k1vp + _A52 * k2vp + _A53 * k3vp + _A54 * k4vp)
+        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
+        drag = n_minus_1 / (r + _C5 * h)
+        k5up = -drag * k5u - (apw - 1.0) * su
+        k5vp = -drag * k5v - (p * apw - 1.0) * sv
+        su = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+        k6u = up + h * (_A61 * k1up + _A62 * k2up + _A63 * k3up + _A64 * k4up + _A65 * k5up)
+        sv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+        k6v = vp + h * (_A61 * k1vp + _A62 * k2vp + _A63 * k3vp + _A64 * k4vp + _A65 * k5vp)
+        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
+        drag = n_minus_1 / (r + _C6 * h)
+        k6up = -drag * k6u - (apw - 1.0) * su
+        k6vp = -drag * k6v - (p * apw - 1.0) * sv
         u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
         up_new = up + h * (_B1 * k1up + _B3 * k3up + _B4 * k4up + _B5 * k5up + _B6 * k6up)
         v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
         vp_new = vp + h * (_B1 * k1vp + _B3 * k3vp + _B4 * k4vp + _B5 * k5vp + _B6 * k6vp)
         r_new = r_max if clipped else r + h
-        k7u, k7up, k7v, k7vp = deriv(r_new, u_new, up_new, v_new, vp_new)
+        apw = 0.0 if u_new == 0.0 else exp(p_m1 * log(abs(u_new)))
+        drag = n_minus_1 / r_new
+        k7u, k7up = up_new, -drag * up_new - (apw - 1.0) * u_new
+        k7v, k7vp = vp_new, -drag * vp_new - (p * apw - 1.0) * v_new
 
         if not (math.isfinite(u_new) and math.isfinite(up_new)
                 and math.isfinite(v_new) and math.isfinite(vp_new)):
@@ -419,10 +430,14 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
         err_up = (_E1 * k1up + _E3 * k3up + _E4 * k4up + _E5 * k5up + _E6 * k6up + _E7 * k7up) * h
         err_v = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v) * h
         err_vp = (_E1 * k1vp + _E3 * k3vp + _E4 * k4vp + _E5 * k5vp + _E6 * k6vp + _E7 * k7vp) * h
-        q_u = err_u / (atol + rtol * max(abs(u), abs(u_new)))
-        q_up = err_up / (atol + rtol * max(abs(up), abs(up_new)))
-        q_v = err_v / (atol + rtol * max(abs(v), abs(v_new)))
-        q_vp = err_vp / (atol + rtol * max(abs(vp), abs(vp_new)))
+        a, b = abs(u), abs(u_new)
+        q_u = err_u / (atol + rtol * (b if b > a else a))
+        a, b = abs(up), abs(up_new)
+        q_up = err_up / (atol + rtol * (b if b > a else a))
+        a, b = abs(v), abs(v_new)
+        q_v = err_v / (atol + rtol * (b if b > a else a))
+        a, b = abs(vp), abs(vp_new)
+        q_vp = err_vp / (atol + rtol * (b if b > a else a))
         norm = math.sqrt(0.25 * (q_u * q_u + q_up * q_up + q_v * q_v + q_vp * q_vp))
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
@@ -460,8 +475,12 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
         r, u, up, v, vp = r_new, u_new, up_new, v_new, vp_new
         k1u, k1up, k1v, k1vp = k7u, k7up, k7v, k7vp
 
-        if policy.stop_on_energy and energy(u, up) <= 0.0:
-            return finish(ENERGY_NONPOSITIVE, "profile energy reached zero")
+        if stop_on_energy:
+            well = -0.5 * u * u
+            if u != 0.0:
+                well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
+            if 0.5 * up * up + well <= 0.0:
+                return finish(ENERGY_NONPOSITIVE, "profile energy reached zero")
         if abs(v) > v_guard or abs(vp) > v_guard:
             return finish(VARIATION_DIVERGED, f"variation guard {v_guard:.1e} tripped")
         if clipped or r >= r_max:

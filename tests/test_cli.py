@@ -237,6 +237,24 @@ def test_unknown_format_exits_one_and_writes_nothing(tmp_path, source):
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if source == "config" else [])
 
 
+@pytest.mark.parametrize("stem", ["", "sub/"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_output_stem_exits_one_and_writes_nothing(tmp_path, monkeypatch, source, stem):
+    # an empty stem (or one that names only a directory) would write a hidden ".json"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    args = ["classify", "--alpha", "5"]
+    if source == "flag":
+        args += ["--out", stem]
+    else:
+        (tmp_path / "run.cfg").write_text(f"out={stem}\n")
+        args += ["--config", "run.cfg"]
+    assert main(args) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["run.cfg", "sub"] if source == "config" else ["sub"])
+    assert not any((tmp_path / "sub").iterdir())
+
+
 # one value per option key, in the text a flag or a config file carries
 OPTION_TEXTS = {
     "n": "4", "p": "2.5", "alpha": "3", "alpha_range": "1..2", "k": "0..2", "points": "9",

@@ -5,7 +5,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundstate_lab import (
@@ -17,6 +17,7 @@ from boundstate_lab import (
     ProblemParams,
     big_F,
     integrate,
+    node_count_of_alpha,
     series_start,
 )
 from boundstate_lab.integrate import (
@@ -172,8 +173,10 @@ def _bits_digest(traj):
 
 _CTL = IntegratorControls()
 
-# Digests recorded from the generic per-stage DOPRI5 loop; the straight-line
-# step must reproduce its trajectories bit for bit, signed zeros included.
+# The first ten digests were recorded from the generic per-stage DOPRI5 loop,
+# the last four from the straight-line step that still called a right-hand-side
+# closure; the inlined step must reproduce both bit for bit, signed zeros
+# included.
 GOLDEN_BITS = [
     ("classify_p3", FL, 5.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 261,
      "e8904b4e1a6b88afad2644c6480de745ee541eb4ffedac71df90bfe24cd33468"),
@@ -196,6 +199,16 @@ GOLDEN_BITS = [
      VARIATION_DIVERGED, 979, "dce3dcd6426f427bf14bc90977b180a02e5bb37cf53dfafc6a146e076ef844a2"),
     ("step_limit", FL, 5.0, IntegratorControls(max_steps=40), FULL_RANGE_POLICY, STEP_LIMIT, 41,
      "4a13b05edf1a27cf4fefec71b8ada5990ffa0537c8d427f12a102d8ed95cf71e"),
+    # the shrunken series start at large heights (r0 = 7.46e-7 and 1.23e-6)
+    ("shrunk_r0_p4", FieldParams(3, 4.0), 99.52, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 766,
+     "d1547315fa58076673f369edd1dcec6977c1601e4f2ad958800c450addc2e4b9"),
+    ("shrunk_r0_n6", FieldParams(6, 1.9), 96066.5, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE,
+     966, "6dd57dfb32b5d23a484f297f89ba1a4868c738652ed48304a5a4c4e330948c21"),
+    # trapped before the first step: only the start-of-run energy check runs
+    ("trapped_at_start", FL, 1.2, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 1,
+     "7ee1a78eab5f7a486b40c99e20706ebd186f85edd39b124531770c6caa49a523"),
+    ("full_p1_25", FieldParams(3, 1.25), 6.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 1518,
+     "ccba53ca9550c35b01332d15b93797c6466dfd53d25bb3f972b10bfc2893e7fa"),
 ]
 
 
@@ -219,3 +232,34 @@ def test_control_helpers_change_only_their_fields():
                                        v_guard=1e9, max_steps=1000)
     assert base.with_rmax(7.5) == IntegratorControls(r0=1e-7, r_max=7.5, v_guard=1e9,
                                                      max_steps=1000)
+
+
+@st.composite
+def _shots(draw):
+    """(n, p, alpha): p within 0.3 of 1 or of the critical exponent, alpha up to 1e4."""
+    n = draw(st.sampled_from((3, 4, 5, 6)))
+    gap = draw(st.floats(min_value=0.01, max_value=0.3))
+    p = 1.0 + gap if draw(st.booleans()) else (n + 2) / (n - 2) - gap
+    return FieldParams(n, p), 10.0 ** draw(st.floats(min_value=-1.0, max_value=4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shot=_shots())
+def test_node_count_does_not_depend_on_the_stepper_knobs(shot):
+    field, alpha = shot
+    base = node_count_of_alpha(field, alpha, _CTL)
+    # A find_alpha_k bracket is where the count steps up, so a height whose
+    # count is the same 1e-6 (relative) to either side lies clear of every
+    # bracket.  Searching the brackets themselves costs up to seconds per draw.
+    assume(all(node_count_of_alpha(field, alpha * (1.0 + eps), _CTL) == base
+               for eps in (-1e-6, 1e-6)))
+    r0 = series_start(ProblemParams(field, alpha, _CTL)).r
+    assert node_count_of_alpha(field, alpha, IntegratorControls(r0=0.5 * r0)) == base
+    assert node_count_of_alpha(field, alpha, _CTL.tightened(2.0)) == base
+    longer = node_count_of_alpha(field, alpha, _CTL.with_rmax(2.0 * _CTL.r_max))
+    if base.final:
+        assert longer == base
+    else:
+        # the trap has not fired by 2 * r_max: the count is a lower bound that
+        # a longer range may raise (large heights at n = 3 need r in the 1e3s)
+        assert longer.count >= base.count
