@@ -384,3 +384,24 @@ def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
     assert main(["verify", "--preset", "core", "--n", str(n), "--p", p,
                  "--out", stem]) == EXIT_OK
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# The other two presets: full is the only one that runs tail_asymptotics (red
+# by design, so the run exits 4), residual the only one with a lone bracket case.
+GOLDEN_VERIFY_PRESETS = [
+    ("full", 3, "3", EXIT_VERIFY, "v33full.json",
+     "cbda8b37d42f4ee2087d03dddc3c6872869d2e94610c09f2c6fb78039a49de59"),
+    ("residual", 3, "1.25", EXIT_OK, "v3125res.json",
+     "23cdfe29a51e715dce72836e11afb4d77a06a3c016b3d62bc81fd779d1d62a64"),
+]
+
+
+@pytest.mark.parametrize("preset, n, p, code, name, digest", GOLDEN_VERIFY_PRESETS)
+def test_verify_preset_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
+                                                        preset, n, p, code, name, digest):
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    stem = name.removesuffix(".json")
+    assert main(["verify", "--preset", preset, "--n", str(n), "--p", p,
+                 "--out", stem]) == code
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
