@@ -25,7 +25,7 @@ from .integrate import (
     Trajectory,
     integrate,
 )
-from .portrait import IndeterminateCount, NodeCount, count_nodes
+from .portrait import IndeterminateCount, NodeCount, count_nodes, find_zeros
 
 CONSTANT = "Constant"
 OSCILLATORY = "Oscillatory"
@@ -110,40 +110,21 @@ def classify(
 
     tag = traj.termination.tag
     end = traj.state_at_knot(len(traj.knots) - 1)
-    if tag == ENERGY_NONPOSITIVE:
-        count = count_nodes(traj)
+    decayed, err = _decay_evidence(traj) if tag == REACHED_RMAX else (False, None)
+    trapped = tag == ENERGY_NONPOSITIVE
+    r_stop = traj.termination.r_stop
+    w = Witness(r_stop=r_stop, termination_tag=tag, u_end=end.u, up_end=end.up,
+                energy_nonpositive_radius=r_stop if trapped else None,
+                decay_slope_error=err)
+    if trapped:
         center = 1 if end.u > 0.0 else -1
-        w = Witness(
-            r_stop=traj.termination.r_stop,
-            termination_tag=tag,
-            u_end=end.u,
-            up_end=end.up,
-            energy_nonpositive_radius=traj.termination.r_stop,
-        )
-        return SolutionClass(OSCILLATORY, count.count, center, w, "trapped by the well", traj)
-    if tag == REACHED_RMAX:
-        decayed, err = _decay_evidence(traj)
-        w = Witness(
-            r_stop=traj.termination.r_stop,
-            termination_tag=tag,
-            u_end=end.u,
-            up_end=end.up,
-            decay_slope_error=err,
-        )
-        if decayed:
-            count = count_nodes(traj)
-            return SolutionClass(
-                BOUND_STATE_CANDIDATE, count.count, None, w,
-                "reached r_max inside the decay funnel", traj,
-            )
-        return SolutionClass(INDETERMINATE, None, None, w, "no decision at r_max", traj)
-    w = Witness(
-        r_stop=traj.termination.r_stop,
-        termination_tag=tag,
-        u_end=end.u,
-        up_end=end.up,
-    )
-    return SolutionClass(INDETERMINATE, None, None, w, traj.termination.detail, traj)
+        return SolutionClass(OSCILLATORY, count_nodes(traj).count, center, w,
+                             "trapped by the well", traj)
+    if decayed:
+        return SolutionClass(BOUND_STATE_CANDIDATE, count_nodes(traj).count, None, w,
+                             "reached r_max inside the decay funnel", traj)
+    detail = "no decision at r_max" if tag == REACHED_RMAX else traj.termination.detail
+    return SolutionClass(INDETERMINATE, None, None, w, detail, traj)
 
 
 def _counted_shot(
@@ -440,8 +421,6 @@ def zero_monotonicity_scan(
     the comparison.  violations holds the indices i where
     z_1(alphas[i]) >= z_1(alphas[i-1]).
     """
-    from .portrait import find_zeros
-
     ctrl = controls if controls is not None else IntegratorControls()
     ordered = sorted(alphas)
     zs: list[float | None] = []

@@ -346,8 +346,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     payload = artio.artifact(
         {
             "alpha": cfg.alpha,
-            "termination": artio.termination_to_dict(traj),
-            "portrait": artio.portrait_to_dict(portrait),
+            "termination": artio.plain(traj.termination),
+            "portrait": artio.plain(portrait),
         },
         cfg.echo(),
     )
@@ -366,8 +366,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         rows = [_class_row(cfg.alpha, result)]
         path, text = stem + ".csv", artio.csv_text(_CLASS_COLUMNS, rows, cfg.echo())
     else:
-        payload = artio.artifact({"result": artio.solution_class_to_dict(result)},
-                                 cfg.echo())
+        payload = artio.artifact({"result": artio.plain(result)}, cfg.echo())
         path, text = stem + ".json", artio.json_text(payload)
     _write_artifacts([(path, text)])
     return EXIT_OK

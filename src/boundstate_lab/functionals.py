@@ -262,7 +262,6 @@ class IdentityResidual:
     probes_used: int
     max_abs_residual: float
     scale: float
-    worst_r: float
 
     @property
     def max_rel_residual(self) -> float:
@@ -275,8 +274,6 @@ class IdentityResidual:
 class IdentityReport:
     residuals: tuple[IdentityResidual, ...]
     connection_rel_residual: float
-    connection_worst_r: float
-    connection_probes: int
 
     def worst(self) -> IdentityResidual:
         return max(self.residuals, key=lambda rec: rec.max_rel_residual)
@@ -376,10 +373,8 @@ def identity_residuals(
         if name not in _IDENTITIES:
             raise KeyError(f"unknown identity: {name}")
 
-    per = {name: [] for name in names}  # (residual, scale contribution, r)
+    per = {name: [] for name in names}  # (residual, scale contribution)
     conn_worst = 0.0
-    conn_r = math.nan
-    conn_n = 0
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
@@ -392,7 +387,7 @@ def identity_residuals(
                 continue
             fd = (lhs(x_hi, s_hi, field, _FAMILY_A) - lhs(x_lo, s_lo, field, _FAMILY_A)) / (2.0 * h)
             want = rhs(x_mid, s_mid, field, _FAMILY_A)
-            per[name].append((abs(fd - want), max(abs(fd), abs(want)), r))
+            per[name].append((abs(fd - want), max(abs(fd), abs(want))))
 
         # Pointwise connection between the u-frame and v-frame functionals:
         # Q - P v/u = omega (M - varpi), checked without differentiation.
@@ -401,10 +396,7 @@ def identity_residuals(
         pv_u = x_mid.P * s_mid.v / s_mid.u
         rel = abs(x_mid.Q - pv_u - x_mid.omega * (x_mid.M - x_mid.varpi))
         rel /= abs(x_mid.Q) + abs(pv_u) + 1e-30
-        conn_n += 1
-        if rel > conn_worst:
-            conn_worst = rel
-            conn_r = r
+        conn_worst = max(conn_worst, rel)
 
     resolution = traj.params.controls.abs_tol / _H_SCALE
     recs = []
@@ -412,11 +404,10 @@ def identity_residuals(
         rows = per[name]
         scale = max((row[1] for row in rows), default=0.0)
         if scale < resolution:  # no probes at all, or nothing to resolve
-            recs.append(IdentityResidual(name, 0, 0.0, 0.0, math.nan))
+            recs.append(IdentityResidual(name, 0, 0.0, 0.0))
             continue
-        worst = max(rows, key=lambda row: row[0])
-        recs.append(IdentityResidual(name, len(rows), worst[0], scale, worst[2]))
-    return IdentityReport(tuple(recs), conn_worst, conn_r, conn_n)
+        recs.append(IdentityResidual(name, len(rows), max(row[0] for row in rows), scale))
+    return IdentityReport(tuple(recs), conn_worst)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,8 @@ _MAX_STEP = 0.25  # keeps dense segments finer than any oscillation of the profi
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
+_V_GUARD = 1e12  # |v| or |v'| past this ends the run as VariationDiverged
+_MAX_STEPS = 500_000  # accepted steps before the run ends as StepLimit
 
 REACHED_RMAX = "ReachedRMax"
 ENERGY_NONPOSITIVE = "EnergyNonpositive"
@@ -124,8 +126,6 @@ class IntegratorControls:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     r_max: float = 100.0
-    v_guard: float = 1e12
-    max_steps: int = 500_000
 
     def tightened(self, factor: float) -> "IntegratorControls":
         """Same controls with both tolerances divided by ``factor``."""
@@ -316,7 +316,8 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     p = fld.p
     p_m1 = p - 1.0
     inv_p_p1 = 1.0 / (p + 1.0)
-    atol, rtol, r_max, v_guard = ctl.abs_tol, ctl.rel_tol, ctl.r_max, ctl.v_guard
+    atol, rtol, r_max = ctl.abs_tol, ctl.rel_tol, ctl.r_max
+    v_guard, max_steps = _V_GUARD, _MAX_STEPS
     stop_on_energy = policy.stop_on_energy
     exp, log = math.exp, math.log
 
@@ -359,8 +360,8 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     steps = 0
 
     while True:
-        if steps >= ctl.max_steps:
-            return finish(STEP_LIMIT, f"step budget {ctl.max_steps} exhausted")
+        if steps >= max_steps:
+            return finish(STEP_LIMIT, f"step budget {max_steps} exhausted")
         if h < 1e-14 * max(1.0, r):
             return finish(STEP_UNDERFLOW, f"step size {h:.3e} underflowed at r={r:.6e}")
 

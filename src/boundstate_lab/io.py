@@ -7,19 +7,20 @@ trailing newline; nothing time- or host-dependent goes in, so repeated
 runs with the same inputs are byte-identical.  CSV starts with the config
 as ``# key=value`` comment lines (the same flat syntax the config-file
 reader accepts), then a mandatory header row.  Floats are rendered with
-17 significant digits, which round-trips IEEE doubles exactly.
+17 significant digits, which round-trips IEEE doubles exactly.  Records
+go into JSON through ``plain``, which reads each dataclass's own fields:
+a record's field list is its schema, written once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .classify import SolutionClass, Witness
 from .integrate import Trajectory
-from .portrait import LabeledPoint, PhaseLabels, PhasePortrait
-from .verify import CheckRecord, VerificationReport
+from .verify import VerificationReport
 
 SCHEMA = "boundstate-lab/1"
 
@@ -128,92 +129,15 @@ def trajectory_csv(traj: Trajectory, config: Mapping[str, Any]) -> str:
     return csv_text(TRAJECTORY_COLUMNS, trajectory_rows(traj), config)
 
 
-def point_to_dict(pt: LabeledPoint | None) -> dict[str, float] | None:
-    if pt is None:
-        return None
-    return {"r": pt.r, "value": pt.value}
-
-
-def point_from_dict(d: Mapping[str, float] | None) -> LabeledPoint | None:
-    if d is None:
-        return None
-    return LabeledPoint(r=float(d["r"]), value=float(d["value"]))
-
-
-def phase_to_dict(ph: PhaseLabels) -> dict[str, Any]:
-    return {
-        "index": ph.index,
-        "b": point_to_dict(ph.b),
-        "r": point_to_dict(ph.r),
-        "z": point_to_dict(ph.z),
-        "rbar": point_to_dict(ph.rbar),
-        "bbar": point_to_dict(ph.bbar),
-        "uncertain": list(ph.uncertain),
-    }
-
-
-def phase_from_dict(d: Mapping[str, Any]) -> PhaseLabels:
-    return PhaseLabels(
-        index=int(d["index"]),
-        b=point_from_dict(d["b"]),
-        r=point_from_dict(d["r"]),
-        z=point_from_dict(d["z"]),
-        rbar=point_from_dict(d["rbar"]),
-        bbar=point_from_dict(d["bbar"]),
-        uncertain=tuple(d["uncertain"]),
-    )
-
-
-def portrait_to_dict(portrait: PhasePortrait) -> dict[str, Any]:
-    return {
-        "zeros_u": [point_to_dict(pt) for pt in portrait.zeros_u],
-        "crits_u": [point_to_dict(pt) for pt in portrait.crits_u],
-        "tail_crits_u": [point_to_dict(pt) for pt in portrait.tail_crits_u],
-        "zeros_v": [point_to_dict(pt) for pt in portrait.zeros_v],
-        "inflections_u": [float(r) for r in portrait.inflections_u],
-        "phases": [phase_to_dict(ph) for ph in portrait.phases],
-        "phase_kind": portrait.phase_kind,
-        "truncated": portrait.truncated,
-    }
-
-
-def portrait_from_dict(d: Mapping[str, Any]) -> PhasePortrait:
-    return PhasePortrait(
-        zeros_u=[point_from_dict(pt) for pt in d["zeros_u"]],
-        crits_u=[point_from_dict(pt) for pt in d["crits_u"]],
-        tail_crits_u=[point_from_dict(pt) for pt in d["tail_crits_u"]],
-        zeros_v=[point_from_dict(pt) for pt in d["zeros_v"]],
-        inflections_u=[float(r) for r in d["inflections_u"]],
-        phases=[phase_from_dict(ph) for ph in d["phases"]],
-        phase_kind=str(d["phase_kind"]),
-        truncated=bool(d["truncated"]),
-    )
-
-
-def witness_to_dict(w: Witness) -> dict[str, Any]:
-    return {
-        "r_stop": w.r_stop,
-        "termination_tag": w.termination_tag,
-        "u_end": w.u_end,
-        "up_end": w.up_end,
-        "energy_nonpositive_radius": w.energy_nonpositive_radius,
-        "decay_slope_error": w.decay_slope_error,
-    }
-
-
-def solution_class_to_dict(sc: SolutionClass) -> dict[str, Any]:
-    return {
-        "tag": sc.tag,
-        "node_count": sc.node_count,
-        "oscillation_center": sc.oscillation_center,
-        "witness": witness_to_dict(sc.witness),
-        "detail": sc.detail,
-    }
-
-
-def termination_to_dict(traj: Trajectory) -> dict[str, Any]:
-    t = traj.termination
-    return {"tag": t.tag, "r_stop": t.r_stop, "detail": t.detail}
+def plain(obj: Any) -> Any:
+    """A record as JSON-ready data: a dataclass becomes a dict of its fields,
+    nested records, lists and tuples included; a field declared with
+    ``repr=False`` (a record's bulk payload) is left out."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.repr}
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    return obj
 
 
 def _json_float(x: float | None) -> float | None:
@@ -223,21 +147,11 @@ def _json_float(x: float | None) -> float | None:
     return x
 
 
-def record_to_dict(rec: CheckRecord) -> dict[str, Any]:
-    return {
-        "check": rec.check,
-        "case": rec.case,
-        "status": rec.status,
-        "margin": _json_float(rec.margin),
-        "probes": rec.probes,
-        "notes": rec.notes,
-    }
-
-
 def verification_body(report: VerificationReport) -> dict[str, Any]:
     return {
         "passed": report.passed,
-        "records": [record_to_dict(rec) for rec in report.records],
+        "records": [{**plain(rec), "margin": _json_float(rec.margin)}
+                    for rec in report.records],
         "worst_by_check": {
             check: _json_float(margin)
             for check, margin in sorted(report.worst_by_check().items())

@@ -1,13 +1,15 @@
 """Verification suite: every qualitative claim checked on computed shots.
 
 A plan names trajectory families (explicit heights, oscillatory heights,
-bound-state brackets) and a set of check ids; run_checks produces one record
-per (case, check) with status pass, fail, or skipped-undefined.  Checks never
-throw: failures are recorded with margins and notes.  Bracket cases evaluate
-structural checks on the midpoint shot truncated where it leaves the decay
-funnel, since beyond that radius the shot diverges from the bound state it
-shadows.  Every derived quantity is cross-checked against a re-integration
-at 10x tighter tolerances before its checks run.
+bound-state brackets, the ground state being the k = 0 bracket) and a set of
+check ids.  Each check reads only the prepared shot and returns its outcome:
+status (pass, fail, or skipped-undefined), margin, probe count and notes.
+run_checks names each record by its check id and the case label, one record
+per (case, check); a check that raises is recorded as a failure.  Bracket
+cases evaluate structural checks on the midpoint shot truncated where it
+leaves the decay funnel, since beyond that radius the shot diverges from the
+bound state it shadows.  Every derived quantity is cross-checked against a
+re-integration at 10x tighter tolerances before its checks run.
 
 This module locates no event and spells out no functional itself: event
 radii, level crossings included, are located in ``portrait`` and every
@@ -50,7 +52,6 @@ from .portrait import (
     find_zeros,
 )
 
-GROUND_BRACKET = "GroundBracket"
 BOUND_BRACKET = "BoundBracket"
 OSCILLATORY_CASE = "Oscillatory"
 EXPLICIT = "Explicit"
@@ -75,9 +76,8 @@ class CaseSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family in (GROUND_BRACKET, BOUND_BRACKET):
-            k = 0 if self.family == GROUND_BRACKET else self.k
-            if k is None or k < 0:
+        if self.family == BOUND_BRACKET:
+            if self.k is None or self.k < 0:
                 raise MalformedPlan(f"{self.family} case needs a node count k")
         elif self.family in (OSCILLATORY_CASE, EXPLICIT):
             if self.alpha is None or self.alpha <= 0.0:
@@ -88,10 +88,8 @@ class CaseSpec:
     @property
     def label(self) -> str:
         core = f"n={self.field.n},p={self.field.p:g}"
-        if self.family == GROUND_BRACKET:
-            return f"GroundBracket({core})"
         if self.family == BOUND_BRACKET:
-            return f"BoundBracket(k={self.k},{core})"
+            return f"GroundBracket({core})" if self.k == 0 else f"BoundBracket(k={self.k},{core})"
         return f"{self.family}(alpha={self.alpha:g},{core})"
 
 
@@ -144,6 +142,7 @@ class VerificationReport:
 class _Prepared:
     case: CaseSpec
     alpha: float
+    controls: IntegratorControls  # the plan's, before any bracket-shot r_max
     full: Trajectory
     struct: Trajectory
     portrait: PhasePortrait | None
@@ -198,10 +197,9 @@ def _prepare(case: CaseSpec, plan: VerificationPlan,
     field = case.field
     amps = critical_amplitudes(field)
     entry = None
-    if case.family in (GROUND_BRACKET, BOUND_BRACKET):
-        k = 0 if case.family == GROUND_BRACKET else int(case.k)
+    if case.family == BOUND_BRACKET:
         cache = counts.setdefault(field, _CountCache(field, plan.controls))
-        entry = find_alpha_k(field, k, tol=plan.bracket_tol, controls=plan.controls,
+        entry = find_alpha_k(field, int(case.k), tol=plan.bracket_tol, controls=plan.controls,
                              counts=cache)
         alpha = entry.midpoint
         ctrl = plan.controls.with_rmax(_R_MAX_BRACKET)
@@ -261,30 +259,29 @@ def _prepare(case: CaseSpec, plan: VerificationPlan,
             if abs(za[i] - zb[i]) > allowed:
                 gate_note = f"cross-oracle disagreement in z_{i+1}"
                 break
-    return _Prepared(case, alpha, full, struct, portrait, entry, gate_note,
+    return _Prepared(case, alpha, plan.controls, full, struct, portrait, entry, gate_note,
                      portrait_note)
 
 
-def _rec(check: str, prep: _Prepared, status: str, margin: float | None,
-         probes: int, notes: str = "") -> CheckRecord:
-    return CheckRecord(check, prep.case.label, status, margin, probes, notes)
+# What a check returns: (status, margin, probes, notes); run_checks names it.
+_Outcome = tuple[str, float | None, int, str]
 
 
-def _skip(check: str, prep: _Prepared, why: str) -> CheckRecord:
-    return _rec(check, prep, SKIPPED, None, 0, why)
+def _skip(why: str) -> _Outcome:
+    return SKIPPED, None, 0, why
 
 
 def _nodal_limit(prep: _Prepared) -> float | None:
     """Right end of the nodal positivity windows: the structural cut of a
     bracket shot, else the largest zero radius (None without zeros)."""
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
+    if prep.entry is not None:
         return prep.struct.r_end
     if prep.portrait is None or not prep.portrait.zeros_u:
         return None
     return prep.portrait.zeros_u[-1].r
 
 
-def _check_energy_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_energy_monotone(prep: _Prepared) -> _Outcome:
     traj = prep.full
     ctrl = traj.params.controls
     worst = math.inf
@@ -297,18 +294,18 @@ def _check_energy_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckReco
             worst = min(worst, slack - (e - prev))
         prev = e
     status = PASS if worst >= 0.0 else FAIL
-    return _rec("energy_monotone", prep, status, worst, len(traj.knots))
+    return status, worst, len(traj.knots), ""
 
 
-def _check_velocity_bound(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_velocity_bound(prep: _Prepared) -> _Outcome:
     if prep.alpha == 1.0:
-        return _skip("velocity_bound", prep, "stationary shot, bound degenerate")
+        return _skip("stationary shot, bound degenerate")
     fl = prep.case.field
     cap = math.sqrt(2.0 * (big_F(prep.alpha, fl) - big_F(1.0, fl)))
     peak = max(abs(st[1]) for st in prep.full.states)
     margin = (cap - peak) / cap
-    return _rec("velocity_bound", prep, PASS if margin > 0.0 else FAIL,
-                margin, len(prep.full.states), f"cap={cap:.6g} peak={peak:.6g}")
+    status = PASS if margin > 0.0 else FAIL
+    return status, margin, len(prep.full.states), f"cap={cap:.6g} peak={peak:.6g}"
 
 
 def _positivity_scan(
@@ -344,25 +341,25 @@ def _positivity_scan(
     return worst, len(radii), worst_note
 
 
-def _check_positivity_core(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_positivity_core(prep: _Prepared) -> _Outcome:
     r_hi = _nodal_limit(prep)
     if r_hi is None:
-        return _skip("positivity_core", prep, "no zeros: positivity window undefined")
+        return _skip("no zeros: positivity window undefined")
     worst, n, note = _positivity_scan(prep, ("E", "P", "P1", "P2"), r_hi)
-    return _rec("positivity_core", prep, PASS if worst >= 0.0 else FAIL, worst, n, note)
+    return (PASS if worst >= 0.0 else FAIL), worst, n, note
 
 
-def _check_omega_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_omega_monotone(prep: _Prepared) -> _Outcome:
     if prep.portrait is None:
-        return _skip("omega_monotone", prep, prep.portrait_note or "no portrait")
+        return _skip(prep.portrait_note or "no portrait")
     traj = prep.struct
     zeros = [pt.r for pt in prep.portrait.zeros_u]
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
+    if prep.entry is not None:
         edges = [traj.r_start] + zeros + [traj.r_end]
     elif zeros:
         edges = [traj.r_start] + zeros  # past z_k the shot is trapped, claim lapses
     else:
-        return _skip("omega_monotone", prep, "no zeros: nodal intervals undefined")
+        return _skip("no zeros: nodal intervals undefined")
     worst = math.inf
     count = 0
     u_scale = max(abs(st[0]) for st in traj.states)
@@ -379,21 +376,21 @@ def _check_omega_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecor
                 worst = min(worst, (w - prev) / (1.0 + abs(w)))
             prev = w
     if count == 0:
-        return _skip("omega_monotone", prep, "no interval samples")
-    return _rec("omega_monotone", prep, PASS if worst > 0.0 else FAIL, worst, count)
+        return _skip("no interval samples")
+    return (PASS if worst > 0.0 else FAIL), worst, count, ""
 
 
-def _check_p_over_rn_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     r_hi = _nodal_limit(prep)
     if r_hi is None:
-        return _skip("p_over_rn_monotone", prep, "no zeros: window undefined")
+        return _skip("no zeros: window undefined")
     fl = prep.case.field
     n = fl.n
     # dividing by r^n amplifies absolute error in P without bound near the
     # origin, so the scan starts where the quotient is conditioned
     radii = _sample_radii(prep.struct, max(prep.struct.r_start, 0.1), r_hi)
     if len(radii) < 2:
-        return _skip("p_over_rn_monotone", prep, "window too short past r=0.1")
+        return _skip("window too short past r=0.1")
     worst = math.inf
     prev = None
     scale = 1e-300
@@ -405,14 +402,14 @@ def _check_p_over_rn_monotone(prep: _Prepared, plan: VerificationPlan) -> CheckR
             worst = min(worst, (prev - x) / scale)
         prev = x
     status = PASS if worst > -1e-9 else FAIL
-    return _rec("p_over_rn_monotone", prep, status, worst, len(radii))
+    return status, worst, len(radii), ""
 
 
 def _phaseful(prep: _Prepared) -> bool:
     """Whether the shot carries first-phase structure: bracket shots always,
     others only once u has at least one zero.  Trapped shots that never leave
     the well make no phase claims."""
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
+    if prep.entry is not None:
         return True
     return prep.portrait is not None and bool(prep.portrait.zeros_u)
 
@@ -429,29 +426,28 @@ def _first_phase_limit(prep: _Prepared) -> float | None:
     return None
 
 
-def _check_qm_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_qm_first_phase(prep: _Prepared) -> _Outcome:
     r_hi = _first_phase_limit(prep)
     if r_hi is None:
-        return _skip("qm_first_phase", prep, "no z_1 or tau_1 resolved")
+        return _skip("no z_1 or tau_1 resolved")
     worst, n, note = _positivity_scan(prep, ("Q", "M"), r_hi)
-    return _rec("qm_first_phase", prep, PASS if worst >= 0.0 else FAIL, worst, n,
-                f"window (0, {r_hi:.4g}]; {note}")
+    return (PASS if worst >= 0.0 else FAIL), worst, n, f"window (0, {r_hi:.4g}]; {note}"
 
 
-def _check_t1_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_t1_first_phase(prep: _Prepared) -> _Outcome:
     r_hi = _first_phase_limit(prep)
     if r_hi is None:
-        return _skip("t1_first_phase", prep, "no z_1 or tau_1 resolved")
+        return _skip("no z_1 or tau_1 resolved")
     worst, n, _ = _positivity_scan(prep, ("T1",), r_hi * (1.0 - 1e-3))
     if math.isinf(worst):
-        return _skip("t1_first_phase", prep, "no admissible samples")
-    return _rec("t1_first_phase", prep, PASS if worst >= 0.0 else FAIL, worst, n)
+        return _skip("no admissible samples")
+    return (PASS if worst >= 0.0 else FAIL), worst, n, ""
 
 
-def _check_q1q2m_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_q1q2m_first_phase(prep: _Prepared) -> _Outcome:
     port = prep.portrait
     if port is None or not port.crits_u or not port.zeros_u:
-        return _skip("q1q2m_first_phase", prep, "no resolved c_1")
+        return _skip("no resolved c_1")
     c1 = port.crits_u[0].r
     z1 = port.zeros_u[0].r
     worst, n1, note = _positivity_scan(prep, ("M", "Q1", "Q2"), c1)
@@ -463,22 +459,21 @@ def _check_q1q2m_first_phase(prep: _Prepared, plan: VerificationPlan) -> CheckRe
         worst_q2, n3, _ = _positivity_scan(prep, ("Q",), c1, r_lo=ph1.bbar.r)
         worst = min(worst, worst_q2)
         n2 += n3
-    return _rec("q1q2m_first_phase", prep, PASS if worst >= 0.0 else FAIL,
-                worst, n1 + n2, note or note_q)
+    return (PASS if worst >= 0.0 else FAIL), worst, n1 + n2, note or note_q
 
 
-def _check_renewability(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_renewability(prep: _Prepared) -> _Outcome:
     """Per-phase renewal: Q, M, T2 > 0 at c_i, Q(b̄_i) > Q(b_i), and T2 > 0
     on a probe grid across [c_{i-1}, b_i].  Phases without a resolved right
     critical point are left out."""
     port = prep.portrait
     if port is None or not port.crits_u:
-        return _skip("renewability", prep, "no resolved phase criticals")
+        return _skip("no resolved phase criticals")
     traj, fl = prep.struct, prep.case.field
     crits = [pt.r for pt in port.crits_u]
     live = [ph for ph in port.phases if ph.index - 1 < len(crits)]
     if not live:
-        return _skip("renewability", prep, "all phases truncated")
+        return _skip("all phases truncated")
     passed = True
     margin = math.inf
     for ph in live:
@@ -508,14 +503,13 @@ def _check_renewability(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
             t2_scale = max(abs(t2_c), max(abs(v) for v in vals))
             passed = passed and t2_min > -1e-9 * t2_scale
     status = PASS if passed and margin > 0.0 else FAIL
-    return _rec("renewability", prep, status, margin, len(live),
-                f"{len(live)} phase(s) audited")
+    return status, margin, len(live), f"{len(live)} phase(s) audited"
 
 
-def _check_reflection(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_reflection(prep: _Prepared) -> _Outcome:
     port = prep.portrait
     if port is None or not port.phases or not _phaseful(prep):
-        return _skip("reflection", prep, "no phase structure resolved")
+        return _skip("no phase structure resolved")
     fl = prep.case.field
     amps = critical_amplitudes(fl)
     crits = [pt.r for pt in port.crits_u]
@@ -548,18 +542,18 @@ def _check_reflection(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
             used += 1
             worst = min(worst, (phi_b - phi_a) / (abs(phi_b) + abs(phi_a)))
     if used == 0:
-        return _skip("reflection", prep, "no complete phase with matched radii")
-    return _rec("reflection", prep, PASS if worst > 0.0 else FAIL, worst, used)
+        return _skip("no complete phase with matched radii")
+    return (PASS if worst > 0.0 else FAIL), worst, used, ""
 
 
-def _check_tango(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_tango(prep: _Prepared) -> _Outcome:
     port = prep.portrait
     if port is None:
-        return _skip("tango", prep, prep.portrait_note or "no portrait")
-    if prep.case.family not in (GROUND_BRACKET, BOUND_BRACKET):
-        return _skip("tango", prep, "interlacing claims apply to bracket shots")
+        return _skip(prep.portrait_note or "no portrait")
+    if prep.entry is None:
+        return _skip("interlacing claims apply to bracket shots")
     traj = prep.struct
-    k = 0 if prep.case.family == GROUND_BRACKET else int(prep.case.k)
+    k = prep.entry.k
     zeros = [pt.r for pt in port.zeros_u]
     taus = [pt.r for pt in port.zeros_v]
     crits = [pt.r for pt in port.crits_u]
@@ -596,13 +590,13 @@ def _check_tango(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
     if math.isinf(margin):
         margin = 1.0
     status = FAIL if problems else PASS
-    return _rec("tango", prep, status, margin, len(taus), "; ".join(problems))
+    return status, margin, len(taus), "; ".join(problems)
 
 
-def _check_tau_localization(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_tau_localization(prep: _Prepared) -> _Outcome:
     port = prep.portrait
     if port is None or not port.phases or not _phaseful(prep):
-        return _skip("tau_localization", prep, "no phase structure resolved")
+        return _skip("no phase structure resolved")
     crits = [pt.r for pt in port.crits_u]
     taus = [pt.r for pt in port.zeros_v]
     worst = math.inf
@@ -621,19 +615,17 @@ def _check_tau_localization(prep: _Prepared, plan: VerificationPlan) -> CheckRec
         if not c_prev < tau_i < r_i:
             problems.append(f"tau_{i} = {tau_i:.4g} not in ({c_prev:.4g}, {r_i:.4g})")
     if used == 0:
-        return _skip("tau_localization", prep, "no (c_{i-1}, r_i) windows")
-    return _rec("tau_localization", prep, FAIL if problems else PASS,
-                worst, used, "; ".join(problems))
+        return _skip("no (c_{i-1}, r_i) windows")
+    return (FAIL if problems else PASS), worst, used, "; ".join(problems)
 
 
-def _check_unique_inflection(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_unique_inflection(prep: _Prepared) -> _Outcome:
     # One inflection of u per window from a critical point (or the origin)
     # down to the next zero, and on a bound-like run from the closing
     # critical down to where u crosses the rest height.
     port = prep.portrait
     if port is None or not _phaseful(prep):
-        return _skip("unique_inflection", prep,
-                     prep.portrait_note or "no phase structure resolved")
+        return _skip(prep.portrait_note or "no phase structure resolved")
     r_start = prep.struct.r_start
     windows: list[tuple[float, float, int]] = []
     for ph in port.phases:
@@ -647,42 +639,37 @@ def _check_unique_inflection(prep: _Prepared, plan: VerificationPlan) -> CheckRe
             continue
         windows.append((lo, hi, sum(lo < x < hi for x in port.inflections_u)))
     if not windows:
-        return _skip("unique_inflection", prep, "no concavity windows resolved")
+        return _skip("no concavity windows resolved")
     bad = [f"({lo:.4g},{hi:.4g}) count={count}" for lo, hi, count in windows if count != 1]
-    return _rec("unique_inflection", prep, FAIL if bad else PASS,
-                0.0 if bad else 1.0, len(windows), "; ".join(bad))
+    return (FAIL if bad else PASS), (0.0 if bad else 1.0), len(windows), "; ".join(bad)
 
 
-def _check_bridge_integral(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_bridge_integral(prep: _Prepared) -> _Outcome:
     fl = prep.case.field
     if not (fl.n == 3 and fl.p < 2.0):
-        return _skip("bridge_integral", prep, "applies to n=3, p in (1, 2)")
+        return _skip("applies to n=3, p in (1, 2)")
     port = prep.portrait
     if port is None or not port.phases or port.phases[0].b is None:
-        return _skip("bridge_integral", prep, "b_1 unresolved")
+        return _skip("b_1 unresolved")
     if not port.zeros_v:
-        return _skip("bridge_integral", prep, "tau_1 unresolved")
+        return _skip("tau_1 unresolved")
     b1 = port.phases[0].b.r
     tau1 = port.zeros_v[0].r
     u_tilde = abs(prep.struct.eval_dense(b1).u)
     result = bridge_integral(prep.struct, b1, tau1, u_tilde)
     if result.empty_range:
-        return _skip(
-            "bridge_integral", prep,
-            f"tau_1={tau1:.4g} <= b_1={b1:.4g}: range empty, positivity premise unmet",
-        )
+        return _skip(f"tau_1={tau1:.4g} <= b_1={b1:.4g}: range empty, positivity premise unmet")
     status = PASS if result.value > 0.0 else FAIL
-    return _rec("bridge_integral", prep, status, result.value, 15,
-                f"I_1={result.value:.6g} over ({b1:.4g}, {tau1:.4g})")
+    return status, result.value, 15, f"I_1={result.value:.6g} over ({b1:.4g}, {tau1:.4g})"
 
 
-def _check_identity_residuals(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_identity_residuals(prep: _Prepared) -> _Outcome:
     # Brackets are probed on the structural cut: in the capture zone beyond
     # it |v| reaches guard scale and finite differences of the pairing and
     # barrier functionals measure interpolation noise, not identity validity.
     # Long free runs are capped at r = 40 for the same reason, and the
     # terminal 1% is dropped since the last segments end mid-step.
-    traj = prep.struct if prep.entry is not None else prep.full
+    traj = prep.struct
     events: list[float] = []
     for comp in ("u", "up", "v", "vp"):
         events.extend(find_zeros(traj, comp))
@@ -690,23 +677,21 @@ def _check_identity_residuals(prep: _Prepared, plan: VerificationPlan) -> CheckR
     r_hi = min(r_hi, 40.0)
     probes = probe_radii(traj, 500, r_hi=r_hi, exclusion_radii=events)
     if len(probes) < 10:
-        return _skip("identity_residuals", prep, "trajectory too short to probe")
+        return _skip("trajectory too short to probe")
     rep = identity_residuals(traj, probes)
     worst = rep.worst()
     fd_margin = 1.0 - worst.max_rel_residual / 1e-6
     conn_margin = 1.0 - rep.connection_rel_residual / 1e-9
     margin = min(fd_margin, conn_margin)
     status = PASS if margin > 0.0 else FAIL
-    return _rec(
-        "identity_residuals", prep, status, margin, len(probes),
-        f"worst {worst.identity}: {worst.max_rel_residual:.3g}; "
-        f"conn: {rep.connection_rel_residual:.3g}",
-    )
+    notes = (f"worst {worst.identity}: {worst.max_rel_residual:.3g}; "
+             f"conn: {rep.connection_rel_residual:.3g}")
+    return status, margin, len(probes), notes
 
 
-def _check_tail_asymptotics(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
-    if prep.case.family not in (GROUND_BRACKET, BOUND_BRACKET):
-        return _skip("tail_asymptotics", prep, "decay tail only on bracket shots")
+def _check_tail_asymptotics(prep: _Prepared) -> _Outcome:
+    if prep.entry is None:
+        return _skip("decay tail only on bracket shots")
     traj = prep.struct
     band_lo, band_hi = 1e-5, 1e-3
     last_r = None
@@ -714,7 +699,7 @@ def _check_tail_asymptotics(prep: _Prepared, plan: VerificationPlan) -> CheckRec
         if band_lo < abs(traj.states[i][0]) < band_hi:
             last_r = r
     if last_r is None:
-        return _skip("tail_asymptotics", prep, "no samples with |u| in (1e-5, 1e-3)")
+        return _skip("no samples with |u| in (1e-5, 1e-3)")
     # refine to the |u| = band_lo crossing if the run dips past it
     lo, hi = last_r, traj.r_end
     if abs(traj.eval_dense(hi).u) <= band_lo:
@@ -725,38 +710,37 @@ def _check_tail_asymptotics(prep: _Prepared, plan: VerificationPlan) -> CheckRec
     st = traj.eval_dense(r_star)
     err = abs(st.up / st.u + 1.0)
     margin = 0.05 - err
-    return _rec("tail_asymptotics", prep, PASS if margin > 0.0 else FAIL,
-                margin, 1, f"|u'/u + 1| = {err:.4f} at r = {r_star:.4f}")
+    status = PASS if margin > 0.0 else FAIL
+    return status, margin, 1, f"|u'/u + 1| = {err:.4f} at r = {r_star:.4f}"
 
 
-def _check_v_divergence(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
-    if prep.case.family not in (GROUND_BRACKET, BOUND_BRACKET):
-        return _skip("v_divergence", prep, "applies to bracket shots")
+def _check_v_divergence(prep: _Prepared) -> _Outcome:
+    if prep.entry is None:
+        return _skip("applies to bracket shots")
     traj = prep.full
     if traj.termination.tag == VARIATION_DIVERGED:
-        return _rec("v_divergence", prep, PASS, math.inf, 1,
-                    f"v guard tripped at r = {traj.termination.r_stop:.4f}")
+        return PASS, math.inf, 1, f"v guard tripped at r = {traj.termination.r_stop:.4f}"
     port = prep.portrait
     c_k = port.crits_u[-1].r if (port and port.crits_u) else 0.0
     taus = [t for t in find_zeros(traj, "v") if t > c_k]
     if not taus:
-        return _skip("v_divergence", prep, "no tau_{k+1} found")
+        return _skip("no tau_{k+1} found")
     ref_r = taus[0] + 1.0
     if ref_r >= traj.r_end:
-        return _skip("v_divergence", prep, "no room past tau_{k+1}")
+        return _skip("no room past tau_{k+1}")
     ref = abs(traj.eval_dense(ref_r).v)
     end = abs(traj.states[-1][2])
     margin = end / (1e3 * ref) - 1.0
-    return _rec("v_divergence", prep, PASS if margin > 0.0 else FAIL, margin, 2,
-                f"|v(r_stop)|={end:.3g} vs 1e3*|v(tau+1)|={1e3 * ref:.3g}")
+    status = PASS if margin > 0.0 else FAIL
+    return status, margin, 2, f"|v(r_stop)|={end:.3g} vs 1e3*|v(tau+1)|={1e3 * ref:.3g}"
 
 
-def _check_tail_dichotomy(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
-    if prep.case.family in (GROUND_BRACKET, BOUND_BRACKET):
-        return _skip("tail_dichotomy", prep, "bracket tails shadow the separatrix")
+def _check_tail_dichotomy(prep: _Prepared) -> _Outcome:
+    if prep.entry is not None:
+        return _skip("bracket tails shadow the separatrix")
     port = prep.portrait
     if port is None or len(port.tail_crits_u) < 4:
-        return _skip("tail_dichotomy", prep, "fewer than 4 tail criticals")
+        return _skip("fewer than 4 tail criticals")
     vals = [abs(pt.value) for pt in port.tail_crits_u]
     above = [v for v in vals if v > 1.0]
     below = [v for v in vals if v < 1.0]
@@ -772,18 +756,17 @@ def _check_tail_dichotomy(prep: _Prepared, plan: VerificationPlan) -> CheckRecor
         worst = 1.0
     if worst <= 0.0:
         problems.append("tail amplitudes not closing in on 1")
-    return _rec("tail_dichotomy", prep, FAIL if problems else PASS, worst,
-                len(vals), "; ".join(problems))
+    return (FAIL if problems else PASS), worst, len(vals), "; ".join(problems)
 
 
-def _check_ladder_jump(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
+def _check_ladder_jump(prep: _Prepared) -> _Outcome:
     entry = prep.entry
     if entry is None:
-        return _skip("ladder_jump", prep, "no bracket in this case")
+        return _skip("no bracket in this case")
     fl = prep.case.field
     eps = 1e-4 * entry.alpha_hi
-    above = node_count_of_alpha(fl, entry.alpha_hi + eps, plan.controls)
-    below = classify(fl, entry.alpha_lo - eps, plan.controls)
+    above = node_count_of_alpha(fl, entry.alpha_hi + eps, prep.controls)
+    below = classify(fl, entry.alpha_lo - eps, prep.controls)
     problems = []
     if above.count != entry.k + 1:
         problems.append(f"N(hi+eps) = {above.count}, wanted {entry.k + 1}")
@@ -792,8 +775,7 @@ def _check_ladder_jump(prep: _Prepared, plan: VerificationPlan) -> CheckRecord:
             f"classify(lo-eps) = {below.tag}({below.node_count}), "
             f"wanted {OSCILLATORY}({entry.k})"
         )
-    return _rec("ladder_jump", prep, FAIL if problems else PASS,
-                0.0 if problems else 1.0, 2, "; ".join(problems))
+    return (FAIL if problems else PASS), (0.0 if problems else 1.0), 2, "; ".join(problems)
 
 
 _CHECKS = {
@@ -846,22 +828,17 @@ def run_checks(plan: VerificationPlan) -> VerificationReport:
     for case in plan.cases:
         try:
             prep = _prepare(case, plan, counts)
+            failed = prep.gate_note
         except Exception as exc:
-            for check in plan.checks:
-                records.append(CheckRecord(check, case.label, FAIL, None, 0,
-                                           f"case preparation failed: {exc}"))
-            continue
-        if prep.gate_note:
-            for check in plan.checks:
-                records.append(CheckRecord(check, case.label, FAIL, None, 0,
-                                           prep.gate_note))
-            continue
+            failed = f"case preparation failed: {exc}"
         for check in plan.checks:
-            try:
-                records.append(_CHECKS[check](prep, plan))
-            except Exception as exc:
-                records.append(CheckRecord(check, case.label, FAIL, None, 0,
-                                           f"check raised: {exc}"))
+            outcome: _Outcome = (FAIL, None, 0, failed)
+            if not failed:
+                try:
+                    outcome = _CHECKS[check](prep)
+                except Exception as exc:
+                    outcome = FAIL, None, 0, f"check raised: {exc}"
+            records.append(CheckRecord(check, case.label, *outcome))
     return VerificationReport(tuple(records))
 
 
@@ -873,7 +850,7 @@ def default_cases(field: FieldParams, preset: str) -> tuple[CaseSpec, ...]:
         CaseSpec(field, EXPLICIT, alpha=1.0),
         CaseSpec(field, OSCILLATORY_CASE, alpha=0.5),
         CaseSpec(field, OSCILLATORY_CASE, alpha=5.0),
-        CaseSpec(field, GROUND_BRACKET),
+        CaseSpec(field, BOUND_BRACKET, k=0),
         CaseSpec(field, BOUND_BRACKET, k=1),
         CaseSpec(field, BOUND_BRACKET, k=2),
     )

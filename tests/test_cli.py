@@ -299,6 +299,7 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     payload = json.loads((tmp_path / "c.json").read_text())
     assert payload["result"]["node_count"] == 1
+    assert "trajectory" not in payload["result"]  # repr=False: the shot stays out
 
 
 # Artifact digests recorded from the per-cell CSV writer and the _grid-based

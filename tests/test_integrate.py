@@ -1,6 +1,7 @@
 """Integrator tests: exact constant shot, dense output, traps, energy decay."""
 
 import hashlib
+import importlib
 import math
 import struct
 
@@ -29,6 +30,8 @@ from boundstate_lab.integrate import (
 )
 
 FL = FieldParams(3, 3.0)
+# the package binds the name integrate to the function
+integrate_module = importlib.import_module("boundstate_lab.integrate")
 
 
 def _energy(state, field):
@@ -197,7 +200,8 @@ GOLDEN_BITS = [
      REACHED_RMAX, 1159, "a461cc86ed5b397e9fe08ecb77f480abc2534fc1810feb64413e17df0ff385b2"),
     ("guard", FL, 4.337387679942187, _CTL.with_rmax(200.0), FULL_RANGE_POLICY,
      VARIATION_DIVERGED, 979, "dce3dcd6426f427bf14bc90977b180a02e5bb37cf53dfafc6a146e076ef844a2"),
-    ("step_limit", FL, 5.0, IntegratorControls(max_steps=40), FULL_RANGE_POLICY, STEP_LIMIT, 41,
+    # run with the step budget _MAX_STEPS set to 40
+    ("step_limit", FL, 5.0, _CTL, FULL_RANGE_POLICY, STEP_LIMIT, 41,
      "4a13b05edf1a27cf4fefec71b8ada5990ffa0537c8d427f12a102d8ed95cf71e"),
     # the shrunken series start at large heights (r0 = 7.46e-7 and 1.23e-6)
     ("shrunk_r0_p4", FieldParams(3, 4.0), 99.52, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 766,
@@ -213,25 +217,38 @@ GOLDEN_BITS = [
 
 
 @pytest.mark.parametrize(
-    "field, alpha, controls, policy, tag, n_knots, digest",
-    [case[1:] for case in GOLDEN_BITS],
+    "name, field, alpha, controls, policy, tag, n_knots, digest",
+    GOLDEN_BITS,
     ids=[case[0] for case in GOLDEN_BITS],
 )
-def test_trajectory_bits_match_the_recorded_digests(field, alpha, controls, policy, tag,
-                                                     n_knots, digest):
+def test_trajectory_bits_match_the_recorded_digests(monkeypatch, name, field, alpha, controls,
+                                                     policy, tag, n_knots, digest):
+    if name == "step_limit":
+        monkeypatch.setattr(integrate_module, "_MAX_STEPS", 40)
     traj = integrate(ProblemParams(field, alpha, controls), policy)
     assert traj.termination.tag == tag
+    if name == "step_limit":
+        assert traj.termination.detail == "step budget 40 exhausted"
     assert len(traj.knots) == n_knots
     assert _bits_digest(traj) == digest
 
 
-def test_control_helpers_change_only_their_fields():
-    base = IntegratorControls(r0=1e-7, v_guard=1e9, max_steps=1000)
+def test_control_helpers_change_only_their_fields(monkeypatch):
+    base = IntegratorControls(r0=1e-7, r_max=50.0)
     tight = base.tightened(4.0)
-    assert tight == IntegratorControls(r0=1e-7, abs_tol=0.25e-12, rel_tol=0.25e-10,
-                                       v_guard=1e9, max_steps=1000)
-    assert base.with_rmax(7.5) == IntegratorControls(r0=1e-7, r_max=7.5, v_guard=1e9,
-                                                     max_steps=1000)
+    assert tight == IntegratorControls(r0=1e-7, abs_tol=0.25e-12, rel_tol=0.25e-10, r_max=50.0)
+    assert base.with_rmax(7.5) == IntegratorControls(r0=1e-7, r_max=7.5)
+    # the step budget and the variation guard are module constants that hold
+    # under every set of controls
+    monkeypatch.setattr(integrate_module, "_V_GUARD", 1.005)  # |v| peaks at 1.0116 here
+    traj = integrate(ProblemParams(FL, 5.0, tight), FULL_RANGE_POLICY)
+    assert traj.termination.tag == VARIATION_DIVERGED
+    assert traj.termination.detail == "variation guard 1.0e+00 tripped"
+    monkeypatch.undo()
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 40)
+    for ctl in (tight, base.with_rmax(7.5)):
+        traj = integrate(ProblemParams(FL, 5.0, ctl), FULL_RANGE_POLICY)
+        assert (traj.termination.tag, len(traj.knots)) == (STEP_LIMIT, 41)
 
 
 @st.composite

@@ -1,5 +1,6 @@
-"""Serialization tests: 17-digit round-trips, config echo, portrait JSON."""
+"""Serialization tests: 17-digit round-trips, config echo, record JSON."""
 
+import dataclasses
 import json
 import math
 import random
@@ -28,16 +29,11 @@ from boundstate_lab.io import (
     fnum,
     json_text,
     parse_config_text,
-    phase_from_dict,
-    phase_to_dict,
-    point_from_dict,
-    point_to_dict,
-    portrait_from_dict,
-    portrait_to_dict,
+    plain,
     trajectory_csv,
+    verification_body,
     verification_table,
 )
-from boundstate_lab.portrait import LabeledPoint, PhaseLabels
 from boundstate_lab.verify import CheckRecord, VerificationReport
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -142,37 +138,16 @@ def test_config_parsing():
         parse_config_text("=value\n")
 
 
-points = st.one_of(
-    st.none(),
-    st.builds(LabeledPoint, r=finite_floats, value=finite_floats),
-)
-
-
-@given(b=points, r=points, z=points,
-       idx=st.integers(min_value=1, max_value=9),
-       uncertain=st.lists(st.sampled_from(["b", "r", "z", "rbar", "bbar"]),
-                          max_size=3).map(tuple))
-def test_phase_labels_round_trip(b, r, z, idx, uncertain):
-    ph = PhaseLabels(index=idx, b=b, r=r, z=z, rbar=None, bbar=b,
-                     uncertain=uncertain)
-    again = phase_from_dict(json.loads(json.dumps(phase_to_dict(ph))))
-    assert again == ph
-
-
-@given(pt=points)
-def test_point_round_trip(pt):
-    again = point_from_dict(json.loads(json.dumps(point_to_dict(pt))))
-    assert again == pt
-
-
-def test_portrait_round_trips_field_for_field():
+def test_plain_portrait_matches_the_stdlib_asdict():
+    # dataclasses.asdict shares no code with plain: the two must agree on
+    # every field of every nested record once both have been through JSON
     fl = FieldParams(3, 3.0)
     traj = integrate(ProblemParams(fl, 5.0, IntegratorControls().with_rmax(30.0)),
                      FULL_RANGE_POLICY)
     portrait = detect_events(traj, critical_amplitudes(fl))
-    text = json.dumps(portrait_to_dict(portrait), indent=2, sort_keys=True)
-    again = portrait_from_dict(json.loads(text))
-    assert again == portrait
+    assert portrait.zeros_u and portrait.phases
+    again = json.loads(json_text(plain(portrait)))
+    assert again == json.loads(json.dumps(dataclasses.asdict(portrait)))
 
 
 def test_trajectory_csv_has_one_row_per_sample():
@@ -202,8 +177,12 @@ def test_verification_table_lists_every_record():
 
 
 def test_nonfinite_margins_degrade_to_null_in_json():
-    from boundstate_lab.io import record_to_dict
-
-    rec = CheckRecord("v_divergence", "CaseA", "pass", math.inf, 1, "guard trip")
-    assert record_to_dict(rec)["margin"] is None
-    assert json.loads(json_text({"m": record_to_dict(rec)["margin"]}))["m"] is None
+    report = VerificationReport((
+        CheckRecord("v_divergence", "CaseA", "pass", math.inf, 1, "guard trip"),
+        CheckRecord("tango", "CaseA", "pass", 0.5, 2, ""),
+    ))
+    body = json.loads(json_text(verification_body(report)))
+    assert body["records"][0] == {"check": "v_divergence", "case": "CaseA", "status": "pass",
+                                  "margin": None, "probes": 1, "notes": "guard trip"}
+    assert body["records"][1]["margin"] == 0.5
+    assert body["worst_by_check"] == {"tango": 0.5, "v_divergence": None}

@@ -1,6 +1,7 @@
-"""The package namespace: __all__ lists exactly the public names it binds."""
+"""The package as a whole: its namespace and the layout of its source."""
 
 import types
+from pathlib import Path
 
 import boundstate_lab
 
@@ -12,3 +13,12 @@ def test_all_is_sorted_unique_and_matches_the_bound_names():
     bound = {name for name, value in vars(boundstate_lab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
+
+
+def test_no_source_line_is_longer_than_100_characters():
+    package = Path(boundstate_lab.__file__).resolve().parent
+    long_lines = [f"{path.name}:{number}"
+                  for path in sorted(package.glob("*.py"))
+                  for number, line in enumerate(path.read_text().splitlines(), start=1)
+                  if len(line) > 100]
+    assert long_lines == []

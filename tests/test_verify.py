@@ -21,7 +21,6 @@ from boundstate_lab.verify import (
     BOUND_BRACKET,
     EXPLICIT,
     FAIL,
-    GROUND_BRACKET,
     OSCILLATORY_CASE,
     PASS,
     SKIPPED,
@@ -37,7 +36,7 @@ def test_presets_partition_the_check_ids():
 
 
 def test_case_spec_labels_and_validation(field33):
-    assert CaseSpec(field33, GROUND_BRACKET, k=0).label == "GroundBracket(n=3,p=3)"
+    assert CaseSpec(field33, BOUND_BRACKET, k=0).label == "GroundBracket(n=3,p=3)"
     assert CaseSpec(field33, BOUND_BRACKET, k=2).label == "BoundBracket(k=2,n=3,p=3)"
     assert "alpha=0.5" in CaseSpec(field33, OSCILLATORY_CASE, alpha=0.5).label
     with pytest.raises(MalformedPlan):
