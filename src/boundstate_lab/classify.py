@@ -72,6 +72,9 @@ class SolutionClass:
     trajectory: Trajectory | None = dc_field(default=None, compare=False, repr=False)
 
 
+_CONSTANT_WITNESS = Witness(r_stop=0.0, termination_tag=CONSTANT, u_end=1.0, up_end=0.0)
+
+
 def _decay_evidence(traj: Trajectory) -> tuple[bool, float | None]:
     end = traj.state_at_knot(len(traj.knots) - 1)
     if abs(end.u) >= _DECAY_EPS or end.u == 0.0:
@@ -95,18 +98,15 @@ def classify(
     before giving up as Indeterminate.
     """
     ctrl = controls if controls is not None else IntegratorControls()
-    if alpha == 1.0:
-        w = Witness(r_stop=0.0, termination_tag=CONSTANT, u_end=1.0, up_end=0.0)
-        return SolutionClass(CONSTANT, 0, None, w, "shot from the rest height")
+    if alpha == 1.0:  # nothing to integrate: u = 1 and u' = 0 at every radius
+        return SolutionClass(CONSTANT, 0, None, _CONSTANT_WITNESS, "shot from the rest height")
 
     traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
-    if traj.termination.tag == REACHED_RMAX:
-        decayed, _ = _decay_evidence(traj)
-        if not decayed:
-            traj = integrate(
-                ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
-                CLASSIFY_POLICY,
-            )
+    if traj.termination.tag == REACHED_RMAX and not _decay_evidence(traj)[0]:
+        traj = integrate(
+            ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
+            CLASSIFY_POLICY,
+        )
 
     tag = traj.termination.tag
     end = traj.state_at_knot(len(traj.knots) - 1)
