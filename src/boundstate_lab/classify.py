@@ -40,6 +40,14 @@ _SLOPE_EPS = 0.05
 # find_alpha_k gives up once its doubling passes this multiple of alpha_upper_star.
 _EXPANSION_CAP = 1e4
 
+# Search margins of _bisect.  Within 1e-4 (relative) of alpha_k an estimate
+# misses it by a few hundredths of its shot's offset |alpha - alpha_k|, at most
+# 0.08 at (6, 1.9) and 0.17 at (3, 1.1), so the margin is _OFFSET_MARGIN times
+# that offset once two estimates agree to within it; until then it is
+# _CHANGE_MARGIN times their change.
+_OFFSET_MARGIN = 0.25
+_CHANGE_MARGIN = 10.0
+
 
 class BracketNotFound(RuntimeError):
     """No amplitude bracket with the requested node-count jump."""
@@ -247,7 +255,9 @@ class _CountCache:
     One cache can serve every bracket search of a run: a height is then
     integrated once, and ``audit`` checks monotonicity over every count the
     run has seen.  Next to each count it keeps the shot's estimates of
-    alpha_0 .. alpha_count (``_alpha_k_estimates``), never the shot itself.
+    alpha_0 .. alpha_count (``_alpha_k_estimates``), never the shot itself;
+    the estimates at the ends of a doubling bracket seed the search margins
+    of ``_bisect`` at no extra integration.
     ``integrated``, ``skipped`` and ``fallbacks`` count the heights
     integrated, the bisection midpoints decided from an estimate without
     integrating, and the searches that had to redo plain bisection.
@@ -289,32 +299,47 @@ def _bisect(counts: _CountCache, k: int, lo: float, hi: float, tol: float,
 
     With ``predict``, a midpoint that is not yet counted is decided without
     integrating once it lies farther than a margin from the latest estimate
-    of alpha_k: the margin is 10x the change between the last two estimates
-    and at least 4*tol*mid.  Estimates come from the counted heights with k
-    or k+1 zeros.  The midpoints are those of plain bisection; a search whose
-    guesses were all right returns its bracket bit for bit.
+    g1 of alpha_k, read from the shot at a1.  Estimates come from the counted
+    heights with k or k+1 zeros, the ends of [lo, hi] first.  When the
+    previous estimate g0, from the shot at a0, agrees with g1 to within
+    _OFFSET_MARGIN*|a0 - g1|, both shots are close enough for an estimate to
+    miss by a small share of its offset, and the margin is
+    _OFFSET_MARGIN*max(|a1 - g1|, |g1 - g0|).  Otherwise it is
+    _CHANGE_MARGIN*|g1 - g0|.  It is never below 4*tol*mid, which covers the
+    estimator's own bias.  The midpoints are those of plain bisection; a
+    search whose guesses were all right returns its bracket bit for bit.
     """
-    guesses: list[float] = []
+    shots: list[tuple[float, float]] = []  # (height, its estimate of alpha_k)
+
+    def note(alpha: float) -> None:
+        if counts.seen[alpha] - k in (0, 1) and not math.isnan(counts.estimates[alpha][k]):
+            shots.append((alpha, counts.estimates[alpha][k]))
+
+    note(lo)
+    note(hi)
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if predict and len(guesses) >= 2 and mid not in counts.seen:
-            margin = max(10.0 * abs(guesses[-1] - guesses[-2]), 4.0 * tol * mid)
-            if abs(mid - guesses[-1]) > margin:
+        if predict and len(shots) >= 2 and mid not in counts.seen:
+            (a0, g0), (a1, g1) = shots[-2:]
+            change = abs(g1 - g0)
+            if change <= _OFFSET_MARGIN * abs(a0 - g1):
+                margin = _OFFSET_MARGIN * max(abs(a1 - g1), change)
+            else:
+                margin = _CHANGE_MARGIN * change
+            if abs(mid - g1) > max(margin, 4.0 * tol * mid):
                 counts.skipped += 1
-                if mid < guesses[-1]:
+                if mid < g1:
                     lo = mid
                 else:
                     hi = mid
                 continue
-        count = counts(mid)
-        if count <= k:
+        if counts(mid) <= k:
             lo = mid
         else:
             hi = mid
-        if count - k in (0, 1) and not math.isnan(counts.estimates[mid][k]):
-            guesses.append(counts.estimates[mid][k])
+        note(mid)
     return lo, hi
 
 
@@ -335,8 +360,12 @@ def find_alpha_k(
     for monotonicity in alpha.  ``counts`` lets searches for several k
     share their counts; it must be built for the same field and controls.
 
-    The bisection integrates only the midpoints near the Newton estimate
-    of alpha_k that each counted shot carries (see ``_bisect``).  Both ends
+    The doubling counts each new height before it gives up past
+    _EXPANSION_CAP * alpha_upper_star, so a jump inside the last doubling
+    interval is still found.  The bisection integrates only the midpoints
+    near the Newton estimate of alpha_k that each counted shot carries,
+    within a margin that shrinks with that shot's distance from its own
+    estimate once two estimates agree (see ``_bisect``).  Both ends
     of the bracket are always counted: if they do not carry (k, k+1) nodes
     a guess was wrong, and plain bisection runs again from the doubling
     bracket over the same counts.
@@ -359,13 +388,13 @@ def find_alpha_k(
         )
     hi = 2.0 * amps.alpha_upper_star
     while counts(hi) <= k:
-        lo = hi
-        hi *= 2.0
         if hi > _EXPANSION_CAP * amps.alpha_upper_star:
             counts.audit()
             raise BracketNotFound(
                 f"no jump past {k} nodes below alpha={hi:.6g}"
             )
+        lo = hi
+        hi *= 2.0
 
     out_lo, out_hi = _bisect(counts, k, lo, hi, tol, predict=True)
     nodes_lo, nodes_hi = counts(out_lo), counts(out_hi)

@@ -116,6 +116,20 @@ def test_bracket_search_gives_up_at_the_expansion_cap(field33, monkeypatch):
         find_alpha_k(field33, 0)
 
 
+def test_a_jump_in_the_last_doubling_interval_is_bracketed(monkeypatch):
+    # at (3, 4.921) the doubling passes the cap (1e4 * alpha_upper_star =
+    # 35,884.7) at 58,793.4, which counts 3; the scipy reference of
+    # perfbench/oracle.py counts 2 at 57,742.39 and 3 at 57,742.41
+    field = FieldParams(3, 4.921)
+    calls = _count_integrations(monkeypatch)
+    counts = _CountCache(field, None)
+    entries = [find_alpha_k(field, k, tol=1e-10, counts=counts) for k in range(3)]
+    cap = classify_module._EXPANSION_CAP * critical_amplitudes(field).alpha_upper_star
+    assert max(calls) > cap
+    assert (entries[2].nodes_lo, entries[2].nodes_hi) == (2, 3)
+    assert 57742.39 <= entries[2].alpha_lo < entries[2].alpha_hi <= 57742.41
+
+
 def test_bracket_tolerance_must_be_positive(field33):
     with pytest.raises(ValueError):
         find_alpha_k(field33, 0, tol=0.0)
@@ -222,7 +236,7 @@ def _plain_bracket(counts, k, tol):
 
 
 SEARCH_POINTS = [((3, 3.0), 1e-10), ((3, 1.5), 1e-10), ((4, 2.0), 1e-10), ((5, 1.6), 1e-10),
-                 ((3, 4.0), 1e-10), ((3, 3.0), 1e-12), ((3, 1.25), 1e-12)]
+                 ((3, 4.0), 1e-10), ((3, 3.0), 1e-12), ((3, 1.25), 1e-12), ((5, 2.2), 1e-10)]
 
 
 @pytest.mark.parametrize("point, tol", SEARCH_POINTS)
@@ -252,6 +266,41 @@ def test_a_biased_estimate_falls_back_to_the_plain_bracket(field33, monkeypatch)
     assert counts.fallbacks == 1
     assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
     assert (entry.nodes_lo, entry.nodes_hi) == (0, 1)
+
+
+def test_a_wrong_side_extrapolation_falls_back_to_the_plain_bracket(field33, monkeypatch):
+    # each shot below alpha_k oversteps: its estimate of alpha_k takes 1.5
+    # times the Newton step, which lands it on the far side of alpha_k
+    original = classify_module._alpha_k_estimates
+
+    def overshooting(traj, count):
+        out = list(original(traj, count))
+        alpha = traj.params.alpha
+        out[count] = alpha + 1.5 * (out[count] - alpha)
+        return tuple(out)
+
+    monkeypatch.setattr(classify_module, "_alpha_k_estimates", overshooting)
+    counts = _CountCache(field33, None)
+    entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
+    assert any(counts.estimates[a][0] > entry.alpha_hi
+               for a, c in counts.seen.items() if c == 0)
+    assert counts.fallbacks == 1
+    assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
+    assert (entry.nodes_lo, entry.nodes_hi) == (0, 1)
+
+
+def test_the_ladder_points_keep_their_integration_budget():
+    # the five (n, p) points of perfbench's ladder workload, k = 0..2 at
+    # tol 1e-10; counts are deterministic, so a wider margin shows here
+    points = [(3, 3.0), (3, 1.5), (4, 2.0), (5, 1.6), (3, 4.0)]
+    total = 0
+    for point in points:
+        counts = _CountCache(FieldParams(*point), None)
+        for k in range(3):
+            find_alpha_k(counts.field, k, tol=1e-10, counts=counts)
+        assert counts.fallbacks == 0
+        total += counts.integrated
+    assert total <= 232
 
 
 def test_a_non_monotone_count_never_yields_a_silent_bracket(field33, monkeypatch):
