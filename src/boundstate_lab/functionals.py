@@ -11,7 +11,7 @@ the largest magnitude seen for that identity along the trajectory.
 
 Where each formula lives:
 
-* ``eval_aux`` defines all of the above, and ``AuxSample`` carries them.
+* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
 * ``_IDENTITIES`` maps each identity to its two sides.  Both read an
@@ -101,6 +101,11 @@ class AuxSample:
     varpi: float | None
 
 
+def _energy(u: float, up: float, field: FieldParams) -> float:
+    """The profile energy E = u'**2/2 + F(u)."""
+    return 0.5 * up * up + big_F(u, field)
+
+
 def eval_aux(state: State, field: FieldParams) -> AuxSample:
     n, p = field.n, field.p
     r, u, up, v, vp = state.r, state.u, state.up, state.v, state.vp
@@ -110,7 +115,7 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     rn = r**n
     rn1 = r ** (n - 1)
 
-    E = 0.5 * up * up + Fu
+    E = _energy(u, up, field)
     E_hat = r ** (2 * (n - 1)) * E
     P = 2.0 * rn * E + (n - 2) * rn1 * u * up
     P1 = rn * (up * up + u * fu) + (n - 2) * rn1 * u * up

@@ -11,9 +11,10 @@ and ``v`` solves the equation of variations along it
 The origin is a regular singular point, so integration starts at a small
 ``r0 > 0`` from the even Taylor expansion (``series_start``) and marches
 outward only.  The stepper is a Dormand-Prince 5(4) embedded pair with the
-standard quartic dense-output interpolant, so every accepted step carries a
-polynomial segment that downstream event location and probing evaluate
-without re-integrating.
+standard quartic dense-output interpolant.  Each accepted step keeps its stage
+slopes, and a trajectory builds a component's polynomial segments from them on
+the first read of that component, for event location and probing without
+re-integrating; a shot that is only counted builds u's segments alone.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -68,12 +69,12 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
-# The step in ``integrate`` writes every sum out term by term, in tableau
-# order.  Terms with a zero weight are left out, as the generic loop skipped
-# them.  Each dense-coefficient sum starts from ``0.0 +`` like the loop's
-# accumulator did: an all-zero sum then stays +0.0 (the constant shot
-# alpha = 1 would otherwise store -0.0), and a zero term added to it cannot
-# change it.
+# The step in ``integrate`` and ``Trajectory.coeffs`` write every sum out term
+# by term, in tableau order.  Terms with a zero weight are left out, as the
+# generic loop skipped them.  Each dense-coefficient sum starts from ``0.0 +``
+# like the loop's accumulator did: an all-zero sum then stays +0.0 (the
+# constant shot alpha = 1 would otherwise store -0.0), and a zero term added
+# to it cannot change it.
 assert _A[6][1] == _E[1] == 0.0 and not any(_P[1]) and not any(row[0] for row in _P[1:])
 _C2, _C3, _C4, _C5, _C6 = _C[1:6]
 (_A21,) = _A[1]
@@ -226,15 +227,18 @@ class Trajectory:
 
     ``knots`` are the accepted step endpoints (strictly increasing, first
     one is the series start).  ``states`` are the states at the knots.
-    Segment ``i`` covers [knots[i], knots[i+1]] and carries the quartic
-    interpolant coefficients produced by that step.
+    Segment ``i`` covers [knots[i], knots[i+1]].  ``slopes[c][i]`` holds
+    component c's stage slopes (k1, k3, ..., k7) of the step that made
+    segment i; the first read of component c builds its quartic interpolant
+    coefficients from them (``coeffs``) and drops them.
     """
 
     params: ProblemParams
     knots: list[float]
     states: list[tuple[float, float, float, float]]
-    seg_coeffs: list[tuple[tuple[float, float, float, float], ...]]
+    slopes: list[list[tuple[float, ...]] | None]
     termination: TerminationCause
+    _coeffs: list[list | None] = dc_field(default_factory=lambda: [None] * 4, repr=False)
 
     @property
     def r_start(self) -> float:
@@ -252,6 +256,19 @@ class Trajectory:
         for i in range(len(self.knots)):
             yield self.state_at_knot(i)
 
+    def coeffs(self, c: int) -> list[tuple[float, float, float, float]]:
+        """Component c's quartic coefficients, one (q0, q1, q2, q3) per segment."""
+        built = self._coeffs[c]
+        if built is None:
+            built = self._coeffs[c] = [
+                (0.0 + k1 * _P11,
+                 0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72,
+                 0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73,
+                 0.0 + k1 * _P14 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64 + k7 * _P74)
+                for k1, k3, k4, k5, k6, k7 in self.slopes[c]]
+            self.slopes[c] = None
+        return built
+
     def segment_index(self, r: float) -> int:
         """Index of the dense segment containing r (knots are its ends)."""
         if not (self.knots[0] <= r <= self.knots[-1]):
@@ -259,7 +276,7 @@ class Trajectory:
                 f"r={r} outside integrated range [{self.knots[0]}, {self.knots[-1]}]"
             )
         i = bisect_right(self.knots, r) - 1
-        return min(i, len(self.seg_coeffs) - 1)
+        return min(i, len(self.knots) - 2)
 
     def eval_dense(self, r: float) -> State:
         """Interpolated state at any radius in [r_start, r_end]."""
@@ -268,35 +285,45 @@ class Trajectory:
         h = self.knots[i + 1] - r_lo
         theta = (r - r_lo) / h
         y_lo = self.states[i]
-        coeffs = self.seg_coeffs[i]
         out = []
         for c in range(4):
-            q0, q1, q2, q3 = coeffs[c]
+            q0, q1, q2, q3 = self.coeffs(c)[i]
             w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
             out.append(y_lo[c] + h * w)
         return State(r=r, u=out[0], up=out[1], v=out[2], vp=out[3])
+
+    def value(self, c: int, r: float) -> float:
+        """Component c of ``eval_dense(r)``, bit for bit, without a State."""
+        i = self.segment_index(r)
+        r_lo = self.knots[i]
+        h = self.knots[i + 1] - r_lo
+        theta = (r - r_lo) / h
+        q0, q1, q2, q3 = self.coeffs(c)[i]
+        return self.states[i][c] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3))))
 
     def truncated_at(self, r_cut: float) -> "Trajectory":
         """Copy keeping only whole dense segments ending at or before r_cut.
 
         Used by structural checks that must ignore the stretch where a
         near-bound-state shot departs from the profile it shadows.  The
-        copy ends at a knot, so no partial segment is ever exposed.
+        copy ends at a knot, so no partial segment is ever exposed.  It
+        slices the coefficients already built and the slopes not yet read.
         """
         if r_cut <= self.knots[0]:
             raise DenseRangeError(f"truncation radius {r_cut} at or before the start")
         n_keep = bisect_right(self.knots, r_cut) - 1
-        n_keep = max(1, min(n_keep, len(self.seg_coeffs)))
+        n_keep = max(1, min(n_keep, len(self.knots) - 1))
         return Trajectory(
             params=self.params,
             knots=self.knots[: n_keep + 1],
             states=self.states[: n_keep + 1],
-            seg_coeffs=self.seg_coeffs[:n_keep],
+            slopes=[None if k is None else k[:n_keep] for k in self.slopes],
             termination=TerminationCause(
                 tag=REACHED_RMAX,
                 r_stop=self.knots[n_keep],
                 detail="truncated for structural checks",
             ),
+            _coeffs=[None if q is None else q[:n_keep] for q in self._coeffs],
         )
 
 
@@ -327,14 +354,14 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
 
     knots = [r]
     states = [(u, up, v, vp)]
-    seg_coeffs: list[tuple] = []
+    slopes_u, slopes_up, slopes_v, slopes_vp = slopes = [[], [], [], []]
 
     def finish(tag: str, detail: str = "") -> Trajectory:
         return Trajectory(
             params=params,
             knots=knots,
             states=states,
-            seg_coeffs=seg_coeffs,
+            slopes=slopes,
             termination=TerminationCause(tag=tag, r_stop=knots[-1], detail=detail),
         )
 
@@ -444,31 +471,11 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
 
-        # Accepted: store dense coefficients Q = K^T P for this segment.
-        seg_coeffs.append((
-            (0.0 + k1u * _P11,
-             0.0 + k1u * _P12 + k3u * _P32 + k4u * _P42 + k5u * _P52 + k6u * _P62 + k7u * _P72,
-             0.0 + k1u * _P13 + k3u * _P33 + k4u * _P43 + k5u * _P53 + k6u * _P63 + k7u * _P73,
-             0.0 + k1u * _P14 + k3u * _P34 + k4u * _P44 + k5u * _P54 + k6u * _P64 + k7u * _P74),
-            (0.0 + k1up * _P11,
-             0.0 + k1up * _P12 + k3up * _P32 + k4up * _P42
-                   + k5up * _P52 + k6up * _P62 + k7up * _P72,
-             0.0 + k1up * _P13 + k3up * _P33 + k4up * _P43
-                   + k5up * _P53 + k6up * _P63 + k7up * _P73,
-             0.0 + k1up * _P14 + k3up * _P34 + k4up * _P44
-                   + k5up * _P54 + k6up * _P64 + k7up * _P74),
-            (0.0 + k1v * _P11,
-             0.0 + k1v * _P12 + k3v * _P32 + k4v * _P42 + k5v * _P52 + k6v * _P62 + k7v * _P72,
-             0.0 + k1v * _P13 + k3v * _P33 + k4v * _P43 + k5v * _P53 + k6v * _P63 + k7v * _P73,
-             0.0 + k1v * _P14 + k3v * _P34 + k4v * _P44 + k5v * _P54 + k6v * _P64 + k7v * _P74),
-            (0.0 + k1vp * _P11,
-             0.0 + k1vp * _P12 + k3vp * _P32 + k4vp * _P42
-                   + k5vp * _P52 + k6vp * _P62 + k7vp * _P72,
-             0.0 + k1vp * _P13 + k3vp * _P33 + k4vp * _P43
-                   + k5vp * _P53 + k6vp * _P63 + k7vp * _P73,
-             0.0 + k1vp * _P14 + k3vp * _P34 + k4vp * _P44
-                   + k5vp * _P54 + k6vp * _P64 + k7vp * _P74),
-        ))
+        # Accepted: keep the slopes; Trajectory.coeffs builds Q = K^T P from them.
+        slopes_u.append((k1u, k3u, k4u, k5u, k6u, k7u))
+        slopes_up.append((k1up, k3up, k4up, k5up, k6up, k7up))
+        slopes_v.append((k1v, k3v, k4v, k5v, k6v, k7v))
+        slopes_vp.append((k1vp, k3vp, k4vp, k5vp, k6vp, k7vp))
         knots.append(r_new)
         states.append((u_new, up_new, v_new, vp_new))
         steps += 1

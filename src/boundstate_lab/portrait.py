@@ -215,22 +215,20 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     us, ups, vs = (_grid_values(traj, c) for c in range(3))
     upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]
 
-    du = lambda r: traj.eval_dense(r).u
-    dup = lambda r: traj.eval_dense(r).up
-    dv = lambda r: traj.eval_dense(r).v
-
-    def dupp(r: float) -> float:
-        s = traj.eval_dense(r)
-        return _u_second(fld, r, s.u, s.up)
+    read = traj.value
+    du = lambda r: read(0, r)
+    dup = lambda r: read(1, r)
+    dv = lambda r: read(2, r)
+    dupp = lambda r: _u_second(fld, r, read(0, r), read(1, r))
 
     zero_rs = _sign_change_roots(rs, us, du)
     crit_rs = _sign_change_roots(rs, ups, dup)
     zv_rs = _sign_change_roots(rs, vs, dv)
     infl_rs = _sign_change_roots(rs, upps, dupp)
 
-    zeros_u = [LabeledPoint(r=r, value=traj.eval_dense(r).up) for r in zero_rs]
-    zeros_v = [LabeledPoint(r=r, value=traj.eval_dense(r).vp) for r in zv_rs]
-    crits_all = [LabeledPoint(r=r, value=traj.eval_dense(r).u) for r in crit_rs]
+    zeros_u = [LabeledPoint(r=r, value=read(1, r)) for r in zero_rs]
+    zeros_v = [LabeledPoint(r=r, value=read(3, r)) for r in zv_rs]
+    crits_all = [LabeledPoint(r=r, value=read(0, r)) for r in crit_rs]
 
     # Overlap guard: a zero and a critical of u cannot coincide (the profile
     # would be identically zero), nor can two events of the same kind.
@@ -289,8 +287,8 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     # is crossed at most once per half-phase.
     def crossing(level: float, lo: float, hi: float) -> Optional[float]:
         # Grid points strictly inside (lo, hi) read u from the scan above:
-        # eval_dense there gives the same |u|.  Only the ends are evaluated.
-        g = lambda r: abs(traj.eval_dense(r).u) - level
+        # the dense read there gives the same |u|.  Only the ends are read.
+        g = lambda r: abs(read(0, r)) - level
         a, b = bisect_right(rs, lo), bisect_left(rs, hi)
         grid = [lo] + rs[a:b] + [hi]
         gv = [g(lo)] + [abs(u) - level for u in us[a:b]] + [g(hi)]
@@ -304,7 +302,7 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     def labeled(r: Optional[float]) -> Optional[LabeledPoint]:
         if r is None:
             return None
-        return LabeledPoint(r=r, value=traj.eval_dense(r).u)
+        return LabeledPoint(r=r, value=read(0, r))
 
     phases: list[PhaseLabels] = []
     truncated = False
@@ -319,7 +317,7 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
         if right is not None:
             rbar = labeled(crossing(1.0, z.r, right))
             bbar = labeled(crossing(alpha_star, rbar.r if rbar else z.r, right))
-            c_height = abs(traj.eval_dense(right).u)
+            c_height = abs(read(0, right))
             for name, level in (("bbar", alpha_star), ("rbar", 1.0)):
                 if abs(c_height - level) < _TANGENCY_TOL * max(1.0, level):
                     uncertain.append(name)
@@ -360,22 +358,21 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
 
 def _midpoint_values(traj: Trajectory, c: int) -> list[float]:
     """State component c at the midpoint of every dense segment, bit for bit
-    as eval_dense.
+    as ``Trajectory.value``.
 
-    The segment's quartic is read directly, with the arithmetic of
-    ``Trajectory.eval_dense`` but without its search and ``State``.  The
-    stepper's minimum step keeps every midpoint strictly inside its own
-    segment; only a final step clipped to r_max can be shorter, and
-    eval_dense reads that last segment too.
+    Each quartic is read from ``Trajectory.coeffs(c)``, which builds only
+    component c's, with the arithmetic of ``Trajectory.value`` but without its
+    search.  The stepper's minimum step keeps every midpoint strictly inside
+    its own segment; only a final step clipped to r_max can be shorter, and
+    ``value`` reads that last segment too.
     """
     knots, states = traj.knots, traj.states
     mids = []
-    for i, coeffs in enumerate(traj.seg_coeffs):
+    for i, (q0, q1, q2, q3) in enumerate(traj.coeffs(c)):
         r_lo = knots[i]
         r_hi = knots[i + 1]
         h = r_hi - r_lo
         theta = (0.5 * (r_lo + r_hi) - r_lo) / h
-        q0, q1, q2, q3 = coeffs[c]
         mids.append(states[i][c] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))))
     return mids
 
@@ -411,6 +408,6 @@ def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
     """
     if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    vals = _grid_values(traj, _COMPONENTS.index(component))
-    return _sign_change_roots(_grid_radii(traj), vals,
-                              lambda r: getattr(traj.eval_dense(r), component))
+    c = _COMPONENTS.index(component)
+    return _sign_change_roots(_grid_radii(traj), _grid_values(traj, c),
+                              lambda r: traj.value(c, r))

@@ -31,6 +31,7 @@ from .classify import (
 )
 from .field import FieldParams, big_F, critical_amplitudes
 from .functionals import (
+    _energy,
     bridge_integral,
     eval_aux,
     identity_residuals,
@@ -163,7 +164,7 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
     amps = critical_amplitudes(traj.params.field)
     anchor = 0.0
     for r in find_zeros(traj, "up"):
-        if abs(traj.eval_dense(r).u) > amps.alpha_star:
+        if abs(traj.value(0, r)) > amps.alpha_star:
             anchor = r
     floor = 10.0 * _DECAY_EPS
     best_r = None
@@ -286,9 +287,8 @@ def _check_energy_monotone(prep: _Prepared) -> _Outcome:
     ctrl = traj.params.controls
     worst = math.inf
     prev = None
-    for i in range(len(traj.knots)):
-        st = traj.state_at_knot(i)
-        e = 0.5 * st.up**2 + big_F(st.u, prep.case.field)
+    for u, up, _, _ in traj.states:
+        e = _energy(u, up, prep.case.field)
         if prev is not None:
             slack = 10.0 * (ctrl.abs_tol + ctrl.rel_tol * abs(prev)) + 1e-15
             worst = min(worst, slack - (e - prev))
@@ -522,13 +522,13 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
             continue
         c_i = crits[i - 1]
         c_prev = crits[i - 2] if i >= 2 else traj.r_start
-        u_ci = abs(traj.eval_dense(c_i).u)
+        u_ci = abs(traj.value(0, c_i))
         if u_ci <= amps.alpha_star:
             continue
         z_i = ph.z.r
         for j in range(12):
             mu = amps.alpha_star + (u_ci - amps.alpha_star) * j / 12.0
-            level = lambda r: abs(traj.eval_dense(r).u) - mu
+            level = lambda r: abs(traj.value(0, r)) - mu
             r_mu = _refine_root(level, c_prev + 1e-9, z_i - 1e-9)
             rbar_mu = _refine_root(level, z_i + 1e-9, c_i - 1e-9)
             if r_mu is None or rbar_mu is None:
@@ -655,7 +655,7 @@ def _check_bridge_integral(prep: _Prepared) -> _Outcome:
         return _skip("tau_1 unresolved")
     b1 = port.phases[0].b.r
     tau1 = port.zeros_v[0].r
-    u_tilde = abs(prep.struct.eval_dense(b1).u)
+    u_tilde = abs(prep.struct.value(0, b1))
     result = bridge_integral(prep.struct, b1, tau1, u_tilde)
     if result.empty_range:
         return _skip(f"tau_1={tau1:.4g} <= b_1={b1:.4g}: range empty, positivity premise unmet")
@@ -702,9 +702,9 @@ def _check_tail_asymptotics(prep: _Prepared) -> _Outcome:
         return _skip("no samples with |u| in (1e-5, 1e-3)")
     # refine to the |u| = band_lo crossing if the run dips past it
     lo, hi = last_r, traj.r_end
-    if abs(traj.eval_dense(hi).u) <= band_lo:
+    if abs(traj.value(0, hi)) <= band_lo:
         mu = band_lo * (1.0 + 1e-12)
-        r_star = _refine_root(lambda r: abs(traj.eval_dense(r).u) - mu, lo, hi) or last_r
+        r_star = _refine_root(lambda r: abs(traj.value(0, r)) - mu, lo, hi) or last_r
     else:
         r_star = last_r
     st = traj.eval_dense(r_star)
@@ -728,7 +728,7 @@ def _check_v_divergence(prep: _Prepared) -> _Outcome:
     ref_r = taus[0] + 1.0
     if ref_r >= traj.r_end:
         return _skip("no room past tau_{k+1}")
-    ref = abs(traj.eval_dense(ref_r).v)
+    ref = abs(traj.value(2, ref_r))
     end = abs(traj.states[-1][2])
     margin = end / (1e3 * ref) - 1.0
     status = PASS if margin > 0.0 else FAIL

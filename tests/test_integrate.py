@@ -159,16 +159,17 @@ def test_knots_cover_and_terminate_cleanly():
     assert traj.r_start < 1e-5
     assert traj.r_end == pytest.approx(12.0, abs=1e-12)
     assert len(traj.knots) == len(traj.states)
-    assert len(traj.seg_coeffs) == len(traj.knots) - 1
+    assert all(len(traj.coeffs(c)) == len(traj.knots) - 1 for c in range(4))
     assert math.isfinite(traj.termination.r_stop)
 
 
 def _bits_digest(traj):
-    """SHA-256 of the packed knots, states and dense coefficients."""
+    """SHA-256 of the packed knots, states and dense coefficients (segment by
+    segment, u, u', v, v' in turn)."""
     flat = list(traj.knots)
     for state in traj.states:
         flat.extend(state)
-    for seg in traj.seg_coeffs:
+    for seg in zip(*(traj.coeffs(c) for c in range(4))):
         for coeffs in seg:
             flat.extend(coeffs)
     return hashlib.sha256(struct.pack(f"<{len(flat)}d", *flat)).hexdigest()
@@ -231,6 +232,48 @@ def test_trajectory_bits_match_the_recorded_digests(monkeypatch, name, field, al
         assert traj.termination.detail == "step budget 40 exhausted"
     assert len(traj.knots) == n_knots
     assert _bits_digest(traj) == digest
+
+
+@pytest.mark.parametrize(
+    "name, field, alpha, controls, policy",
+    [case[:5] for case in GOLDEN_BITS],
+    ids=[case[0] for case in GOLDEN_BITS],
+)
+def test_value_is_eval_dense_bit_for_bit(monkeypatch, name, field, alpha, controls, policy):
+    # knots (both ends included), and every segment midpoint: the r_max-clipped
+    # last segment and the signed zeros of the rest-height shot are among them;
+    # the run trapped at the start has no segment to read
+    if name == "step_limit":
+        monkeypatch.setattr(integrate_module, "_MAX_STEPS", 40)
+    traj = integrate(ProblemParams(field, alpha, controls), policy)
+    knots = traj.knots
+    rs = knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])] if len(knots) > 1 else []
+    assert rs or name == "trapped_at_start"
+    if name == "rmax_clipped":
+        assert knots[-1] == controls.r_max
+    for c, comp in enumerate(("u", "up", "v", "vp")):
+        got = [traj.value(c, r) for r in rs]
+        want = [getattr(traj.eval_dense(r), comp) for r in rs]
+        assert struct.pack(f"<{len(rs)}d", *got) == struct.pack(f"<{len(rs)}d", *want)
+
+
+def test_coefficients_are_built_on_the_first_read_of_each_component():
+    traj = integrate(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
+    n_seg = len(traj.knots) - 1
+    assert [len(k) for k in traj.slopes] == [n_seg] * 4
+    u_coeffs = traj.coeffs(0)
+    assert traj.coeffs(0) is u_coeffs
+    assert traj.slopes[0] is None and all(k is not None for k in traj.slopes[1:])
+    # the copy slices the coefficients already built, and the slopes of the rest
+    cut = traj.truncated_at(6.0)
+    n_cut = len(cut.knots) - 1
+    assert all(a is b for a, b in zip(cut.coeffs(0), u_coeffs))
+    assert cut.slopes[0] is None and [len(k) for k in cut.slopes[1:]] == [n_cut] * 3
+    assert cut.coeffs(1) == traj.coeffs(1)[:n_cut]
+    # once every component has been read the full-range shot holds no slopes
+    traj.eval_dense(traj.r_end)
+    assert traj.slopes == [None] * 4
+    assert all(len(traj.coeffs(c)) == n_seg for c in range(4))
 
 
 def test_control_helpers_change_only_their_fields(monkeypatch):

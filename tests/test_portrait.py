@@ -143,7 +143,7 @@ def test_midpoint_read_is_bitwise_eval_dense(alpha, rmax, zeros):
     traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
     for c, name in enumerate(("u", "up", "v", "vp")):
         mids = _midpoint_values(traj, c)
-        assert len(mids) == len(traj.seg_coeffs)
+        assert len(mids) == len(traj.knots) - 1
         for i, mid in enumerate(mids):
             r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
             assert mid.hex() == getattr(traj.eval_dense(r_mid), name).hex()
@@ -402,16 +402,33 @@ def test_detect_events_on_the_structural_copy_bitwise(mid1_struct):
 
 
 def test_detect_events_reads_its_grid_from_the_stored_segments(monkeypatch):
-    # an eval_dense scan of the midpoints alone takes one call per segment
+    # a scan of the midpoints through the dense read alone takes one call per
+    # segment; every read detect_events makes goes through the one-component
+    # read, none through eval_dense
     traj = integrate(ProblemParams(FL, 8.0))
-    calls = []
-    original = Trajectory.eval_dense
+    calls = {"value": [], "eval_dense": []}
 
-    def counted(self, r):
-        calls.append(r)
-        return original(self, r)
+    def counting(name):
+        original = getattr(Trajectory, name)
 
-    monkeypatch.setattr(Trajectory, "eval_dense", counted)
+        def counted(self, *args):
+            calls[name].append(args)
+            return original(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(Trajectory, name, counting(name))
     portrait = detect_events(traj, critical_amplitudes(FL))
     assert len(portrait.zeros_u) == 1
-    assert 0 < len(calls) < len(traj.knots)
+    assert 0 < len(calls["value"]) < len(traj.knots)
+    assert calls["eval_dense"] == []
+
+
+@pytest.mark.parametrize("alpha", [5.0, 20.0])
+def test_counted_and_swept_classify_shots_build_only_u(alpha):
+    for scan in (count_nodes, find_zeros):
+        traj = integrate(ProblemParams(FL, alpha))
+        scan(traj)
+        assert traj.slopes[0] is None
+        assert all(k is not None and len(k) == len(traj.knots) - 1 for k in traj.slopes[1:])
