@@ -19,7 +19,7 @@ Where each formula lives:
   (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the two slopes) are
   written there, and so is every right side.
 * f, F, F_a, κ_a, g1 and g2 come from ``field``; u'' comes from
-  ``portrait._u_second``.
+  ``integrate._u_second``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Callable, Iterable, Sequence
 from .field import (
     FieldParams, abs_pow, big_F, big_F_a, critical_amplitudes, f, f_prime, g1, g2, kappa_a,
 )
-from .integrate import State, Trajectory
-from .portrait import _u_second
+from .integrate import State, Trajectory, _u_second
 from .quadrature import adaptive_quadrature
 
 _GOLDEN = 0.6180339887498949
@@ -101,9 +100,9 @@ class AuxSample:
     varpi: float | None
 
 
-def _energy(u: float, up: float, field: FieldParams) -> float:
-    """The profile energy E = u'**2/2 + F(u)."""
-    return 0.5 * up * up + big_F(u, field)
+def _energy(up: float, Fu: float) -> float:
+    """The profile energy E = u'**2/2 + F(u), given u' and F(u)."""
+    return 0.5 * up * up + Fu
 
 
 def eval_aux(state: State, field: FieldParams) -> AuxSample:
@@ -115,7 +114,7 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     rn = r**n
     rn1 = r ** (n - 1)
 
-    E = _energy(u, up, field)
+    E = _energy(up, Fu)
     E_hat = r ** (2 * (n - 1)) * E
     P = 2.0 * rn * E + (n - 2) * rn1 * u * up
     P1 = rn * (up * up + u * fu) + (n - 2) * rn1 * u * up

@@ -16,6 +16,11 @@ slopes, and a trajectory builds a component's polynomial segments from them on
 the first read of that component, for event location and probing without
 re-integrating; a shot that is only counted builds u's segments alone.
 
+Only this module stores and evaluates segments.  Every zero, node count and
+level crossing downstream is read off ``Trajectory.grid``, the knots plus
+each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
+oscillation of the profile, so that grid isolates every event.
+
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
 there on the profile is confined below the well zero and its node count is
@@ -39,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Iterator
 
-from .field import FieldParams, ParameterError, abs_pow
+from .field import FieldParams, ParameterError, abs_pow, f, f_prime
 
 # --- Dormand-Prince 5(4) tableau (standard coefficients) ------------------
 
@@ -197,14 +202,13 @@ def series_start(params: ProblemParams) -> State:
     """
     alpha = params.alpha
     fld = params.field
-    apw = abs_pow(alpha, fld.p - 1.0)
-    f_alpha = (apw - 1.0) * alpha
-    fp_alpha = fld.p * apw - 1.0
+    f_alpha = f(alpha, fld)
+    fp_alpha = f_prime(alpha, fld)
     n = float(fld.n)
     r0 = params.controls.r0
     if r0 is None:
         r0 = 1e-6 * max(1.0, alpha)
-        fpp_alpha = fld.p * (fld.p - 1.0) * apw / alpha
+        fpp_alpha = fld.p * (fld.p - 1.0) * abs_pow(alpha, fld.p - 1.0) / alpha
         c4 = max(abs(f_alpha * fp_alpha), abs(fp_alpha * fp_alpha + fpp_alpha * f_alpha))
         c4 /= 8.0 * n * (n + 2.0)
         abs_tol = params.controls.abs_tol
@@ -269,6 +273,43 @@ class Trajectory:
             self.slopes[c] = None
         return built
 
+    def grid(self) -> list[float]:
+        """Knots plus segment midpoints; fine enough to isolate every event."""
+        knots = self.knots
+        rs: list[float] = []
+        for r_lo, r_hi in zip(knots, knots[1:]):
+            rs.append(r_lo)
+            rs.append(0.5 * (r_lo + r_hi))
+        rs.append(knots[-1])
+        return rs
+
+    def grid_values(self, c: int) -> list[float]:
+        """State component c on the ``grid`` radii: the stored state at each
+        knot and the dense value at each segment midpoint."""
+        states = self.states
+        vals: list[float] = []
+        for state, mid in zip(states, self.midpoints(c)):
+            vals.append(state[c])
+            vals.append(mid)
+        vals.append(states[-1][c])
+        return vals
+
+    def midpoints(self, c: int) -> list[float]:
+        """Component c at every segment midpoint, bit for bit as ``value``,
+        with its arithmetic but without its search.  The stepper's minimum
+        step keeps each midpoint strictly inside its segment; only a final step
+        clipped to r_max can be shorter, and ``value`` reads that segment too."""
+        knots, states = self.knots, self.states
+        mids = []
+        for i, (q0, q1, q2, q3) in enumerate(self.coeffs(c)):
+            r_lo = knots[i]
+            r_hi = knots[i + 1]
+            h = r_hi - r_lo
+            theta = (0.5 * (r_lo + r_hi) - r_lo) / h
+            w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
+            mids.append(states[i][c] + h * w)
+        return mids
+
     def segment_index(self, r: float) -> int:
         """Index of the dense segment containing r (knots are its ends)."""
         if not (self.knots[0] <= r <= self.knots[-1]):
@@ -325,6 +366,11 @@ class Trajectory:
             ),
             _coeffs=[None if q is None else q[:n_keep] for q in self._coeffs],
         )
+
+
+def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
+    """u'' from the radial equation; the step below writes it out inline."""
+    return -(fld.n - 1.0) / r * up - f(u, fld)
 
 
 def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Trajectory:

@@ -13,13 +13,14 @@ A trajectory's qualitative shape is summarized by its ordered events:
 * per-phase labels b_i, r_i, z_i, rbar_i, bbar_i marking where |u| crosses
   the well zero ``alpha_star`` and the rest height 1 on the way down and up.
 
-Event radii are located by bisection on the dense interpolant followed by
-secant polish, to an absolute radius tolerance of 1e-12 * max(1, r).  A
-crossing that brushes a level closer than 1e-8 is flagged rather than
-trusted; overlapping event brackets raise ``AmbiguousEvent``; a walk that
-cannot reconcile the zeros with the criticals raises
-``InterlacingViolation`` (usually a sign the integration tolerance is too
-loose for the requested structure).
+Events are bracketed on ``Trajectory.grid`` (the knots plus each segment's
+midpoint, owned by ``integrate``; u'' comes from ``integrate._u_second``) and
+located by bisection on ``Trajectory.value`` followed by secant polish, to an
+absolute radius tolerance of 1e-12 * max(1, r).  A crossing that brushes a
+level closer than 1e-8 is flagged rather than trusted; overlapping event
+brackets raise ``AmbiguousEvent``; a walk that cannot reconcile the zeros
+with the criticals raises ``InterlacingViolation`` (usually a sign the
+integration tolerance is too loose for the requested structure).
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .field import CriticalAmplitudes, FieldParams, f
+from .field import CriticalAmplitudes
 from .integrate import (
     ENERGY_NONPOSITIVE,
     STEP_LIMIT,
     STEP_UNDERFLOW,
     Trajectory,
+    _u_second,
 )
 
 SEMI_TAIL = "SemiTail"
@@ -176,33 +178,6 @@ def _sign_change_roots(
     return roots
 
 
-def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
-    return -(fld.n - 1.0) / r * up - f(u, fld)
-
-
-def _grid_radii(traj: Trajectory) -> list[float]:
-    """Knots plus segment midpoints; fine enough to isolate every event."""
-    knots = traj.knots
-    rs: list[float] = []
-    for r_lo, r_hi in zip(knots, knots[1:]):
-        rs.append(r_lo)
-        rs.append(0.5 * (r_lo + r_hi))
-    rs.append(knots[-1])
-    return rs
-
-
-def _grid_values(traj: Trajectory, c: int) -> list[float]:
-    """State component c on the ``_grid_radii`` grid: the stored state at
-    each knot and the dense value at each segment midpoint."""
-    states = traj.states
-    vals: list[float] = []
-    for state, mid in zip(states, _midpoint_values(traj, c)):
-        vals.append(state[c])
-        vals.append(mid)
-    vals.append(states[-1][c])
-    return vals
-
-
 def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePortrait:
     """Locate all events and assemble the phase structure.
 
@@ -211,8 +186,8 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     """
     fld = traj.params.field
     alpha_star = amplitudes.alpha_star
-    rs = _grid_radii(traj)
-    us, ups, vs = (_grid_values(traj, c) for c in range(3))
+    rs = traj.grid()
+    us, ups, vs = (traj.grid_values(c) for c in range(3))
     upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]
 
     read = traj.value
@@ -356,27 +331,6 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     )
 
 
-def _midpoint_values(traj: Trajectory, c: int) -> list[float]:
-    """State component c at the midpoint of every dense segment, bit for bit
-    as ``Trajectory.value``.
-
-    Each quartic is read from ``Trajectory.coeffs(c)``, which builds only
-    component c's, with the arithmetic of ``Trajectory.value`` but without its
-    search.  The stepper's minimum step keeps every midpoint strictly inside
-    its own segment; only a final step clipped to r_max can be shorter, and
-    ``value`` reads that last segment too.
-    """
-    knots, states = traj.knots, traj.states
-    mids = []
-    for i, (q0, q1, q2, q3) in enumerate(traj.coeffs(c)):
-        r_lo = knots[i]
-        r_hi = knots[i + 1]
-        h = r_hi - r_lo
-        theta = (0.5 * (r_lo + r_hi) - r_lo) / h
-        mids.append(states[i][c] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))))
-    return mids
-
-
 def count_nodes(traj: Trajectory) -> NodeCount:
     """Sign changes of u over the run; final only in the energy trap.
 
@@ -388,7 +342,7 @@ def count_nodes(traj: Trajectory) -> NodeCount:
         raise IndeterminateCount(f"run ended with {tag}: {traj.termination.detail}")
     count = 0
     prev = traj.states[0][0]
-    for mid, (u_hi, _, _, _) in zip(_midpoint_values(traj, 0), traj.states[1:]):
+    for mid, (u_hi, _, _, _) in zip(traj.midpoints(0), traj.states[1:]):
         for val in (mid, u_hi):
             if val != 0.0:
                 if prev != 0.0 and (prev < 0.0) != (val < 0.0):
@@ -403,11 +357,10 @@ _COMPONENTS = ("u", "up", "v", "vp")
 def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
     """Zero radii of one state component (cheap path: no phase structure).
 
-    The scan reads the grid of ``detect_events`` (knots and segment
-    midpoints), straight from the stored states and segments.
+    The scan reads ``Trajectory.grid_values``, the grid ``detect_events`` also
+    scans, and refines each sign change through ``Trajectory.value``.
     """
     if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     c = _COMPONENTS.index(component)
-    return _sign_change_roots(_grid_radii(traj), _grid_values(traj, c),
-                              lambda r: traj.value(c, r))
+    return _sign_change_roots(traj.grid(), traj.grid_values(c), lambda r: traj.value(c, r))

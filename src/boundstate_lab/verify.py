@@ -11,9 +11,9 @@ leaves the decay funnel, since beyond that radius the shot diverges from the
 bound state it shadows.  Every derived quantity is cross-checked against a
 re-integration at 10x tighter tolerances before its checks run.
 
-This module locates no event and spells out no functional itself: event
-radii, level crossings included, are located in ``portrait`` and every
-comparison functional is written in ``functionals``.
+This module locates no event itself: ``portrait`` locates every event
+radius, level crossings included.  Its functionals come from ``functionals``,
+except the one-line quotients ω = -r u'/u and P/r^n, written in their checks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 from .classify import (
     OSCILLATORY,
+    _DECAY_EPS,
+    _SLOPE_EPS,
     LadderEntry,
     _CountCache,
     classify,
@@ -31,6 +33,7 @@ from .classify import (
 )
 from .field import FieldParams, big_F, critical_amplitudes
 from .functionals import (
+    _R_FLOOR,
     _energy,
     bridge_integral,
     eval_aux,
@@ -47,7 +50,6 @@ from .integrate import (
 )
 from .portrait import (
     PhasePortrait,
-    _grid_radii,
     _refine_root,
     detect_events,
     find_zeros,
@@ -62,7 +64,6 @@ FAIL = "fail"
 SKIPPED = "skipped-undefined"
 
 _R_MAX_BRACKET = 40.0  # r_max of the bracket-midpoint shots
-_DECAY_EPS = 1e-6  # truncate_for_structure cuts where |u| <= 10 * _DECAY_EPS
 
 
 class MalformedPlan(ValueError):
@@ -183,7 +184,7 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
 
 
 def _sample_radii(traj: Trajectory, r_lo: float, r_hi: float) -> list[float]:
-    return [r for r in _grid_radii(traj) if r_lo <= r <= r_hi]
+    return [r for r in traj.grid() if r_lo <= r <= r_hi]
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
@@ -288,7 +289,7 @@ def _check_energy_monotone(prep: _Prepared) -> _Outcome:
     worst = math.inf
     prev = None
     for u, up, _, _ in traj.states:
-        e = _energy(u, up, prep.case.field)
+        e = _energy(up, big_F(u, prep.case.field))
         if prev is not None:
             slack = 10.0 * (ctrl.abs_tol + ctrl.rel_tol * abs(prev)) + 1e-15
             worst = min(worst, slack - (e - prev))
@@ -388,9 +389,9 @@ def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     n = fl.n
     # dividing by r^n amplifies absolute error in P without bound near the
     # origin, so the scan starts where the quotient is conditioned
-    radii = _sample_radii(prep.struct, max(prep.struct.r_start, 0.1), r_hi)
+    radii = _sample_radii(prep.struct, max(prep.struct.r_start, _R_FLOOR), r_hi)
     if len(radii) < 2:
-        return _skip("window too short past r=0.1")
+        return _skip(f"window too short past r={_R_FLOOR}")
     worst = math.inf
     prev = None
     scale = 1e-300
@@ -709,7 +710,7 @@ def _check_tail_asymptotics(prep: _Prepared) -> _Outcome:
         r_star = last_r
     st = traj.eval_dense(r_star)
     err = abs(st.up / st.u + 1.0)
-    margin = 0.05 - err
+    margin = _SLOPE_EPS - err
     status = PASS if margin > 0.0 else FAIL
     return status, margin, 1, f"|u'/u + 1| = {err:.4f} at r = {r_star:.4f}"
 

@@ -55,6 +55,19 @@ def test_aux_sample_none_branches():
     assert at_zero_up.varpi is None
 
 
+def test_eval_aux_evaluates_the_well_once(monkeypatch):
+    calls = []
+
+    def counted(u, field):
+        calls.append(u)
+        return big_F(u, field)
+
+    monkeypatch.setattr(functionals, "big_F", counted)
+    aux = eval_aux(HAND_STATE, FL)
+    assert calls == [HAND_STATE.u]
+    assert aux.E == pytest.approx(HAND_AUX["E"], rel=1e-14)
+
+
 def test_parametric_family_interpolates_corrected_wronskians():
     aux = eval_aux(HAND_STATE, FL)
     family_w = functionals._IDENTITIES["family_w"][0]

@@ -1,5 +1,6 @@
 """The package as a whole: its namespace and the layout of its source."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -22,3 +23,18 @@ def test_no_source_line_is_longer_than_100_characters():
                   for number, line in enumerate(path.read_text().splitlines(), start=1)
                   if len(line) > 100]
     assert long_lines == []
+
+
+def test_only_integrate_evaluates_segments_and_defines_u_second():
+    # Only integrate.py may read Trajectory.coeffs, so a new interpolant
+    # changes one module; u'' is spelled in one module, beside the step.
+    package = Path(boundstate_lab.__file__).resolve().parent
+    coeff_readers, u_second_homes = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+                coeff_readers.add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "_u_second":
+                u_second_homes.append(path.name)
+    assert coeff_readers == {"integrate.py"}
+    assert u_second_homes == ["integrate.py"]

@@ -28,7 +28,6 @@ from boundstate_lab.portrait import (
     LabeledPoint,
     PhaseLabels,
     PhasePortrait,
-    _midpoint_values,
     _refine_root,
     _sign_change_roots,
 )
@@ -142,7 +141,7 @@ def test_midpoint_read_is_bitwise_eval_dense(alpha, rmax, zeros):
     # run whose last step is clipped to r_max
     traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
     for c, name in enumerate(("u", "up", "v", "vp")):
-        mids = _midpoint_values(traj, c)
+        mids = traj.midpoints(c)
         assert len(mids) == len(traj.knots) - 1
         for i, mid in enumerate(mids):
             r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
