@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from typing import Iterator
 
 from .field import FieldParams, ParameterError, abs_pow, f, f_prime
@@ -273,8 +274,9 @@ class Trajectory:
             self.slopes[c] = None
         return built
 
+    @cached_property
     def grid(self) -> list[float]:
-        """Knots plus segment midpoints; fine enough to isolate every event."""
+        """Knots plus segment midpoints, built once; fine enough to isolate every event."""
         knots = self.knots
         rs: list[float] = []
         for r_lo, r_hi in zip(knots, knots[1:]):

@@ -186,7 +186,7 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     """
     fld = traj.params.field
     alpha_star = amplitudes.alpha_star
-    rs = traj.grid()
+    rs = traj.grid
     us, ups, vs = (traj.grid_values(c) for c in range(3))
     upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]
 
@@ -363,4 +363,4 @@ def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
     if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     c = _COMPONENTS.index(component)
-    return _sign_change_roots(traj.grid(), traj.grid_values(c), lambda r: traj.value(c, r))
+    return _sign_change_roots(traj.grid, traj.grid_values(c), lambda r: traj.value(c, r))

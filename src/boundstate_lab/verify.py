@@ -13,13 +13,14 @@ re-integration at 10x tighter tolerances before its checks run.
 
 This module locates no event itself: ``portrait`` locates every event
 radius, level crossings included.  Its functionals come from ``functionals``,
-except the one-line quotients ω = -r u'/u and P/r^n, written in their checks.
+except the one-line quotient P/r^n, written in its check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field as dc_field
 
 from .classify import (
     OSCILLATORY,
@@ -33,18 +34,14 @@ from .classify import (
 )
 from .field import FieldParams, big_F, critical_amplitudes
 from .functionals import (
-    _R_FLOOR,
-    _energy,
-    bridge_integral,
-    eval_aux,
-    identity_residuals,
-    probe_radii,
+    _R_FLOOR, AuxSample, _energy, bridge_integral, eval_aux, identity_residuals, probe_radii,
 )
 from .integrate import (
     FULL_RANGE_POLICY,
     VARIATION_DIVERGED,
     IntegratorControls,
     ProblemParams,
+    State,
     Trajectory,
     integrate,
 )
@@ -151,6 +148,17 @@ class _Prepared:
     entry: LadderEntry | None
     gate_note: str
     portrait_note: str = ""
+    rows: list[tuple[State, AuxSample]] = dc_field(default_factory=list, repr=False)
+
+    def window(self, r_lo: float, r_hi: float) -> list[tuple[State, AuxSample]]:
+        """The (State, AuxSample) rows at the ``struct.grid`` radii in [r_lo, r_hi];
+        each radius is read once, when a window first reaches it."""
+        grid = self.struct.grid
+        end = bisect_right(grid, r_hi)
+        for r in grid[len(self.rows):end]:
+            st = self.struct.eval_dense(r)
+            self.rows.append((st, eval_aux(st, self.case.field)))
+        return self.rows[bisect_left(grid, r_lo):end]
 
 
 def truncate_for_structure(traj: Trajectory) -> Trajectory:
@@ -181,10 +189,6 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
     if best_r is not None and best_r > anchor:
         return traj.truncated_at(best_r)
     return traj
-
-
-def _sample_radii(traj: Trajectory, r_lo: float, r_hi: float) -> list[float]:
-    return [r for r in traj.grid() if r_lo <= r <= r_hi]
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
@@ -319,18 +323,11 @@ def _positivity_scan(
     r, so the first samples sit below cancellation noise and only the window
     scale gives a meaningful yardstick.
     """
-    fl = prep.case.field
-    radii = _sample_radii(prep.struct, max(r_lo, prep.struct.r_start), r_hi)
-    collected: dict[str, list[tuple[float, float]]] = {name: [] for name in names}
-    for r in radii:
-        aux = eval_aux(prep.struct.eval_dense(r), fl)
-        for name in names:
-            val = getattr(aux, name)
-            if val is not None:
-                collected[name].append((r, val))
+    rows = prep.window(r_lo, r_hi)
     worst = math.inf
     worst_note = ""
-    for name, pairs in collected.items():
+    for name in names:
+        pairs = [(aux.r, val) for _, aux in rows if (val := getattr(aux, name)) is not None]
         if not pairs:
             continue
         scale = max(abs(v) for _, v in pairs) or 1e-300
@@ -339,7 +336,7 @@ def _positivity_scan(
             if margin < worst:
                 worst = margin
                 worst_note = f"{name} at r={r:.4g}"
-    return worst, len(radii), worst_note
+    return worst, len(rows), worst_note
 
 
 def _check_positivity_core(prep: _Prepared) -> _Outcome:
@@ -367,11 +364,10 @@ def _check_omega_monotone(prep: _Prepared) -> _Outcome:
     for lo, hi in zip(edges, edges[1:]):
         pad = 1e-4 * (hi - lo)
         prev = None
-        for r in _sample_radii(traj, lo + pad, hi - pad):
-            st = traj.eval_dense(r)
+        for st, aux in prep.window(lo + pad, hi - pad):
             if abs(st.u) < 1e-8 * u_scale:
                 continue
-            w = -r * st.up / st.u
+            w = aux.omega
             if prev is not None:
                 count += 1
                 worst = min(worst, (w - prev) / (1.0 + abs(w)))
@@ -385,25 +381,23 @@ def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     r_hi = _nodal_limit(prep)
     if r_hi is None:
         return _skip("no zeros: window undefined")
-    fl = prep.case.field
-    n = fl.n
+    n = prep.case.field.n
     # dividing by r^n amplifies absolute error in P without bound near the
     # origin, so the scan starts where the quotient is conditioned
-    radii = _sample_radii(prep.struct, max(prep.struct.r_start, _R_FLOOR), r_hi)
-    if len(radii) < 2:
+    rows = prep.window(_R_FLOOR, r_hi)
+    if len(rows) < 2:
         return _skip(f"window too short past r={_R_FLOOR}")
     worst = math.inf
     prev = None
     scale = 1e-300
-    for r in radii:
-        aux = eval_aux(prep.struct.eval_dense(r), fl)
-        x = aux.P / r**n
+    for _, aux in rows:
+        x = aux.P / aux.r**n
         scale = max(scale, abs(x))
         if prev is not None:
             worst = min(worst, (prev - x) / scale)
         prev = x
     status = PASS if worst > -1e-9 else FAIL
-    return status, worst, len(radii), ""
+    return status, worst, len(rows), ""
 
 
 def _phaseful(prep: _Prepared) -> bool:

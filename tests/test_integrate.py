@@ -276,6 +276,17 @@ def test_coefficients_are_built_on_the_first_read_of_each_component():
     assert all(len(traj.coeffs(c)) == n_seg for c in range(4))
 
 
+def test_grid_is_built_once_and_a_truncated_copy_builds_its_own():
+    full = integrate(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
+    grid = full.grid
+    assert full.grid is grid
+    assert len(grid) == 2 * len(full.knots) - 1
+    cut = full.truncated_at(6.0)
+    assert cut.grid is not grid
+    assert cut.grid is cut.grid
+    assert cut.grid == grid[: 2 * len(cut.knots) - 1]
+
+
 def test_control_helpers_change_only_their_fields(monkeypatch):
     base = IntegratorControls(r0=1e-7, r_max=50.0)
     tight = base.tightened(4.0)

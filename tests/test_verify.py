@@ -1,6 +1,8 @@
 """Verification-suite tests: presets, plan validation, case preparation."""
 
+import dataclasses
 import math
+import struct
 
 import pytest
 
@@ -15,6 +17,7 @@ from boundstate_lab import (
     run_checks,
     truncate_for_structure,
 )
+from boundstate_lab import verify
 from boundstate_lab.field import critical_amplitudes
 from boundstate_lab.portrait import _refine_root
 from boundstate_lab.verify import (
@@ -213,3 +216,29 @@ def test_unique_inflection_on_the_bracket_midpoint(field33):
     assert rec.probes == 2
     assert rec.margin == 1.0
     assert rec.notes == ""
+
+
+def _bits(record):
+    return [None if x is None else struct.pack("<d", x) for x in dataclasses.astuple(record)]
+
+
+def test_grid_scans_read_each_radius_once(monkeypatch, field33):
+    # the six scans share one table of (State, AuxSample) rows on the structural
+    # grid, filled in grid order; each row is eval_aux of eval_dense at its radius
+    scans = ("positivity_core", "omega_monotone", "p_over_rn_monotone",
+             "qm_first_phase", "t1_first_phase", "q1q2m_first_phase")
+    case = CaseSpec(field33, BOUND_BRACKET, k=1)
+    prep = _prepare(case, VerificationPlan(cases=(case,), checks=scans), {})
+    assert prep.rows == []
+    real = verify.eval_aux
+    calls = []
+    monkeypatch.setattr(verify, "eval_aux", lambda st, fl: calls.append(st.r) or real(st, fl))
+    for check in scans:
+        status = verify._CHECKS[check](prep)[0]
+        assert status != FAIL, check
+    assert len(calls) == len(prep.rows) <= len(prep.struct.grid)
+    assert calls == prep.struct.grid[: len(calls)]
+    for st, aux in prep.rows:
+        fresh = prep.struct.eval_dense(st.r)
+        assert _bits(st) == _bits(fresh)
+        assert _bits(aux) == _bits(real(fresh, field33))
