@@ -8,6 +8,12 @@ is constant, and it jumps by one at each alpha_k; find_alpha_k brackets the
 jump by bisection on the final node count, integrating only the midpoints
 near a Newton estimate of alpha_k that each counted shot reads from its
 variation v.
+
+A counted shot keeps no trajectory: only its node count and the knot rows
+its estimates read (``_estimate_rows``).  It runs in the compiled kernel of
+``_dopri`` when that loads, and otherwise through ``integrate``,
+``count_nodes`` and ``_estimate_rows``, which stay the reference the kernel
+matches bit for bit.  ``classify()`` and the scans keep their trajectories.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+from . import _dopri
 from .field import FieldParams, abs_pow, critical_amplitudes
 from .integrate import (
     CLASSIFY_POLICY,
@@ -25,7 +32,7 @@ from .integrate import (
     Trajectory,
     integrate,
 )
-from .portrait import IndeterminateCount, NodeCount, count_nodes, find_zeros
+from .portrait import IndeterminateCount, NodeCount, _node_count, count_nodes, find_zeros
 
 CONSTANT = "Constant"
 OSCILLATORY = "Oscillatory"
@@ -137,18 +144,25 @@ def classify(
 
 def _counted_shot(
     field: FieldParams, alpha: float, ctrl: IntegratorControls
-) -> tuple[Trajectory, NodeCount]:
-    """The classify-policy shot from alpha and its node count, retried once
-    at doubled r_max while the count is still provisional there."""
-    traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
-    count = count_nodes(traj)
-    if not count.final and traj.termination.tag == REACHED_RMAX:
-        traj = integrate(
-            ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
-            CLASSIFY_POLICY,
-        )
-        count = count_nodes(traj)
-    return traj, count
+) -> tuple[NodeCount, list]:
+    """The node count of the classify-policy shot from alpha and the rows its
+    estimates read (``_estimate_rows``), retried once at doubled r_max while
+    the count is still provisional there.  The compiled kernel (``_dopri``)
+    counts each run when it loads; otherwise the run is integrated and
+    counted here, bit for bit alike."""
+    for r_max in (ctrl.r_max, 2.0 * ctrl.r_max):
+        params = ProblemParams(field, alpha, ctrl.with_rmax(r_max))
+        run = _dopri.counted_run(params)
+        if run is None:
+            traj = integrate(params, CLASSIFY_POLICY)
+            end, count = traj.termination, count_nodes(traj)
+            rows = _estimate_rows(traj, count.count)
+        else:
+            end, signs, rows = run
+            count = _node_count(end, signs)
+        if count.final or end.tag != REACHED_RMAX:
+            break
+    return count, rows
 
 
 def node_count_of_alpha(
@@ -163,32 +177,16 @@ def node_count_of_alpha(
     once at doubled r_max.
     """
     ctrl = controls if controls is not None else IntegratorControls()
-    return _counted_shot(field, alpha, ctrl)[1]
+    return _counted_shot(field, alpha, ctrl)[0]
 
 
-def _alpha_k_estimates(traj: Trajectory, count: int) -> tuple[float, ...]:
-    """Newton estimates of alpha_0 .. alpha_count read from one shot.
-
-    Near alpha_k the shot is u ~ U_k + (alpha - alpha_k) v.  On its tail U_k
-    keeps to the zero-energy separatrix, drift from the drag term included:
-
-        G(u, u') = u' + (kappa(u) + (n-1)/(2r)) u ~ 0,
-        kappa(u) = sqrt(1 - 2|u|**(p-1)/(p+1)),
-
-    which is g(u) = u' + (1 + (n-1)/(2r)) u once |u|**(p-1) is negligible.
-    Estimate j is alpha - G/(dG/dalpha) at the knot, at or after the j-th
-    sign change of u at the knots (from the start for j = 0), where
-    |u| + |u'| is least; dG/dalpha is G's linearisation applied to (v, v').
-    Keeping kappa matters at p < 2, where |u|**(p-1) is still large on the
-    stretch of tail an undershooting shot reaches.  An index whose knot lies
-    off the separatrix's range, whose dG/dalpha vanishes, or whose sign
-    change the knots never show, gets nan.
-    """
-    alpha = traj.params.alpha
-    fld = traj.params.field
-    half_drag = 0.5 * (fld.n - 1.0)
+def _estimate_rows(traj: Trajectory, count: int) -> list:
+    """The (r, u, u', v, v') knot each of ``_alpha_k_estimates``' indices
+    0 .. count reads: at or after the j-th sign change of u at the knots (from
+    the start for j = 0), the first knot where |u| + |u'| is least; None for
+    a sign change the knots never show."""
     knots, states = traj.knots, traj.states
-    out = []
+    rows: list = []
     start = 0
     prev = states[0][0]
     for j in range(count + 1):
@@ -203,18 +201,45 @@ def _alpha_k_estimates(traj: Trajectory, count: int) -> tuple[float, ...]:
                         break
                 start += 1
             if start == len(states):
-                out.extend([math.nan] * (count + 1 - j))
+                rows.extend([None] * (count + 1 - j))
                 break
         best = min(range(start, len(states)),
                    key=lambda i: abs(states[i][0]) + abs(states[i][1]))
-        u, up, v, vp = states[best]
-        s = 2.0 * abs_pow(u, fld.p - 1.0) / (fld.p + 1.0)
+        rows.append((knots[best], *states[best]))
+    return rows
+
+
+def _alpha_k_estimates(field: FieldParams, alpha: float, rows: list) -> tuple[float, ...]:
+    """Newton estimates of alpha_0 .. alpha_count read from the shot from
+    alpha, one per row of ``_estimate_rows``.
+
+    Near alpha_k the shot is u ~ U_k + (alpha - alpha_k) v.  On its tail U_k
+    keeps to the zero-energy separatrix, drift from the drag term included:
+
+        G(u, u') = u' + (kappa(u) + (n-1)/(2r)) u ~ 0,
+        kappa(u) = sqrt(1 - 2|u|**(p-1)/(p+1)),
+
+    which is g(u) = u' + (1 + (n-1)/(2r)) u once |u|**(p-1) is negligible.
+    Estimate j is alpha - G/(dG/dalpha) at row j's knot; dG/dalpha is G's
+    linearisation applied to (v, v').  Keeping kappa matters at p < 2, where
+    |u|**(p-1) is still large on the stretch of tail an undershooting shot
+    reaches.  A missing row, a knot off the separatrix's range, or a
+    vanishing dG/dalpha gives nan.
+    """
+    half_drag = 0.5 * (field.n - 1.0)
+    out = []
+    for row in rows:
+        if row is None:
+            out.append(math.nan)
+            continue
+        r, u, up, v, vp = row
+        s = 2.0 * abs_pow(u, field.p - 1.0) / (field.p + 1.0)
         if s >= 1.0:
             out.append(math.nan)
             continue
         kappa = math.sqrt(1.0 - s)
-        damp = kappa + half_drag / knots[best]
-        g_v = vp + (damp - 0.5 * (fld.p - 1.0) * s / kappa) * v
+        damp = kappa + half_drag / r
+        g_v = vp + (damp - 0.5 * (field.p - 1.0) * s / kappa) * v
         out.append(alpha - (up + damp * u) / g_v if g_v != 0.0 else math.nan)
     return tuple(out)
 
@@ -274,14 +299,14 @@ class _CountCache:
 
     def __call__(self, alpha: float) -> int:
         if alpha not in self.seen:
-            traj, count = _counted_shot(self.field, alpha, self.controls)
+            count, rows = _counted_shot(self.field, alpha, self.controls)
             self.integrated += 1
             if not count.final:
                 raise IndeterminateCount(
                     f"node count at alpha={alpha} still provisional after retry"
                 )
             self.seen[alpha] = count.count
-            self.estimates[alpha] = _alpha_k_estimates(traj, count.count)
+            self.estimates[alpha] = _alpha_k_estimates(self.field, alpha, rows)
         return self.seen[alpha]
 
     def audit(self) -> None:

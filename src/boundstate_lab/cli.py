@@ -10,7 +10,8 @@ Six subcommands over one flag vocabulary:
 * ``export``    -- trajectory CSV with optional functional columns.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 integration failure,
-3 output I/O failure, 4 verification failure (report still written).
+3 output I/O failure (a missing output directory is reported before the
+command runs), 4 verification failure (report still written).
 
 Flags override config-file entries (same keys, flat ``key=value`` lines);
 built-in defaults fill the rest.  Every artifact embeds the fully
@@ -21,6 +22,7 @@ BOUNDSTATE_LAB_OUTDIR, the directory for relative output paths.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -518,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = resolve_config(args)
+        outdir = os.path.dirname(_out_stem(cfg))
+        if outdir and not os.path.isdir(outdir):  # found before the command runs
+            raise FileNotFoundError(errno.ENOENT, "no such output directory", outdir)
         return _DISPATCH[cfg.command](cfg)
     except (UsageError, MalformedPlan, ParameterError, artio.ConfigSyntaxError) as exc:
         _note(f"usage error: {exc}")

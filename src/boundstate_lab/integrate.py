@@ -19,7 +19,10 @@ re-integrating; a shot that is only counted builds u's segments alone.
 Only this module stores and evaluates segments.  Every zero, node count and
 level crossing downstream is read off ``Trajectory.grid``, the knots plus
 each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
-oscillation of the profile, so that grid isolates every event.
+oscillation of the profile, so that grid isolates every event.  The one
+other reader is the counted-shot kernel of ``_dopri.c``, which repeats this
+module's step and its midpoint arithmetic in C, bit for bit, for shots that
+are only counted.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -110,6 +113,22 @@ VARIATION_DIVERGED = "VariationDiverged"
 STEP_LIMIT = "StepLimit"
 STEP_UNDERFLOW = "StepUnderflow"
 
+# Why a run ended: its tag and detail, by the index that ``integrate`` and the
+# compiled kernel of ``_dopri.c`` both report.  The detail formats the last
+# knot r, the step size h, ``_V_GUARD`` and ``_MAX_STEPS``.
+(_RMAX, _TRAPPED_AT_START, _DIVERGED_AT_START, _BUDGET, _UNDERFLOW, _NONFINITE,
+ _TRAPPED, _DIVERGED) = range(8)
+_ENDS = (
+    (REACHED_RMAX, ""),
+    (ENERGY_NONPOSITIVE, "energy nonpositive at series start"),
+    (VARIATION_DIVERGED, "variation guard tripped at series start"),
+    (STEP_LIMIT, "step budget {max_steps} exhausted"),
+    (STEP_UNDERFLOW, "step size {h:.3e} underflowed at r={r:.6e}"),
+    (STEP_UNDERFLOW, "non-finite state after step at r={r:.6e}"),
+    (ENERGY_NONPOSITIVE, "profile energy reached zero"),
+    (VARIATION_DIVERGED, "variation guard {v_guard:.1e} tripped"),
+)
+
 
 class IntegrationError(RuntimeError):
     """Stepper invariant broken (non-finite state, bad controls)."""
@@ -190,6 +209,13 @@ class TerminationCause:
     detail: str = ""
 
 
+def _termination(end: int, r: float, h: float) -> TerminationCause:
+    """The cause ``_ENDS[end]`` of a run whose last knot is r and last step h."""
+    tag, detail = _ENDS[end]
+    return TerminationCause(
+        tag, r, detail.format(r=r, h=h, v_guard=_V_GUARD, max_steps=_MAX_STEPS))
+
+
 def series_start(params: ProblemParams) -> State:
     """Second-order Taylor state at r0 with O(r0**4) truncation error.
 
@@ -199,8 +225,10 @@ def series_start(params: ProblemParams) -> State:
     all at alpha.  The default r0 is 1e-6 * max(1, alpha) wherever both stay
     within abs_tol; at larger heights, where the core narrows like
     alpha**(-(p-1)/2), it shrinks to the radius where the larger of them
-    equals abs_tol.
+    equals abs_tol.  Nonpositive tolerances raise IntegrationError.
     """
+    if params.controls.abs_tol <= 0.0 or params.controls.rel_tol <= 0.0:
+        raise IntegrationError("tolerances must be positive")
     alpha = params.alpha
     fld = params.field
     f_alpha = f(alpha, fld)
@@ -385,8 +413,7 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     """
     fld = params.field
     ctl = params.controls
-    if ctl.abs_tol <= 0.0 or ctl.rel_tol <= 0.0:
-        raise IntegrationError("tolerances must be positive")
+    start = series_start(params)
     n_minus_1 = fld.n - 1.0
     p = fld.p
     p_m1 = p - 1.0
@@ -396,7 +423,6 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     stop_on_energy = policy.stop_on_energy
     exp, log = math.exp, math.log
 
-    start = series_start(params)
     r = start.r
     u, up, v, vp = start.u, start.up, start.v, start.vp
 
@@ -404,14 +430,9 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     states = [(u, up, v, vp)]
     slopes_u, slopes_up, slopes_v, slopes_vp = slopes = [[], [], [], []]
 
-    def finish(tag: str, detail: str = "") -> Trajectory:
-        return Trajectory(
-            params=params,
-            knots=knots,
-            states=states,
-            slopes=slopes,
-            termination=TerminationCause(tag=tag, r_stop=knots[-1], detail=detail),
-        )
+    def finish(end: int, h: float = 0.0) -> Trajectory:
+        return Trajectory(params=params, knots=knots, states=states, slopes=slopes,
+                          termination=_termination(end, knots[-1], h))
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.  The energy is
@@ -421,9 +442,9 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
         if u != 0.0:
             well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
         if 0.5 * up * up + well <= 0.0:
-            return finish(ENERGY_NONPOSITIVE, "energy nonpositive at series start")
+            return finish(_TRAPPED_AT_START)
     if abs(v) > v_guard:
-        return finish(VARIATION_DIVERGED, "variation guard tripped at series start")
+        return finish(_DIVERGED_AT_START)
 
     # The right-hand side (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v)
     # with f(u) = (|u|^(p-1) - 1) u, written out here and at every stage.
@@ -436,9 +457,9 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
 
     while True:
         if steps >= max_steps:
-            return finish(STEP_LIMIT, f"step budget {max_steps} exhausted")
+            return finish(_BUDGET)
         if h < 1e-14 * max(1.0, r):
-            return finish(STEP_UNDERFLOW, f"step size {h:.3e} underflowed at r={r:.6e}")
+            return finish(_UNDERFLOW, h)
 
         clipped = False
         if r + h >= r_max:
@@ -499,7 +520,7 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
 
         if not (math.isfinite(u_new) and math.isfinite(up_new)
                 and math.isfinite(v_new) and math.isfinite(vp_new)):
-            return finish(STEP_UNDERFLOW, f"non-finite state after step at r={r:.6e}")
+            return finish(_NONFINITE)
 
         # RMS of the embedded error estimate, each component over its scale.
         err_u = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u) * h
@@ -536,11 +557,11 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
             if u != 0.0:
                 well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
             if 0.5 * up * up + well <= 0.0:
-                return finish(ENERGY_NONPOSITIVE, "profile energy reached zero")
+                return finish(_TRAPPED)
         if abs(v) > v_guard or abs(vp) > v_guard:
-            return finish(VARIATION_DIVERGED, f"variation guard {v_guard:.1e} tripped")
+            return finish(_DIVERGED)
         if clipped or r >= r_max:
-            return finish(REACHED_RMAX)
+            return finish(_RMAX)
 
         if norm == 0.0:
             factor = _MAX_FACTOR

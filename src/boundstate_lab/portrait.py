@@ -34,6 +34,7 @@ from .integrate import (
     ENERGY_NONPOSITIVE,
     STEP_LIMIT,
     STEP_UNDERFLOW,
+    TerminationCause,
     Trajectory,
     _u_second,
 )
@@ -332,14 +333,12 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
 
 
 def count_nodes(traj: Trajectory) -> NodeCount:
-    """Sign changes of u over the run; final only in the energy trap.
+    """Sign changes of u over the run (knots and segment midpoints); final
+    only in the energy trap.
 
     Raises IndeterminateCount if the stepper gave up (step limit or
     underflow): such a run says nothing trustworthy about the count.
     """
-    tag = traj.termination.tag
-    if tag in (STEP_LIMIT, STEP_UNDERFLOW):
-        raise IndeterminateCount(f"run ended with {tag}: {traj.termination.detail}")
     count = 0
     prev = traj.states[0][0]
     for mid, (u_hi, _, _, _) in zip(traj.midpoints(0), traj.states[1:]):
@@ -348,7 +347,15 @@ def count_nodes(traj: Trajectory) -> NodeCount:
                 if prev != 0.0 and (prev < 0.0) != (val < 0.0):
                     count += 1
                 prev = val
-    return NodeCount(count=count, final=(tag == ENERGY_NONPOSITIVE))
+    return _node_count(traj.termination, count)
+
+
+def _node_count(end: TerminationCause, count: int) -> NodeCount:
+    """``count`` sign changes of a run that ended by ``end``, as ``count_nodes``
+    reports them."""
+    if end.tag in (STEP_LIMIT, STEP_UNDERFLOW):
+        raise IndeterminateCount(f"run ended with {end.tag}: {end.detail}")
+    return NodeCount(count=count, final=(end.tag == ENERGY_NONPOSITIVE))
 
 
 _COMPONENTS = ("u", "up", "v", "vp")

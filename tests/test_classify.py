@@ -184,14 +184,15 @@ def test_constant_shot_has_no_trajectory(field33):
 
 
 def _count_integrations(monkeypatch):
+    """Record the height of every counted shot."""
     calls = []
-    original = classify_module.integrate
+    original = classify_module._counted_shot
 
-    def counted(params, policy):
-        calls.append(params.alpha)
-        return original(params, policy)
+    def counted(field, alpha, ctrl):
+        calls.append(alpha)
+        return original(field, alpha, ctrl)
 
-    monkeypatch.setattr(classify_module, "integrate", counted)
+    monkeypatch.setattr(classify_module, "_counted_shot", counted)
     return calls
 
 
@@ -257,8 +258,8 @@ def test_predicted_brackets_are_the_plain_bisection_brackets(point, tol):
 def test_a_biased_estimate_falls_back_to_the_plain_bracket(field33, monkeypatch):
     original = classify_module._alpha_k_estimates
 
-    def biased(traj, count):
-        return tuple(e * (1.0 + 1e-3) for e in original(traj, count))
+    def biased(field, alpha, rows):
+        return tuple(e * (1.0 + 1e-3) for e in original(field, alpha, rows))
 
     monkeypatch.setattr(classify_module, "_alpha_k_estimates", biased)
     counts = _CountCache(field33, None)
@@ -273,10 +274,9 @@ def test_a_wrong_side_extrapolation_falls_back_to_the_plain_bracket(field33, mon
     # times the Newton step, which lands it on the far side of alpha_k
     original = classify_module._alpha_k_estimates
 
-    def overshooting(traj, count):
-        out = list(original(traj, count))
-        alpha = traj.params.alpha
-        out[count] = alpha + 1.5 * (out[count] - alpha)
+    def overshooting(field, alpha, rows):
+        out = list(original(field, alpha, rows))
+        out[-1] = alpha + 1.5 * (out[-1] - alpha)
         return tuple(out)
 
     monkeypatch.setattr(classify_module, "_alpha_k_estimates", overshooting)
@@ -311,10 +311,11 @@ def test_a_non_monotone_count_never_yields_a_silent_bracket(field33, monkeypatch
     original = classify_module._counted_shot
 
     def faulty(field, alpha, ctrl):
-        traj, count = original(field, alpha, ctrl)
+        count, rows = original(field, alpha, ctrl)
         if window[0] < alpha < window[1]:
-            count = NodeCount(count.count + 1, count.final)
-        return traj, count
+            # the knots show no extra sign change, so its estimate row is missing
+            count, rows = NodeCount(count.count + 1, count.final), rows + [None]
+        return count, rows
 
     monkeypatch.setattr(classify_module, "_counted_shot", faulty)
     counts = _CountCache(field33, None)

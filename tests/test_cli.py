@@ -65,6 +65,18 @@ def test_solve_unwritable_path_exits_three(tmp_path):
     assert main(["solve", "--alpha", "1", "--out", str(missing)]) == EXIT_IO
 
 
+def test_missing_output_directory_exits_three_before_the_command_runs(tmp_path, monkeypatch,
+                                                                      capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checks ran")
+
+    monkeypatch.setattr(importlib.import_module("boundstate_lab.cli"), "run_checks", refuse)
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "missing"))
+    assert main(["verify", "--preset", "core", "--n", "3", "--p", "3"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ladder_brackets_increase_and_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "lad"
     args = ["ladder", "--k", "0..2", "--tol", "1e-8", "--out", str(out)]

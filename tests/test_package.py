@@ -19,10 +19,18 @@ def test_all_is_sorted_unique_and_matches_the_bound_names():
 def test_no_source_line_is_longer_than_100_characters():
     package = Path(boundstate_lab.__file__).resolve().parent
     long_lines = [f"{path.name}:{number}"
-                  for path in sorted(package.glob("*.py"))
+                  for path in sorted([*package.glob("*.py"), *package.glob("*.c")])
                   for number, line in enumerate(path.read_text().splitlines(), start=1)
                   if len(line) > 100]
     assert long_lines == []
+
+
+def test_no_compiled_object_sits_under_src():
+    # the kernel of _dopri.c is built into the user's cache, never beside its source
+    src = Path(__file__).resolve().parents[1] / "src"
+    built = [str(path.relative_to(src)) for suffix in ("so", "o", "pyd", "dylib")
+             for path in src.rglob(f"*.{suffix}")]
+    assert built == []
 
 
 def test_only_integrate_evaluates_segments_and_defines_u_second():
