@@ -91,6 +91,9 @@ _CONSTANT_WITNESS = Witness(r_stop=0.0, termination_tag=CONSTANT, u_end=1.0, up_
 
 
 def _decay_evidence(traj: Trajectory) -> tuple[bool, float | None]:
+    """(in the decay funnel, |u'/u + 1|) at the end of a run that reached r_max."""
+    if traj.termination.tag != REACHED_RMAX:
+        return False, None
     end = traj.state_at_knot(len(traj.knots) - 1)
     if abs(end.u) >= _DECAY_EPS or end.u == 0.0:
         return False, None
@@ -117,15 +120,16 @@ def classify(
         return SolutionClass(CONSTANT, 0, None, _CONSTANT_WITNESS, "shot from the rest height")
 
     traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
-    if traj.termination.tag == REACHED_RMAX and not _decay_evidence(traj)[0]:
+    decayed, err = _decay_evidence(traj)
+    if traj.termination.tag == REACHED_RMAX and not decayed:
         traj = integrate(
             ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
             CLASSIFY_POLICY,
         )
+        decayed, err = _decay_evidence(traj)
 
     tag = traj.termination.tag
     end = traj.state_at_knot(len(traj.knots) - 1)
-    decayed, err = _decay_evidence(traj) if tag == REACHED_RMAX else (False, None)
     trapped = tag == ENERGY_NONPOSITIVE
     r_stop = traj.termination.r_stop
     w = Witness(r_stop=r_stop, termination_tag=tag, u_end=end.u, up_end=end.up,

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from . import io as artio
@@ -49,6 +50,7 @@ from .integrate import (
     IntegrationError,
     IntegratorControls,
     ProblemParams,
+    State,
     Trajectory,
     integrate,
 )
@@ -78,7 +80,7 @@ OUTDIR_ENV = "BOUNDSTATE_LAB_OUTDIR"
 _TOL_LO = 1e-15
 _TOL_HI = 1e-3
 
-_AUX_COLUMNS = tuple(f.name for f in dc_fields(AuxSample) if f.name != "r")
+_AUX_COLUMNS = tuple(f.name for f in dc_fields(AuxSample)[len(dc_fields(State)):])
 
 
 class UsageError(ValueError):
@@ -354,7 +356,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         cfg.echo(),
     )
     _write_artifacts([
-        (stem + ".csv", artio.trajectory_csv(traj, cfg.echo())),
+        (stem + ".csv", artio.csv_text(artio.TRAJECTORY_COLUMNS, artio.trajectory_rows(traj),
+                                       cfg.echo())),
         (stem + ".portrait.json", artio.json_text(payload)),
     ])
     return EXIT_OK
@@ -486,15 +489,13 @@ def cmd_export(cfg: RunConfig) -> int:
     traj = _full_shot(cfg)
     if traj is None:
         return EXIT_INTEGRATOR
-    field = traj.params.field
-    columns = list(artio.TRAJECTORY_COLUMNS) + list(cfg.functionals)
-    rows = []
-    for state in traj.samples():
-        row = [state.r, state.u, state.up, state.v, state.vp]
-        if cfg.functionals:
-            aux = eval_aux(state, field)
-            row.extend(getattr(aux, name) for name in cfg.functionals)
-        rows.append(tuple(row))
+    columns = artio.TRAJECTORY_COLUMNS + cfg.functionals
+    if cfg.functionals:
+        field = traj.params.field
+        row = attrgetter(*columns)  # one tuple of the named fields
+        rows = [row(eval_aux(state, field)) for state in traj.samples()]
+    else:
+        rows = artio.trajectory_rows(traj)
     _write_artifacts([_tabular(cfg, _out_stem(cfg), columns, rows, "rows")])
     return EXIT_OK
 

@@ -14,8 +14,8 @@ Where each formula lives:
 * ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
-* ``_IDENTITIES`` maps each identity to its two sides.  Both read an
-  ``AuxSample`` and its ``State``.  The left sides not in ``AuxSample``
+* ``_IDENTITIES`` maps each identity to its two sides.  Both read one
+  ``AuxSample``, the state with its functionals.  The left sides not in it
   (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the two slopes) are
   written there, and so is every right side.
 * f, F, F_a, κ_a, g1 and g2 come from ``field``; u'' comes from
@@ -73,14 +73,13 @@ class SingularityWarning(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AuxSample:
-    """All auxiliary functionals at one radius.
+class AuxSample(State):
+    """The state at one radius with all auxiliary functionals there.
 
     Entries are None where the functional is undefined: omega, T1 and T2
     need u != 0; B0, phi_n and varpi need u' != 0.
     """
 
-    r: float
     E: float
     E_hat: float
     P: float
@@ -142,19 +141,16 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
         phi_n = Qn / (r * up * up)
         varpi = (p - 1.0) / (p + 1.0) * rn1 * (v / up) * abs_pow(u, p + 1.0)
 
-    return AuxSample(
-        r=r, E=E, E_hat=E_hat, P=P, P1=P1, P2=P2, omega=omega, rho=rho,
-        Q=Q, Q1=Q1, Q2=Q2, Qn=Qn, M=M, T1=T1, T2=T2, B0=B0,
-        phi_n=phi_n, varpi=varpi,
-    )
+    return AuxSample(r, u, up, v, vp, E, E_hat, P, P1, P2, omega, rho,
+                     Q, Q1, Q2, Qn, M, T1, T2, B0, phi_n, varpi)
 
 
 # Identity registry: name -> (lhs, rhs, guards).  Both sides read the
-# AuxSample and the State at one radius, with the field and the family
-# parameter a; lhs is differentiated by central differences and rhs is the
-# closed form its derivative must equal.  guards names what must stay away
-# from zero at the probe: "u", "up", or "r" (the minimum-radius guard).
-_Side = Callable[[AuxSample, State, FieldParams, float], float]
+# AuxSample at one radius, with the field and the family parameter a; lhs is
+# differentiated by central differences and rhs is the closed form its
+# derivative must equal.  guards names what must stay away from zero at the
+# probe: "u", "up", or "r" (the minimum-radius guard).
+_Side = Callable[[AuxSample, FieldParams, float], float]
 
 
 def _family_w(x: AuxSample, a: float) -> float:
@@ -162,99 +158,99 @@ def _family_w(x: AuxSample, a: float) -> float:
     return x.Q - a * x.M
 
 
-def _barrier_ba(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+def _barrier_ba(x: AuxSample, fl: FieldParams, a: float) -> float:
     """B_a = W_a - 2 F_a(u) r^(n-1) v / u', the tilted analogue of B0."""
-    return _family_w(x, a) - 2.0 * big_F_a(s.u, a, fl) * s.r ** (fl.n - 1) * s.v / s.up
+    return _family_w(x, a) - 2.0 * big_F_a(x.u, a, fl) * x.r ** (fl.n - 1) * x.v / x.up
 
 
-def _p_crit_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+def _p_crit_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     upper = critical_amplitudes(fl).alpha_upper_star
-    return 2.0 * s.r ** (fl.n - 1) * s.u**2 * (abs_pow(s.u / upper, fl.p - 1.0) - 1.0)
+    return 2.0 * x.r ** (fl.n - 1) * x.u**2 * (abs_pow(x.u / upper, fl.p - 1.0) - 1.0)
 
 
-def _p2_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+def _p2_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     amp = critical_amplitudes(fl)
-    ratio = amp.alpha_star * s.u / amp.alpha_upper_star
-    return -(4.0 / fl.n) * s.r**fl.n * s.u * s.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
+    ratio = amp.alpha_star * x.u / amp.alpha_upper_star
+    return -(4.0 / fl.n) * x.r**fl.n * x.u * x.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
 
 
-def _riccati_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
-    w = -s.up / s.u
-    return w * w - (fl.n - 1) / s.r * w - 1.0 + abs_pow(s.u, fl.p - 1.0)
+def _riccati_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
+    w = -x.up / x.u
+    return w * w - (fl.n - 1) / x.r * w - 1.0 + abs_pow(x.u, fl.p - 1.0)
 
 
-def _rho_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+def _rho_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     p = fl.p
-    u_pm2 = math.copysign(abs_pow(s.u, p - 2.0), s.u)
-    return p * (p - 1.0) * s.r ** (fl.n - 1) * u_pm2 * s.up**2 * s.v
+    u_pm2 = math.copysign(abs_pow(x.u, p - 2.0), x.u)
+    return p * (p - 1.0) * x.r ** (fl.n - 1) * u_pm2 * x.up**2 * x.v
 
 
-def _t2_rhs(x: AuxSample, s: State, fl: FieldParams, a: float) -> float:
+def _t2_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     p = fl.p
-    lead = (p - 1.0) * s.r ** (fl.n - 1) * s.u * s.v
-    return lead - (p + 1.0) * s.u * s.up / abs_pow(s.u, p + 1.0) * x.M
+    lead = (p - 1.0) * x.r ** (fl.n - 1) * x.u * x.v
+    return lead - (p + 1.0) * x.u * x.up / abs_pow(x.u, p + 1.0) * x.M
 
 
 _IDENTITIES: dict[str, tuple[_Side, _Side, tuple[str, ...]]] = {
     "energy": (
-        lambda x, s, fl, a: x.E,
-        lambda x, s, fl, a: -(fl.n - 1) * s.up**2 / s.r, ()),
+        lambda x, fl, a: x.E,
+        lambda x, fl, a: -(fl.n - 1) * x.up**2 / x.r, ()),
     "energy_layer": (
-        lambda x, s, fl, a: x.E_hat,
-        lambda x, s, fl, a: 2.0 * (fl.n - 1) * s.r ** (2 * fl.n - 3) * big_F(s.u, fl), ()),
+        lambda x, fl, a: x.E_hat,
+        lambda x, fl, a: 2.0 * (fl.n - 1) * x.r ** (2 * fl.n - 3) * big_F(x.u, fl), ()),
     "pohozaev": (
-        lambda x, s, fl, a: x.P,
-        lambda x, s, fl, a: s.r ** (fl.n - 1) * (
-            2.0 * fl.n * big_F(s.u, fl) - (fl.n - 2) * s.u * f(s.u, fl)), ()),
-    "pohozaev_crit": (lambda x, s, fl, a: x.P, _p_crit_rhs, ()),
-    "pohozaev_p2": (lambda x, s, fl, a: x.P2, _p2_rhs, ()),
+        lambda x, fl, a: x.P,
+        lambda x, fl, a: x.r ** (fl.n - 1) * (
+            2.0 * fl.n * big_F(x.u, fl) - (fl.n - 2) * x.u * f(x.u, fl)), ()),
+    "pohozaev_crit": (lambda x, fl, a: x.P, _p_crit_rhs, ()),
+    "pohozaev_p2": (lambda x, fl, a: x.P2, _p2_rhs, ()),
     "pohozaev_scaled": (
-        lambda x, s, fl, a: x.P / s.r**fl.n,
-        lambda x, s, fl, a: -fl.n / s.r ** (fl.n + 1) * x.P2, ("r",)),
+        lambda x, fl, a: x.P / x.r**fl.n,
+        lambda x, fl, a: -fl.n / x.r ** (fl.n + 1) * x.P2, ("r",)),
     "log_slope": (
-        lambda x, s, fl, a: x.omega,
-        lambda x, s, fl, a: x.P1 / (s.r ** (fl.n - 1) * s.u**2), ("u",)),
-    "riccati": (lambda x, s, fl, a: -s.up / s.u, _riccati_rhs, ("u",)),
-    "pairing_rho": (lambda x, s, fl, a: x.rho, _rho_rhs, ("u",)),
+        lambda x, fl, a: x.omega,
+        lambda x, fl, a: x.P1 / (x.r ** (fl.n - 1) * x.u**2), ("u",)),
+    "riccati": (lambda x, fl, a: -x.up / x.u, _riccati_rhs, ("u",)),
+    "pairing_rho": (lambda x, fl, a: x.rho, _rho_rhs, ("u",)),
     "pairing_q": (
-        lambda x, s, fl, a: x.Q,
-        lambda x, s, fl, a: 2.0 * s.r ** (fl.n - 1) * f(s.u, fl) * s.v, ()),
+        lambda x, fl, a: x.Q,
+        lambda x, fl, a: 2.0 * x.r ** (fl.n - 1) * f(x.u, fl) * x.v, ()),
     "wronskian_m": (
-        lambda x, s, fl, a: x.M,
-        lambda x, s, fl, a: (fl.p - 1.0) * s.r ** (fl.n - 1) * s.u
-        * abs_pow(s.u, fl.p - 1.0) * s.v, ()),
+        lambda x, fl, a: x.M,
+        lambda x, fl, a: (fl.p - 1.0) * x.r ** (fl.n - 1) * x.u
+        * abs_pow(x.u, fl.p - 1.0) * x.v, ()),
     "family_w": (
-        lambda x, s, fl, a: _family_w(x, a),
-        lambda x, s, fl, a: 2.0 * s.r ** (fl.n - 1) * s.u * s.v * kappa_a(s.u, a, fl), ()),
+        lambda x, fl, a: _family_w(x, a),
+        lambda x, fl, a: 2.0 * x.r ** (fl.n - 1) * x.u * x.v * kappa_a(x.u, a, fl), ()),
     "corrected_t1": (
-        lambda x, s, fl, a: x.T1,
-        lambda x, s, fl, a: -2.0 * s.u * s.up / abs_pow(s.u, fl.p + 1.0) * x.M, ("u",)),
-    "corrected_t2": (lambda x, s, fl, a: x.T2, _t2_rhs, ("u",)),
+        lambda x, fl, a: x.T1,
+        lambda x, fl, a: -2.0 * x.u * x.up / abs_pow(x.u, fl.p + 1.0) * x.M, ("u",)),
+    "corrected_t2": (lambda x, fl, a: x.T2, _t2_rhs, ("u",)),
     "corrected_t2_tail": (
-        lambda x, s, fl, a: x.T2,
-        lambda x, s, fl, a: -(fl.p + 1.0) * s.u * s.up / abs_pow(s.u, fl.p + 1.0)
+        lambda x, fl, a: x.T2,
+        lambda x, fl, a: -(fl.p + 1.0) * x.u * x.up / abs_pow(x.u, fl.p + 1.0)
         * (x.M - x.varpi), ("u", "up")),
     "barrier_b0": (
-        lambda x, s, fl, a: x.B0,
-        lambda x, s, fl, a: -2.0 * big_F(s.u, fl) * x.phi_n, ("up",)),
+        lambda x, fl, a: x.B0,
+        lambda x, fl, a: -2.0 * big_F(x.u, fl) * x.phi_n, ("up",)),
     "barrier_ba": (
         _barrier_ba,
-        lambda x, s, fl, a: -2.0 * big_F_a(s.u, a, fl) * x.phi_n, ("up",)),
+        lambda x, fl, a: -2.0 * big_F_a(x.u, a, fl) * x.phi_n, ("up",)),
     "flux_u": (
-        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.up,
-        lambda x, s, fl, a: -s.r ** (fl.n - 1) * f(s.u, fl), ()),
+        lambda x, fl, a: x.r ** (fl.n - 1) * x.up,
+        lambda x, fl, a: -x.r ** (fl.n - 1) * f(x.u, fl), ()),
     "flux_v": (
-        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.vp,
-        lambda x, s, fl, a: -s.r ** (fl.n - 1) * f_prime(s.u, fl) * s.v, ()),
+        lambda x, fl, a: x.r ** (fl.n - 1) * x.vp,
+        lambda x, fl, a: -x.r ** (fl.n - 1) * f_prime(x.u, fl) * x.v, ()),
     "pair_product": (
-        lambda x, s, fl, a: s.up * s.vp + f(s.u, fl) * s.v,
-        lambda x, s, fl, a: -2.0 * (fl.n - 1) / s.r * s.up * s.vp, ()),
+        lambda x, fl, a: x.up * x.vp + f(x.u, fl) * x.v,
+        lambda x, fl, a: -2.0 * (fl.n - 1) / x.r * x.up * x.vp, ()),
     "q_slope": (
-        lambda x, s, fl, a: x.Q / (s.r ** (fl.n - 1) * s.up),
-        lambda x, s, fl, a: f(s.u, fl) * x.Q2 / (s.r ** (fl.n - 1) * s.up**2), ("up",)),
+        lambda x, fl, a: x.Q / (x.r ** (fl.n - 1) * x.up),
+        lambda x, fl, a: f(x.u, fl) * x.Q2 / (x.r ** (fl.n - 1) * x.up**2), ("up",)),
     "v_slope": (
-        lambda x, s, fl, a: s.r ** (fl.n - 1) * s.v / s.up,
-        lambda x, s, fl, a: x.phi_n, ("up",)),
+        lambda x, fl, a: x.r ** (fl.n - 1) * x.v / x.up,
+        lambda x, fl, a: x.phi_n, ("up",)),
 }
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(_IDENTITIES)
@@ -309,13 +305,12 @@ def _admits(state: State, field: FieldParams, guards: tuple[str, ...]) -> bool:
 def probe_radii(
     traj: Trajectory,
     count: int,
-    r_lo: float | None = None,
     r_hi: float | None = None,
     exclusion_radii: Iterable[float] = (),
 ) -> list[float]:
     """Low-discrepancy probe radii, kept clear of events and segment knots.
 
-    A golden-ratio sequence fills (r_lo, r_hi).  Candidates within
+    A golden-ratio sequence fills (r_start, r_hi).  Candidates within
     _EXCLUSION_HALFWIDTH of an exclusion radius are dropped: for fractional
     powers the state is only finitely smooth across zeros of u, so the
     interpolant needs a real moat there, not just collision avoidance.
@@ -324,7 +319,7 @@ def probe_radii(
     if the segment is too short to hold the stencil.
     """
     knots = traj.knots
-    lo = traj.r_start if r_lo is None else max(r_lo, traj.r_start)
+    lo = traj.r_start
     hi = traj.r_end if r_hi is None else min(r_hi, traj.r_end)
     span = hi - lo
     if span <= 0.0:
@@ -383,21 +378,20 @@ def identity_residuals(
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
         h = _H_SCALE * max(1.0, r)
-        s_mid, s_lo, s_hi = (traj.eval_dense(x) for x in (r, r - h, r + h))
-        x_mid, x_lo, x_hi = (eval_aux(s, field) for s in (s_mid, s_lo, s_hi))
+        x_mid, x_lo, x_hi = (eval_aux(traj.eval_dense(t), field) for t in (r, r - h, r + h))
         for name in names:
             lhs, rhs, guards = _IDENTITIES[name]
-            if not _admits(s_mid, field, guards):
+            if not _admits(x_mid, field, guards):
                 continue
-            fd = (lhs(x_hi, s_hi, field, _FAMILY_A) - lhs(x_lo, s_lo, field, _FAMILY_A)) / (2.0 * h)
-            want = rhs(x_mid, s_mid, field, _FAMILY_A)
+            fd = (lhs(x_hi, field, _FAMILY_A) - lhs(x_lo, field, _FAMILY_A)) / (2.0 * h)
+            want = rhs(x_mid, field, _FAMILY_A)
             per[name].append((abs(fd - want), max(abs(fd), abs(want))))
 
         # Pointwise connection between the u-frame and v-frame functionals:
         # Q - P v/u = omega (M - varpi), checked without differentiation.
-        if not (_u_admissible(s_mid) and _up_admissible(s_mid, field)):
+        if not (_u_admissible(x_mid) and _up_admissible(x_mid, field)):
             continue
-        pv_u = x_mid.P * s_mid.v / s_mid.u
+        pv_u = x_mid.P * x_mid.v / x_mid.u
         rel = abs(x_mid.Q - pv_u - x_mid.omega * (x_mid.M - x_mid.varpi))
         rel /= abs(x_mid.Q) + abs(pv_u) + 1e-30
         conn_worst = max(conn_worst, rel)
@@ -446,11 +440,11 @@ def bridge_integral(
     p = field.p
 
     def integrand(r: float) -> float:
-        s = traj.eval_dense(r)
-        if s.up == 0.0:
+        x = eval_aux(traj.eval_dense(r), field)
+        if x.up == 0.0:
             raise SingularityWarning(f"u' vanishes at r={r} inside the bridge range")
-        weight = s.u**2 * (1.0 - abs_pow(s.u / u_tilde, p - 1.0))
-        return weight * eval_aux(s, field).phi_n
+        weight = x.u**2 * (1.0 - abs_pow(x.u / u_tilde, p - 1.0))
+        return weight * x.phi_n
 
     value, err = adaptive_quadrature(integrand, b_i, tau_i, rel_tol=1e-10)
     return BridgeIntegral(value, err, b_i, tau_i, u_tilde, False)

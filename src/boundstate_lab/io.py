@@ -125,10 +125,6 @@ def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, 
     return [(r, *state) for r, state in zip(traj.knots, traj.states)]
 
 
-def trajectory_csv(traj: Trajectory, config: Mapping[str, Any]) -> str:
-    return csv_text(TRAJECTORY_COLUMNS, trajectory_rows(traj), config)
-
-
 def plain(obj: Any) -> Any:
     """A record as JSON-ready data: a dataclass becomes a dict of its fields,
     nested records, lists and tuples included; a field declared with

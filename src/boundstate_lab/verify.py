@@ -41,7 +41,6 @@ from .integrate import (
     VARIATION_DIVERGED,
     IntegratorControls,
     ProblemParams,
-    State,
     Trajectory,
     integrate,
 )
@@ -148,16 +147,15 @@ class _Prepared:
     entry: LadderEntry | None
     gate_note: str
     portrait_note: str = ""
-    rows: list[tuple[State, AuxSample]] = dc_field(default_factory=list, repr=False)
+    rows: list[AuxSample] = dc_field(default_factory=list, repr=False)
 
-    def window(self, r_lo: float, r_hi: float) -> list[tuple[State, AuxSample]]:
-        """The (State, AuxSample) rows at the ``struct.grid`` radii in [r_lo, r_hi];
-        each radius is read once, when a window first reaches it."""
+    def window(self, r_lo: float, r_hi: float) -> list[AuxSample]:
+        """The samples at the ``struct.grid`` radii in [r_lo, r_hi]; each radius
+        is read once, when a window first reaches it."""
         grid = self.struct.grid
         end = bisect_right(grid, r_hi)
-        for r in grid[len(self.rows):end]:
-            st = self.struct.eval_dense(r)
-            self.rows.append((st, eval_aux(st, self.case.field)))
+        self.rows.extend(eval_aux(self.struct.eval_dense(r), self.case.field)
+                         for r in grid[len(self.rows):end])
         return self.rows[bisect_left(grid, r_lo):end]
 
 
@@ -327,7 +325,7 @@ def _positivity_scan(
     worst = math.inf
     worst_note = ""
     for name in names:
-        pairs = [(aux.r, val) for _, aux in rows if (val := getattr(aux, name)) is not None]
+        pairs = [(aux.r, val) for aux in rows if (val := getattr(aux, name)) is not None]
         if not pairs:
             continue
         scale = max(abs(v) for _, v in pairs) or 1e-300
@@ -364,8 +362,8 @@ def _check_omega_monotone(prep: _Prepared) -> _Outcome:
     for lo, hi in zip(edges, edges[1:]):
         pad = 1e-4 * (hi - lo)
         prev = None
-        for st, aux in prep.window(lo + pad, hi - pad):
-            if abs(st.u) < 1e-8 * u_scale:
+        for aux in prep.window(lo + pad, hi - pad):
+            if abs(aux.u) < 1e-8 * u_scale:
                 continue
             w = aux.omega
             if prev is not None:
@@ -390,7 +388,7 @@ def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     worst = math.inf
     prev = None
     scale = 1e-300
-    for _, aux in rows:
+    for aux in rows:
         x = aux.P / aux.r**n
         scale = max(scale, abs(x))
         if prev is not None:
@@ -528,12 +526,12 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
             rbar_mu = _refine_root(level, z_i + 1e-9, c_i - 1e-9)
             if r_mu is None or rbar_mu is None:
                 continue
-            sa = traj.eval_dense(r_mu)
-            sb = traj.eval_dense(rbar_mu)
-            if sa.up == 0.0 or sb.up == 0.0:
+            xa = eval_aux(traj.eval_dense(r_mu), fl)
+            xb = eval_aux(traj.eval_dense(rbar_mu), fl)
+            if xa.up == 0.0 or xb.up == 0.0:
                 continue
-            phi_a = eval_aux(sa, fl).Q / (r_mu ** (fl.n - 1) * abs(sa.up))
-            phi_b = eval_aux(sb, fl).Q / (rbar_mu ** (fl.n - 1) * abs(sb.up))
+            phi_a = xa.Q / (r_mu ** (fl.n - 1) * abs(xa.up))
+            phi_b = xb.Q / (rbar_mu ** (fl.n - 1) * abs(xb.up))
             used += 1
             worst = min(worst, (phi_b - phi_a) / (abs(phi_b) + abs(phi_a)))
     if used == 0:

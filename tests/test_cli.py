@@ -208,6 +208,15 @@ def test_export_unknown_functional_exits_one(tmp_path):
                    cwd=tmp_path) == EXIT_USAGE
 
 
+def test_export_state_column_is_not_a_functional(tmp_path, capsys):
+    # u is a column of every export, not one of the 17 functionals
+    assert run_cli("export", "--alpha", "2", "--functionals", "u",
+                   cwd=tmp_path) == EXIT_USAGE
+    named = capsys.readouterr().err.rstrip("\n").partition("choose from ")[2].split(", ")
+    assert named == ["E", "E_hat", "P", "P1", "P2", "omega", "rho", "Q", "Q1", "Q2",
+                     "Qn", "M", "T1", "T2", "B0", "phi_n", "varpi"]
+
+
 def test_tolerances_outside_bounds_exit_one(tmp_path):
     assert run_cli("ladder", "--k", "0", "--tol", "1", cwd=tmp_path) == EXIT_USAGE
     assert run_cli("solve", "--alpha", "2", "--abs-tol", "1e-20",

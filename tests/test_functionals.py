@@ -1,6 +1,8 @@
 """Functional-layer tests: pointwise values, probe policy, residuals, bridge."""
 
+import dataclasses
 import math
+from struct import pack
 
 import pytest
 
@@ -44,6 +46,13 @@ def test_aux_sample_matches_hand_computation():
         assert getattr(aux, name) == pytest.approx(want, rel=1e-14), name
 
 
+def test_aux_sample_is_the_state_it_was_read_at():
+    aux = eval_aux(HAND_STATE, FL)
+    assert isinstance(aux, State)
+    head = dataclasses.astuple(aux)[: len(dataclasses.fields(State))]
+    assert pack("<5d", *head) == pack("<5d", *dataclasses.astuple(HAND_STATE))
+
+
 def test_aux_sample_none_branches():
     at_zero_u = eval_aux(State(r=1.0, u=0.0, up=-1.0, v=1.0, vp=0.0), FL)
     assert at_zero_u.omega is None
@@ -72,10 +81,10 @@ def test_parametric_family_interpolates_corrected_wronskians():
     aux = eval_aux(HAND_STATE, FL)
     family_w = functionals._IDENTITIES["family_w"][0]
     for a in (-1.0, 0.0, 0.75, 2.0):
-        assert family_w(aux, HAND_STATE, FL, a) == pytest.approx(aux.Q - a * aux.M, rel=1e-14)
+        assert family_w(aux, FL, a) == pytest.approx(aux.Q - a * aux.M, rel=1e-14)
     # at a = g1(u) the family member coincides with T1
     assert g1(HAND_STATE.u, FL) == 0.75
-    assert family_w(aux, HAND_STATE, FL, 0.75) == pytest.approx(aux.T1, rel=1e-14)
+    assert family_w(aux, FL, 0.75) == pytest.approx(aux.T1, rel=1e-14)
 
 
 def _full_run(alpha, rmax=40.0):
@@ -99,7 +108,7 @@ def test_probe_radii_respects_the_exclusion_moat(monkeypatch):
 def test_probe_radii_with_no_budget_or_no_span_is_empty():
     traj = _full_run(2.0, rmax=10.0)
     assert probe_radii(traj, 0) == []
-    assert probe_radii(traj, 50, r_lo=5.0, r_hi=5.0) == []
+    assert probe_radii(traj, 50, r_hi=traj.r_start) == []
 
 
 def test_identity_residuals_are_small_on_a_free_shot():
@@ -402,7 +411,7 @@ def test_registry_sides_match_the_reference_table(field, alpha):
             sides = zip((lhs, rhs), reference[name][:2])
             for side, (new, old) in enumerate(sides):
                 for a in (1.0, 0.3):
-                    got, want = new(aux, s, field, a), old(s, field, a)
+                    got, want = new(aux, field, a), old(s, field, a)
                     if (name, side) in _RESPELLED_SIDES:
                         assert abs(got - want) <= 1e-15 * abs(want), (name, side, s)
                     else:

@@ -22,6 +22,7 @@ from boundstate_lab import (
 )
 from boundstate_lab.io import (
     SCHEMA,
+    TRAJECTORY_COLUMNS,
     ConfigSyntaxError,
     artifact,
     cell,
@@ -30,7 +31,7 @@ from boundstate_lab.io import (
     json_text,
     parse_config_text,
     plain,
-    trajectory_csv,
+    trajectory_rows,
     verification_body,
     verification_table,
 )
@@ -154,7 +155,7 @@ def test_trajectory_csv_has_one_row_per_sample():
     fl = FieldParams(3, 3.0)
     traj = integrate(ProblemParams(fl, 2.0, IntegratorControls().with_rmax(5.0)),
                      FULL_RANGE_POLICY)
-    text = trajectory_csv(traj, {"alpha": 2.0})
+    text = csv_text(TRAJECTORY_COLUMNS, trajectory_rows(traj), {"alpha": 2.0})
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     assert rows[0] == "r,u,up,v,vp"
     assert len(rows) - 1 == len(traj.knots)
