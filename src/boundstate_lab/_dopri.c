@@ -1,5 +1,4 @@
-/* Counted shot: the Dormand-Prince 5(4) march of integrate.integrate under
- * CLASSIFY_POLICY, reduced to what a counted shot reads.
+/* The Dormand-Prince 5(4) march of integrate._march, for every shot.
  *
  * Every expression is the Python step's, term for term and in the same
  * order, so that with -ffp-contract=off (no fused multiply-add) and without
@@ -7,21 +6,25 @@
  * sqrt are libm's, which CPython's math module and ** call too; min and max
  * keep the argument order of Python's builtins (max(a, b) is b only if b > a).
  *
- * No trajectory is stored.  While it steps the kernel counts the sign changes
- * of u over the knots and the segment midpoints, as portrait.count_nodes does
- * from Trajectory.midpoints, and splits the knots into blocks at each sign
- * change seen at the knots alone, keeping each block's first knot with the
- * least |u| + |u'|.  A backward pass after the run turns those into the rows
- * classify._estimate_rows picks: for block j, the first knot from block j to
- * the end with the least |u| + |u'|.
+ * A kept shot hands in columns, and the march stores its trajectory there:
+ * each knot and its state, and the stage slopes of each segment.  A counted
+ * shot hands in none and stores no trajectory.  Either way, while it steps
+ * the kernel counts the sign changes of u over the knots and the segment
+ * midpoints, as portrait.count_nodes does from Trajectory.midpoints, and
+ * splits the knots into blocks at each sign change seen at the knots alone,
+ * keeping each block's first knot with the least |u| + |u'|.  A backward pass
+ * after the run turns those into the rows classify._estimate_rows picks: for
+ * block j, the first knot from block j to the end with the least |u| + |u'|.
  */
 #include <math.h>
 
 /* How the run ended; indices into integrate._ENDS.  END_OVERFLOW means an exp
- * overflowed, where math.exp raises, so the caller reruns the shot in Python. */
+ * overflowed, where math.exp raises, so the caller reruns the shot in Python;
+ * END_FULL that a kept shot's columns filled, so the caller reruns it with
+ * more room. */
 enum {
     END_RMAX, END_TRAPPED_AT_START, END_DIVERGED_AT_START, END_BUDGET,
-    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED, END_OVERFLOW
+    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED, END_OVERFLOW, END_FULL
 };
 
 #define C2 (1.0 / 5.0)
@@ -117,13 +120,27 @@ static void keep(double *row, double r, double u, double up, double v, double vp
     row[5] = key;
 }
 
+/* Knot i of a kept shot: r, u, u', v, v' in the first five columns. */
+static void put(double *cols, long room, long i, double r, double u, double up, double v,
+                double vp)
+{
+    cols[i] = r;
+    cols[room + i] = u;
+    cols[2 * room + i] = up;
+    cols[3 * room + i] = v;
+    cols[4 * room + i] = vp;
+}
+
 /* in: n - 1, p, abs_tol, rel_tol, r_max, the variation guard, and the series
- * start r, u, u', v, v'.  rows holds cap rows of 6 doubles.  On return out
- * holds the last knot and the step size, and counts the sign-change count and
- * the number of blocks; rows 0 .. min(blocks, cap) - 1 are the estimate rows.
- * Returns the END_ index. */
-int dopri_count(const double *in, long max_steps, long cap, double *rows,
-                double *out, long *counts)
+ * start r, u, u', v, v'; stop_on_energy arms the energy trap.  rows holds cap
+ * rows of 6 doubles.  cols is NULL for a counted shot; a kept shot passes
+ * room for room knots: five columns of room doubles (r, u, u', v, v' at each
+ * knot), then four of 6 * room (k1, k3, ..., k7 of u, u', v, v', six per
+ * segment).  On return out holds the last knot and the step size, and counts
+ * the sign-change count, the number of blocks and the accepted steps; rows
+ * 0 .. min(blocks, cap) - 1 are the estimate rows.  Returns the END_ index. */
+int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, double *rows,
+                double *out, long *counts, long room, double *cols)
 {
     const double n_minus_1 = in[0], p = in[1], atol = in[2], rtol = in[3];
     const double r_max = in[4], v_guard = in[5];
@@ -138,8 +155,10 @@ int dopri_count(const double *in, long max_steps, long cap, double *rows,
     int overflow = 0, end, i;
 
     keep(rows, r, u, up, v, vp, fabs(u) + fabs(up));
+    if (cols)
+        put(cols, room, 0, r, u, up, v, vp);
 
-    if (energy(u, up, p, inv_p_p1, &overflow) <= 0.0) {
+    if (stop_on_energy && energy(u, up, p, inv_p_p1, &overflow) <= 0.0) {
         end = END_TRAPPED_AT_START;
         goto done;
     }
@@ -252,7 +271,22 @@ int dopri_count(const double *in, long max_steps, long cap, double *rows,
             continue;
         }
 
-        /* Accepted.  u at the segment midpoint, as Trajectory.midpoints reads
+        /* Accepted: a kept shot stores the knot and the segment's slopes. */
+        if (cols) {
+            double *k = cols + 5 * room + 6 * steps;
+            if (steps + 1 >= room)
+                return END_FULL;
+            put(cols, room, steps + 1, r_new, u_new, up_new, v_new, vp_new);
+            k[0] = k1u, k[1] = k3u, k[2] = k4u, k[3] = k5u, k[4] = k6u, k[5] = k7u;
+            k += 6 * room;
+            k[0] = k1up, k[1] = k3up, k[2] = k4up, k[3] = k5up, k[4] = k6up, k[5] = k7up;
+            k += 6 * room;
+            k[0] = k1v, k[1] = k3v, k[2] = k4v, k[3] = k5v, k[4] = k6v, k[5] = k7v;
+            k += 6 * room;
+            k[0] = k1vp, k[1] = k3vp, k[2] = k4vp, k[3] = k5vp, k[4] = k6vp, k[5] = k7vp;
+        }
+
+        /* u at the segment midpoint, as Trajectory.midpoints reads
          * it from Trajectory.coeffs(0); then the node count over the
          * midpoint and the new knot. */
         q0 = 0.0 + k1u * P11;
@@ -290,7 +324,7 @@ int dopri_count(const double *in, long max_steps, long cap, double *rows,
         r = r_new, u = u_new, up = up_new, v = v_new, vp = vp_new;
         k1u = k7u, k1up = k7up, k1v = k7v, k1vp = k7vp;
 
-        if (energy(u, up, p, inv_p_p1, &overflow) <= 0.0) {
+        if (stop_on_energy && energy(u, up, p, inv_p_p1, &overflow) <= 0.0) {
             end = END_TRAPPED;
             goto done;
         }
@@ -324,5 +358,6 @@ done:
     out[1] = h;
     counts[0] = count;
     counts[1] = blocks;
+    counts[2] = steps;
     return end;
 }

@@ -1,34 +1,40 @@
-"""Counted shots through the compiled DOPRI5 kernel of ``_dopri.c``.
+"""Every shot through the compiled DOPRI5 march of ``_dopri.c``.
 
-A counted shot is a classify-policy run of which a bracket search keeps only
-the node count and the rows its alpha_k estimates read, never the
-trajectory.  ``_dopri.c`` marches the same step as ``integrate.integrate``,
-expression for expression, and computes those while it steps, so the count,
-the termination and every row match the Python run bit for bit.
+``_dopri.c`` marches the step of ``integrate._march``, expression for
+expression, so every knot, state, slope, node count and termination matches
+the Python run bit for bit.  A kept shot (``kept_run``) hands it columns and
+gets back the trajectory ``integrate`` returns; a counted shot
+(``counted_run``) hands it none and keeps only what a bracket search reads:
+the node count and the rows its alpha_k estimates read.
 
-The kernel is compiled on the first counted shot, not at import, with the C
+The kernel is compiled on the first shot, not at import, with the C
 compiler that built this interpreter (``sysconfig``'s ``CC``) and the flags
 in ``_FLAGS``: no fused multiply-add, fast-math or ``-march``, which would
 change the bits.  The library goes to ``$XDG_CACHE_HOME/boundstate_lab/``
 (else ``~/.cache/boundstate_lab/``) under a name keyed by a hash of the
 source, the compiler, the flags and the platform, and is loaded through
 ``ctypes``.
-Without a compiler, or when the build or the load fails, ``counted_run``
-returns None and the caller integrates and counts the shot in Python, which
-also stays the reference the kernel is tested against.
+Without a compiler, or when the build or the load fails, both runs return
+None and the caller marches the shot in Python, which also stays the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
+from array import array
 
 from . import integrate as _integrate
-from .integrate import ProblemParams, TerminationCause, _termination, series_start
+from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, series_start
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _OVERFLOW = 8  # the kernel's END_OVERFLOW: an exp overflowed where math.exp raises
-_ROWS = 64  # estimate rows per run; a shot with more sign changes at its knots runs in Python
+_FULL = 9  # the kernel's END_FULL: a kept shot's columns filled
+_ROWS = 64  # rows per counted run; a shot with more sign changes at its knots runs in Python
+_ROOM = 8192  # knots a kept run first has room for; one that fills them reruns with 4x the room
+_COLUMNS = 29  # per knot: r, u, u', v, v', and six slopes of each of the four components
 
 
 @functools.cache
@@ -67,39 +73,79 @@ def _kernel():
                 os.unlink(tmp)
             return None
     try:
-        fn = ctypes.CDLL(str(lib)).dopri_count
+        fn = ctypes.CDLL(str(lib)).dopri_march
     except (OSError, AttributeError):
         return None
     doubles = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = (doubles, ctypes.c_long, ctypes.c_long, doubles, doubles,
-                   ctypes.POINTER(ctypes.c_long))
+    fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, ctypes.c_long, doubles, doubles,
+                   ctypes.POINTER(ctypes.c_long), ctypes.c_long, doubles)
     fn.restype = ctypes.c_int
     return fn
 
 
-def counted_run(params: ProblemParams) -> tuple[TerminationCause, int, list] | None:
-    """(termination, sign-change count, estimate rows) of the classify-policy
-    shot from ``params``, or None where the shot must be run in Python.
+_local = threading.local()  # per thread: kept-run columns in pages mapped on first write
 
-    The count is ``portrait.count_nodes``' over the knots and segment
-    midpoints.  There are count + 1 rows, as ``classify._estimate_rows``
-    picks them: (r, u, u', v, v') at a knot, or None for a sign change the
-    knots never show.  The series start and its checks are Python's, and so
-    are their exceptions.
-    """
+
+def _run(params: ProblemParams, stop_on_energy: bool, room: int):
+    """(termination, counts, rows, columns, room) of the kernel's run from
+    ``params``, or None without a kernel, where an exp overflows, or where a
+    counted run (room 0) sees more sign changes at its knots than it has rows.
+    A kept run whose columns fill reruns with 4x the room; the start is Python's."""
     fn = _kernel()
     if fn is None:
         return None
+    import mmap
     from ctypes import c_double, c_long
 
     start = series_start(params)
     fld, ctl = params.field, params.controls
     inputs = (c_double * 11)(fld.n - 1.0, fld.p, ctl.abs_tol, ctl.rel_tol, ctl.r_max,
                              _integrate._V_GUARD, start.r, start.u, start.up, start.v, start.vp)
-    out, counts, rows = (c_double * 2)(), (c_long * 2)(), (c_double * (6 * _ROWS))()
-    end = fn(inputs, _integrate._MAX_STEPS, _ROWS, rows, out, counts)
-    count, found = counts
-    if end == _OVERFLOW or found > _ROWS:
+    out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * (6 * _ROWS))()
+    while True:
+        cols = getattr(_local, "cols", None) if room else None
+        if room and (cols is None or len(cols) != _COLUMNS * room):
+            cols = _local.cols = (c_double * (_COLUMNS * room)).from_buffer(
+                mmap.mmap(-1, 8 * _COLUMNS * room))
+        end = fn(inputs, _integrate._MAX_STEPS, stop_on_energy, _ROWS, rows, out, counts,
+                 room, cols)
+        if end != _FULL:
+            break
+        room *= 4
+    if end == _OVERFLOW or (not room and counts[1] > _ROWS):
         return None  # the Python step raises where math.exp does, and keeps any number of rows
+    return _termination(end, out[0], out[1]), counts, rows, cols, room
+
+
+def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int, list] | None:
+    """(termination, sign-change count, estimate rows) of the classify-policy
+    shot from ``params``, or None where the shot must be run in Python.
+
+    The count is ``portrait.count_nodes``' over the knots and segment
+    midpoints.  There are count + 1 rows, as ``classify._estimate_rows``
+    picks them: (r, u, u', v, v') at a knot, or None for a sign change the
+    knots never show.
+    """
+    run = _run(params, True, 0)
+    if run is None:
+        return None
+    end, (count, found, _), rows, _, _ = run
     picked = [tuple(rows[6 * j:6 * j + 5]) for j in range(found)]
-    return _termination(end, out[0], out[1]), count, picked + [None] * (count + 1 - found)
+    return end, count, picked + [None] * (count + 1 - found)
+
+
+def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
+    """The trajectory ``integrate`` returns for the shot from ``params``, or
+    None where it must be run in Python.  Each column leaves in one copy."""
+    run = _run(params, policy.stop_on_energy, _ROOM)
+    if run is None:
+        return None
+    end, counts, _, cols, room = run
+    view, n_knots = memoryview(cols).cast("B"), counts[2] + 1
+
+    def column(k: int, length: int) -> array:
+        return array("d", bytes(view[8 * k * room:8 * (k * room + length)]))
+
+    knots, u, up, v, vp = (column(k, n_knots).tolist() for k in range(5))
+    return Trajectory(params, knots, list(zip(u, up, v, vp)),
+                      [column(5 + 6 * c, 6 * (n_knots - 1)) for c in range(4)], end)

@@ -19,10 +19,10 @@ re-integrating; a shot that is only counted builds u's segments alone.
 Only this module stores and evaluates segments.  Every zero, node count and
 level crossing downstream is read off ``Trajectory.grid``, the knots plus
 each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
-oscillation of the profile, so that grid isolates every event.  The one
-other reader is the counted-shot kernel of ``_dopri.c``, which repeats this
-module's step and its midpoint arithmetic in C, bit for bit, for shots that
-are only counted.
+oscillation of the profile, so that grid isolates every event.  Every shot
+marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
+``_march`` and its midpoint arithmetic in C, bit for bit.  ``_march``, the
+Python step, is its fallback and its reference.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -46,7 +46,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .field import FieldParams, ParameterError, abs_pow, f, f_prime
 
@@ -260,18 +260,19 @@ class Trajectory:
 
     ``knots`` are the accepted step endpoints (strictly increasing, first
     one is the series start).  ``states`` are the states at the knots.
-    Segment ``i`` covers [knots[i], knots[i+1]].  ``slopes[c][i]`` holds
-    component c's stage slopes (k1, k3, ..., k7) of the step that made
-    segment i; the first read of component c builds its quartic interpolant
-    coefficients from them (``coeffs``) and drops them.
+    Segment ``i`` covers [knots[i], knots[i+1]].  ``slopes[c]`` is flat:
+    its six values from 6*i hold component c's stage slopes (k1, k3, ..., k7)
+    of the step that made segment i.  The first read of component c builds its
+    quartic interpolant coefficients from them (``coeffs``) and drops them.
     """
 
     params: ProblemParams
     knots: list[float]
     states: list[tuple[float, float, float, float]]
-    slopes: list[list[tuple[float, ...]] | None]
+    slopes: list[Sequence[float] | None]
     termination: TerminationCause
     _coeffs: list[list | None] = dc_field(default_factory=lambda: [None] * 4, repr=False)
+    _midpoints: list[list | None] = dc_field(default_factory=lambda: [None] * 4, repr=False)
 
     @property
     def r_start(self) -> float:
@@ -293,12 +294,13 @@ class Trajectory:
         """Component c's quartic coefficients, one (q0, q1, q2, q3) per segment."""
         built = self._coeffs[c]
         if built is None:
+            k = iter(self.slopes[c])
             built = self._coeffs[c] = [
                 (0.0 + k1 * _P11,
                  0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72,
                  0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73,
                  0.0 + k1 * _P14 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64 + k7 * _P74)
-                for k1, k3, k4, k5, k6, k7 in self.slopes[c]]
+                for k1, k3, k4, k5, k6, k7 in zip(k, k, k, k, k, k)]
             self.slopes[c] = None
         return built
 
@@ -326,11 +328,13 @@ class Trajectory:
 
     def midpoints(self, c: int) -> list[float]:
         """Component c at every segment midpoint, bit for bit as ``value``,
-        with its arithmetic but without its search.  The stepper's minimum
-        step keeps each midpoint strictly inside its segment; only a final step
-        clipped to r_max can be shorter, and ``value`` reads that segment too."""
+        with its arithmetic but without its search; built once.  The stepper's
+        minimum step keeps each midpoint strictly inside its segment; only a
+        final step clipped to r_max can be shorter, and ``value`` reads it too."""
+        if self._midpoints[c] is not None:
+            return self._midpoints[c]
         knots, states = self.knots, self.states
-        mids = []
+        mids = self._midpoints[c] = []
         for i, (q0, q1, q2, q3) in enumerate(self.coeffs(c)):
             r_lo = knots[i]
             r_hi = knots[i + 1]
@@ -388,7 +392,7 @@ class Trajectory:
             params=self.params,
             knots=self.knots[: n_keep + 1],
             states=self.states[: n_keep + 1],
-            slopes=[None if k is None else k[:n_keep] for k in self.slopes],
+            slopes=[None if k is None else k[:6 * n_keep] for k in self.slopes],
             termination=TerminationCause(
                 tag=REACHED_RMAX,
                 r_stop=self.knots[n_keep],
@@ -409,8 +413,18 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     Every accepted step keeps its local error below abs_tol + rel_tol*|y|
     componentwise (RMS-normalized).  The returned trajectory always carries
     at least one dense segment unless the very first state already trips a
-    stop, and its termination tag says exactly why the march ended.
+    stop, and its termination tag says exactly why the march ended.  The
+    march runs in the compiled kernel of ``_dopri`` when that loads, and
+    otherwise in ``_march``, bit for bit alike.
     """
+    from ._dopri import kept_run  # imported here: _dopri imports this module
+
+    traj = kept_run(params, policy)
+    return traj if traj is not None else _march(params, policy)
+
+
+def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
+    """``integrate``'s march in Python: the kernel's fallback and its bit reference."""
     fld = params.field
     ctl = params.controls
     start = series_start(params)
@@ -541,10 +555,10 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
             continue
 
         # Accepted: keep the slopes; Trajectory.coeffs builds Q = K^T P from them.
-        slopes_u.append((k1u, k3u, k4u, k5u, k6u, k7u))
-        slopes_up.append((k1up, k3up, k4up, k5up, k6up, k7up))
-        slopes_v.append((k1v, k3v, k4v, k5v, k6v, k7v))
-        slopes_vp.append((k1vp, k3vp, k4vp, k5vp, k6vp, k7vp))
+        slopes_u += k1u, k3u, k4u, k5u, k6u, k7u
+        slopes_up += k1up, k3up, k4up, k5up, k6up, k7up
+        slopes_v += k1v, k3v, k4v, k5v, k6v, k7v
+        slopes_vp += k1vp, k3vp, k4vp, k5vp, k6vp, k7vp
         knots.append(r_new)
         states.append((u_new, up_new, v_new, vp_new))
         steps += 1

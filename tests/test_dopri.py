@@ -1,8 +1,9 @@
-"""The compiled counted shot against the Python step, and its loader.
+"""The compiled march against the Python step, and its loader.
 
 ``_dopri.counted_run`` must give what ``integrate`` + ``count_nodes`` +
 ``classify._estimate_rows`` give for the same classify-policy shot, bit for
-bit: the bracket searches read only those.
+bit: the bracket searches read only those.  ``_dopri.kept_run`` must give the
+trajectory ``integrate._march`` gives, bit for bit, under either policy.
 """
 
 import dataclasses
@@ -16,12 +17,13 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boundstate_lab
 from boundstate_lab import (
     CLASSIFY_POLICY,
+    FULL_RANGE_POLICY,
     FieldParams,
     IntegratorControls,
     ProblemParams,
@@ -44,6 +46,7 @@ from boundstate_lab.portrait import IndeterminateCount, _node_count, count_nodes
 from test_integrate import GOLDEN_BITS
 
 classify_module = importlib.import_module("boundstate_lab.classify")
+cli_module = importlib.import_module("boundstate_lab.cli")
 integrate_module = importlib.import_module("boundstate_lab.integrate")
 
 FL = FieldParams(3, 3.0)
@@ -65,18 +68,23 @@ def _run_or_error(fn, params):
 
 def _reference(params):
     """(termination, count, rows) from the Python step."""
-    traj = integrate(params, CLASSIFY_POLICY)
+    traj = integrate_module._march(params, CLASSIFY_POLICY)
     # count_nodes refuses a run that gave up; count its sign changes all the same
     counted = dataclasses.replace(traj, termination=TerminationCause(REACHED_RMAX, traj.r_end))
     count = count_nodes(counted).count
     return traj.termination, count, classify_module._estimate_rows(traj, count), traj
 
 
+def _deferred_overflow(got, want):
+    """The kernel gave the shot back where math.exp raises during the run."""
+    return got is None and want[0] is OverflowError
+
+
 def _assert_same_shot(params):
     got = _run_or_error(_dopri.counted_run, params)
     want = _run_or_error(_reference, params)
-    if isinstance(want[0], type):  # the start was refused: same exception, same text
-        assert got == want
+    if isinstance(want[0], type):  # the same exception and text, or the kernel's deferral
+        assert got == want or _deferred_overflow(got, want)
         return None
     end, count, rows = got
     want_end, want_count, want_rows, traj = want
@@ -157,10 +165,124 @@ def _counted_shots(draw):
     return ProblemParams(FieldParams(n, p), alpha, controls)
 
 
+# a loose run near the critical exponent whose u overflows |u|**(p-1) after the start
+OVERFLOWING_SHOT = ProblemParams(FieldParams(3, 4.75), 100.0,
+                                 IntegratorControls(r0=1e-3, abs_tol=1e-8, rel_tol=1e-6, r_max=1.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=_counted_shots())
+@example(params=OVERFLOWING_SHOT)
 def test_kernel_matches_the_python_step_on_sampled_shots(params):
     _assert_same_shot(params)
+
+
+def _pack(values):
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _assert_same_trajectory(got, want):
+    """Knots, states, termination and all four components' coefficients, in bytes."""
+    assert _pack(got.knots) == _pack(want.knots)
+    assert _pack(x for st in got.states for x in st) == _pack(x for st in want.states for x in st)
+    assert (got.termination.tag, got.termination.detail) == (want.termination.tag,
+                                                             want.termination.detail)
+    assert _pack([got.termination.r_stop]) == _pack([want.termination.r_stop])
+    for c in range(4):
+        assert _pack(x for q in got.coeffs(c) for x in q) == _pack(
+            x for q in want.coeffs(c) for x in q)
+
+
+def _assert_same_kept_shot(params, policy):
+    got = _run_or_error(lambda p: _dopri.kept_run(p, policy), params)
+    want = _run_or_error(lambda p: integrate_module._march(p, policy), params)
+    if isinstance(want, tuple):  # the same exception and text, or the kernel's deferral
+        assert got == want or _deferred_overflow(got, want)
+        return None
+    _assert_same_trajectory(got, want)
+    if len(want.knots) > 2:  # a copy cut inside the run slices the flat slopes alike
+        r_cut = want.knots[len(want.knots) // 2]
+        _assert_same_trajectory(got.truncated_at(r_cut), want.truncated_at(r_cut))
+    return got.termination.tag
+
+
+@pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
+                         ids=["classify", "full_range"])
+@pytest.mark.parametrize("name, field, alpha, controls",
+                         [case[:4] for case in GOLDEN_BITS], ids=[case[0] for case in GOLDEN_BITS])
+def test_kept_shots_match_the_python_step_on_the_golden_shots(monkeypatch, name, field, alpha,
+                                                              controls, policy):
+    if name == "step_limit":
+        monkeypatch.setattr(integrate_module, "_MAX_STEPS", 40)
+    assert _assert_same_kept_shot(ProblemParams(field, alpha, controls), policy) is not None
+
+
+@pytest.mark.parametrize("guard, budget, controls, tag", TRAPS)
+def test_kept_shots_match_the_python_step_on_every_stop(monkeypatch, guard, budget, controls,
+                                                        tag):
+    monkeypatch.setattr(integrate_module, "_V_GUARD", guard)
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", budget)
+    for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
+        assert _assert_same_kept_shot(ProblemParams(FL, 5.0, controls), policy) == tag
+        _assert_same_kept_shot(ProblemParams(FL, 5.0, dataclasses.replace(controls, rel_tol=0.0)),
+                               policy)
+    # only the classify policy stops at the energy trap, at the start or later
+    assert _assert_same_kept_shot(ProblemParams(FL, 1.2), CLASSIFY_POLICY) == ENERGY_NONPOSITIVE
+    assert _assert_same_kept_shot(ProblemParams(FL, 1.2, controls),
+                                  FULL_RANGE_POLICY) != ENERGY_NONPOSITIVE
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=_counted_shots(), full_range=st.booleans())
+@example(params=OVERFLOWING_SHOT, full_range=False)
+def test_kept_shots_match_the_python_step_on_sampled_shots(params, full_range):
+    _assert_same_kept_shot(params, FULL_RANGE_POLICY if full_range else CLASSIFY_POLICY)
+
+
+def test_a_kept_shot_that_fills_its_columns_reruns_with_more_room(monkeypatch):
+    kernel, rooms = _dopri._kernel(), []
+    if kernel is None:
+        pytest.skip("no kernel to run")
+
+    def spy(*args):
+        rooms.append(args[7])
+        return kernel(*args)
+
+    monkeypatch.setattr(_dopri, "_kernel", lambda: spy)
+    monkeypatch.setattr(_dopri, "_ROOM", 8)
+    params = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=40.0))
+    got = _dopri.kept_run(params, FULL_RANGE_POLICY)
+    assert rooms == [8, 32, 128, 512, 2048]  # 821 knots
+    _assert_same_trajectory(got, integrate_module._march(params, FULL_RANGE_POLICY))
+    rooms.clear()
+    _assert_same_trajectory(_dopri.kept_run(ProblemParams(FL, 1.2), CLASSIFY_POLICY),
+                            integrate_module._march(ProblemParams(FL, 1.2), CLASSIFY_POLICY))
+    assert rooms == [8]  # trapped at the start: one knot fits
+
+
+def test_a_kept_shot_is_not_held_to_the_counted_row_cap(monkeypatch):
+    monkeypatch.setattr(_dopri, "_ROWS", 2)
+    params = ProblemParams(FL, 15.0)  # two zeros: three rows, past the cap
+    assert _dopri.counted_run(params) is None
+    for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
+        got = _dopri.kept_run(params, policy)
+        if _dopri._kernel() is not None:
+            assert got is not None
+            _assert_same_trajectory(got, integrate_module._march(params, policy))
+    assert count_nodes(integrate(params)).count == 2
+
+
+@pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
+                         ids=["classify", "full_range"])
+def test_a_kept_shot_defers_where_math_exp_raises(monkeypatch, policy):
+    # as in the counted test; a full-range shot has no energy check, and its
+    # variation would trip the guard at the start, so the guard is lifted
+    monkeypatch.setattr(integrate_module, "_V_GUARD", 1e300)
+    params = ProblemParams(FieldParams(3, 4.9), 1e60, IntegratorControls(r0=1e-40))
+    assert _dopri.kept_run(params, policy) is None
+    with pytest.raises(OverflowError):
+        integrate(params, policy)
 
 
 def _compiler_on_path():
@@ -195,6 +317,24 @@ def _ladder_artifact(monkeypatch, workdir):
     return (workdir / "lad.json").read_bytes()
 
 
+# kept shots: a full-range shot written whole, with every functional, a swept
+# grid across alpha_0 and alpha_1, and the core checks with their tight shots
+KEPT_COMMANDS = {
+    "solve": ["solve", "--n", "3", "--p", "1.5", "--alpha", "4"],
+    "export": ["export", "--n", "4", "--p", "2", "--alpha", "10",
+               "--functionals", ",".join(cli_module._AUX_COLUMNS)],
+    "sweep": ["sweep", "--n", "3", "--p", "3", "--alpha-range", "0.5..16", "--points", "16"],
+    "verify": ["verify", "--n", "3", "--p", "3", "--preset", "core"],
+}
+
+
+def _artifacts(monkeypatch, workdir, argv):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--out", "out"]) == EXIT_OK
+    return {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+
+
 def test_without_a_compiler_the_python_step_gives_the_same_ladder(monkeypatch, tmp_path,
                                                                   fresh_loader):
     monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
@@ -207,6 +347,33 @@ def test_without_a_compiler_the_python_step_gives_the_same_ladder(monkeypatch, t
     assert _dopri.counted_run(ProblemParams(FL, 5.0)) is None
     assert _ladder_artifact(monkeypatch, tmp_path / "python") == kernel_bytes
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("name", KEPT_COMMANDS)
+def test_without_a_compiler_kept_shots_give_the_same_artifacts(monkeypatch, tmp_path,
+                                                               fresh_loader, name):
+    monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
+    kernel_files = _artifacts(monkeypatch, tmp_path / "kernel", KEPT_COMMANDS[name])
+    _dopri._kernel.cache_clear()
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "no-such-cc-boundstate" if name == "CC" else real(name))
+    assert _dopri.kept_run(ProblemParams(FL, 5.0), FULL_RANGE_POLICY) is None
+    assert _artifacts(monkeypatch, tmp_path / "python", KEPT_COMMANDS[name]) == kernel_files
+    assert kernel_files
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="the interpreter's C compiler is absent")
+@pytest.mark.parametrize("name", ["sweep", "solve"])
+def test_kept_shots_run_in_the_kernel(monkeypatch, tmp_path, name):
+    assert _dopri._kernel() is not None
+
+    def refuse(params, policy):
+        raise AssertionError("a kept shot was marched in Python")
+
+    monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
+    monkeypatch.setattr(integrate_module, "_march", refuse)
+    assert _artifacts(monkeypatch, tmp_path / name, KEPT_COMMANDS[name])
 
 
 def test_importing_the_cli_loads_no_ctypes_or_subprocess():

@@ -260,7 +260,7 @@ def test_value_is_eval_dense_bit_for_bit(monkeypatch, name, field, alpha, contro
 def test_coefficients_are_built_on_the_first_read_of_each_component():
     traj = integrate(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
     n_seg = len(traj.knots) - 1
-    assert [len(k) for k in traj.slopes] == [n_seg] * 4
+    assert [len(k) for k in traj.slopes] == [6 * n_seg] * 4
     u_coeffs = traj.coeffs(0)
     assert traj.coeffs(0) is u_coeffs
     assert traj.slopes[0] is None and all(k is not None for k in traj.slopes[1:])
@@ -268,7 +268,7 @@ def test_coefficients_are_built_on_the_first_read_of_each_component():
     cut = traj.truncated_at(6.0)
     n_cut = len(cut.knots) - 1
     assert all(a is b for a, b in zip(cut.coeffs(0), u_coeffs))
-    assert cut.slopes[0] is None and [len(k) for k in cut.slopes[1:]] == [n_cut] * 3
+    assert cut.slopes[0] is None and [len(k) for k in cut.slopes[1:]] == [6 * n_cut] * 3
     assert cut.coeffs(1) == traj.coeffs(1)[:n_cut]
     # once every component has been read the full-range shot holds no slopes
     traj.eval_dense(traj.r_end)
@@ -281,10 +281,17 @@ def test_grid_is_built_once_and_a_truncated_copy_builds_its_own():
     grid = full.grid
     assert full.grid is grid
     assert len(grid) == 2 * len(full.knots) - 1
+    mids = [full.midpoints(c) for c in range(4)]
+    assert all(full.midpoints(c) is mids[c] for c in range(4))
+    assert len(mids[0]) == len(full.knots) - 1
     cut = full.truncated_at(6.0)
     assert cut.grid is not grid
     assert cut.grid is cut.grid
     assert cut.grid == grid[: 2 * len(cut.knots) - 1]
+    for c in range(4):
+        cut_mids = cut.midpoints(c)
+        assert cut_mids is not mids[c] and cut.midpoints(c) is cut_mids
+        assert cut_mids == mids[c][: len(cut.knots) - 1]
 
 
 def test_control_helpers_change_only_their_fields(monkeypatch):

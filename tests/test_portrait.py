@@ -430,4 +430,5 @@ def test_counted_and_swept_classify_shots_build_only_u(alpha):
         traj = integrate(ProblemParams(FL, alpha))
         scan(traj)
         assert traj.slopes[0] is None
-        assert all(k is not None and len(k) == len(traj.knots) - 1 for k in traj.slopes[1:])
+        assert all(k is not None and len(k) == 6 * (len(traj.knots) - 1)
+                   for k in traj.slopes[1:])
