@@ -19,12 +19,10 @@
 #include <math.h>
 
 /* How the run ended; indices into integrate._ENDS.  END_OVERFLOW means an exp
- * overflowed, where math.exp raises, so the caller reruns the shot in Python;
- * END_FULL that a kept shot's columns filled, so the caller reruns it with
- * more room. */
+ * overflowed, where math.exp raises, so the caller reruns the shot in Python. */
 enum {
     END_RMAX, END_TRAPPED_AT_START, END_DIVERGED_AT_START, END_BUDGET,
-    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED, END_OVERFLOW, END_FULL
+    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED, END_OVERFLOW
 };
 
 #define C2 (1.0 / 5.0)
@@ -134,14 +132,16 @@ static void put(double *cols, long room, long i, double r, double u, double up, 
 /* in: n - 1, p, abs_tol, rel_tol, r_max, the variation guard, and the series
  * start r, u, u', v, v'; stop_on_energy arms the energy trap.  rows holds cap
  * rows of 6 doubles.  cols is NULL for a counted shot; a kept shot passes
- * room for room knots: five columns of room doubles (r, u, u', v, v' at each
- * knot), then four of 6 * room (k1, k3, ..., k7 of u, u', v, v', six per
- * segment).  On return out holds the last knot and the step size, and counts
- * the sign-change count, the number of blocks and the accepted steps; rows
- * 0 .. min(blocks, cap) - 1 are the estimate rows.  Returns the END_ index. */
+ * room for every knot the budget allows, room = max_steps + 1: five columns
+ * of room doubles (r, u, u', v, v' at each knot), then four of 6 * room (k1,
+ * k3, ..., k7 of u, u', v, v', six per segment).  On return out holds the
+ * last knot and the step size, and counts the sign-change count, the number
+ * of blocks and the accepted steps; rows 0 .. min(blocks, cap) - 1 are the
+ * estimate rows.  Returns the END_ index. */
 int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, double *rows,
-                double *out, long *counts, long room, double *cols)
+                double *out, long *counts, double *cols)
 {
+    const long room = max_steps + 1;
     const double n_minus_1 = in[0], p = in[1], atol = in[2], rtol = in[3];
     const double r_max = in[4], v_guard = in[5];
     const double p_m1 = p - 1.0, inv_p_p1 = 1.0 / (p + 1.0);
@@ -274,8 +274,6 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
         /* Accepted: a kept shot stores the knot and the segment's slopes. */
         if (cols) {
             double *k = cols + 5 * room + 6 * steps;
-            if (steps + 1 >= room)
-                return END_FULL;
             put(cols, room, steps + 1, r_new, u_new, up_new, v_new, vp_new);
             k[0] = k1u, k[1] = k3u, k[2] = k4u, k[3] = k5u, k[4] = k6u, k[5] = k7u;
             k += 6 * room;

@@ -31,9 +31,7 @@ from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, seri
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _OVERFLOW = 8  # the kernel's END_OVERFLOW: an exp overflowed where math.exp raises
-_FULL = 9  # the kernel's END_FULL: a kept shot's columns filled
 _ROWS = 64  # rows per counted run; a shot with more sign changes at its knots runs in Python
-_ROOM = 8192  # knots a kept run first has room for; one that fills them reruns with 4x the room
 _COLUMNS = 29  # per knot: r, u, u', v, v', and six slopes of each of the four components
 
 
@@ -78,19 +76,19 @@ def _kernel():
         return None
     doubles = ctypes.POINTER(ctypes.c_double)
     fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, ctypes.c_long, doubles, doubles,
-                   ctypes.POINTER(ctypes.c_long), ctypes.c_long, doubles)
+                   ctypes.POINTER(ctypes.c_long), doubles)
     fn.restype = ctypes.c_int
     return fn
 
 
-_local = threading.local()  # per thread: kept-run columns in pages mapped on first write
+_local = threading.local()  # per thread: kept-run columns, in private pages mapped on write
 
 
-def _run(params: ProblemParams, stop_on_energy: bool, room: int):
-    """(termination, counts, rows, columns, room) of the kernel's run from
-    ``params``, or None without a kernel, where an exp overflows, or where a
-    counted run (room 0) sees more sign changes at its knots than it has rows.
-    A kept run whose columns fill reruns with 4x the room; the start is Python's."""
+def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
+    """(termination, counts, rows, columns) of the kernel's run from ``params``,
+    or None without a kernel or its columns, where an exp overflows, or where
+    a counted run sees more sign changes at its knots than it has rows.  The
+    start is Python's; a kept run has room for every knot the budget allows."""
     fn = _kernel()
     if fn is None:
         return None
@@ -98,23 +96,22 @@ def _run(params: ProblemParams, stop_on_energy: bool, room: int):
     from ctypes import c_double, c_long
 
     start = series_start(params)
-    fld, ctl = params.field, params.controls
+    fld, ctl, max_steps = params.field, params.controls, _integrate._MAX_STEPS
+    cols, size = getattr(_local, "cols", None), _COLUMNS * (max_steps + 1)
+    if kept and (cols is None or len(cols) != size):  # a new budget remaps them
+        try:
+            cols = _local.cols = (c_double * size).from_buffer(
+                mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
+        except OSError:  # no address space for them: the shot runs in Python
+            return None
     inputs = (c_double * 11)(fld.n - 1.0, fld.p, ctl.abs_tol, ctl.rel_tol, ctl.r_max,
                              _integrate._V_GUARD, start.r, start.u, start.up, start.v, start.vp)
     out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * (6 * _ROWS))()
-    while True:
-        cols = getattr(_local, "cols", None) if room else None
-        if room and (cols is None or len(cols) != _COLUMNS * room):
-            cols = _local.cols = (c_double * (_COLUMNS * room)).from_buffer(
-                mmap.mmap(-1, 8 * _COLUMNS * room))
-        end = fn(inputs, _integrate._MAX_STEPS, stop_on_energy, _ROWS, rows, out, counts,
-                 room, cols)
-        if end != _FULL:
-            break
-        room *= 4
-    if end == _OVERFLOW or (not room and counts[1] > _ROWS):
+    end = fn(inputs, max_steps, stop_on_energy, _ROWS, rows, out, counts,
+             cols if kept else None)
+    if end == _OVERFLOW or (not kept and counts[1] > _ROWS):
         return None  # the Python step raises where math.exp does, and keeps any number of rows
-    return _termination(end, out[0], out[1]), counts, rows, cols, room
+    return _termination(end, out[0], out[1]), counts, rows, cols
 
 
 def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int, list] | None:
@@ -126,10 +123,10 @@ def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int
     picks them: (r, u, u', v, v') at a knot, or None for a sign change the
     knots never show.
     """
-    run = _run(params, True, 0)
+    run = _run(params, True, False)
     if run is None:
         return None
-    end, (count, found, _), rows, _, _ = run
+    end, (count, found, _), rows, _ = run
     picked = [tuple(rows[6 * j:6 * j + 5]) for j in range(found)]
     return end, count, picked + [None] * (count + 1 - found)
 
@@ -137,14 +134,16 @@ def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int
 def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
     """The trajectory ``integrate`` returns for the shot from ``params``, or
     None where it must be run in Python.  Each column leaves in one copy."""
-    run = _run(params, policy.stop_on_energy, _ROOM)
+    run = _run(params, policy.stop_on_energy, True)
     if run is None:
         return None
-    end, counts, _, cols, room = run
-    view, n_knots = memoryview(cols).cast("B"), counts[2] + 1
+    end, counts, _, cols = run
+    view, n_knots, room = memoryview(cols).cast("B"), counts[2] + 1, len(cols) // _COLUMNS
 
     def column(k: int, length: int) -> array:
-        return array("d", bytes(view[8 * k * room:8 * (k * room + length)]))
+        values = array("d")
+        values.frombytes(view[8 * k * room:8 * (k * room + length)])
+        return values
 
     knots, u, up, v, vp = (column(k, n_knots).tolist() for k in range(5))
     return Trajectory(params, knots, list(zip(u, up, v, vp)),

@@ -40,6 +40,7 @@ from boundstate_lab.integrate import (
     STEP_UNDERFLOW,
     VARIATION_DIVERGED,
     TerminationCause,
+    series_start,
 )
 from boundstate_lab.portrait import IndeterminateCount, _node_count, count_nodes
 
@@ -75,16 +76,20 @@ def _reference(params):
     return traj.termination, count, classify_module._estimate_rows(traj, count), traj
 
 
-def _deferred_overflow(got, want):
-    """The kernel gave the shot back where math.exp raises during the run."""
-    return got is None and want[0] is OverflowError
+def _deferred_overflow(got, want, params):
+    """The kernel gave the shot back where math.exp raises during the run;
+    an exception from the series start must come from both sides alike."""
+    if got is not None or want[0] is not OverflowError:
+        return False
+    series_start(params)  # raises, failing the test, if the start was refused
+    return True
 
 
 def _assert_same_shot(params):
     got = _run_or_error(_dopri.counted_run, params)
     want = _run_or_error(_reference, params)
     if isinstance(want[0], type):  # the same exception and text, or the kernel's deferral
-        assert got == want or _deferred_overflow(got, want)
+        assert got == want or _deferred_overflow(got, want, params)
         return None
     end, count, rows = got
     want_end, want_count, want_rows, traj = want
@@ -137,6 +142,16 @@ def test_kernel_defers_where_math_exp_raises():
     assert _dopri.counted_run(params) is None
     with pytest.raises(OverflowError):
         node_count_of_alpha(params.field, params.alpha, params.controls)
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e200])
+def test_an_overflow_in_the_series_start_is_raised_not_deferred(alpha):
+    params = ProblemParams(FL, alpha)
+    with pytest.raises(OverflowError):
+        series_start(params)
+    _assert_same_shot(params)
+    for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
+        _assert_same_kept_shot(params, policy)
 
 
 def test_a_shot_with_more_rows_than_the_kernel_keeps_runs_in_python(monkeypatch):
@@ -198,7 +213,7 @@ def _assert_same_kept_shot(params, policy):
     got = _run_or_error(lambda p: _dopri.kept_run(p, policy), params)
     want = _run_or_error(lambda p: integrate_module._march(p, policy), params)
     if isinstance(want, tuple):  # the same exception and text, or the kernel's deferral
-        assert got == want or _deferred_overflow(got, want)
+        assert got == want or _deferred_overflow(got, want, params)
         return None
     _assert_same_trajectory(got, want)
     if len(want.knots) > 2:  # a copy cut inside the run slices the flat slopes alike
@@ -240,25 +255,44 @@ def test_kept_shots_match_the_python_step_on_sampled_shots(params, full_range):
     _assert_same_kept_shot(params, FULL_RANGE_POLICY if full_range else CLASSIFY_POLICY)
 
 
-def test_a_kept_shot_that_fills_its_columns_reruns_with_more_room(monkeypatch):
-    kernel, rooms = _dopri._kernel(), []
-    if kernel is None:
+# a full-range shot of 820 steps, 821 knots
+LONG_SHOT = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=40.0))
+
+
+@pytest.mark.parametrize("budget, tag", [(819, STEP_LIMIT), (820, REACHED_RMAX),
+                                         (integrate_module._MAX_STEPS, REACHED_RMAX)])
+def test_a_kept_shot_has_room_for_every_step_of_its_budget(monkeypatch, budget, tag):
+    if _dopri._kernel() is None:
         pytest.skip("no kernel to run")
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", budget)
+    assert _assert_same_kept_shot(LONG_SHOT, FULL_RANGE_POLICY) == tag
+    assert len(_dopri._local.cols) == _dopri._COLUMNS * (budget + 1)  # mapped for this budget
 
-    def spy(*args):
-        rooms.append(args[7])
-        return kernel(*args)
 
-    monkeypatch.setattr(_dopri, "_kernel", lambda: spy)
-    monkeypatch.setattr(_dopri, "_ROOM", 8)
-    params = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=40.0))
-    got = _dopri.kept_run(params, FULL_RANGE_POLICY)
-    assert rooms == [8, 32, 128, 512, 2048]  # 821 knots
-    _assert_same_trajectory(got, integrate_module._march(params, FULL_RANGE_POLICY))
-    rooms.clear()
-    _assert_same_trajectory(_dopri.kept_run(ProblemParams(FL, 1.2), CLASSIFY_POLICY),
-                            integrate_module._march(ProblemParams(FL, 1.2), CLASSIFY_POLICY))
-    assert rooms == [8]  # trapped at the start: one knot fits
+def _column_bytes(traj):
+    """The bytes of the knot column and u's slope column that ``traj`` was copied from."""
+    cols = _dopri._local.cols
+    view, room = memoryview(cols).cast("B"), len(cols) // _dopri._COLUMNS
+    return (bytes(view[:8 * len(traj.knots)]),
+            bytes(view[8 * 5 * room:8 * (5 * room + 6 * len(traj.knots) - 6)]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_marches_in_its_own_columns():
+    if _dopri._kernel() is None:
+        pytest.skip("no kernel to run")
+    params = ProblemParams(FL, 5.0)
+    want = _dopri.kept_run(params, FULL_RANGE_POLICY)
+    before = _column_bytes(want)
+    pid = os.fork()
+    if pid == 0:  # the child marches another shot in the columns it inherited
+        try:
+            os._exit(0 if _dopri.kept_run(LONG_SHOT, FULL_RANGE_POLICY) is not None else 1)
+        finally:
+            os._exit(2)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert _column_bytes(want) == before
+    _assert_same_trajectory(_dopri.kept_run(params, FULL_RANGE_POLICY), want)
 
 
 def test_a_kept_shot_is_not_held_to_the_counted_row_cap(monkeypatch):
