@@ -7,9 +7,11 @@
  * keep the argument order of Python's builtins (max(a, b) is b only if b > a).
  *
  * A kept shot hands in columns, and the march stores its trajectory there:
- * each knot and its state, and the stage slopes of each segment.  A counted
- * shot hands in none and stores no trajectory.  Either way, while it steps
- * the kernel counts the sign changes of u over the knots and the segment
+ * each knot and its state, and each component's quartic dense-output
+ * coefficients and value at each segment midpoint, built by dense() as
+ * integrate._march builds them.  A counted shot hands in none, stores no
+ * trajectory and builds u's quartic alone.  Either way, while it steps the
+ * kernel counts the sign changes of u over the knots and the segment
  * midpoints, as portrait.count_nodes does from Trajectory.midpoints, and
  * splits the knots into blocks at each sign change seen at the knots alone,
  * keeping each block's first knot with the least |u| + |u'|.  A backward pass
@@ -129,12 +131,26 @@ static void put(double *cols, long room, long i, double r, double u, double up, 
     cols[4 * room + i] = vp;
 }
 
+/* One component's quartic dense-output coefficients q0..q3 from its stage
+ * slopes k1, k3, ..., k7; returns its value at the point theta of the segment
+ * of length seg that starts at y, as Trajectory.value reads it. */
+static double dense(double *q, double y, double seg, double theta, double k1, double k3,
+                    double k4, double k5, double k6, double k7)
+{
+    q[0] = 0.0 + k1 * P11;
+    q[1] = 0.0 + k1 * P12 + k3 * P32 + k4 * P42 + k5 * P52 + k6 * P62 + k7 * P72;
+    q[2] = 0.0 + k1 * P13 + k3 * P33 + k4 * P43 + k5 * P53 + k6 * P63 + k7 * P73;
+    q[3] = 0.0 + k1 * P14 + k3 * P34 + k4 * P44 + k5 * P54 + k6 * P64 + k7 * P74;
+    return y + seg * (theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3]))));
+}
+
 /* in: n - 1, p, abs_tol, rel_tol, r_max, the variation guard, and the series
  * start r, u, u', v, v'; stop_on_energy arms the energy trap.  rows holds cap
  * rows of 6 doubles.  cols is NULL for a counted shot; a kept shot passes
  * room for every knot the budget allows, room = max_steps + 1: five columns
- * of room doubles (r, u, u', v, v' at each knot), then four of 6 * room (k1,
- * k3, ..., k7 of u, u', v, v', six per segment).  On return out holds the
+ * of room doubles (r, u, u', v, v' at each knot), then four of 4 * room (q0
+ * .. q3 of u, u', v, v', four per segment), then four of room (u, u', v, v'
+ * at each segment midpoint): 25 doubles per knot.  On return out holds the
  * last knot and the step size, and counts the sign-change count, the number
  * of blocks and the accepted steps; rows 0 .. min(blocks, cap) - 1 are the
  * estimate rows.  Returns the END_ index. */
@@ -178,7 +194,7 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
     for (;;) {
         double u_new, up_new, v_new, vp_new, r_new;
         double err_u, err_up, err_v, err_vp, q_u, q_up, q_v, q_vp;
-        double q0, q1, q2, q3, seg, theta, w, vals[2], key, factor;
+        double seg, theta, vals[2], key, factor;
         int clipped = 0;
 
         if (steps >= max_steps) {
@@ -271,30 +287,24 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
             continue;
         }
 
-        /* Accepted: a kept shot stores the knot and the segment's slopes. */
-        if (cols) {
-            double *k = cols + 5 * room + 6 * steps;
-            put(cols, room, steps + 1, r_new, u_new, up_new, v_new, vp_new);
-            k[0] = k1u, k[1] = k3u, k[2] = k4u, k[3] = k5u, k[4] = k6u, k[5] = k7u;
-            k += 6 * room;
-            k[0] = k1up, k[1] = k3up, k[2] = k4up, k[3] = k5up, k[4] = k6up, k[5] = k7up;
-            k += 6 * room;
-            k[0] = k1v, k[1] = k3v, k[2] = k4v, k[3] = k5v, k[4] = k6v, k[5] = k7v;
-            k += 6 * room;
-            k[0] = k1vp, k[1] = k3vp, k[2] = k4vp, k[3] = k5vp, k[4] = k6vp, k[5] = k7vp;
-        }
-
-        /* u at the segment midpoint, as Trajectory.midpoints reads
-         * it from Trajectory.coeffs(0); then the node count over the
-         * midpoint and the new knot. */
-        q0 = 0.0 + k1u * P11;
-        q1 = 0.0 + k1u * P12 + k3u * P32 + k4u * P42 + k5u * P52 + k6u * P62 + k7u * P72;
-        q2 = 0.0 + k1u * P13 + k3u * P33 + k4u * P43 + k5u * P53 + k6u * P63 + k7u * P73;
-        q3 = 0.0 + k1u * P14 + k3u * P34 + k4u * P44 + k5u * P54 + k6u * P64 + k7u * P74;
+        /* Accepted: a kept shot stores the knot, and each component's
+         * quartic and midpoint value; a counted one builds u's alone.  The
+         * node count then reads u at the midpoint and at the new knot. */
         seg = r_new - r;
         theta = (0.5 * (r + r_new) - r) / seg;
-        w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)));
-        vals[0] = u + seg * w;
+        if (cols) {
+            double *q = cols + 5 * room + 4 * steps, *mid = cols + 21 * room + steps;
+            put(cols, room, steps + 1, r_new, u_new, up_new, v_new, vp_new);
+            mid[0] = dense(q, u, seg, theta, k1u, k3u, k4u, k5u, k6u, k7u);
+            mid[room] = dense(q + 4 * room, up, seg, theta, k1up, k3up, k4up, k5up, k6up, k7up);
+            mid[2 * room] = dense(q + 8 * room, v, seg, theta, k1v, k3v, k4v, k5v, k6v, k7v);
+            mid[3 * room] = dense(q + 12 * room, vp, seg, theta,
+                                  k1vp, k3vp, k4vp, k5vp, k6vp, k7vp);
+            vals[0] = mid[0];
+        } else {
+            double q[4];
+            vals[0] = dense(q, u, seg, theta, k1u, k3u, k4u, k5u, k6u, k7u);
+        }
         vals[1] = u_new;
         for (i = 0; i < 2; i++) {
             if (vals[i] != 0.0) {

@@ -1,9 +1,10 @@
 """Every shot through the compiled DOPRI5 march of ``_dopri.c``.
 
 ``_dopri.c`` marches the step of ``integrate._march``, expression for
-expression, so every knot, state, slope, node count and termination matches
-the Python run bit for bit.  A kept shot (``kept_run``) hands it columns and
-gets back the trajectory ``integrate`` returns; a counted shot
+expression, so every knot, state, dense coefficient, midpoint, node count and
+termination matches the Python run bit for bit.  A kept shot (``kept_run``)
+hands it columns and gets back the trajectory ``integrate`` returns, its
+quartic coefficients and midpoints built in C; a counted shot
 (``counted_run``) hands it none and keeps only what a bracket search reads:
 the node count and the rows its alpha_k estimates read.
 
@@ -11,9 +12,9 @@ The kernel is compiled on the first shot, not at import, with the C
 compiler that built this interpreter (``sysconfig``'s ``CC``) and the flags
 in ``_FLAGS``: no fused multiply-add, fast-math or ``-march``, which would
 change the bits.  The library goes to ``$XDG_CACHE_HOME/boundstate_lab/``
-(else ``~/.cache/boundstate_lab/``) under a name keyed by a hash of the
-source, the compiler, the flags and the platform, and is loaded through
-``ctypes``.
+(else ``~/.cache/boundstate_lab/``) under a name keyed by two 64-bit
+checksums (``zlib``'s CRC-32 and Adler-32) of the source, the compiler, the
+flags and the platform, and is loaded through ``ctypes``.
 Without a compiler, or when the build or the load fails, both runs return
 None and the caller marches the shot in Python, which also stays the
 reference the kernel is tested against.
@@ -32,7 +33,7 @@ from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, seri
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _OVERFLOW = 8  # the kernel's END_OVERFLOW: an exp overflowed where math.exp raises
 _ROWS = 64  # rows per counted run; a shot with more sign changes at its knots runs in Python
-_COLUMNS = 29  # per knot: r, u, u', v, v', and six slopes of each of the four components
+_COLUMNS = 25  # per knot: r, u, u', v, v'; four coefficients and a midpoint per component
 
 
 @functools.cache
@@ -46,17 +47,16 @@ def _kernel():
     if not cc or shutil.which(cc[0]) is None:
         return None
     import ctypes
-    import hashlib
     import subprocess
     import tempfile
+    import zlib
     from pathlib import Path
 
     source = Path(__file__).with_name("_dopri.c")
-    key = hashlib.sha256(source.read_bytes())
-    key.update(" ".join([*cc, *_FLAGS, sysconfig.get_platform()]).encode())
+    data = source.read_bytes() + " ".join([*cc, *_FLAGS, sysconfig.get_platform()]).encode()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"))
     cache /= "boundstate_lab"
-    lib = cache / f"_dopri-{key.hexdigest()[:16]}.so"
+    lib = cache / f"_dopri-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
     if not lib.exists():
         tmp = None
         try:
@@ -137,14 +137,15 @@ def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
     run = _run(params, policy.stop_on_energy, True)
     if run is None:
         return None
-    end, counts, _, cols = run
-    view, n_knots, room = memoryview(cols).cast("B"), counts[2] + 1, len(cols) // _COLUMNS
+    end, (_, _, n_seg), _, cols = run
+    view, room = memoryview(cols).cast("B"), len(cols) // _COLUMNS
 
-    def column(k: int, length: int) -> array:
+    def column(start: int, length: int) -> array:  # start and length in doubles
         values = array("d")
-        values.frombytes(view[8 * k * room:8 * (k * room + length)])
+        values.frombytes(view[8 * start:8 * (start + length)])
         return values
 
-    knots, u, up, v, vp = (column(k, n_knots).tolist() for k in range(5))
+    knots, u, up, v, vp = (column(k * room, n_seg + 1).tolist() for k in range(5))
     return Trajectory(params, knots, list(zip(u, up, v, vp)),
-                      [column(5 + 6 * c, 6 * (n_knots - 1)) for c in range(4)], end)
+                      [column((5 + 4 * c) * room, 4 * n_seg) for c in range(4)],
+                      [column((21 + c) * room, n_seg) for c in range(4)], end)

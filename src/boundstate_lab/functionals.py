@@ -373,15 +373,18 @@ def identity_residuals(
             raise KeyError(f"unknown identity: {name}")
 
     per = {name: [] for name in names}  # (residual, scale contribution)
+    # each distinct guard is tested once per probe; the connection reads ("u", "up")
+    guard_sets = {_IDENTITIES[name][2] for name in names} | {("u", "up")}
     conn_worst = 0.0
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
         h = _H_SCALE * max(1.0, r)
         x_mid, x_lo, x_hi = (eval_aux(traj.eval_dense(t), field) for t in (r, r - h, r + h))
+        admitted = {guards: _admits(x_mid, field, guards) for guards in guard_sets}
         for name in names:
             lhs, rhs, guards = _IDENTITIES[name]
-            if not _admits(x_mid, field, guards):
+            if not admitted[guards]:
                 continue
             fd = (lhs(x_hi, field, _FAMILY_A) - lhs(x_lo, field, _FAMILY_A)) / (2.0 * h)
             want = rhs(x_mid, field, _FAMILY_A)
@@ -389,7 +392,7 @@ def identity_residuals(
 
         # Pointwise connection between the u-frame and v-frame functionals:
         # Q - P v/u = omega (M - varpi), checked without differentiation.
-        if not (_u_admissible(x_mid) and _up_admissible(x_mid, field)):
+        if not admitted["u", "up"]:
             continue
         pv_u = x_mid.P * x_mid.v / x_mid.u
         rel = abs(x_mid.Q - pv_u - x_mid.omega * (x_mid.M - x_mid.varpi))

@@ -11,18 +11,18 @@ and ``v`` solves the equation of variations along it
 The origin is a regular singular point, so integration starts at a small
 ``r0 > 0`` from the even Taylor expansion (``series_start``) and marches
 outward only.  The stepper is a Dormand-Prince 5(4) embedded pair with the
-standard quartic dense-output interpolant.  Each accepted step keeps its stage
-slopes, and a trajectory builds a component's polynomial segments from them on
-the first read of that component, for event location and probing without
-re-integrating; a shot that is only counted builds u's segments alone.
+standard quartic dense-output interpolant (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.6).  A trajectory holds each component's quartic
+coefficients and its value at each segment midpoint as flat columns, built
+with the march, for event location and probing without re-integrating.
 
 Only this module stores and evaluates segments.  Every zero, node count and
 level crossing downstream is read off ``Trajectory.grid``, the knots plus
 each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
 oscillation of the profile, so that grid isolates every event.  Every shot
 marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
-``_march`` and its midpoint arithmetic in C, bit for bit.  ``_march``, the
-Python step, is its fallback and its reference.
+``_march``, its dense coefficients and its midpoints in C, bit for bit.
+``_march``, the Python step, is its fallback and its reference.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -78,7 +78,7 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
-# The step in ``integrate`` and ``Trajectory.coeffs`` write every sum out term
+# The step and the dense coefficients of ``_march`` write every sum out term
 # by term, in tableau order.  Terms with a zero weight are left out, as the
 # generic loop skipped them.  Each dense-coefficient sum starts from ``0.0 +``
 # like the loop's accumulator did: an all-zero sum then stays +0.0 (the
@@ -260,19 +260,21 @@ class Trajectory:
 
     ``knots`` are the accepted step endpoints (strictly increasing, first
     one is the series start).  ``states`` are the states at the knots.
-    Segment ``i`` covers [knots[i], knots[i+1]].  ``slopes[c]`` is flat:
-    its six values from 6*i hold component c's stage slopes (k1, k3, ..., k7)
-    of the step that made segment i.  The first read of component c builds its
-    quartic interpolant coefficients from them (``coeffs``) and drops them.
+    Segment ``i`` covers [knots[i], knots[i+1]].  Both columns below are
+    flat and filled when the trajectory is built: ``coeffs[c]`` holds
+    component c's quartic interpolant coefficients, q0..q3 of segment i at
+    4*i..4*i+3, and ``midpoints[c]`` component c at each segment midpoint, bit
+    for bit as ``value`` reads it there.  The stepper's minimum step keeps
+    each midpoint strictly inside its segment; only a final step clipped to
+    r_max can be shorter, and ``value`` reads it too.
     """
 
     params: ProblemParams
     knots: list[float]
     states: list[tuple[float, float, float, float]]
-    slopes: list[Sequence[float] | None]
+    coeffs: list[Sequence[float]]
+    midpoints: list[Sequence[float]]
     termination: TerminationCause
-    _coeffs: list[list | None] = dc_field(default_factory=lambda: [None] * 4, repr=False)
-    _midpoints: list[list | None] = dc_field(default_factory=lambda: [None] * 4, repr=False)
 
     @property
     def r_start(self) -> float:
@@ -290,20 +292,6 @@ class Trajectory:
         for i in range(len(self.knots)):
             yield self.state_at_knot(i)
 
-    def coeffs(self, c: int) -> list[tuple[float, float, float, float]]:
-        """Component c's quartic coefficients, one (q0, q1, q2, q3) per segment."""
-        built = self._coeffs[c]
-        if built is None:
-            k = iter(self.slopes[c])
-            built = self._coeffs[c] = [
-                (0.0 + k1 * _P11,
-                 0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72,
-                 0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73,
-                 0.0 + k1 * _P14 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64 + k7 * _P74)
-                for k1, k3, k4, k5, k6, k7 in zip(k, k, k, k, k, k)]
-            self.slopes[c] = None
-        return built
-
     @cached_property
     def grid(self) -> list[float]:
         """Knots plus segment midpoints, built once; fine enough to isolate every event."""
@@ -320,29 +308,11 @@ class Trajectory:
         knot and the dense value at each segment midpoint."""
         states = self.states
         vals: list[float] = []
-        for state, mid in zip(states, self.midpoints(c)):
+        for state, mid in zip(states, self.midpoints[c]):
             vals.append(state[c])
             vals.append(mid)
         vals.append(states[-1][c])
         return vals
-
-    def midpoints(self, c: int) -> list[float]:
-        """Component c at every segment midpoint, bit for bit as ``value``,
-        with its arithmetic but without its search; built once.  The stepper's
-        minimum step keeps each midpoint strictly inside its segment; only a
-        final step clipped to r_max can be shorter, and ``value`` reads it too."""
-        if self._midpoints[c] is not None:
-            return self._midpoints[c]
-        knots, states = self.knots, self.states
-        mids = self._midpoints[c] = []
-        for i, (q0, q1, q2, q3) in enumerate(self.coeffs(c)):
-            r_lo = knots[i]
-            r_hi = knots[i + 1]
-            h = r_hi - r_lo
-            theta = (0.5 * (r_lo + r_hi) - r_lo) / h
-            w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
-            mids.append(states[i][c] + h * w)
-        return mids
 
     def segment_index(self, r: float) -> int:
         """Index of the dense segment containing r (knots are its ends)."""
@@ -360,10 +330,10 @@ class Trajectory:
         h = self.knots[i + 1] - r_lo
         theta = (r - r_lo) / h
         y_lo = self.states[i]
+        j = 4 * i
         out = []
-        for c in range(4):
-            q0, q1, q2, q3 = self.coeffs(c)[i]
-            w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
+        for c, q in enumerate(self.coeffs):
+            w = theta * (q[j] + theta * (q[j + 1] + theta * (q[j + 2] + theta * q[j + 3])))
             out.append(y_lo[c] + h * w)
         return State(r=r, u=out[0], up=out[1], v=out[2], vp=out[3])
 
@@ -373,16 +343,16 @@ class Trajectory:
         r_lo = self.knots[i]
         h = self.knots[i + 1] - r_lo
         theta = (r - r_lo) / h
-        q0, q1, q2, q3 = self.coeffs(c)[i]
-        return self.states[i][c] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3))))
+        q, j = self.coeffs[c], 4 * i
+        return self.states[i][c] + h * (
+            theta * (q[j] + theta * (q[j + 1] + theta * (q[j + 2] + theta * q[j + 3]))))
 
     def truncated_at(self, r_cut: float) -> "Trajectory":
         """Copy keeping only whole dense segments ending at or before r_cut.
 
         Used by structural checks that must ignore the stretch where a
         near-bound-state shot departs from the profile it shadows.  The
-        copy ends at a knot, so no partial segment is ever exposed.  It
-        slices the coefficients already built and the slopes not yet read.
+        copy ends at a knot, so no partial segment is ever exposed.
         """
         if r_cut <= self.knots[0]:
             raise DenseRangeError(f"truncation radius {r_cut} at or before the start")
@@ -392,13 +362,13 @@ class Trajectory:
             params=self.params,
             knots=self.knots[: n_keep + 1],
             states=self.states[: n_keep + 1],
-            slopes=[None if k is None else k[:6 * n_keep] for k in self.slopes],
+            coeffs=[q[: 4 * n_keep] for q in self.coeffs],
+            midpoints=[mids[:n_keep] for mids in self.midpoints],
             termination=TerminationCause(
                 tag=REACHED_RMAX,
                 r_stop=self.knots[n_keep],
                 detail="truncated for structural checks",
             ),
-            _coeffs=[None if q is None else q[:n_keep] for q in self._coeffs],
         )
 
 
@@ -445,8 +415,22 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
     slopes_u, slopes_up, slopes_v, slopes_vp = slopes = [[], [], [], []]
 
     def finish(end: int, h: float = 0.0) -> Trajectory:
-        return Trajectory(params=params, knots=knots, states=states, slopes=slopes,
-                          termination=_termination(end, knots[-1], h))
+        # Each component's quartic Q = K^T P and its value at each segment
+        # midpoint, in the arithmetic of dense() in _dopri.c.
+        spans = [(b - a, (0.5 * (a + b) - a) / (b - a)) for a, b in zip(knots, knots[1:])]
+        coeffs, mids = [[], [], [], []], [[], [], [], []]
+        for c, k in enumerate(slopes):
+            q, mid, k = coeffs[c], mids[c], iter(k)
+            for state, (seg, theta), k1, k3, k4, k5, k6, k7 in zip(states, spans, k, k, k, k, k, k):
+                q0 = 0.0 + k1 * _P11
+                q1 = 0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72
+                q2 = 0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73
+                q3 = 0.0 + k1 * _P14 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64 + k7 * _P74
+                q += q0, q1, q2, q3
+                w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
+                mid.append(state[c] + seg * w)
+        return Trajectory(params, knots, states, coeffs, mids,
+                          _termination(end, knots[-1], h))
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.  The energy is
@@ -554,7 +538,7 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
 
-        # Accepted: keep the slopes; Trajectory.coeffs builds Q = K^T P from them.
+        # Accepted: keep the slopes; finish builds the dense output from them.
         slopes_u += k1u, k3u, k4u, k5u, k6u, k7u
         slopes_up += k1up, k3up, k4up, k5up, k6up, k7up
         slopes_v += k1v, k3v, k4v, k5v, k6v, k7v

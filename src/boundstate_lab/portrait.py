@@ -341,7 +341,7 @@ def count_nodes(traj: Trajectory) -> NodeCount:
     """
     count = 0
     prev = traj.states[0][0]
-    for mid, (u_hi, _, _, _) in zip(traj.midpoints(0), traj.states[1:]):
+    for mid, (u_hi, _, _, _) in zip(traj.midpoints[0], traj.states[1:]):
         for val in (mid, u_hi):
             if val != 0.0:
                 if prev != 0.0 and (prev < 0.0) != (val < 0.0):

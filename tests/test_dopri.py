@@ -198,15 +198,16 @@ def _pack(values):
 
 
 def _assert_same_trajectory(got, want):
-    """Knots, states, termination and all four components' coefficients, in bytes."""
+    """Knots, states, termination and all four components' coefficient and
+    midpoint columns, in bytes."""
     assert _pack(got.knots) == _pack(want.knots)
     assert _pack(x for st in got.states for x in st) == _pack(x for st in want.states for x in st)
     assert (got.termination.tag, got.termination.detail) == (want.termination.tag,
                                                              want.termination.detail)
     assert _pack([got.termination.r_stop]) == _pack([want.termination.r_stop])
     for c in range(4):
-        assert _pack(x for q in got.coeffs(c) for x in q) == _pack(
-            x for q in want.coeffs(c) for x in q)
+        assert _pack(got.coeffs[c]) == _pack(want.coeffs[c])
+        assert _pack(got.midpoints[c]) == _pack(want.midpoints[c])
 
 
 def _assert_same_kept_shot(params, policy):
@@ -216,7 +217,7 @@ def _assert_same_kept_shot(params, policy):
         assert got == want or _deferred_overflow(got, want, params)
         return None
     _assert_same_trajectory(got, want)
-    if len(want.knots) > 2:  # a copy cut inside the run slices the flat slopes alike
+    if len(want.knots) > 2:  # a copy cut inside the run slices the flat columns alike
         r_cut = want.knots[len(want.knots) // 2]
         _assert_same_trajectory(got.truncated_at(r_cut), want.truncated_at(r_cut))
     return got.termination.tag
@@ -270,11 +271,12 @@ def test_a_kept_shot_has_room_for_every_step_of_its_budget(monkeypatch, budget, 
 
 
 def _column_bytes(traj):
-    """The bytes of the knot column and u's slope column that ``traj`` was copied from."""
+    """The bytes of the knot column and u's coefficient column that ``traj`` was
+    copied from."""
     cols = _dopri._local.cols
     view, room = memoryview(cols).cast("B"), len(cols) // _dopri._COLUMNS
     return (bytes(view[:8 * len(traj.knots)]),
-            bytes(view[8 * 5 * room:8 * (5 * room + 6 * len(traj.knots) - 6)]))
+            bytes(view[8 * 5 * room:8 * (5 * room + 4 * len(traj.knots) - 4)]))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
@@ -418,3 +420,17 @@ def test_importing_the_cli_loads_no_ctypes_or_subprocess():
          "print(sorted({'ctypes', 'subprocess'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_process_that_runs_a_kept_shot_loads_no_hashlib():
+    # the kernel's cache name is keyed with zlib: importing hashlib would cost
+    # every process that runs a shot about 3.5 MiB
+    package_root = str(Path(boundstate_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from boundstate_lab import _dopri, integrate, "
+         "FieldParams, ProblemParams, FULL_RANGE_POLICY; "
+         "integrate(ProblemParams(FieldParams(3, 3.0), 5.0), FULL_RANGE_POLICY); "
+         "print(_dopri._kernel() is not None, 'hashlib' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.split() == [str(_compiler_on_path()), "False"]

@@ -159,7 +159,8 @@ def test_knots_cover_and_terminate_cleanly():
     assert traj.r_start < 1e-5
     assert traj.r_end == pytest.approx(12.0, abs=1e-12)
     assert len(traj.knots) == len(traj.states)
-    assert all(len(traj.coeffs(c)) == len(traj.knots) - 1 for c in range(4))
+    assert all(len(traj.coeffs[c]) == 4 * (len(traj.knots) - 1) for c in range(4))
+    assert all(len(traj.midpoints[c]) == len(traj.knots) - 1 for c in range(4))
     assert math.isfinite(traj.termination.r_stop)
 
 
@@ -169,9 +170,9 @@ def _bits_digest(traj):
     flat = list(traj.knots)
     for state in traj.states:
         flat.extend(state)
-    for seg in zip(*(traj.coeffs(c) for c in range(4))):
-        for coeffs in seg:
-            flat.extend(coeffs)
+    for j in range(0, 4 * (len(traj.knots) - 1), 4):
+        for q in traj.coeffs:
+            flat.extend(q[j:j + 4])
     return hashlib.sha256(struct.pack(f"<{len(flat)}d", *flat)).hexdigest()
 
 
@@ -257,23 +258,21 @@ def test_value_is_eval_dense_bit_for_bit(monkeypatch, name, field, alpha, contro
         assert struct.pack(f"<{len(rs)}d", *got) == struct.pack(f"<{len(rs)}d", *want)
 
 
-def test_coefficients_are_built_on_the_first_read_of_each_component():
-    traj = integrate(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
+@pytest.mark.parametrize("march", [integrate, integrate_module._march],
+                         ids=["integrate", "python_step"])
+def test_dense_columns_are_filled_when_the_trajectory_is_built(march):
+    traj = march(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
     n_seg = len(traj.knots) - 1
-    assert [len(k) for k in traj.slopes] == [6 * n_seg] * 4
-    u_coeffs = traj.coeffs(0)
-    assert traj.coeffs(0) is u_coeffs
-    assert traj.slopes[0] is None and all(k is not None for k in traj.slopes[1:])
-    # the copy slices the coefficients already built, and the slopes of the rest
+    assert [len(q) for q in traj.coeffs] == [4 * n_seg] * 4
+    assert [len(mids) for mids in traj.midpoints] == [n_seg] * 4
+    assert not hasattr(traj, "slopes")
+    # the copy slices both columns of every component
     cut = traj.truncated_at(6.0)
     n_cut = len(cut.knots) - 1
-    assert all(a is b for a, b in zip(cut.coeffs(0), u_coeffs))
-    assert cut.slopes[0] is None and [len(k) for k in cut.slopes[1:]] == [6 * n_cut] * 3
-    assert cut.coeffs(1) == traj.coeffs(1)[:n_cut]
-    # once every component has been read the full-range shot holds no slopes
-    traj.eval_dense(traj.r_end)
-    assert traj.slopes == [None] * 4
-    assert all(len(traj.coeffs(c)) == n_seg for c in range(4))
+    assert n_cut < n_seg
+    for c in range(4):
+        assert list(cut.coeffs[c]) == list(traj.coeffs[c][:4 * n_cut])
+        assert list(cut.midpoints[c]) == list(traj.midpoints[c][:n_cut])
 
 
 def test_grid_is_built_once_and_a_truncated_copy_builds_its_own():
@@ -281,17 +280,13 @@ def test_grid_is_built_once_and_a_truncated_copy_builds_its_own():
     grid = full.grid
     assert full.grid is grid
     assert len(grid) == 2 * len(full.knots) - 1
-    mids = [full.midpoints(c) for c in range(4)]
-    assert all(full.midpoints(c) is mids[c] for c in range(4))
-    assert len(mids[0]) == len(full.knots) - 1
+    assert all(len(mids) == len(full.knots) - 1 for mids in full.midpoints)
     cut = full.truncated_at(6.0)
     assert cut.grid is not grid
     assert cut.grid is cut.grid
     assert cut.grid == grid[: 2 * len(cut.knots) - 1]
     for c in range(4):
-        cut_mids = cut.midpoints(c)
-        assert cut_mids is not mids[c] and cut.midpoints(c) is cut_mids
-        assert cut_mids == mids[c][: len(cut.knots) - 1]
+        assert cut.grid_values(c) == full.grid_values(c)[: 2 * len(cut.knots) - 1]
 
 
 def test_control_helpers_change_only_their_fields(monkeypatch):

@@ -56,8 +56,8 @@ def _kernel_source() -> str:
 
 
 def test_the_kernel_spells_integrates_tableau_bit_for_bit():
-    # every C/A/B/E/P #define of _dopri.c is the fraction integrate holds, and
-    # every nonzero weight the step reads has one
+    # every C/A/B/E/P #define of _dopri.c, evaluated as its quotient, is the
+    # fraction integrate holds, and every nonzero weight the step reads has one
     integrate_module = importlib.import_module("boundstate_lab.integrate")
     c, a, e, p = (getattr(integrate_module, name) for name in ("_C", "_A", "_E", "_P"))
     want = {f"C{j + 1}": c[j] for j in range(1, 6)}
@@ -74,6 +74,11 @@ def test_the_kernel_spells_integrates_tableau_bit_for_bit():
     assert defined.keys() == want.keys()
     for name, value in want.items():
         assert struct.pack("<d", defined[name]) == struct.pack("<d", value), name
+    # and so is every constant of the step-size controller
+    for name in ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY"):
+        value = re.search(rf"^#define {name} (\S+)$", _kernel_source(), re.M)[1]
+        want_value = getattr(integrate_module, f"_{name}")
+        assert struct.pack("<d", float(value)) == struct.pack("<d", want_value), name
 
 
 def test_the_kernel_has_one_march_entry_and_one_step_loop():

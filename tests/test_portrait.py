@@ -141,7 +141,7 @@ def test_midpoint_read_is_bitwise_eval_dense(alpha, rmax, zeros):
     # run whose last step is clipped to r_max
     traj = integrate(ProblemParams(FL, alpha)) if rmax is None else _run(alpha, rmax)
     for c, name in enumerate(("u", "up", "v", "vp")):
-        mids = traj.midpoints(c)
+        mids = traj.midpoints[c]
         assert len(mids) == len(traj.knots) - 1
         for i, mid in enumerate(mids):
             r_mid = 0.5 * (traj.knots[i] + traj.knots[i + 1])
@@ -425,10 +425,15 @@ def test_detect_events_reads_its_grid_from_the_stored_segments(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [5.0, 20.0])
-def test_counted_and_swept_classify_shots_build_only_u(alpha):
+def test_counted_and_swept_classify_shots_read_the_columns_as_built(alpha):
+    # the dense columns are filled with the march; a scan reads them and
+    # neither replaces nor extends any of them
     for scan in (count_nodes, find_zeros):
         traj = integrate(ProblemParams(FL, alpha))
+        columns = [*traj.coeffs, *traj.midpoints]
+        before = [list(col) for col in columns]
         scan(traj)
-        assert traj.slopes[0] is None
-        assert all(k is not None and len(k) == 6 * (len(traj.knots) - 1)
-                   for k in traj.slopes[1:])
+        assert all(a is b for a, b in zip([*traj.coeffs, *traj.midpoints], columns))
+        assert [list(col) for col in columns] == before
+        n_seg = len(traj.knots) - 1
+        assert [len(col) for col in columns] == [4 * n_seg] * 4 + [n_seg] * 4
