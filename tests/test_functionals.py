@@ -125,6 +125,28 @@ def test_identity_residuals_are_small_on_a_free_shot():
     assert all(r.probes_used >= 50 for r in report.residuals)
 
 
+def test_identity_residuals_test_each_distinct_guard_once_per_probe(monkeypatch):
+    traj = _full_run(3.0, rmax=10.0)
+    probes = probe_radii(traj, 60)
+    full = identity_residuals(traj, probes)
+    calls = []
+    admits = functionals._admits
+
+    def counted(state, field, guards):
+        calls.append(guards)
+        return admits(state, field, guards)
+
+    monkeypatch.setattr(functionals, "_admits", counted)
+    assert identity_residuals(traj, probes) == full
+    distinct = {guards for _, _, guards in functionals._IDENTITIES.values()}
+    assert ("u", "up") in distinct and len(calls) == len(probes) * len(distinct)
+    # a single identity reads the same residual, and the connection check still
+    # reads its own ("u", "up") guard
+    for name, want in zip(IDENTITY_NAMES, full.residuals):
+        alone = identity_residuals(traj, probes, identities=[name])
+        assert alone == dataclasses.replace(full, residuals=(want,))
+
+
 def test_identity_residuals_reject_unknown_names():
     traj = _full_run(2.0, rmax=10.0)
     probes = probe_radii(traj, 50)
