@@ -1,6 +1,7 @@
 """Functional-layer tests: pointwise values, probe policy, residuals, bridge."""
 
 import dataclasses
+import hashlib
 import math
 from struct import pack
 
@@ -25,7 +26,8 @@ from boundstate_lab import (
     integrate,
     probe_radii,
 )
-from boundstate_lab import find_alpha_k, functionals, truncate_for_structure
+from boundstate_lab import find_alpha_k, functionals, truncate_for_structure, verify
+from boundstate_lab.cli import EXIT_OK, OUTDIR_ENV, main
 from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
 
 FL = FieldParams(3, 3.0)
@@ -186,6 +188,31 @@ def test_constant_shot_reports_its_trivial_identities_as_undefined():
     for name in ("energy_layer", "pohozaev", "wronskian_m", "flux_v"):
         assert by_name[name].probes_used > 400
     assert report.worst().max_rel_residual < 1e-6
+
+
+# sha256 of repr(list of IdentityReport) that the identity_residuals check of
+# `verify --preset core` makes on its six cases: every identity's probe count,
+# residual and scale, and the connection residual, to the last bit.  The
+# verify report digests carry only each record's worst margin.
+GOLDEN_LEDGER = [
+    ("3", "24cba1f9fec1709e0240e1dc2682e964fcdbc60d6b1767073a861e178983d7f7"),
+    ("1.25", "02e73562dcd6d9f938a28e725ed79329252a5ea5a1ebbb2b2df19549080dd614"),
+]
+
+
+@pytest.mark.parametrize("p, digest", GOLDEN_LEDGER)
+def test_the_core_identity_ledger_matches_the_recorded_digest(tmp_path, monkeypatch, p, digest):
+    reports = []
+
+    def recorded(traj, probes):
+        reports.append(identity_residuals(traj, probes))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "identity_residuals", recorded)
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
+    assert main(["verify", "--preset", "core", "--n", "3", "--p", p, "--out", "v"]) == EXIT_OK
+    assert len(reports) == 6
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
 
 def test_bridge_integral_empty_range_is_flagged():
