@@ -8,13 +8,13 @@ quartic coefficients and midpoints built in C; a counted shot
 (``counted_run``) hands it none and keeps only what a bracket search reads:
 the node count and the rows its alpha_k estimates read.
 
-The kernel is compiled on the first shot, not at import, with the C
-compiler that built this interpreter (``sysconfig``'s ``CC``) and the flags
-in ``_FLAGS``: no fused multiply-add, fast-math or ``-march``, which would
-change the bits.  The library goes to ``$XDG_CACHE_HOME/boundstate_lab/``
-(else ``~/.cache/boundstate_lab/``) under a name keyed by two 64-bit
-checksums (``zlib``'s CRC-32 and Adler-32) of the source, the compiler, the
-flags and the platform, and is loaded through ``ctypes``.
+The kernel is compiled on the first shot, not at import, with the C compiler that built
+this interpreter (``sysconfig``'s ``CC``) and the flags in ``_FLAGS``: no fused
+multiply-add, fast-math or ``-march``, which would change the bits.  The library goes to
+``$XDG_CACHE_HOME/boundstate_lab/`` (else ``~/.cache/boundstate_lab/``) under a name keyed
+by two 64-bit checksums (``zlib``'s CRC-32 and Adler-32) of the source, the compiler, the
+flags and the platform, and is loaded through ``ctypes``; a build then removes every other
+``_dopri-*.so`` there, the libraries of older sources, compilers or flags.
 Without a compiler, or when the build or the load fails, both runs return
 None and the caller marches the shot in Python, which also stays the
 reference the kernel is tested against.
@@ -46,6 +46,7 @@ def _kernel():
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         return None
+    import contextlib
     import ctypes
     import subprocess
     import tempfile
@@ -70,6 +71,9 @@ def _kernel():
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
             return None
+        for old in set(cache.glob("_dopri-*.so")) - {lib}:  # other sources, compilers or flags
+            with contextlib.suppress(OSError):  # another process removed it first
+                old.unlink()
     try:
         fn = ctypes.CDLL(str(lib)).dopri_march
     except (OSError, AttributeError):

@@ -345,6 +345,37 @@ def fresh_loader():
     _dopri._kernel.cache_clear()
 
 
+@pytest.mark.skipif(not _compiler_on_path(), reason="the interpreter's C compiler is absent")
+def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path, fresh_loader):
+    # the libraries of other sources, compilers or flags go; the one just built
+    # and every other file stay, and a library another process removed first
+    # (the unlink raises) is no failure
+    cache = tmp_path / "boundstate_lab"
+    cache.mkdir()
+    stale = [cache / "_dopri-0123456789abcdef.so", cache / "_dopri-fedcba9876543210.so"]
+    others = [cache / "tmp_in_progress.so", cache / "notes.txt"]
+    for path in stale + others:
+        path.write_bytes(b"")
+    unlink = Path.unlink
+
+    def racing_unlink(self, missing_ok=False):
+        unlink(self, missing_ok)
+        if self == stale[0]:
+            raise FileNotFoundError(self)
+
+    monkeypatch.setattr(Path, "unlink", racing_unlink)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _dopri._kernel() is not None
+    built = [path for path in cache.iterdir() if path.name.startswith("_dopri-")]
+    assert len(built) == 1 and built[0] not in stale
+    assert sorted(cache.iterdir()) == sorted(built + others)
+    # a process that finds its library built removes nothing
+    _dopri._kernel.cache_clear()
+    stale[1].write_bytes(b"")
+    assert _dopri._kernel() is not None
+    assert sorted(cache.iterdir()) == sorted(built + others + stale[1:])
+
+
 def _ladder_artifact(monkeypatch, workdir):
     workdir.mkdir()
     monkeypatch.chdir(workdir)
