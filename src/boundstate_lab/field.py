@@ -15,7 +15,8 @@ classification of shooting heights:
 All scalar maps are total on the reals except ``g1``/``g2``, which blow up
 at ``u = 0`` and raise ``SingularInputError`` there.  Fractional powers of
 ``|u|`` go through ``abs_pow`` so no negative base ever reaches a real
-exponent, and the ``u = 0`` branch is exact.
+exponent, and the ``u = 0`` branch is exact.  A map of one power of |u| also
+takes it as ``power``, from a caller that holds it; the bits are the same.
 """
 
 from __future__ import annotations
@@ -71,14 +72,16 @@ class CriticalAmplitudes:
     alpha_upper_star: float
 
 
-def f(u: float, params: FieldParams) -> float:
+def f(u: float, params: FieldParams, power: float | None = None) -> float:
     """Nonlinearity -u + |u|**(p-1)*u.  Odd in u; zeros at 0 and +-1."""
-    return (abs_pow(u, params.p - 1.0) - 1.0) * u
+    power = abs_pow(u, params.p - 1.0) if power is None else power
+    return (power - 1.0) * u
 
 
-def f_prime(u: float, params: FieldParams) -> float:
+def f_prime(u: float, params: FieldParams, power: float | None = None) -> float:
     """d/du of ``f``: -1 + p*|u|**(p-1).  Even in u; f_prime(0) = -1."""
-    return params.p * abs_pow(u, params.p - 1.0) - 1.0
+    power = abs_pow(u, params.p - 1.0) if power is None else power
+    return params.p * power - 1.0
 
 
 def big_F(u: float, params: FieldParams) -> float:
@@ -89,32 +92,35 @@ def big_F(u: float, params: FieldParams) -> float:
     return -0.5 * u * u + abs_pow(u, params.p + 1.0) / (params.p + 1.0)
 
 
-def big_F_a(u: float, a: float, params: FieldParams) -> float:
-    """Tilted well: the power term is scaled by (1 - a*(p-1)/2).
+def big_F_a(u: float, a: float, params: FieldParams, power: float | None = None) -> float:
+    """Tilted well: the power term |u|**(p+1) is scaled by (1 - a*(p-1)/2).
 
     Primitive of ``u * kappa_a(u)``; reduces to ``big_F`` at a = 0.
     """
-    tilt = 1.0 - 0.5 * a * (params.p - 1.0)
-    return -0.5 * u * u + tilt * abs_pow(u, params.p + 1.0) / (params.p + 1.0)
+    power = abs_pow(u, params.p + 1.0) if power is None else power
+    return -0.5 * u * u + (1.0 - 0.5 * a * (params.p - 1.0)) * power / (params.p + 1.0)
 
 
-def kappa_a(u: float, a: float, params: FieldParams) -> float:
+def kappa_a(u: float, a: float, params: FieldParams, power: float | None = None) -> float:
     """(1 - a*(p-1)/2)*|u|**(p-1) - 1; the tilted analogue of f(u)/u."""
-    return (1.0 - 0.5 * a * (params.p - 1.0)) * abs_pow(u, params.p - 1.0) - 1.0
+    power = abs_pow(u, params.p - 1.0) if power is None else power
+    return (1.0 - 0.5 * a * (params.p - 1.0)) * power - 1.0
 
 
-def g1(u: float, params: FieldParams) -> float:
+def g1(u: float, params: FieldParams, power: float | None = None) -> float:
     """2*(1 - |u|**(1-p))/(p-1); slope used by the first corrected Wronskian."""
     if u == 0.0:
         raise SingularInputError("g1 is undefined at u = 0")
-    return 2.0 * (1.0 - abs_pow(u, 1.0 - params.p)) / (params.p - 1.0)
+    power = abs_pow(u, 1.0 - params.p) if power is None else power
+    return 2.0 * (1.0 - power) / (params.p - 1.0)
 
 
-def g2(u: float, params: FieldParams) -> float:
+def g2(u: float, params: FieldParams, power: float | None = None) -> float:
     """g1(u) - |u|**(1-p); equals 2*(p+1)/(p-1) * big_F(u)/|u|**(p+1)."""
     if u == 0.0:
         raise SingularInputError("g2 is undefined at u = 0")
-    return g1(u, params) - abs_pow(u, 1.0 - params.p)
+    power = abs_pow(u, 1.0 - params.p) if power is None else power
+    return g1(u, params, power) - power
 
 
 def critical_amplitudes(params: FieldParams) -> CriticalAmplitudes:

@@ -11,7 +11,10 @@ the largest magnitude seen for that identity along the trajectory.
 
 Where each formula lives:
 
-* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them.
+* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them,
+  and, outside its fields, the ingredients the sides read, each evaluated once: fu, fpu, Fu =
+  f(u), f'(u), F(u); upm1, upp1, with g1 and g2's q = |u|**(p-1), |u|**(p+1), |u|**(1-p);
+  rn, rn1 = r**n, r**(n-1).  The frozen record is filled through its ``__dict__``.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
 * ``_IDENTITIES`` maps each identity to its two sides.  Both read one
@@ -24,6 +27,7 @@ Where each formula lives:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -77,7 +81,8 @@ class AuxSample(State):
     """The state at one radius with all auxiliary functionals there.
 
     Entries are None where the functional is undefined: omega, T1 and T2
-    need u != 0; B0, phi_n and varpi need u' != 0.
+    need u != 0; B0, phi_n and varpi need u' != 0.  ``eval_aux`` also stores
+    the ingredients (module docstring) outside the fields, unseen by ``export``.
     """
 
     E: float
@@ -107,11 +112,9 @@ def _energy(up: float, Fu: float) -> float:
 def eval_aux(state: State, field: FieldParams) -> AuxSample:
     n, p = field.n, field.p
     r, u, up, v, vp = state.r, state.u, state.up, state.v, state.vp
-    fu = f(u, field)
-    fpu = f_prime(u, field)
-    Fu = big_F(u, field)
-    rn = r**n
-    rn1 = r ** (n - 1)
+    upm1, upp1 = abs_pow(u, p - 1.0), abs_pow(u, p + 1.0)
+    fu, fpu, Fu = f(u, field, upm1), f_prime(u, field, upm1), big_F(u, field)
+    rn, rn1 = r**n, r ** (n - 1)
 
     E = _energy(up, Fu)
     E_hat = r ** (2 * (n - 1)) * E
@@ -125,24 +128,26 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     Qn = Q + n * rn1 * up * v
     M = rn1 * (up * v - u * vp)
 
-    omega = None
-    T1 = None
-    T2 = None
+    omega = T1 = T2 = None
     if u != 0.0:
         omega = -r * up / u
-        T1 = Q - g1(u, field) * M
-        T2 = Q - g2(u, field) * M
+        q = abs_pow(u, 1.0 - p)  # g1 and g2 share it
+        T1 = Q - g1(u, field, q) * M
+        T2 = Q - g2(u, field, q) * M
 
-    B0 = None
-    phi_n = None
-    varpi = None
+    B0 = phi_n = varpi = None
     if up != 0.0:
         B0 = Q - 2.0 * Fu * rn1 * v / up
         phi_n = Qn / (r * up * up)
-        varpi = (p - 1.0) / (p + 1.0) * rn1 * (v / up) * abs_pow(u, p + 1.0)
+        varpi = (p - 1.0) / (p + 1.0) * rn1 * (v / up) * upp1
 
-    return AuxSample(r, u, up, v, vp, E, E_hat, P, P1, P2, omega, rho,
-                     Q, Q1, Q2, Qn, M, T1, T2, B0, phi_n, varpi)
+    # filled through __dict__: the frozen __init__'s object.__setattr__ per field cost half
+    x = object.__new__(AuxSample)
+    x.__dict__.update(r=r, u=u, up=up, v=v, vp=vp, E=E, E_hat=E_hat, P=P, P1=P1, P2=P2,
+                      omega=omega, rho=rho, Q=Q, Q1=Q1, Q2=Q2, Qn=Qn, M=M, T1=T1, T2=T2,
+                      B0=B0, phi_n=phi_n, varpi=varpi, fu=fu, fpu=fpu, Fu=Fu, upm1=upm1,
+                      upp1=upp1, rn=rn, rn1=rn1)
+    return x
 
 
 # Identity registry: name -> (lhs, rhs, guards).  Both sides read the
@@ -151,6 +156,7 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
 # derivative must equal.  guards names what must stay away from zero at the
 # probe: "u", "up", or "r" (the minimum-radius guard).
 _Side = Callable[[AuxSample, FieldParams, float], float]
+_amplitudes = functools.lru_cache(maxsize=8)(critical_amplitudes)  # per field, not per probe
 
 
 def _family_w(x: AuxSample, a: float) -> float:
@@ -160,35 +166,34 @@ def _family_w(x: AuxSample, a: float) -> float:
 
 def _barrier_ba(x: AuxSample, fl: FieldParams, a: float) -> float:
     """B_a = W_a - 2 F_a(u) r^(n-1) v / u', the tilted analogue of B0."""
-    return _family_w(x, a) - 2.0 * big_F_a(x.u, a, fl) * x.r ** (fl.n - 1) * x.v / x.up
+    return _family_w(x, a) - 2.0 * big_F_a(x.u, a, fl, x.upp1) * x.rn1 * x.v / x.up
 
 
 def _p_crit_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
-    upper = critical_amplitudes(fl).alpha_upper_star
-    return 2.0 * x.r ** (fl.n - 1) * x.u**2 * (abs_pow(x.u / upper, fl.p - 1.0) - 1.0)
+    upper = _amplitudes(fl).alpha_upper_star
+    return 2.0 * x.rn1 * x.u**2 * (abs_pow(x.u / upper, fl.p - 1.0) - 1.0)
 
 
 def _p2_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
-    amp = critical_amplitudes(fl)
+    amp = _amplitudes(fl)
     ratio = amp.alpha_star * x.u / amp.alpha_upper_star
-    return -(4.0 / fl.n) * x.r**fl.n * x.u * x.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
+    return -(4.0 / fl.n) * x.rn * x.u * x.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
 
 
 def _riccati_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     w = -x.up / x.u
-    return w * w - (fl.n - 1) / x.r * w - 1.0 + abs_pow(x.u, fl.p - 1.0)
+    return w * w - (fl.n - 1) / x.r * w - 1.0 + x.upm1
 
 
 def _rho_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     p = fl.p
     u_pm2 = math.copysign(abs_pow(x.u, p - 2.0), x.u)
-    return p * (p - 1.0) * x.r ** (fl.n - 1) * u_pm2 * x.up**2 * x.v
+    return p * (p - 1.0) * x.rn1 * u_pm2 * x.up**2 * x.v
 
 
 def _t2_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
     p = fl.p
-    lead = (p - 1.0) * x.r ** (fl.n - 1) * x.u * x.v
-    return lead - (p + 1.0) * x.u * x.up / abs_pow(x.u, p + 1.0) * x.M
+    return (p - 1.0) * x.rn1 * x.u * x.v - (p + 1.0) * x.u * x.up / x.upp1 * x.M
 
 
 _IDENTITIES: dict[str, tuple[_Side, _Side, tuple[str, ...]]] = {
@@ -197,59 +202,56 @@ _IDENTITIES: dict[str, tuple[_Side, _Side, tuple[str, ...]]] = {
         lambda x, fl, a: -(fl.n - 1) * x.up**2 / x.r, ()),
     "energy_layer": (
         lambda x, fl, a: x.E_hat,
-        lambda x, fl, a: 2.0 * (fl.n - 1) * x.r ** (2 * fl.n - 3) * big_F(x.u, fl), ()),
+        lambda x, fl, a: 2.0 * (fl.n - 1) * x.r ** (2 * fl.n - 3) * x.Fu, ()),
     "pohozaev": (
         lambda x, fl, a: x.P,
-        lambda x, fl, a: x.r ** (fl.n - 1) * (
-            2.0 * fl.n * big_F(x.u, fl) - (fl.n - 2) * x.u * f(x.u, fl)), ()),
+        lambda x, fl, a: x.rn1 * (2.0 * fl.n * x.Fu - (fl.n - 2) * x.u * x.fu), ()),
     "pohozaev_crit": (lambda x, fl, a: x.P, _p_crit_rhs, ()),
     "pohozaev_p2": (lambda x, fl, a: x.P2, _p2_rhs, ()),
     "pohozaev_scaled": (
-        lambda x, fl, a: x.P / x.r**fl.n,
+        lambda x, fl, a: x.P / x.rn,
         lambda x, fl, a: -fl.n / x.r ** (fl.n + 1) * x.P2, ("r",)),
     "log_slope": (
         lambda x, fl, a: x.omega,
-        lambda x, fl, a: x.P1 / (x.r ** (fl.n - 1) * x.u**2), ("u",)),
+        lambda x, fl, a: x.P1 / (x.rn1 * x.u**2), ("u",)),
     "riccati": (lambda x, fl, a: -x.up / x.u, _riccati_rhs, ("u",)),
     "pairing_rho": (lambda x, fl, a: x.rho, _rho_rhs, ("u",)),
     "pairing_q": (
         lambda x, fl, a: x.Q,
-        lambda x, fl, a: 2.0 * x.r ** (fl.n - 1) * f(x.u, fl) * x.v, ()),
+        lambda x, fl, a: 2.0 * x.rn1 * x.fu * x.v, ()),
     "wronskian_m": (
         lambda x, fl, a: x.M,
-        lambda x, fl, a: (fl.p - 1.0) * x.r ** (fl.n - 1) * x.u
-        * abs_pow(x.u, fl.p - 1.0) * x.v, ()),
+        lambda x, fl, a: (fl.p - 1.0) * x.rn1 * x.u * x.upm1 * x.v, ()),
     "family_w": (
         lambda x, fl, a: _family_w(x, a),
-        lambda x, fl, a: 2.0 * x.r ** (fl.n - 1) * x.u * x.v * kappa_a(x.u, a, fl), ()),
+        lambda x, fl, a: 2.0 * x.rn1 * x.u * x.v * kappa_a(x.u, a, fl, x.upm1), ()),
     "corrected_t1": (
         lambda x, fl, a: x.T1,
-        lambda x, fl, a: -2.0 * x.u * x.up / abs_pow(x.u, fl.p + 1.0) * x.M, ("u",)),
+        lambda x, fl, a: -2.0 * x.u * x.up / x.upp1 * x.M, ("u",)),
     "corrected_t2": (lambda x, fl, a: x.T2, _t2_rhs, ("u",)),
     "corrected_t2_tail": (
         lambda x, fl, a: x.T2,
-        lambda x, fl, a: -(fl.p + 1.0) * x.u * x.up / abs_pow(x.u, fl.p + 1.0)
-        * (x.M - x.varpi), ("u", "up")),
+        lambda x, fl, a: -(fl.p + 1.0) * x.u * x.up / x.upp1 * (x.M - x.varpi), ("u", "up")),
     "barrier_b0": (
         lambda x, fl, a: x.B0,
-        lambda x, fl, a: -2.0 * big_F(x.u, fl) * x.phi_n, ("up",)),
+        lambda x, fl, a: -2.0 * x.Fu * x.phi_n, ("up",)),
     "barrier_ba": (
         _barrier_ba,
-        lambda x, fl, a: -2.0 * big_F_a(x.u, a, fl) * x.phi_n, ("up",)),
+        lambda x, fl, a: -2.0 * big_F_a(x.u, a, fl, x.upp1) * x.phi_n, ("up",)),
     "flux_u": (
-        lambda x, fl, a: x.r ** (fl.n - 1) * x.up,
-        lambda x, fl, a: -x.r ** (fl.n - 1) * f(x.u, fl), ()),
+        lambda x, fl, a: x.rn1 * x.up,
+        lambda x, fl, a: -x.rn1 * x.fu, ()),
     "flux_v": (
-        lambda x, fl, a: x.r ** (fl.n - 1) * x.vp,
-        lambda x, fl, a: -x.r ** (fl.n - 1) * f_prime(x.u, fl) * x.v, ()),
+        lambda x, fl, a: x.rn1 * x.vp,
+        lambda x, fl, a: -x.rn1 * x.fpu * x.v, ()),
     "pair_product": (
-        lambda x, fl, a: x.up * x.vp + f(x.u, fl) * x.v,
+        lambda x, fl, a: x.up * x.vp + x.fu * x.v,
         lambda x, fl, a: -2.0 * (fl.n - 1) / x.r * x.up * x.vp, ()),
     "q_slope": (
-        lambda x, fl, a: x.Q / (x.r ** (fl.n - 1) * x.up),
-        lambda x, fl, a: f(x.u, fl) * x.Q2 / (x.r ** (fl.n - 1) * x.up**2), ("up",)),
+        lambda x, fl, a: x.Q / (x.rn1 * x.up),
+        lambda x, fl, a: x.fu * x.Q2 / (x.rn1 * x.up**2), ("up",)),
     "v_slope": (
-        lambda x, fl, a: x.r ** (fl.n - 1) * x.v / x.up,
+        lambda x, fl, a: x.rn1 * x.v / x.up,
         lambda x, fl, a: x.phi_n, ("up",)),
 }
 
@@ -293,13 +295,9 @@ def _u_admissible(state: State) -> bool:
 
 
 def _admits(state: State, field: FieldParams, guards: tuple[str, ...]) -> bool:
-    if "u" in guards and not _u_admissible(state):
-        return False
-    if "up" in guards and not _up_admissible(state, field):
-        return False
-    if "r" in guards and state.r < _R_FLOOR:
-        return False
-    return True
+    return (("u" not in guards or _u_admissible(state))
+            and ("up" not in guards or _up_admissible(state, field))
+            and ("r" not in guards or not state.r < _R_FLOOR))
 
 
 def probe_radii(
@@ -366,29 +364,38 @@ def identity_residuals(
     failing an identity's guard is skipped for that identity.  The family
     identities are checked at a = _FAMILY_A.
     """
-    field = traj.params.field
+    field, a = traj.params.field, _FAMILY_A
     names = list(identities) if identities is not None else list(_IDENTITIES)
     for name in names:
         if name not in _IDENTITIES:
             raise KeyError(f"unknown identity: {name}")
 
-    per = {name: [] for name in names}  # (residual, scale contribution)
+    accs = {name: [0, 0.0, 0.0] for name in names}  # probes used, max residual, max scale
+    checks = [(*_IDENTITIES[name], accs[name]) for name in names]
     # each distinct guard is tested once per probe; the connection reads ("u", "up")
-    guard_sets = {_IDENTITIES[name][2] for name in names} | {("u", "up")}
+    guard_sets = {guards for _, _, guards, _ in checks} | {("u", "up")}
     conn_worst = 0.0
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
         h = _H_SCALE * max(1.0, r)
-        x_mid, x_lo, x_hi = (eval_aux(traj.eval_dense(t), field) for t in (r, r - h, r + h))
+        x_mid = eval_aux(traj.eval_dense(r), field)
+        x_lo = eval_aux(traj.eval_dense(r - h), field)
+        x_hi = eval_aux(traj.eval_dense(r + h), field)
         admitted = {guards: _admits(x_mid, field, guards) for guards in guard_sets}
-        for name in names:
-            lhs, rhs, guards = _IDENTITIES[name]
+        for lhs, rhs, guards, acc in checks:
             if not admitted[guards]:
                 continue
-            fd = (lhs(x_hi, field, _FAMILY_A) - lhs(x_lo, field, _FAMILY_A)) / (2.0 * h)
-            want = rhs(x_mid, field, _FAMILY_A)
-            per[name].append((abs(fd - want), max(abs(fd), abs(want))))
+            fd = (lhs(x_hi, field, a) - lhs(x_lo, field, a)) / (2.0 * h)
+            want = rhs(x_mid, field, a)
+            res, scale = abs(fd - want), abs(fd)
+            if abs(want) > scale:  # max(abs(fd), abs(want)), NaN included
+                scale = abs(want)
+            acc[0] += 1
+            if acc[0] == 1 or res > acc[1]:  # as max() over the probes: the first, then larger
+                acc[1] = res
+            if acc[0] == 1 or scale > acc[2]:
+                acc[2] = scale
 
         # Pointwise connection between the u-frame and v-frame functionals:
         # Q - P v/u = omega (M - varpi), checked without differentiation.
@@ -402,12 +409,10 @@ def identity_residuals(
     resolution = traj.params.controls.abs_tol / _H_SCALE
     recs = []
     for name in names:
-        rows = per[name]
-        scale = max((row[1] for row in rows), default=0.0)
+        used, res, scale = accs[name]
         if scale < resolution:  # no probes at all, or nothing to resolve
-            recs.append(IdentityResidual(name, 0, 0.0, 0.0))
-            continue
-        recs.append(IdentityResidual(name, len(rows), max(row[0] for row in rows), scale))
+            used, res, scale = 0, 0.0, 0.0
+        recs.append(IdentityResidual(name, used, res, scale))
     return IdentityReport(tuple(recs), conn_worst)
 
 

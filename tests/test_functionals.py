@@ -9,6 +9,7 @@ import pytest
 
 from boundstate_lab import (
     FULL_RANGE_POLICY,
+    AuxSample,
     FieldParams,
     IDENTITY_NAMES,
     IntegratorControls,
@@ -27,8 +28,11 @@ from boundstate_lab import (
     probe_radii,
 )
 from boundstate_lab import find_alpha_k, functionals, truncate_for_structure, verify
+from boundstate_lab import cli as cli_module
+from boundstate_lab import field as field_module
 from boundstate_lab.cli import EXIT_OK, OUTDIR_ENV, main
 from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
+from boundstate_lab.io import plain
 
 FL = FieldParams(3, 3.0)
 
@@ -77,6 +81,23 @@ def test_eval_aux_evaluates_the_well_once(monkeypatch):
     aux = eval_aux(HAND_STATE, FL)
     assert calls == [HAND_STATE.u]
     assert aux.E == pytest.approx(HAND_AUX["E"], rel=1e-14)
+
+
+def test_aux_sample_is_immutable_and_keeps_its_ingredients_out_of_the_schema():
+    aux = eval_aux(HAND_STATE, FL)
+    ingredients = {"fu": f(2.0, FL), "fpu": f_prime(2.0, FL), "Fu": big_F(2.0, FL),
+                   "upm1": abs_pow(2.0, 2.0), "upp1": abs_pow(2.0, 4.0), "rn": 1.0, "rn1": 1.0}
+    for name, want in ingredients.items():
+        assert pack("<d", getattr(aux, name)) == pack("<d", want), name
+    for name in [fld.name for fld in dataclasses.fields(aux)] + list(ingredients):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(aux, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(aux, name)
+    assert not set(ingredients) & set(cli_module._AUX_COLUMNS)
+    assert not set(ingredients) & set(plain(aux))
+    assert list(plain(aux)) == [fld.name for fld in dataclasses.fields(AuxSample)]
+    assert aux == AuxSample(**plain(aux)) and repr(aux) == repr(AuxSample(**plain(aux)))
 
 
 def test_parametric_family_interpolates_corrected_wronskians():
@@ -147,6 +168,29 @@ def test_identity_residuals_test_each_distinct_guard_once_per_probe(monkeypatch)
     for name, want in zip(IDENTITY_NAMES, full.residuals):
         alone = identity_residuals(traj, probes, identities=[name])
         assert alone == dataclasses.replace(full, residuals=(want,))
+
+
+def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch):
+    # every ingredient of a record is evaluated once, so a probe (three records,
+    # five guards, 22 identities) takes 17 powers on this shot; 44 when each
+    # side evaluated its own f, F, |u|**(p-1) and critical amplitudes
+    traj = _full_run(3.0, rmax=10.0)
+    probes = probe_radii(traj, 60)
+    calls = []
+
+    def counted(u, s):
+        calls.append(s)
+        return abs_pow(u, s)
+
+    monkeypatch.setattr(field_module, "abs_pow", counted)
+    monkeypatch.setattr(functionals, "abs_pow", counted)
+    direct = []  # critical_amplitudes called around the per-field cache
+    monkeypatch.setattr(functionals, "critical_amplitudes",
+                        lambda fl: direct.append(fl) or critical_amplitudes(fl))
+    functionals._amplitudes.cache_clear()
+    identity_residuals(traj, probes)
+    assert len(direct) + functionals._amplitudes.cache_info().misses <= 1
+    assert len(probes) == 60 and len(calls) <= 17 * len(probes)
 
 
 def test_identity_residuals_reject_unknown_names():

@@ -51,6 +51,30 @@ def test_only_integrate_evaluates_segments_and_defines_u_second():
     assert u_second_homes == ["integrate.py"]
 
 
+def test_identity_sides_read_their_ingredients_from_the_record():
+    # eval_aux evaluates f, f', F and r**(n-1) once per record, and the
+    # amplitudes are taken once per field, so no side in the registry, nor a
+    # helper it calls, evaluates them again
+    path = Path(boundstate_lab.__file__).resolve().parent / "functionals.py"
+    tree = ast.parse(path.read_text())
+    helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    registry = next(node for node in tree.body if isinstance(node, ast.AnnAssign)
+                    and node.target.id == "_IDENTITIES")
+    sides, todo = [], [registry.value]
+    while todo:
+        node = todo.pop()
+        sides.append(node)
+        todo.extend(helpers.pop(sub.id) for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and sub.id in helpers)
+    names = {node.name for node in sides if isinstance(node, ast.FunctionDef)}
+    assert {"_family_w", "_barrier_ba", "_p_crit_rhs", "_p2_rhs"} <= names
+    field_calls = [ast.unparse(sub) for node in sides for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id in ("f", "f_prime", "big_F", "critical_amplitudes")]
+    assert field_calls == []
+    assert not [node for node in sides if "** (fl.n - 1)" in ast.unparse(node)]
+
+
 def _kernel_source() -> str:
     return (Path(boundstate_lab.__file__).resolve().parent / "_dopri.c").read_text()
 
