@@ -11,10 +11,9 @@ the largest magnitude seen for that identity along the trajectory.
 
 Where each formula lives:
 
-* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them,
-  and, outside its fields, the ingredients the sides read, each evaluated once: fu, fpu, Fu =
-  f(u), f'(u), F(u); upm1, upp1, with g1 and g2's q = |u|**(p-1), |u|**(p+1), |u|**(1-p);
-  rn, rn1 = r**n, r**(n-1).  The frozen record is filled through its ``__dict__``.
+* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them and,
+  outside its fields, what the sides read: fu, fpu, Fu = f(u), f'(u), F(u); upm1, upp1 =
+  |u|**(p-1), |u|**(p+1); rn, rn1 = r**n, r**(n-1).  It fills the frozen record's __dict__.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
 * ``_IDENTITIES`` maps each identity to its two sides.  Both read one
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -267,9 +267,7 @@ class IdentityResidual:
 
     @property
     def max_rel_residual(self) -> float:
-        if self.scale == 0.0:
-            return 0.0
-        return self.max_abs_residual / self.scale
+        return self.max_abs_residual / self.scale if self.scale != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,8 @@ def probe_radii(
         h = _H_SCALE * max(1.0, r)
         if r - 2.0 * h <= lo or r + 2.0 * h >= hi:
             continue
-        if any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl):
+        i = bisect_left(excl, r)  # the nearest exclusion radii are excl[i - 1] and excl[i]
+        if any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl[max(i - 1, 0):i + 1]):
             continue
         seg = traj.segment_index(r)
         a, b = knots[seg], knots[seg + 1]
