@@ -81,8 +81,7 @@ class AuxSample(State):
     """The state at one radius with all auxiliary functionals there.
 
     Entries are None where the functional is undefined: omega, T1 and T2
-    need u != 0; B0, phi_n and varpi need u' != 0.  ``eval_aux`` also stores
-    the ingredients (module docstring) outside the fields, unseen by ``export``.
+    need u != 0; B0, phi_n and varpi need u' != 0.  ``eval_aux`` adds the sides' ingredients.
     """
 
     E: float
@@ -267,7 +266,9 @@ class IdentityResidual:
 
     @property
     def max_rel_residual(self) -> float:
-        return self.max_abs_residual / self.scale if self.scale != 0.0 else 0.0
+        if self.scale == 0.0:
+            return 0.0
+        return self.max_abs_residual / self.scale
 
 
 @dataclass(frozen=True)

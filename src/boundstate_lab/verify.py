@@ -530,8 +530,8 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
             xb = eval_aux(traj.eval_dense(rbar_mu), fl)
             if xa.up == 0.0 or xb.up == 0.0:
                 continue
-            phi_a = xa.Q / (r_mu ** (fl.n - 1) * abs(xa.up))
-            phi_b = xb.Q / (rbar_mu ** (fl.n - 1) * abs(xb.up))
+            phi_a = xa.Q / (xa.rn1 * abs(xa.up))
+            phi_b = xb.Q / (xb.rn1 * abs(xb.up))
             used += 1
             worst = min(worst, (phi_b - phi_a) / (abs(phi_b) + abs(phi_a)))
     if used == 0:
