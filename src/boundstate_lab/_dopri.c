@@ -13,10 +13,10 @@
  * trajectory and builds u's quartic alone.  Either way, while it steps the
  * kernel counts the sign changes of u over the knots and the segment
  * midpoints, as portrait.count_nodes does from Trajectory.midpoints, and
- * splits the knots into blocks at each sign change seen at the knots alone,
- * keeping each block's first knot with the least |u| + |u'|.  A backward pass
- * after the run turns those into the rows classify._estimate_rows picks: for
- * block j, the first knot from block j to the end with the least |u| + |u'|.
+ * splits the knots into blocks at each sign change seen at the knots alone.
+ * Of the last two blocks it keeps two rows, the two classify._estimate_rows
+ * picks: the first knot with the least |u| + |u'| since the next-to-last
+ * block opened, and since the last one did.
  */
 #include <math.h>
 
@@ -109,7 +109,7 @@ static double energy(double u, double up, double p, double inv_p_p1, int *overfl
     return 0.5 * up * up + well;
 }
 
-/* A block row is (r, u, u', v, v', |u| + |u'|). */
+/* A row is (r, u, u', v, v', |u| + |u'|). */
 static void keep(double *row, double r, double u, double up, double v, double vp, double key)
 {
     row[0] = r;
@@ -145,16 +145,17 @@ static double dense(double *q, double y, double seg, double theta, double k1, do
 }
 
 /* in: n - 1, p, abs_tol, rel_tol, r_max, the variation guard, and the series
- * start r, u, u', v, v'; stop_on_energy arms the energy trap.  rows holds cap
+ * start r, u, u', v, v'; stop_on_energy arms the energy trap.  rows holds two
  * rows of 6 doubles.  cols is NULL for a counted shot; a kept shot passes
  * room for every knot the budget allows, room = max_steps + 1: five columns
  * of room doubles (r, u, u', v, v' at each knot), then four of 4 * room (q0
  * .. q3 of u, u', v, v', four per segment), then four of room (u, u', v, v'
  * at each segment midpoint): 25 doubles per knot.  On return out holds the
  * last knot and the step size, and counts the sign-change count, the number
- * of blocks and the accepted steps; rows 0 .. min(blocks, cap) - 1 are the
- * estimate rows.  Returns the END_ index. */
-int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, double *rows,
+ * of blocks and the accepted steps; rows holds the least-key knot since block
+ * blocks - 2 opened (the first knot while there is one block), then since
+ * block blocks - 1 did.  Returns the END_ index. */
+int dopri_march(const double *in, long max_steps, int stop_on_energy, double *rows,
                 double *out, long *counts, double *cols)
 {
     const long room = max_steps + 1;
@@ -167,10 +168,11 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
     double k4u, k4up, k4v, k4vp, k5u, k5up, k5v, k5vp, k6u, k6up, k6v, k6vp;
     double k7u, k7up, k7v, k7vp;
     double prev = u, prev_knot = u;
-    long count = 0, blocks = 1, steps = 0, j;
+    long count = 0, blocks = 1, steps = 0;
     int overflow = 0, end, i;
 
     keep(rows, r, u, up, v, vp, fabs(u) + fabs(up));
+    keep(rows + 6, r, u, up, v, vp, fabs(u) + fabs(up));
     if (cols)
         put(cols, room, 0, r, u, up, v, vp);
 
@@ -314,19 +316,21 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
             }
         }
 
-        /* A sign change at the knots opens a block at the new knot. */
+        /* A sign change at the knots opens a block at the new knot: the
+         * last block's row becomes the next-to-last's. */
         key = fabs(u_new) + fabs(up_new);
         if (u_new != 0.0) {
-            int crossed = prev_knot != 0.0 && (prev_knot < 0.0) != (u_new < 0.0);
-            prev_knot = u_new;
-            if (crossed) {
-                if (blocks < cap)
-                    keep(rows + 6 * blocks, r_new, u_new, up_new, v_new, vp_new, key);
+            if (prev_knot != 0.0 && (prev_knot < 0.0) != (u_new < 0.0)) {
+                for (i = 0; i < 6; i++)
+                    rows[i] = rows[6 + i];
+                keep(rows + 6, r_new, u_new, up_new, v_new, vp_new, key);
                 blocks++;
             }
+            prev_knot = u_new;
         }
-        if (blocks <= cap && key < rows[6 * (blocks - 1) + 5])
-            keep(rows + 6 * (blocks - 1), r_new, u_new, up_new, v_new, vp_new, key);
+        for (i = 0; i < 12; i += 6)
+            if (key < rows[i + 5])
+                keep(rows + i, r_new, u_new, up_new, v_new, vp_new, key);
         steps++;
 
         r = r_new, u = u_new, up = up_new, v = v_new, vp = vp_new;
@@ -355,13 +359,6 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, long cap, 
 done:
     if (overflow)
         return END_OVERFLOW;
-    /* Suffix minimum over the blocks: on a tie the earlier block's knot is
-     * the first one. */
-    if (blocks <= cap)
-        for (j = blocks - 2; j >= 0; j--)
-            if (rows[6 * (j + 1) + 5] < rows[6 * j + 5])
-                for (i = 0; i < 6; i++)
-                    rows[6 * j + i] = rows[6 * (j + 1) + i];
     out[0] = r;
     out[1] = h;
     counts[0] = count;

@@ -6,7 +6,8 @@ termination matches the Python run bit for bit.  A kept shot (``kept_run``)
 hands it columns and gets back the trajectory ``integrate`` returns, its
 quartic coefficients and midpoints built in C; a counted shot
 (``counted_run``) hands it none and keeps only what a bracket search reads:
-the node count and the rows its alpha_k estimates read.
+the node count and the two rows its alpha_k estimates read, at k = count - 1
+and count, however many sign changes the shot has.
 
 The kernel is compiled on the first shot, not at import, with the C compiler that built
 this interpreter (``sysconfig``'s ``CC``) and the flags in ``_FLAGS``: no fused
@@ -32,7 +33,6 @@ from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, seri
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _OVERFLOW = 8  # the kernel's END_OVERFLOW: an exp overflowed where math.exp raises
-_ROWS = 64  # rows per counted run; a shot with more sign changes at its knots runs in Python
 _COLUMNS = 25  # per knot: r, u, u', v, v'; four coefficients and a midpoint per component
 
 
@@ -79,7 +79,7 @@ def _kernel():
     except (OSError, AttributeError):
         return None
     doubles = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, ctypes.c_long, doubles, doubles,
+    fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, doubles, doubles,
                    ctypes.POINTER(ctypes.c_long), doubles)
     fn.restype = ctypes.c_int
     return fn
@@ -90,8 +90,7 @@ _local = threading.local()  # per thread: kept-run columns, in private pages map
 
 def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     """(termination, counts, rows, columns) of the kernel's run from ``params``,
-    or None without a kernel or its columns, where an exp overflows, or where
-    a counted run sees more sign changes at its knots than it has rows.  The
+    or None without a kernel or its columns, or where an exp overflows.  The
     start is Python's; a kept run has room for every knot the budget allows."""
     fn = _kernel()
     if fn is None:
@@ -110,11 +109,10 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
             return None
     inputs = (c_double * 11)(fld.n - 1.0, fld.p, ctl.abs_tol, ctl.rel_tol, ctl.r_max,
                              _integrate._V_GUARD, start.r, start.u, start.up, start.v, start.vp)
-    out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * (6 * _ROWS))()
-    end = fn(inputs, max_steps, stop_on_energy, _ROWS, rows, out, counts,
-             cols if kept else None)
-    if end == _OVERFLOW or (not kept and counts[1] > _ROWS):
-        return None  # the Python step raises where math.exp does, and keeps any number of rows
+    out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * 12)()
+    end = fn(inputs, max_steps, stop_on_energy, rows, out, counts, cols if kept else None)
+    if end == _OVERFLOW:
+        return None  # the Python step raises where math.exp does
     return _termination(end, out[0], out[1]), counts, rows, cols
 
 
@@ -124,15 +122,18 @@ def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int
 
     The count is ``portrait.count_nodes``' over the knots and segment
     midpoints.  There are count + 1 rows, as ``classify._estimate_rows``
-    picks them: (r, u, u', v, v') at a knot, or None for a sign change the
-    knots never show.
+    returns them: (r, u, u', v, v') at a knot at indices count - 1 and count,
+    None elsewhere and for a sign change the knots never show.
     """
     run = _run(params, True, False)
     if run is None:
         return None
-    end, (count, found, _), rows, _ = run
-    picked = [tuple(rows[6 * j:6 * j + 5]) for j in range(found)]
-    return end, count, picked + [None] * (count + 1 - found)
+    end, (count, blocks, _), rows, _ = run
+    picked = [None] * (count + 1)
+    for j, at in ((blocks - 2, 0), (blocks - 1, 6)):  # at most count + 1 blocks
+        if j >= max(count - 1, 0):
+            picked[j] = tuple(rows[at:at + 5])
+    return end, count, picked
 
 
 def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:

@@ -9,8 +9,9 @@ jump by bisection on the final node count, integrating only the midpoints
 near a Newton estimate of alpha_k that each counted shot reads from its
 variation v.
 
-A counted shot keeps no trajectory: only its node count and the knot rows
-its estimates read (``_estimate_rows``).  It runs in the compiled kernel of
+A counted shot keeps no trajectory: only its node count and the two knot
+rows its estimates of alpha_(count-1) and alpha_count read, the only ones
+``_bisect`` reads (``_estimate_rows``).  It runs in the compiled kernel of
 ``_dopri`` when that loads, and otherwise through ``integrate``,
 ``count_nodes`` and ``_estimate_rows``, which stay the reference the kernel
 matches bit for bit.  ``classify()`` and the scans keep their trajectories.
@@ -185,37 +186,35 @@ def node_count_of_alpha(
 
 
 def _estimate_rows(traj: Trajectory, count: int) -> list:
-    """The (r, u, u', v, v') knot each of ``_alpha_k_estimates``' indices
-    0 .. count reads: at or after the j-th sign change of u at the knots (from
-    the start for j = 0), the first knot where |u| + |u'| is least; None for
-    a sign change the knots never show."""
+    """The (r, u, u', v, v') knots ``_alpha_k_estimates``' indices count - 1
+    and count read, the only ones ``_bisect`` reads, in a list of count + 1
+    rows that is None elsewhere.  Row j is the first knot at or after the j-th
+    sign change of u at the knots (from the start for j = 0) where |u| + |u'|
+    is least, or None for a sign change the knots never show.  One pass keeps
+    that knot since the last two such sign changes and since the last."""
     knots, states = traj.knots, traj.states
-    rows: list = []
-    start = 0
-    prev = states[0][0]
-    for j in range(count + 1):
-        if j > 0:
-            # first knot past the j-th sign change
-            while start < len(states):
-                u = states[start][0]
-                if u != 0.0:
-                    crossed = prev != 0.0 and (prev < 0.0) != (u < 0.0)
-                    prev = u
-                    if crossed:
-                        break
-                start += 1
-            if start == len(states):
-                rows.extend([None] * (count + 1 - j))
-                break
-        best = min(range(start, len(states)),
-                   key=lambda i: abs(states[i][0]) + abs(states[i][1]))
-        rows.append((knots[best], *states[best]))
+    keys = [abs(u) + abs(up) for u, up, _, _ in states]
+    two = last = 0
+    blocks, prev = 1, states[0][0]
+    for i, (u, _, _, _) in enumerate(states):
+        if u != 0.0:
+            if prev != 0.0 and (prev < 0.0) != (u < 0.0):
+                two, last, blocks = last, i, blocks + 1
+            prev = u
+        if keys[i] < keys[two]:
+            two = i
+        if keys[i] < keys[last]:
+            last = i
+    rows: list = [None] * (count + 1)
+    for j, i in ((blocks - 2, two), (blocks - 1, last)):  # at most count + 1 blocks
+        if j >= max(count - 1, 0):
+            rows[j] = (knots[i], *states[i])
     return rows
 
 
 def _alpha_k_estimates(field: FieldParams, alpha: float, rows: list) -> tuple[float, ...]:
     """Newton estimates of alpha_0 .. alpha_count read from the shot from
-    alpha, one per row of ``_estimate_rows``.
+    alpha, one per row of ``_estimate_rows`` (so nan below count - 1).
 
     Near alpha_k the shot is u ~ U_k + (alpha - alpha_k) v.  On its tail U_k
     keeps to the zero-energy separatrix, drift from the drag term included:

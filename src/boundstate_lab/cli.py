@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Six subcommands over one flag vocabulary:
+Six commands over one flag set (one parser; the command is its positional argument):
 
 * ``solve``     -- one shot; trajectory CSV plus portrait JSON.
 * ``classify``  -- one shot; class tag with its witness.
@@ -144,15 +144,14 @@ _FLAG_EXTRAS: dict[str, dict[str, Any]] = {
 
 
 def build_parser() -> _Parser:
+    """One parser for every command: each takes the same flags."""
     parser = _Parser(prog="boundstate-lab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="|".join(_DISPATCH))
-    for name in _DISPATCH:
-        cmd = sub.add_parser(name, add_help=True)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="flat key=value file; flags override it")
-        for key, (convert, _, text) in _OPTIONS.items():
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
-                             default=None, help=text, **_FLAG_EXTRAS.get(key, {}))
+    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("--config", type=str, default=None,
+                        help="flat key=value file; flags override it")
+    for key, (convert, _, text) in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
+                            default=None, help=text, **_FLAG_EXTRAS.get(key, {}))
     return parser
 
 
@@ -260,8 +259,6 @@ class RunConfig:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file entries over defaults."""
-    if not args.command:
-        raise UsageError("missing command; choose from " + ", ".join(_DISPATCH))
     file_cfg: dict[str, str] = {}
     if args.config is not None:
         try:

@@ -12,8 +12,7 @@ bound state it shadows.  Every derived quantity is cross-checked against a
 re-integration at 10x tighter tolerances before its checks run.
 
 This module locates no event itself: ``portrait`` locates every event
-radius, level crossings included.  Its functionals come from ``functionals``,
-except the one-line quotient P/r^n, written in its check.
+radius, level crossings included.  Its functionals come from ``functionals``.
 """
 
 from __future__ import annotations
@@ -379,7 +378,6 @@ def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     r_hi = _nodal_limit(prep)
     if r_hi is None:
         return _skip("no zeros: window undefined")
-    n = prep.case.field.n
     # dividing by r^n amplifies absolute error in P without bound near the
     # origin, so the scan starts where the quotient is conditioned
     rows = prep.window(_R_FLOOR, r_hi)
@@ -389,7 +387,7 @@ def _check_p_over_rn_monotone(prep: _Prepared) -> _Outcome:
     prev = None
     scale = 1e-300
     for aux in rows:
-        x = aux.P / aux.r**n
+        x = aux.P / aux.rn
         scale = max(scale, abs(x))
         if prev is not None:
             worst = min(worst, (prev - x) / scale)

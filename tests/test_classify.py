@@ -1,8 +1,11 @@
 """Classifier tests: frozen jump amplitudes, tags, ladders, zero monotonicity."""
 
 import importlib
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundstate_lab import (
     BOUND_STATE_CANDIDATE,
@@ -234,6 +237,41 @@ def _plain_bracket(counts, k, tol):
         else:
             hi = mid
     return lo, hi
+
+
+def _knot_blocks(states):
+    """Index of the first knot of each block: knot 0, then each knot where u
+    changes sign against the last nonzero u before it."""
+    starts, prev = [0], states[0][0]
+    for i, (u, _, _, _) in enumerate(states):
+        if u != 0.0:
+            if prev != 0.0 and (prev < 0.0) != (u < 0.0):
+                starts.append(i)
+            prev = u
+    return starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(min_value=1, max_value=40),
+       extra=st.integers(min_value=0, max_value=2))
+def test_estimate_rows_are_the_rows_one_scan_per_row_picks(data, size, extra):
+    # few distinct values, so that zeros of u and ties of |u| + |u'| are common
+    us = data.draw(st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)),
+                            min_size=size, max_size=size))
+    ups = data.draw(st.lists(st.sampled_from((-1.0, 0.0, 0.25, 1.0)),
+                             min_size=size, max_size=size))
+    knots = [0.125 * i for i in range(size)]
+    states = [(u, up, float(i), -float(i)) for i, (u, up) in enumerate(zip(us, ups))]
+    starts = _knot_blocks(states)
+    count = len(starts) - 1 + extra  # midpoints may show more sign changes than knots
+    rows = classify_module._estimate_rows(SimpleNamespace(knots=knots, states=states), count)
+    assert len(rows) == count + 1
+    for j, row in enumerate(rows):
+        if j < count - 1 or j >= len(starts):
+            assert row is None
+            continue
+        best = min(range(starts[j], size), key=lambda i: abs(us[i]) + abs(ups[i]))
+        assert row == (knots[best], *states[best])
 
 
 SEARCH_POINTS = [((3, 3.0), 1e-10), ((3, 1.5), 1e-10), ((4, 2.0), 1e-10), ((5, 1.6), 1e-10),

@@ -308,6 +308,14 @@ def test_missing_command_exits_one():
     assert main([]) == EXIT_USAGE
 
 
+def test_unknown_command_exits_one_and_help_exits_zero(capsys):
+    assert main(["frobnicate", "--n", "3"]) == EXIT_USAGE
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert main(["ladder", "--help"]) == EXIT_OK
+    assert "--functionals" in capsys.readouterr().out
+
+
 def test_console_script_entry_point(tmp_path):
     # one end-to-end run through the installed script; the child imports the
     # package this test imported, installed or not

@@ -44,6 +44,7 @@ from boundstate_lab.integrate import (
 )
 from boundstate_lab.portrait import IndeterminateCount, _node_count, count_nodes
 
+from test_classify import _plain_bracket
 from test_integrate import GOLDEN_BITS
 
 classify_module = importlib.import_module("boundstate_lab.classify")
@@ -154,13 +155,6 @@ def test_an_overflow_in_the_series_start_is_raised_not_deferred(alpha):
         _assert_same_kept_shot(params, policy)
 
 
-def test_a_shot_with_more_rows_than_the_kernel_keeps_runs_in_python(monkeypatch):
-    monkeypatch.setattr(_dopri, "_ROWS", 2)
-    assert len(_dopri.counted_run(ProblemParams(FL, 5.0))[2]) == 2  # one zero: rows 0 and 1
-    assert _dopri.counted_run(ProblemParams(FL, 15.0)) is None  # two zeros
-    assert node_count_of_alpha(FL, 15.0).count == 2
-
-
 @st.composite
 def _counted_shots(draw):
     """Classify-policy shots: p near 1, mid-range or near the critical exponent;
@@ -185,11 +179,30 @@ OVERFLOWING_SHOT = ProblemParams(FieldParams(3, 4.75), 100.0,
                                  IntegratorControls(r0=1e-3, abs_tol=1e-8, rel_tol=1e-6, r_max=1.0))
 
 
+# 75 sign changes at the knots, past the 64 rows the kernel once kept
+MANY_ZEROS_SHOT = ProblemParams(FL, 15000.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=_counted_shots())
 @example(params=OVERFLOWING_SHOT)
+@example(params=MANY_ZEROS_SHOT)
 def test_kernel_matches_the_python_step_on_sampled_shots(params):
     _assert_same_shot(params)
+
+
+def test_a_high_ladder_bracket_runs_every_counted_shot_in_the_kernel(monkeypatch):
+    # k = 70: every shot of the search has 70 or more zeros
+    if _dopri._kernel() is not None:
+        def refuse(params, policy):
+            raise AssertionError("a counted shot was marched in Python")
+
+        monkeypatch.setattr(integrate_module, "_march", refuse)
+    counts = classify_module._CountCache(FL, None)
+    entry = find_alpha_k(FL, 70, tol=1e-10, counts=counts)
+    assert (entry.alpha_lo, entry.alpha_hi) == (13165.74976348877, 13165.749764442444)
+    assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 70, 1e-10)
+    assert counts.fallbacks == 0
 
 
 def _pack(values):
@@ -295,18 +308,6 @@ def test_a_forked_child_marches_in_its_own_columns():
     assert os.waitpid(pid, 0)[1] == 0
     assert _column_bytes(want) == before
     _assert_same_trajectory(_dopri.kept_run(params, FULL_RANGE_POLICY), want)
-
-
-def test_a_kept_shot_is_not_held_to_the_counted_row_cap(monkeypatch):
-    monkeypatch.setattr(_dopri, "_ROWS", 2)
-    params = ProblemParams(FL, 15.0)  # two zeros: three rows, past the cap
-    assert _dopri.counted_run(params) is None
-    for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
-        got = _dopri.kept_run(params, policy)
-        if _dopri._kernel() is not None:
-            assert got is not None
-            _assert_same_trajectory(got, integrate_module._march(params, policy))
-    assert count_nodes(integrate(params)).count == 2
 
 
 @pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
