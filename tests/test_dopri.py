@@ -195,8 +195,9 @@ def test_a_high_ladder_bracket_runs_every_counted_shot_in_the_kernel(monkeypatch
     # k = 70: every shot of the search has 70 or more zeros
     if _dopri._kernel() is not None:
         def refuse(params, policy):
-            raise AssertionError("a counted shot was marched in Python")
+            raise AssertionError("a counted shot left the kernel")
 
+        monkeypatch.setattr(classify_module, "integrate", refuse)
         monkeypatch.setattr(integrate_module, "_march", refuse)
     counts = classify_module._CountCache(FL, None)
     entry = find_alpha_k(FL, 70, tol=1e-10, counts=counts)
