@@ -1,10 +1,12 @@
 /* The Dormand-Prince 5(4) march of integrate._march, for every shot.
  *
- * Every expression is the Python step's, term for term and in the same
- * order, so that with -ffp-contract=off (no fused multiply-add) and without
- * fast-math each double matches the Python run bit for bit.  exp, log, pow and
- * sqrt are libm's, which CPython's math module and ** call too; min and max
- * keep the argument order of Python's builtins (max(a, b) is b only if b > a).
+ * The step is unrolled: each sum is written out in tableau order, from its
+ * first nonzero-weight term and without the zero-weight ones, the terms
+ * _march accumulates in the same order from integrate's tableau.  So with
+ * -ffp-contract=off (no fused multiply-add) and without fast-math each double
+ * matches the Python run bit for bit.  exp, log, pow and sqrt are libm's,
+ * which CPython's math module and ** call too; min and max keep the argument
+ * order of Python's builtins (max(a, b) is b only if b > a).
  *
  * A kept shot hands in columns, and the march stores its trajectory there:
  * each knot and its state, and each component's quartic dense-output

@@ -1,13 +1,13 @@
 """Every shot through the compiled DOPRI5 march of ``_dopri.c``.
 
-``_dopri.c`` marches the step of ``integrate._march``, expression for
-expression, so every knot, state, dense coefficient, midpoint, node count and
-termination matches the Python run bit for bit.  A kept shot (``kept_run``)
-hands it columns and gets back the trajectory ``integrate`` returns, its
-quartic coefficients and midpoints built in C; a counted shot
-(``counted_run``) hands it none and keeps only what a bracket search reads:
-the node count and the two rows its alpha_k estimates read, at k = count - 1
-and count, however many sign changes the shot has.
+``_dopri.c`` marches the step of ``integrate._march`` unrolled, each sum in
+the order in which ``_march`` takes it from the tableau, so every knot, state,
+dense coefficient, midpoint, node count and termination matches the Python run
+bit for bit.  A kept shot (``kept_run``) hands it columns and gets back the
+trajectory ``integrate`` returns, its quartic coefficients and midpoints built
+in C; a counted shot (``counted_run``) hands it none and keeps only what a
+bracket search reads: the node count and the pair of rows its estimates of
+alpha_(count-1) and alpha_count read, however many sign changes the shot has.
 
 The kernel is compiled on the first shot, not at import, with the C compiler that built
 this interpreter (``sysconfig``'s ``CC``) and the flags in ``_FLAGS``: no fused
@@ -116,24 +116,25 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     return _termination(end, out[0], out[1]), counts, rows, cols
 
 
-def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int, list] | None:
+def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int, tuple] | None:
     """(termination, sign-change count, estimate rows) of the classify-policy
     shot from ``params``, or None where the shot must be run in Python.
 
     The count is ``portrait.count_nodes``' over the knots and segment
-    midpoints.  There are count + 1 rows, as ``classify._estimate_rows``
-    returns them: (r, u, u', v, v') at a knot at indices count - 1 and count,
-    None elsewhere and for a sign change the knots never show.
+    midpoints.  The rows are a pair, as ``classify._estimate_rows`` returns
+    them: (r, u, u', v, v') at the knot for alpha_(count-1) and at the one for
+    alpha_count, None where there is no alpha_(count-1) or the knots never
+    show that sign change.
     """
     run = _run(params, True, False)
     if run is None:
         return None
     end, (count, blocks, _), rows, _ = run
-    picked = [None] * (count + 1)
+    picked = [None, None]
     for j, at in ((blocks - 2, 0), (blocks - 1, 6)):  # at most count + 1 blocks
         if j >= max(count - 1, 0):
-            picked[j] = tuple(rows[at:at + 5])
-    return end, count, picked
+            picked[j - count + 1] = tuple(rows[at:at + 5])
+    return end, count, tuple(picked)
 
 
 def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:

@@ -149,7 +149,7 @@ def classify(
 
 def _counted_shot(
     field: FieldParams, alpha: float, ctrl: IntegratorControls
-) -> tuple[NodeCount, list]:
+) -> tuple[NodeCount, tuple]:
     """The node count of the classify-policy shot from alpha and the rows its
     estimates read (``_estimate_rows``), retried once at doubled r_max while
     the count is still provisional there.  The compiled kernel (``_dopri``)
@@ -185,13 +185,13 @@ def node_count_of_alpha(
     return _counted_shot(field, alpha, ctrl)[0]
 
 
-def _estimate_rows(traj: Trajectory, count: int) -> list:
-    """The (r, u, u', v, v') knots ``_alpha_k_estimates``' indices count - 1
-    and count read, the only ones ``_bisect`` reads, in a list of count + 1
-    rows that is None elsewhere.  Row j is the first knot at or after the j-th
-    sign change of u at the knots (from the start for j = 0) where |u| + |u'|
-    is least, or None for a sign change the knots never show.  One pass keeps
-    that knot since the last two such sign changes and since the last."""
+def _estimate_rows(traj: Trajectory, count: int) -> tuple:
+    """The (r, u, u', v, v') knots whose estimates of alpha_(count-1) and
+    alpha_count ``_bisect`` reads, as a pair.  The row for alpha_j is the
+    first knot at or after the j-th sign change of u at the knots (from the
+    start for j = 0) where |u| + |u'| is least, or None where there is no
+    alpha_j or the knots never show that sign change.  One pass keeps that
+    knot since the last two such sign changes and since the last."""
     knots, states = traj.knots, traj.states
     keys = [abs(u) + abs(up) for u, up, _, _ in states]
     two = last = 0
@@ -205,16 +205,16 @@ def _estimate_rows(traj: Trajectory, count: int) -> list:
             two = i
         if keys[i] < keys[last]:
             last = i
-    rows: list = [None] * (count + 1)
+    rows: list = [None, None]
     for j, i in ((blocks - 2, two), (blocks - 1, last)):  # at most count + 1 blocks
         if j >= max(count - 1, 0):
-            rows[j] = (knots[i], *states[i])
-    return rows
+            rows[j - count + 1] = (knots[i], *states[i])
+    return tuple(rows)
 
 
-def _alpha_k_estimates(field: FieldParams, alpha: float, rows: list) -> tuple[float, ...]:
-    """Newton estimates of alpha_0 .. alpha_count read from the shot from
-    alpha, one per row of ``_estimate_rows`` (so nan below count - 1).
+def _alpha_k_estimates(field: FieldParams, alpha: float, rows: tuple) -> tuple[float, float]:
+    """Newton estimates of alpha_(count-1) and alpha_count read from the shot
+    from alpha, one per row of ``_estimate_rows`` (nan for a missing row).
 
     Near alpha_k the shot is u ~ U_k + (alpha - alpha_k) v.  On its tail U_k
     keeps to the zero-energy separatrix, drift from the drag term included:
@@ -230,21 +230,20 @@ def _alpha_k_estimates(field: FieldParams, alpha: float, rows: list) -> tuple[fl
     vanishing dG/dalpha gives nan.
     """
     half_drag = 0.5 * (field.n - 1.0)
-    out = []
-    for row in rows:
+
+    def estimate(row: tuple | None) -> float:
         if row is None:
-            out.append(math.nan)
-            continue
+            return math.nan
         r, u, up, v, vp = row
         s = 2.0 * abs_pow(u, field.p - 1.0) / (field.p + 1.0)
         if s >= 1.0:
-            out.append(math.nan)
-            continue
+            return math.nan
         kappa = math.sqrt(1.0 - s)
         damp = kappa + half_drag / r
         g_v = vp + (damp - 0.5 * (field.p - 1.0) * s / kappa) * v
-        out.append(alpha - (up + damp * u) / g_v if g_v != 0.0 else math.nan)
-    return tuple(out)
+        return alpha - (up + damp * u) / g_v if g_v != 0.0 else math.nan
+
+    return estimate(rows[0]), estimate(rows[1])
 
 
 @dataclass(frozen=True)
@@ -282,10 +281,10 @@ class _CountCache:
 
     One cache can serve every bracket search of a run: a height is then
     integrated once, and ``audit`` checks monotonicity over every count the
-    run has seen.  Next to each count it keeps the shot's estimates of
-    alpha_0 .. alpha_count (``_alpha_k_estimates``), never the shot itself;
-    the estimates at the ends of a doubling bracket seed the search margins
-    of ``_bisect`` at no extra integration.
+    run has seen.  Next to each count it keeps the shot's pair of estimates,
+    of alpha_(count-1) and alpha_count (``_alpha_k_estimates``), never the
+    shot itself; the estimates at the ends of a doubling bracket seed the
+    search margins of ``_bisect`` at no extra integration.
     ``integrated``, ``skipped`` and ``fallbacks`` count the heights
     integrated, the bisection midpoints decided from an estimate without
     integrating, and the searches that had to redo plain bisection.
@@ -295,7 +294,7 @@ class _CountCache:
         self.field = field
         self.controls = controls if controls is not None else IntegratorControls()
         self.seen: dict[float, int] = {}
-        self.estimates: dict[float, tuple[float, ...]] = {}
+        self.estimates: dict[float, tuple[float, float]] = {}
         self.integrated = 0
         self.skipped = 0
         self.fallbacks = 0
@@ -340,8 +339,9 @@ def _bisect(counts: _CountCache, k: int, lo: float, hi: float, tol: float,
     shots: list[tuple[float, float]] = []  # (height, its estimate of alpha_k)
 
     def note(alpha: float) -> None:
-        if counts.seen[alpha] - k in (0, 1) and not math.isnan(counts.estimates[alpha][k]):
-            shots.append((alpha, counts.estimates[alpha][k]))
+        at = k - counts.seen[alpha] + 1  # alpha_k's slot in the shot's pair
+        if at in (0, 1) and not math.isnan(counts.estimates[alpha][at]):
+            shots.append((alpha, counts.estimates[alpha][at]))
 
     note(lo)
     note(hi)

@@ -22,7 +22,8 @@ each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
 oscillation of the profile, so that grid isolates every event.  Every shot
 marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
 ``_march``, its dense coefficients and its midpoints in C, bit for bit.
-``_march``, the Python step, is its fallback and its reference.
+``_march``, the Python step, is its fallback and its reference; it reads the
+tableau below by index, where the kernel writes each sum out term by term.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -30,14 +31,6 @@ there on the profile is confined below the well zero and its node count is
 final), when the variation passes the guard magnitude, or when the stepper
 gives up (step budget / underflow).  Callers choose via ``StopPolicy``
 whether the energy trap should stop the run; the guards are always active.
-
-The step is written out as straight-line scalar code, with every sum taken
-in the tableau's accumulation order (stage by stage, left to right), so
-that trajectories and every artifact built from them stay byte-identical
-to the generic per-stage loop it replaces.  The right-hand side, the
-energy-trap test and the error norm's max(|y|, |y_new|) are inlined into
-the step as well; each keeps the arithmetic order of the closure or call
-it replaced, so the bits stay the same.
 """
 
 from __future__ import annotations
@@ -77,28 +70,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-
-# The step and the dense coefficients of ``_march`` write every sum out term
-# by term, in tableau order.  Terms with a zero weight are left out, as the
-# generic loop skipped them.  Each dense-coefficient sum starts from ``0.0 +``
-# like the loop's accumulator did: an all-zero sum then stays +0.0 (the
-# constant shot alpha = 1 would otherwise store -0.0), and a zero term added
-# to it cannot change it.
-assert _A[6][1] == _E[1] == 0.0 and not any(_P[1]) and not any(row[0] for row in _P[1:])
-_C2, _C3, _C4, _C5, _C6 = _C[1:6]
-(_A21,) = _A[1]
-_A31, _A32 = _A[2]
-_A41, _A42, _A43 = _A[3]
-_A51, _A52, _A53, _A54 = _A[4]
-_A61, _A62, _A63, _A64, _A65 = _A[5]
-_B1, _B3, _B4, _B5, _B6 = (_A[6][j] for j in (0, 2, 3, 4, 5))
-_E1, _E3, _E4, _E5, _E6, _E7 = (_E[j] for j in (0, 2, 3, 4, 5, 6))
-_P11, _P12, _P13, _P14 = _P[0]
-_P32, _P33, _P34 = _P[2][1:]
-_P42, _P43, _P44 = _P[3][1:]
-_P52, _P53, _P54 = _P[4][1:]
-_P62, _P63, _P64 = _P[5][1:]
-_P72, _P73, _P74 = _P[6][1:]
 
 _MAX_STEP = 0.25  # keeps dense segments finer than any oscillation of the profile
 _MIN_FACTOR = 0.2
@@ -373,7 +344,7 @@ class Trajectory:
 
 
 def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
-    """u'' from the radial equation; the step below writes it out inline."""
+    """u'' from the radial equation; ``_march`` writes it out in its ``rhs``."""
     return -(fld.n - 1.0) / r * up - f(u, fld)
 
 
@@ -393,8 +364,31 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     return traj if traj is not None else _march(params, policy)
 
 
+def _weigh(weights: Sequence[float], slopes: list, acc: tuple = (-0.0,) * 4) -> tuple:
+    """acc + sum of w * k over the stage slopes k and their weights w, in each
+    of the four components (u, u', v, v').
+
+    The terms are added left to right in tableau order, as ``_dopri.c`` writes
+    them out, skipping zero weights.  From the default -0.0 the sum is the C
+    sum from its first term (-0.0 + x is x for every x, signed zeros included);
+    the dense sums start from +0.0, as the C ones do, so an all-zero one stays
+    +0.0.  Not ``sum()``, which compensates float sums from Python 3.12 on.
+    """
+    for w, (k0, k1, k2, k3) in zip(weights, slopes):
+        if w != 0.0:
+            a0, a1, a2, a3 = acc
+            acc = (a0 + w * k0, a1 + w * k1, a2 + w * k2, a3 + w * k3)
+    return acc
+
+
 def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
-    """``integrate``'s march in Python: the kernel's fallback and its bit reference."""
+    """``integrate``'s march in Python: the kernel's fallback and its bit reference.
+
+    The step reads the tableau by index: stage s = 1..5 at r + _C[s] h from the
+    slopes weighed by _A[s], the solution by _A[6], the error estimate by _E,
+    and each segment's quartic by the columns of _P.  The last stage's slope,
+    at the new knot, is the next step's first.
+    """
     fld = params.field
     ctl = params.controls
     start = series_start(params)
@@ -403,160 +397,89 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
     p_m1 = p - 1.0
     inv_p_p1 = 1.0 / (p + 1.0)
     atol, rtol, r_max = ctl.abs_tol, ctl.rel_tol, ctl.r_max
-    v_guard, max_steps = _V_GUARD, _MAX_STEPS
-    stop_on_energy = policy.stop_on_energy
     exp, log = math.exp, math.log
 
-    r = start.r
-    u, up, v, vp = start.u, start.up, start.v, start.vp
+    def rhs(r: float, y: Sequence[float]) -> tuple[float, float, float, float]:
+        # (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v), f(u) = (|u|^(p-1) - 1) u
+        u, up, v, vp = y
+        apw = 0.0 if u == 0.0 else exp(p_m1 * log(abs(u)))
+        drag = n_minus_1 / r
+        return up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v
 
-    knots = [r]
-    states = [(u, up, v, vp)]
-    slopes_u, slopes_up, slopes_v, slopes_vp = slopes = [[], [], [], []]
+    def energy(y: tuple[float, float, float, float]) -> float:
+        # E = u'^2/2 - u^2/2 + |u|^(p+1)/(p+1); the shot is trapped once E <= 0
+        u, up = y[0], y[1]
+        well = -0.5 * u * u
+        if u != 0.0:
+            well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
+        return 0.5 * up * up + well
+
+    r = start.r
+    y = (start.u, start.up, start.v, start.vp)
+    knots, states, slopes = [r], [y], []  # slopes: k1..k7 of each accepted step
 
     def finish(end: int, h: float = 0.0) -> Trajectory:
         # Each component's quartic Q = K^T P and its value at each segment
         # midpoint, in the arithmetic of dense() in _dopri.c.
-        spans = [(b - a, (0.5 * (a + b) - a) / (b - a)) for a, b in zip(knots, knots[1:])]
+        columns = tuple(zip(*_P))
         coeffs, mids = [[], [], [], []], [[], [], [], []]
-        for c, k in enumerate(slopes):
-            q, mid, k = coeffs[c], mids[c], iter(k)
-            for state, (seg, theta), k1, k3, k4, k5, k6, k7 in zip(states, spans, k, k, k, k, k, k):
-                q0 = 0.0 + k1 * _P11
-                q1 = 0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72
-                q2 = 0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73
-                q3 = 0.0 + k1 * _P14 + k3 * _P34 + k4 * _P44 + k5 * _P54 + k6 * _P64 + k7 * _P74
-                q += q0, q1, q2, q3
-                w = theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))
-                mid.append(state[c] + seg * w)
+        for a, b, state, k in zip(knots, knots[1:], states, slopes):
+            seg = b - a
+            theta = (0.5 * (a + b) - a) / seg
+            for c, q in enumerate(zip(*(_weigh(col, k, (0.0,) * 4) for col in columns))):
+                coeffs[c] += q
+                w = theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
+                mids[c].append(state[c] + seg * w)
         return Trajectory(params, knots, states, coeffs, mids,
                           _termination(end, knots[-1], h))
 
     # The start state can already sit in the trap (e.g. alpha below the well
-    # zero); report it without taking a step.  The energy is
-    # E = u'^2/2 - u^2/2 + |u|^(p+1)/(p+1).
-    if stop_on_energy:
-        well = -0.5 * u * u
-        if u != 0.0:
-            well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
-        if 0.5 * up * up + well <= 0.0:
-            return finish(_TRAPPED_AT_START)
-    if abs(v) > v_guard:
+    # zero); report it without taking a step.
+    if policy.stop_on_energy and energy(y) <= 0.0:
+        return finish(_TRAPPED_AT_START)
+    if abs(y[2]) > _V_GUARD:
         return finish(_DIVERGED_AT_START)
 
-    # The right-hand side (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v)
-    # with f(u) = (|u|^(p-1) - 1) u, written out here and at every stage.
-    apw = 0.0 if u == 0.0 else exp(p_m1 * log(abs(u)))
-    drag = n_minus_1 / r
-    k1u, k1up = up, -drag * up - (apw - 1.0) * u
-    k1v, k1vp = vp, -drag * vp - (p * apw - 1.0) * v
+    k1 = rhs(r, y)
     h = min(10.0 * r, _MAX_STEP, r_max - r)
-    steps = 0
 
     while True:
-        if steps >= max_steps:
+        if len(slopes) >= _MAX_STEPS:
             return finish(_BUDGET)
         if h < 1e-14 * max(1.0, r):
             return finish(_UNDERFLOW, h)
 
-        clipped = False
-        if r + h >= r_max:
+        clipped = r + h >= r_max
+        if clipped:
             h = r_max - r
-            clipped = True
 
-        # Stages 2-6.  A stage's slopes k.u and k.v are its own u' and v', so
-        # only its u and v need locals (su, sv).
-        su = u + h * (_A21 * k1u)
-        k2u = up + h * (_A21 * k1up)
-        sv = v + h * (_A21 * k1v)
-        k2v = vp + h * (_A21 * k1vp)
-        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
-        drag = n_minus_1 / (r + _C2 * h)
-        k2up = -drag * k2u - (apw - 1.0) * su
-        k2vp = -drag * k2v - (p * apw - 1.0) * sv
-        su = u + h * (_A31 * k1u + _A32 * k2u)
-        k3u = up + h * (_A31 * k1up + _A32 * k2up)
-        sv = v + h * (_A31 * k1v + _A32 * k2v)
-        k3v = vp + h * (_A31 * k1vp + _A32 * k2vp)
-        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
-        drag = n_minus_1 / (r + _C3 * h)
-        k3up = -drag * k3u - (apw - 1.0) * su
-        k3vp = -drag * k3v - (p * apw - 1.0) * sv
-        su = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        k4u = up + h * (_A41 * k1up + _A42 * k2up + _A43 * k3up)
-        sv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4v = vp + h * (_A41 * k1vp + _A42 * k2vp + _A43 * k3vp)
-        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
-        drag = n_minus_1 / (r + _C4 * h)
-        k4up = -drag * k4u - (apw - 1.0) * su
-        k4vp = -drag * k4v - (p * apw - 1.0) * sv
-        su = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        k5u = up + h * (_A51 * k1up + _A52 * k2up + _A53 * k3up + _A54 * k4up)
-        sv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5v = vp + h * (_A51 * k1vp + _A52 * k2vp + _A53 * k3vp + _A54 * k4vp)
-        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
-        drag = n_minus_1 / (r + _C5 * h)
-        k5up = -drag * k5u - (apw - 1.0) * su
-        k5vp = -drag * k5v - (p * apw - 1.0) * sv
-        su = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        k6u = up + h * (_A61 * k1up + _A62 * k2up + _A63 * k3up + _A64 * k4up + _A65 * k5up)
-        sv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6v = vp + h * (_A61 * k1vp + _A62 * k2vp + _A63 * k3vp + _A64 * k4vp + _A65 * k5vp)
-        apw = 0.0 if su == 0.0 else exp(p_m1 * log(abs(su)))
-        drag = n_minus_1 / (r + _C6 * h)
-        k6up = -drag * k6u - (apw - 1.0) * su
-        k6vp = -drag * k6v - (p * apw - 1.0) * sv
-        u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        up_new = up + h * (_B1 * k1up + _B3 * k3up + _B4 * k4up + _B5 * k5up + _B6 * k6up)
-        v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        vp_new = vp + h * (_B1 * k1vp + _B3 * k3vp + _B4 * k4vp + _B5 * k5vp + _B6 * k6vp)
+        k = [k1]
+        for s in range(1, 6):
+            k.append(rhs(r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))]))
+        y_new = tuple(yc + h * a for yc, a in zip(y, _weigh(_A[6], k)))
         r_new = r_max if clipped else r + h
-        apw = 0.0 if u_new == 0.0 else exp(p_m1 * log(abs(u_new)))
-        drag = n_minus_1 / r_new
-        k7u, k7up = up_new, -drag * up_new - (apw - 1.0) * u_new
-        k7v, k7vp = vp_new, -drag * vp_new - (p * apw - 1.0) * v_new
+        k.append(rhs(r_new, y_new))
 
-        if not (math.isfinite(u_new) and math.isfinite(up_new)
-                and math.isfinite(v_new) and math.isfinite(vp_new)):
+        if not all(map(math.isfinite, y_new)):
             return finish(_NONFINITE)
 
         # RMS of the embedded error estimate, each component over its scale.
-        err_u = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u) * h
-        err_up = (_E1 * k1up + _E3 * k3up + _E4 * k4up + _E5 * k5up + _E6 * k6up + _E7 * k7up) * h
-        err_v = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v) * h
-        err_vp = (_E1 * k1vp + _E3 * k3vp + _E4 * k4vp + _E5 * k5vp + _E6 * k6vp + _E7 * k7vp) * h
-        a, b = abs(u), abs(u_new)
-        q_u = err_u / (atol + rtol * (b if b > a else a))
-        a, b = abs(up), abs(up_new)
-        q_up = err_up / (atol + rtol * (b if b > a else a))
-        a, b = abs(v), abs(v_new)
-        q_v = err_v / (atol + rtol * (b if b > a else a))
-        a, b = abs(vp), abs(vp_new)
-        q_vp = err_vp / (atol + rtol * (b if b > a else a))
+        q_u, q_up, q_v, q_vp = (e * h / (atol + rtol * (b if b > a else a))
+                                for e, a, b in zip(_weigh(_E, k), map(abs, y), map(abs, y_new)))
         norm = math.sqrt(0.25 * (q_u * q_u + q_up * q_up + q_v * q_v + q_vp * q_vp))
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
 
         # Accepted: keep the slopes; finish builds the dense output from them.
-        slopes_u += k1u, k3u, k4u, k5u, k6u, k7u
-        slopes_up += k1up, k3up, k4up, k5up, k6up, k7up
-        slopes_v += k1v, k3v, k4v, k5v, k6v, k7v
-        slopes_vp += k1vp, k3vp, k4vp, k5vp, k6vp, k7vp
+        slopes.append(k)
         knots.append(r_new)
-        states.append((u_new, up_new, v_new, vp_new))
-        steps += 1
+        states.append(y_new)
+        r, y, k1 = r_new, y_new, k[6]
 
-        r, u, up, v, vp = r_new, u_new, up_new, v_new, vp_new
-        k1u, k1up, k1v, k1vp = k7u, k7up, k7v, k7vp
-
-        if stop_on_energy:
-            well = -0.5 * u * u
-            if u != 0.0:
-                well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
-            if 0.5 * up * up + well <= 0.0:
-                return finish(_TRAPPED)
-        if abs(v) > v_guard or abs(vp) > v_guard:
+        if policy.stop_on_energy and energy(y) <= 0.0:
+            return finish(_TRAPPED)
+        if abs(y[2]) > _V_GUARD or abs(y[3]) > _V_GUARD:
             return finish(_DIVERGED)
         if clipped or r >= r_max:
             return finish(_RMAX)

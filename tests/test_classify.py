@@ -265,9 +265,9 @@ def test_estimate_rows_are_the_rows_one_scan_per_row_picks(data, size, extra):
     starts = _knot_blocks(states)
     count = len(starts) - 1 + extra  # midpoints may show more sign changes than knots
     rows = classify_module._estimate_rows(SimpleNamespace(knots=knots, states=states), count)
-    assert len(rows) == count + 1
-    for j, row in enumerate(rows):
-        if j < count - 1 or j >= len(starts):
+    assert len(rows) == 2
+    for j, row in zip((count - 1, count), rows):  # the rows for alpha_(count-1), alpha_count
+        if j < 0 or j >= len(starts):
             assert row is None
             continue
         best = min(range(starts[j], size), key=lambda i: abs(us[i]) + abs(ups[i]))
@@ -320,7 +320,7 @@ def test_a_wrong_side_extrapolation_falls_back_to_the_plain_bracket(field33, mon
     monkeypatch.setattr(classify_module, "_alpha_k_estimates", overshooting)
     counts = _CountCache(field33, None)
     entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
-    assert any(counts.estimates[a][0] > entry.alpha_hi
+    assert any(counts.estimates[a][1] > entry.alpha_hi
                for a, c in counts.seen.items() if c == 0)
     assert counts.fallbacks == 1
     assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
@@ -351,8 +351,9 @@ def test_a_non_monotone_count_never_yields_a_silent_bracket(field33, monkeypatch
     def faulty(field, alpha, ctrl):
         count, rows = original(field, alpha, ctrl)
         if window[0] < alpha < window[1]:
-            # the knots show no extra sign change, so its estimate row is missing
-            count, rows = NodeCount(count.count + 1, count.final), rows + [None]
+            # the knots show no extra sign change, so its estimate row is missing:
+            # the row for alpha_count becomes the row for alpha_(count-1)
+            count, rows = NodeCount(count.count + 1, count.final), (rows[1], None)
         return count, rows
 
     monkeypatch.setattr(classify_module, "_counted_shot", faulty)

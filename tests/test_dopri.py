@@ -1,9 +1,11 @@
 """The compiled march against the Python step, and its loader.
 
-``_dopri.counted_run`` must give what ``integrate`` + ``count_nodes`` +
-``classify._estimate_rows`` give for the same classify-policy shot, bit for
-bit: the bracket searches read only those.  ``_dopri.kept_run`` must give the
-trajectory ``integrate._march`` gives, bit for bit, under either policy.
+The kernel writes its step out term by term; ``integrate._march`` reads the
+same tableau by index.  ``_dopri.counted_run`` must give what ``_march`` +
+``count_nodes`` + ``classify._estimate_rows`` give for the same
+classify-policy shot, bit for bit: the bracket searches read only those.
+``_dopri.kept_run`` must give the trajectory ``_march`` gives, bit for bit,
+under either policy.
 """
 
 import dataclasses
@@ -98,7 +100,7 @@ def _assert_same_shot(params):
     assert struct.pack("<d", end.r_stop) == struct.pack("<d", want_end.r_stop)
     assert count == want_count
     assert _verdict(_node_count, end, count) == _verdict(count_nodes, traj)
-    assert len(rows) == len(want_rows) == count + 1
+    assert len(rows) == len(want_rows) == 2
     for row, want_row in zip(rows, want_rows):
         if want_row is None:
             assert row is None

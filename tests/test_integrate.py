@@ -180,8 +180,8 @@ _CTL = IntegratorControls()
 
 # The first ten digests were recorded from the generic per-stage DOPRI5 loop,
 # the last four from the straight-line step that still called a right-hand-side
-# closure; the inlined step must reproduce both bit for bit, signed zeros
-# included.
+# closure; the kernel's unrolled step and ``_march``, which reads the tableau by
+# index, must reproduce both bit for bit, signed zeros included.
 GOLDEN_BITS = [
     ("classify_p3", FL, 5.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 261,
      "e8904b4e1a6b88afad2644c6480de745ee541eb4ffedac71df90bfe24cd33468"),

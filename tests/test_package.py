@@ -75,6 +75,20 @@ def test_identity_sides_read_their_ingredients_from_the_record():
     assert not [node for node in sides if "** (fl.n - 1)" in ast.unparse(node)]
 
 
+def test_the_python_step_reads_the_tableau_by_index():
+    # the kernel writes the step out term by term; _march weighs the stages by
+    # _A, _E and _P themselves, so integrate.py names no single entry (_A21)
+    tree = ast.parse((Path(boundstate_lab.__file__).resolve().parent
+                      / "integrate.py").read_text())
+    entries = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                      and re.fullmatch(r"_[ABCEP]\d+", node.id)})
+    assert entries == []
+    march = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_march")
+    read = {node.id for node in ast.walk(march) if isinstance(node, ast.Name)}
+    assert {"_A", "_E", "_P"} <= read
+
+
 def _kernel_source() -> str:
     return (Path(boundstate_lab.__file__).resolve().parent / "_dopri.c").read_text()
 
