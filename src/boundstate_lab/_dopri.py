@@ -1,10 +1,10 @@
-"""Every shot through the compiled DOPRI5 march of ``_dopri.c``.
+"""Every shot through the compiled DOP853 march of ``_dopri.c``.
 
-``_dopri.c`` marches the step of ``integrate._march`` unrolled, each sum in
-the order in which ``_march`` takes it from the tableau, so every knot, state,
+``_dopri.c`` marches the step of ``integrate._march`` from the same tableau,
+each sum in the order in which ``_march`` takes it, so every knot, state,
 dense coefficient, midpoint, node count and termination matches the Python run
 bit for bit.  A kept shot (``kept_run``) hands it columns and gets back the
-trajectory ``integrate`` returns, its quartic coefficients and midpoints built
+trajectory ``integrate`` returns, its dense coefficients and midpoints built
 in C; a counted shot (``counted_run``) hands it none and keeps only what a
 bracket search reads: the node count and the pair of rows its estimates of
 alpha_(count-1) and alpha_count read, however many sign changes the shot has.
@@ -32,8 +32,8 @@ from . import integrate as _integrate
 from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, series_start
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_OVERFLOW = 8  # the kernel's END_OVERFLOW: an exp overflowed where math.exp raises
-_COLUMNS = 25  # per knot: r, u, u', v, v'; four coefficients and a midpoint per component
+_OVERFLOW = 8  # the kernel's END_OVERFLOW: a pow overflowed where ** raises
+_COLUMNS = 37  # per knot: r, u, u', v, v'; seven coefficients and a midpoint per component
 
 
 @functools.cache
@@ -90,7 +90,7 @@ _local = threading.local()  # per thread: kept-run columns, in private pages map
 
 def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     """(termination, counts, rows, columns) of the kernel's run from ``params``,
-    or None without a kernel or its columns, or where an exp overflows.  The
+    or None without a kernel or its columns, or where a power overflows.  The
     start is Python's; a kept run has room for every knot the budget allows."""
     fn = _kernel()
     if fn is None:
@@ -112,7 +112,7 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * 12)()
     end = fn(inputs, max_steps, stop_on_energy, rows, out, counts, cols if kept else None)
     if end == _OVERFLOW:
-        return None  # the Python step raises where math.exp does
+        return None  # the Python step raises where ** does
     return _termination(end, out[0], out[1]), counts, rows, cols
 
 
@@ -153,5 +153,5 @@ def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
 
     knots, u, up, v, vp = (column(k * room, n_seg + 1).tolist() for k in range(5))
     return Trajectory(params, knots, list(zip(u, up, v, vp)),
-                      [column((5 + 4 * c) * room, 4 * n_seg) for c in range(4)],
-                      [column((21 + c) * room, n_seg) for c in range(4)], end)
+                      [column((5 + 7 * c) * room, 7 * n_seg) for c in range(4)],
+                      [column((_COLUMNS - 4 + c) * room, n_seg) for c in range(4)], end)

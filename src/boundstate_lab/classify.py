@@ -191,8 +191,12 @@ def _estimate_rows(traj: Trajectory, count: int) -> tuple:
     first knot at or after the j-th sign change of u at the knots (from the
     start for j = 0) where |u| + |u'| is least, or None where there is no
     alpha_j or the knots never show that sign change.  One pass keeps that
-    knot since the last two such sign changes and since the last."""
+    knot since the last two such sign changes and since the last.  The knot
+    where the energy trap fired is not read: the shot has left the separatrix
+    there, and with DOP853's long steps it may lie well inside the well."""
     knots, states = traj.knots, traj.states
+    if traj.termination.tag == ENERGY_NONPOSITIVE and len(states) > 1:
+        states = states[:-1]
     keys = [abs(u) + abs(up) for u, up, _, _ in states]
     two = last = 0
     blocks, prev = 1, states[0][0]

@@ -21,7 +21,6 @@ takes it as ``power``, from a caller that holds it; the bits are the same.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -34,10 +33,10 @@ class SingularInputError(ValueError):
 
 
 def abs_pow(u: float, s: float) -> float:
-    """|u|**s via exp(s*log|u|), with an exact 0.0 branch at u = 0."""
+    """|u|**s, with an exact 0.0 branch at u = 0."""
     if u == 0.0:
         return 0.0
-    return math.exp(s * math.log(abs(u)))
+    return abs(u) ** s
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,13 @@ def f_prime(u: float, params: FieldParams, power: float | None = None) -> float:
     return params.p * power - 1.0
 
 
-def big_F(u: float, params: FieldParams) -> float:
+def big_F(u: float, params: FieldParams, power: float | None = None) -> float:
     """Potential well -u**2/2 + |u|**(p+1)/(p+1); primitive of ``f``.
 
     Negative on (0, alpha_star), zero at |u| = alpha_star, positive beyond.
     """
-    return -0.5 * u * u + abs_pow(u, params.p + 1.0) / (params.p + 1.0)
+    power = abs_pow(u, params.p + 1.0) if power is None else power
+    return -0.5 * u * u + power / (params.p + 1.0)
 
 
 def big_F_a(u: float, a: float, params: FieldParams, power: float | None = None) -> float:

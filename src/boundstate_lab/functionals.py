@@ -43,7 +43,10 @@ _GOLDEN = 0.6180339887498949
 # Central-difference step of the identity checks, relative to max(1, r).
 # probe_radii shifts each probe so that r - h and r + h fall inside one dense
 # segment, which holds only for the h identity_residuals differentiates with.
-_H_SCALE = 1e-5
+# At 1e-5 the stencil's own h**2 error reached 2.8e-6 of log_slope's scale on
+# a probe near a zero of u (the (3, 1.25) k = 2 bracket shot), whatever the
+# tolerances; at 3e-6 it is 11 times smaller, and roundoff is not yet seen.
+_H_SCALE = 3e-6
 
 # Guard thresholds for identities with a removable or genuine singularity.
 # Probes are admissible only when the denominator variable is both large
@@ -112,7 +115,7 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     n, p = field.n, field.p
     r, u, up, v, vp = state.r, state.u, state.up, state.v, state.vp
     upm1, upp1 = abs_pow(u, p - 1.0), abs_pow(u, p + 1.0)
-    fu, fpu, Fu = f(u, field, upm1), f_prime(u, field, upm1), big_F(u, field)
+    fu, fpu, Fu = f(u, field, upm1), f_prime(u, field, upm1), big_F(u, field, upp1)
     rn, rn1 = r**n, r ** (n - 1)
 
     E = _energy(up, Fu)
@@ -280,12 +283,12 @@ class IdentityReport:
         return max(self.residuals, key=lambda rec: rec.max_rel_residual)
 
 
-def _up_admissible(state: State, field: FieldParams) -> bool:
+def _up_admissible(x: AuxSample, field: FieldParams) -> bool:
     # u'' from the field equation bounds how fast u' can cross zero.  The
     # floors are 1.5x the u ones: quotients by u' are differentiated, which
     # squares the amplification near a critical radius.
-    scale = max(1.0, abs(_u_second(field, state.r, state.u, state.up)))
-    return abs(state.up) >= 1.5 * _ABS_FLOOR and abs(state.up) >= 1.5 * _RATIO_FLOOR * scale
+    scale = max(1.0, abs(_u_second(field, x.r, x.u, x.up, x.fu)))
+    return abs(x.up) >= 1.5 * _ABS_FLOOR and abs(x.up) >= 1.5 * _RATIO_FLOOR * scale
 
 
 def _u_admissible(state: State) -> bool:
@@ -293,10 +296,10 @@ def _u_admissible(state: State) -> bool:
     return abs(state.u) >= _ABS_FLOOR and abs(state.u) >= _RATIO_FLOOR * scale
 
 
-def _admits(state: State, field: FieldParams, guards: tuple[str, ...]) -> bool:
-    return (("u" not in guards or _u_admissible(state))
-            and ("up" not in guards or _up_admissible(state, field))
-            and ("r" not in guards or not state.r < _R_FLOOR))
+def _admits(x: AuxSample, field: FieldParams, guards: tuple[str, ...]) -> bool:
+    return (("u" not in guards or _u_admissible(x))
+            and ("up" not in guards or _up_admissible(x, field))
+            and ("r" not in guards or not x.r < _R_FLOOR))
 
 
 def probe_radii(

@@ -10,11 +10,12 @@ and ``v`` solves the equation of variations along it
 
 The origin is a regular singular point, so integration starts at a small
 ``r0 > 0`` from the even Taylor expansion (``series_start``) and marches
-outward only.  The stepper is a Dormand-Prince 5(4) embedded pair with the
-standard quartic dense-output interpolant (Hairer, Norsett and Wanner,
-*Solving ODEs I*, II.6).  A trajectory holds each component's quartic
-coefficients and its value at each segment midpoint as flat columns, built
-with the march, for event location and probing without re-integrating.
+outward only.  The stepper is DOP853, the 8th-order Dormand-Prince pair with
+5th- and 3rd-order error estimators, its step-size control and its 7th-order
+dense output (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5, II.6 and
+II.10).  A trajectory holds each component's seven dense-output coefficients
+and its value at each segment midpoint as flat columns, built with the
+march, for event location and probing without re-integrating.
 
 Only this module stores and evaluates segments.  Every zero, node count and
 level crossing downstream is read off ``Trajectory.grid``, the knots plus
@@ -22,8 +23,8 @@ each segment's midpoint: ``_MAX_STEP`` keeps segments finer than any
 oscillation of the profile, so that grid isolates every event.  Every shot
 marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
 ``_march``, its dense coefficients and its midpoints in C, bit for bit.
-``_march``, the Python step, is its fallback and its reference; it reads the
-tableau below by index, where the kernel writes each sum out term by term.
+``_march``, the Python step, is its fallback and its reference; both read
+the tableau below by index.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -43,38 +44,115 @@ from typing import Iterator, Sequence
 
 from .field import FieldParams, ParameterError, abs_pow, f, f_prime
 
-# --- Dormand-Prince 5(4) tableau (standard coefficients) ------------------
+# --- DOP853 tableau (Hairer, Norsett and Wanner; scipy's dop853_coefficients) -
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Stage s = 1..11 sits at r + _C[s] h and weighs the slopes before it by
+# _A[s]; _A[12] weighs them into the solution, whose slope is stage 12 (the
+# next step's first); stages 13..15 feed the dense output only.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    1.0, 0.1, 0.2, 0.7777777777777778,
+)
 
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),  # 5th-order weights (FSAL)
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+        20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+        15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+        -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+        0.6433927460157636,
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259,
+    ),
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+        -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+        -0.008298,
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+        2.9475147891527724, -9.15095847217987,
+    ),
 )
 
-# Difference between the 5th- and embedded 4th-order weights.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The 5th- and 3rd-order error estimates, each over slopes 0..11.
+_E = (
+    (
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+        1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+        -0.022355307863886294,
+    ),
+    (
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+        0.02265179219836082,
+    ),
+)
 
-# Quartic dense-output coefficients: column j weights the power theta**(j+1).
+# The last four dense-output rows: each weighs the 16 slopes, times h.
 _P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+    (
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ),
+    (
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ),
+    (
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ),
+    (
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ),
 )
 
 _MAX_STEP = 0.25  # keeps dense segments finer than any oscillation of the profile
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
+_EXPONENT = -0.125  # the step scales by the error norm to this power: 1/(order 7 + 1)
 _V_GUARD = 1e12  # |v| or |v'| past this ends the run as VariationDiverged
 _MAX_STEPS = 500_000  # accepted steps before the run ends as StepLimit
 
@@ -233,8 +311,8 @@ class Trajectory:
     one is the series start).  ``states`` are the states at the knots.
     Segment ``i`` covers [knots[i], knots[i+1]].  Both columns below are
     flat and filled when the trajectory is built: ``coeffs[c]`` holds
-    component c's quartic interpolant coefficients, q0..q3 of segment i at
-    4*i..4*i+3, and ``midpoints[c]`` component c at each segment midpoint, bit
+    component c's seven dense-output coefficients, those of segment i at
+    7*i..7*i+6, and ``midpoints[c]`` component c at each segment midpoint, bit
     for bit as ``value`` reads it there.  The stepper's minimum step keeps
     each midpoint strictly inside its segment; only a final step clipped to
     r_max can be shorter, and ``value`` reads it too.
@@ -298,25 +376,21 @@ class Trajectory:
         """Interpolated state at any radius in [r_start, r_end]."""
         i = self.segment_index(r)
         r_lo = self.knots[i]
-        h = self.knots[i + 1] - r_lo
-        theta = (r - r_lo) / h
-        y_lo = self.states[i]
-        j = 4 * i
-        out = []
-        for c, q in enumerate(self.coeffs):
-            w = theta * (q[j] + theta * (q[j + 1] + theta * (q[j + 2] + theta * q[j + 3])))
-            out.append(y_lo[c] + h * w)
-        return State(r=r, u=out[0], up=out[1], v=out[2], vp=out[3])
+        theta = (r - r_lo) / (self.knots[i + 1] - r_lo)
+        j = 7 * i
+        u, up, v, vp = (_interpolate(y, q, j, theta) for y, q in zip(self.states[i], self.coeffs))
+        # filled through __dict__, as eval_aux fills AuxSample: the frozen
+        # __init__'s object.__setattr__ per field cost half of the read
+        state = object.__new__(State)
+        state.__dict__.update(r=r, u=u, up=up, v=v, vp=vp)
+        return state
 
     def value(self, c: int, r: float) -> float:
         """Component c of ``eval_dense(r)``, bit for bit, without a State."""
         i = self.segment_index(r)
         r_lo = self.knots[i]
-        h = self.knots[i + 1] - r_lo
-        theta = (r - r_lo) / h
-        q, j = self.coeffs[c], 4 * i
-        return self.states[i][c] + h * (
-            theta * (q[j] + theta * (q[j + 1] + theta * (q[j + 2] + theta * q[j + 3]))))
+        return _interpolate(self.states[i][c], self.coeffs[c], 7 * i,
+                            (r - r_lo) / (self.knots[i + 1] - r_lo))
 
     def truncated_at(self, r_cut: float) -> "Trajectory":
         """Copy keeping only whole dense segments ending at or before r_cut.
@@ -333,7 +407,7 @@ class Trajectory:
             params=self.params,
             knots=self.knots[: n_keep + 1],
             states=self.states[: n_keep + 1],
-            coeffs=[q[: 4 * n_keep] for q in self.coeffs],
+            coeffs=[q[: 7 * n_keep] for q in self.coeffs],
             midpoints=[mids[:n_keep] for mids in self.midpoints],
             termination=TerminationCause(
                 tag=REACHED_RMAX,
@@ -343,16 +417,26 @@ class Trajectory:
         )
 
 
-def _u_second(fld: FieldParams, r: float, u: float, up: float) -> float:
-    """u'' from the radial equation; ``_march`` writes it out in its ``rhs``."""
-    return -(fld.n - 1.0) / r * up - f(u, fld)
+def _interpolate(y: float, q: Sequence[float], j: int, theta: float) -> float:
+    """The dense output at theta of a segment that starts at y and whose seven
+    coefficients start at q[j]: DOP853's, nested in theta and 1 - theta."""
+    s = 1.0 - theta
+    return y + theta * (q[j] + s * (q[j + 1] + theta * (q[j + 2] + s * (q[j + 3] + theta * (
+        q[j + 4] + s * (q[j + 5] + theta * q[j + 6]))))))
+
+
+def _u_second(fld: FieldParams, r: float, u: float, up: float, fu: float | None = None) -> float:
+    """u'' from the radial equation, given f(u) as ``fu`` by a caller that
+    holds it; ``_march`` writes it out in its ``rhs``."""
+    return -(fld.n - 1.0) / r * up - (f(u, fld) if fu is None else fu)
 
 
 def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Trajectory:
     """March the system outward from the series start until a stop fires.
 
     Every accepted step keeps its local error below abs_tol + rel_tol*|y|
-    componentwise (RMS-normalized).  The returned trajectory always carries
+    componentwise (DOP853's RMS norm of its 5th-order estimate, damped where
+    the 3rd-order one is small).  The returned trajectory always carries
     at least one dense segment unless the very first state already trips a
     stop, and its termination tag says exactly why the march ended.  The
     march runs in the compiled kernel of ``_dopri`` when that loads, and
@@ -364,16 +448,16 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     return traj if traj is not None else _march(params, policy)
 
 
-def _weigh(weights: Sequence[float], slopes: list, acc: tuple = (-0.0,) * 4) -> tuple:
-    """acc + sum of w * k over the stage slopes k and their weights w, in each
+def _weigh(weights: Sequence[float], slopes: list) -> tuple:
+    """The sum of w * k over the stage slopes k and their weights w, in each
     of the four components (u, u', v, v').
 
-    The terms are added left to right in tableau order, as ``_dopri.c`` writes
-    them out, skipping zero weights.  From the default -0.0 the sum is the C
-    sum from its first term (-0.0 + x is x for every x, signed zeros included);
-    the dense sums start from +0.0, as the C ones do, so an all-zero one stays
-    +0.0.  Not ``sum()``, which compensates float sums from Python 3.12 on.
+    The terms are added left to right in tableau order, from -0.0 and skipping
+    zero weights, as ``_dopri.c`` adds them (-0.0 + x is x for every x, signed
+    zeros included).  Not ``sum()``, which compensates float sums from Python
+    3.12 on.
     """
+    acc = (-0.0, -0.0, -0.0, -0.0)
     for w, (k0, k1, k2, k3) in zip(weights, slopes):
         if w != 0.0:
             a0, a1, a2, a3 = acc
@@ -384,10 +468,12 @@ def _weigh(weights: Sequence[float], slopes: list, acc: tuple = (-0.0,) * 4) -> 
 def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
     """``integrate``'s march in Python: the kernel's fallback and its bit reference.
 
-    The step reads the tableau by index: stage s = 1..5 at r + _C[s] h from the
-    slopes weighed by _A[s], the solution by _A[6], the error estimate by _E,
-    and each segment's quartic by the columns of _P.  The last stage's slope,
-    at the new knot, is the next step's first.
+    The step reads the tableau by index: stage s = 1..11 at r + _C[s] h from
+    the slopes weighed by _A[s], the solution by _A[12], whose slope, at the
+    new knot, is the next step's first, and the two error estimates by _E.
+    An accepted step adds stages 13..15 and builds each component's seven
+    dense-output coefficients: three from the knots' values and slopes, four
+    by the rows of _P.
     """
     fld = params.field
     ctl = params.controls
@@ -395,43 +481,35 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
     n_minus_1 = fld.n - 1.0
     p = fld.p
     p_m1 = p - 1.0
-    inv_p_p1 = 1.0 / (p + 1.0)
+    p_p1 = p + 1.0
+    inv_p_p1 = 1.0 / p_p1
     atol, rtol, r_max = ctl.abs_tol, ctl.rel_tol, ctl.r_max
-    exp, log = math.exp, math.log
 
     def rhs(r: float, y: Sequence[float]) -> tuple[float, float, float, float]:
         # (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v), f(u) = (|u|^(p-1) - 1) u
         u, up, v, vp = y
-        apw = 0.0 if u == 0.0 else exp(p_m1 * log(abs(u)))
+        apw = 0.0 if u == 0.0 else abs(u) ** p_m1
         drag = n_minus_1 / r
         return up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v
+
+    def stage(s: int, r: float, h: float, y: tuple, k: list) -> tuple:
+        return rhs(r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))])
 
     def energy(y: tuple[float, float, float, float]) -> float:
         # E = u'^2/2 - u^2/2 + |u|^(p+1)/(p+1); the shot is trapped once E <= 0
         u, up = y[0], y[1]
         well = -0.5 * u * u
         if u != 0.0:
-            well += exp((p + 1.0) * log(abs(u))) * inv_p_p1
+            well += abs(u) ** p_p1 * inv_p_p1
         return 0.5 * up * up + well
 
     r = start.r
     y = (start.u, start.up, start.v, start.vp)
-    knots, states, slopes = [r], [y], []  # slopes: k1..k7 of each accepted step
+    knots, states = [r], [y]
+    coeffs, mids = [[], [], [], []], [[], [], [], []]
 
     def finish(end: int, h: float = 0.0) -> Trajectory:
-        # Each component's quartic Q = K^T P and its value at each segment
-        # midpoint, in the arithmetic of dense() in _dopri.c.
-        columns = tuple(zip(*_P))
-        coeffs, mids = [[], [], [], []], [[], [], [], []]
-        for a, b, state, k in zip(knots, knots[1:], states, slopes):
-            seg = b - a
-            theta = (0.5 * (a + b) - a) / seg
-            for c, q in enumerate(zip(*(_weigh(col, k, (0.0,) * 4) for col in columns))):
-                coeffs[c] += q
-                w = theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
-                mids[c].append(state[c] + seg * w)
-        return Trajectory(params, knots, states, coeffs, mids,
-                          _termination(end, knots[-1], h))
+        return Trajectory(params, knots, states, coeffs, mids, _termination(end, knots[-1], h))
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.
@@ -442,9 +520,10 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
 
     k1 = rhs(r, y)
     h = min(10.0 * r, _MAX_STEP, r_max - r)
+    rejected = False
 
     while True:
-        if len(slopes) >= _MAX_STEPS:
+        if len(knots) > _MAX_STEPS:
             return finish(_BUDGET)
         if h < 1e-14 * max(1.0, r):
             return finish(_UNDERFLOW, h)
@@ -454,28 +533,41 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
             h = r_max - r
 
         k = [k1]
-        for s in range(1, 6):
-            k.append(rhs(r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))]))
-        y_new = tuple(yc + h * a for yc, a in zip(y, _weigh(_A[6], k)))
+        for s in range(1, 12):
+            k.append(stage(s, r, h, y, k))
+        y_new = tuple(yc + h * a for yc, a in zip(y, _weigh(_A[12], k)))
         r_new = r_max if clipped else r + h
         k.append(rhs(r_new, y_new))
 
         if not all(map(math.isfinite, y_new)):
             return finish(_NONFINITE)
 
-        # RMS of the embedded error estimate, each component over its scale.
-        q_u, q_up, q_v, q_vp = (e * h / (atol + rtol * (b if b > a else a))
-                                for e, a, b in zip(_weigh(_E, k), map(abs, y), map(abs, y_new)))
-        norm = math.sqrt(0.25 * (q_u * q_u + q_up * q_up + q_v * q_v + q_vp * q_vp))
+        # DOP853's error norm: the RMS of the 5th-order estimate over each
+        # component's scale, damped by the 3rd-order one.
+        scale = [atol + rtol * (b if b > a else a) for a, b in zip(map(abs, y), map(abs, y_new))]
+        e5, e3 = ((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+                  for q0, q1, q2, q3 in ([e / sc for e, sc in zip(_weigh(row, k), scale)]
+                                         for row in _E))
+        norm = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
         if norm > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+            h *= max(_MIN_FACTOR, _SAFETY * norm ** _EXPONENT)
+            rejected = True
             continue
 
-        # Accepted: keep the slopes; finish builds the dense output from them.
-        slopes.append(k)
+        # Accepted: each component's dense output and its value at the
+        # segment midpoint, in the arithmetic of the kernel.
+        for s in range(13, 16):
+            k.append(stage(s, r, h, y, k))
+        rows = [_weigh(row, k) for row in _P]
+        theta = (0.5 * (r + r_new) - r) / (r_new - r)
+        for c, (y_c, dy) in enumerate((a, b - a) for a, b in zip(y, y_new)):
+            q = (dy, h * k[0][c] - dy, 2.0 * dy - h * (k[12][c] + k[0][c]),
+                 *(h * row[c] for row in rows))
+            coeffs[c] += q
+            mids[c].append(_interpolate(y_c, q, 0, theta))
         knots.append(r_new)
         states.append(y_new)
-        r, y, k1 = r_new, y_new, k[6]
+        r, y, k1 = r_new, y_new, k[12]
 
         if policy.stop_on_energy and energy(y) <= 0.0:
             return finish(_TRAPPED)
@@ -487,5 +579,8 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** _EXPONENT))
+        if rejected:  # a step that followed a rejection does not grow the next
+            factor = min(1.0, factor)
+        rejected = False
         h = min(h * factor, _MAX_STEP)

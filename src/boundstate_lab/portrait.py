@@ -15,8 +15,8 @@ A trajectory's qualitative shape is summarized by its ordered events:
 
 Events are bracketed on ``Trajectory.grid`` (the knots plus each segment's
 midpoint, owned by ``integrate``; u'' comes from ``integrate._u_second``) and
-located by bisection on ``Trajectory.value`` followed by secant polish, to an
-absolute radius tolerance of 1e-12 * max(1, r).  A crossing that brushes a
+located by the Illinois method on ``Trajectory.value``, to an absolute radius
+tolerance of 1e-12 * max(1, r).  A crossing that brushes a
 level closer than 1e-8 is flagged rather than trusted; overlapping event
 brackets raise ``AmbiguousEvent``; a walk that cannot reconcile the zeros
 with the criticals raises ``InterlacingViolation`` (usually a sign the
@@ -119,16 +119,21 @@ class NodeCount:
     final: bool
 
 
-def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
-    """Root of g in [lo, hi] by bisection with secant polish.
+def _refine_root(g: Callable[[float], float], lo: float, hi: float,
+                 glo: float | None = None, ghi: float | None = None) -> Optional[float]:
+    """Root of g in [lo, hi] by the Illinois method (Dowell and Jarratt 1971).
 
+    ``glo`` and ``ghi`` are g(lo) and g(hi) from a caller that holds them.
     Returns None when g(lo) and g(hi) are nonzero and share a sign, so the
-    bracket holds no root to refine.  Bisection takes the bracket down to
-    ~1e3 times the target tolerance, then secant steps finish; a secant
-    step that leaves the bracket falls back to bisection.
+    bracket holds no root to refine.  Each step is the secant of the bracket
+    ends, whose retained end's value is halved when the same end is kept twice
+    running, and never lands nearer an end than half the tolerance, so the
+    bracket closes on the root from both sides.  Once it is no wider than the
+    tolerance 1e-12 * max(1, |hi|), the evaluated point with the least |g|
+    is returned.
     """
-    glo = g(lo)
-    ghi = g(hi)
+    glo = g(lo) if glo is None else glo
+    ghi = g(hi) if ghi is None else ghi
     if glo == 0.0:
         return lo
     if ghi == 0.0:
@@ -136,32 +141,29 @@ def _refine_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[
     if (glo < 0.0) == (ghi < 0.0):
         return None
     tol = _RADIUS_TOL * max(1.0, abs(hi))
-    while hi - lo > 1e3 * tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    for _ in range(8):
-        if hi - lo <= tol:
-            break
-        denom = ghi - glo
-        if denom == 0.0:
-            break
-        x = hi - ghi * (hi - lo) / denom
-        if not (lo < x < hi):
+    best, g_best = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
+    kept = 0  # the end kept by the last step: -1 for lo, 1 for hi
+    while hi - lo > tol:
+        x = hi - ghi * (hi - lo) / (ghi - glo)
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         gx = g(x)
         if gx == 0.0:
             return x
+        if abs(gx) < abs(g_best):
+            best, g_best = x, gx
         if (gx < 0.0) == (glo < 0.0):
             lo, glo = x, gx
+            if kept == 1:
+                ghi *= 0.5
+            kept = 1
         else:
             hi, ghi = x, gx
-    return 0.5 * (lo + hi)
+            if kept == -1:
+                glo *= 0.5
+            kept = -1
+    return best
 
 
 def _sign_change_roots(
@@ -175,7 +177,7 @@ def _sign_change_roots(
         if a == 0.0:
             continue
         if b == 0.0 or (a < 0.0) != (b < 0.0):
-            roots.append(_refine_root(g, rs[i], rs[i + 1]))
+            roots.append(_refine_root(g, rs[i], rs[i + 1], a, b))
     return roots
 
 
@@ -272,7 +274,7 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
             if gv[i] == 0.0:
                 return grid[i]
             if gv[i + 1] == 0.0 or (gv[i] < 0.0) != (gv[i + 1] < 0.0):
-                return _refine_root(g, grid[i], grid[i + 1])
+                return _refine_root(g, grid[i], grid[i + 1], gv[i], gv[i + 1])
         return None
 
     def labeled(r: Optional[float]) -> Optional[LabeledPoint]:

@@ -335,23 +335,23 @@ def test_console_script_entry_point(tmp_path):
 # event scan; a faster writer or scan must reproduce every byte.
 GOLDEN_ARTIFACTS = [
     (3, "3", "3", "solve", "s33a3.csv",
-     "4ca77038bc4ec8c0716e461af1e527ca22e44cf98338e0296ad299d9d8efb8bc"),
+     "903ffc9cbb9fe5d4c399aba6c29871f6b3b9f2bc24f156708f4b91030b1a9cab"),
     (3, "3", "3", "solve", "s33a3.portrait.json",
-     "c2029162c6c9591be7adbe45ac8978304b04acc7604989e3e246ab25eaf79182"),
+     "80892ed5d69b8927b6674dcc0a6ea0e51a3a8647644374e21966aabbcddab0e1"),
     (3, "3", "3", "export", "s33a3.csv",
-     "5f1e34174545a7863ecae90e9ffd1c2be1b0939e98b22ffa5f216fdcf522f647"),
+     "43c6046d566075c4f41c63f96ae90ac8470180491f4ec916c9f019218119cb6a"),
     (3, "3", "6", "solve", "s33a6.csv",
-     "8c28d787dc953e90f55769345ec72971af6527302ead56b364c5146711542b40"),
+     "ff789ce6cc1f299171098ca4de625398596af097a14c3f34c89a5406c445faad"),
     (3, "3", "6", "solve", "s33a6.portrait.json",
-     "79f305aa63ec7c82b915801cb28012405989b4a77590a3b7471df6612ce94823"),
+     "5059191897fd37c783f057f2ed0a4bd1668ff186abee440a856bb6a795ef82e8"),
     (3, "3", "6", "export", "s33a6.csv",
-     "1d8cd020dfebf5ec12f693ec579cf94aef61457459005d31fcba9cc2e7dd779a"),
+     "3a408f667eb03814d70303e969a171a8c42d795048a8ff10b4c66d524b5394be"),
     (3, "1.5", "2.5", "solve", "s315a2.5.csv",
-     "e9a53f67abe902bcb5f56cad65dee072ee00ff82dbc612a37f7a5626b0aba062"),
+     "6f1b626a1953b0d6888639105167ff26cd6d01dd0254a8ba0f7961398e036b57"),
     (3, "1.5", "2.5", "solve", "s315a2.5.portrait.json",
-     "3f1cbf33d73de5fbdaa657ee770680f892336d8a9add95c85b4963bd665b720b"),
+     "12cecd57e71f0cfa4b2396fc6a3849834bccffc5eda29b34681be68c1f9a3b4e"),
     (3, "1.5", "2.5", "export", "s315a2.5.csv",
-     "aff53f7ade4f04504cea206dbffb00034130032ac671dd222aaf0668aa6f68f6"),
+     "3e61f4753191898f384dc09699c3b5e7719c79750738bd1b5d1f701e835a95f1"),
 ]
 
 
@@ -373,17 +373,17 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 # option table replaced the per-key converters, flags and defaults of cli.py.
 GOLDEN_TABLES = [
     (["classify", "--alpha", "5"], "c33a5.json",
-     "2fa5e9883ffae22fb4a9307ab3c822b3334867296762ac95bbc0b49075a5f77d"),
+     "495e6203d3ecb6acbc11fec9d3b82ed3b3880dccfa2ee700a2c4aa880ef455da"),
     (["classify", "--alpha", "5"], "c33a5.csv",
-     "5b4974cb186945590ac8231689a04953847750a5262d539f89c83f89b65205bc"),
+     "615800b07bc773b25651a62193da8f222e73fc7cbf0f72f5d1761c2f7f6595c8"),
     (["ladder", "--k", "0..1", "--tol", "1e-8"], "l33k01.json",
      "86017b26c109ac2c7d87ba5ed2baeb1a74fe27707403d9ba339cbf1123d145d2"),
     (["ladder", "--k", "0..1", "--tol", "1e-8"], "l33k01.csv",
      "d040292864fa7059538e1f004ba938702b30314facaeefddfe829634237df70a"),
     (["sweep", "--alpha-range", "2..31", "--points", "7"], "w33a2_31.json",
-     "7957e45dd21c868ac9b809a4ea11fb88629cccd45ac582469b588c0d5d5abc14"),
+     "ad1aa9a44dd082330ceb33fedfc7ee0cfa5cd7db1c5c6bd0b8fd6973c990a882"),
     (["sweep", "--alpha-range", "2..31", "--points", "7"], "w33a2_31.csv",
-     "1a04e2408c2efcc967bdba040aedf5ce728196e14df2c9b49e3600ecd06db201"),
+     "4d3dc68245e85fd73e9885302c24b9c2b6a72cab4c521444560557477c1b3c12"),
 ]
 
 
@@ -398,9 +398,9 @@ def test_table_bytes_match_the_recorded_digests(tmp_path, monkeypatch, args, nam
 
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
-     "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30"),
+     "9ed9e2a59e1540e170dd10b712b4c683b0ddadeb9f5919e11e6998966dbf7512"),
     (3, "1.25", "v3125.json",
-     "7b26cd06d3ca55c8a17daa043470e8e0b4b4a6efbee10537e6c0b690abdd4d77"),
+     "4bb4bcc6b9d172720a568df0bd1f0b762df18ec8f5c22b93730f6697bc51b032"),
 ]
 
 
@@ -420,9 +420,9 @@ def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 # by design, so the run exits 4), residual the only one with a lone bracket case.
 GOLDEN_VERIFY_PRESETS = [
     ("full", 3, "3", EXIT_VERIFY, "v33full.json",
-     "cbda8b37d42f4ee2087d03dddc3c6872869d2e94610c09f2c6fb78039a49de59"),
+     "e25c93bf84cda29defbe9c43a2ccb5914917b7af843948430f21cf85b9840ce1"),
     ("residual", 3, "1.25", EXIT_OK, "v3125res.json",
-     "23cdfe29a51e715dce72836e11afb4d77a06a3c016b3d62bc81fd779d1d62a64"),
+     "d2518e2c368cebba49fd318ce04f48c9401b56d6b978b96ed0685039f99e0436"),
 ]
 
 

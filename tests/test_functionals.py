@@ -73,9 +73,9 @@ def test_aux_sample_none_branches():
 def test_eval_aux_evaluates_the_well_once(monkeypatch):
     calls = []
 
-    def counted(u, field):
+    def counted(u, field, power=None):
         calls.append(u)
-        return big_F(u, field)
+        return big_F(u, field, power)
 
     monkeypatch.setattr(functionals, "big_F", counted)
     aux = eval_aux(HAND_STATE, FL)
@@ -239,8 +239,8 @@ def test_constant_shot_reports_its_trivial_identities_as_undefined():
 # residual and scale, and the connection residual, to the last bit.  The
 # verify report digests carry only each record's worst margin.
 GOLDEN_LEDGER = [
-    ("3", "24cba1f9fec1709e0240e1dc2682e964fcdbc60d6b1767073a861e178983d7f7"),
-    ("1.25", "02e73562dcd6d9f938a28e725ed79329252a5ea5a1ebbb2b2df19549080dd614"),
+    ("3", "4d4d5d56bd2cc27ce4bda903dc5ce2861a04375333b061fe256c0e98dcb5d8f5"),
+    ("1.25", "0b795ae7d72bd7ff961aaf4a40048b747d1cc5d0368b812eaf4f3a507d3482a9"),
 ]
 
 

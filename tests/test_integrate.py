@@ -1,5 +1,6 @@
 """Integrator tests: exact constant shot, dense output, traps, energy decay."""
 
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -27,7 +28,9 @@ from boundstate_lab.integrate import (
     STEP_LIMIT,
     VARIATION_DIVERGED,
     DenseRangeError,
+    TerminationCause,
 )
+from boundstate_lab.portrait import count_nodes
 
 FL = FieldParams(3, 3.0)
 # the package binds the name integrate to the function
@@ -86,8 +89,9 @@ def test_full_range_policy_ignores_the_energy_trap():
 
 
 def test_variation_guard_trips_near_a_jump_amplitude():
-    # just off a bracket the variation grows like e^r and hits the guard
-    traj = integrate(ProblemParams(FL, 4.337387679942187,
+    # at alpha_0, to the last bit of the march's own bracket, the variation
+    # grows like e^r and hits the guard
+    traj = integrate(ProblemParams(FL, 4.337387679999739,
                                    IntegratorControls().with_rmax(200.0)),
                      FULL_RANGE_POLICY)
     assert traj.termination.tag == VARIATION_DIVERGED
@@ -159,7 +163,7 @@ def test_knots_cover_and_terminate_cleanly():
     assert traj.r_start < 1e-5
     assert traj.r_end == pytest.approx(12.0, abs=1e-12)
     assert len(traj.knots) == len(traj.states)
-    assert all(len(traj.coeffs[c]) == 4 * (len(traj.knots) - 1) for c in range(4))
+    assert all(len(traj.coeffs[c]) == 7 * (len(traj.knots) - 1) for c in range(4))
     assert all(len(traj.midpoints[c]) == len(traj.knots) - 1 for c in range(4))
     assert math.isfinite(traj.termination.r_stop)
 
@@ -170,51 +174,49 @@ def _bits_digest(traj):
     flat = list(traj.knots)
     for state in traj.states:
         flat.extend(state)
-    for j in range(0, 4 * (len(traj.knots) - 1), 4):
+    for j in range(0, 7 * (len(traj.knots) - 1), 7):
         for q in traj.coeffs:
-            flat.extend(q[j:j + 4])
+            flat.extend(q[j:j + 7])
     return hashlib.sha256(struct.pack(f"<{len(flat)}d", *flat)).hexdigest()
 
 
 _CTL = IntegratorControls()
 
-# The first ten digests were recorded from the generic per-stage DOPRI5 loop,
-# the last four from the straight-line step that still called a right-hand-side
-# closure; the kernel's unrolled step and ``_march``, which reads the tableau by
-# index, must reproduce both bit for bit, signed zeros included.
+# Recorded from the DOP853 march; the kernel and ``_march``, which both read
+# the tableau by index, must reproduce them bit for bit, signed zeros included.
 GOLDEN_BITS = [
-    ("classify_p3", FL, 5.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 261,
-     "e8904b4e1a6b88afad2644c6480de745ee541eb4ffedac71df90bfe24cd33468"),
-    ("full_p3", FL, 5.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 4154,
-     "6ac3ab6fda714ae52f595dca5f3284c43ba71292b1e2e5e33e5445ab4fe65bf8"),
-    ("classify_p1_5", FieldParams(3, 1.5), 3.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 120,
-     "2360a75797c05b625835d2185a4ff8cb4f6f568cf8bcc275ff56b25a18f7dcc9"),
+    ("classify_p3", FL, 5.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 59,
+     "6bee8c4e165f5553ee6b19f73f79a1e9bbca01c6df503b8a1d4b625f5e8630f3"),
+    ("full_p3", FL, 5.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 524,
+     "cdd6170df6f9238f206b0ccd5c5f53ba3392018404e7becd792f361387a3dfae"),
+    ("classify_p1_5", FieldParams(3, 1.5), 3.0, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 36,
+     "00a47925bb72746a456e2330c732553e31863e826a0a99731d149abafb2a36fe"),
     ("full_p1_5", FieldParams(3, 1.5), 3.0, _CTL.with_rmax(40.0), FULL_RANGE_POLICY,
-     REACHED_RMAX, 821, "e0b73c405d7f2e3cbf17f73469cb1e6f2ba0ad3c2fa4885ebe8e03b15dff1406"),
+     REACHED_RMAX, 182, "1e80084303dd4e4ae5579556aada9322fcf141a13d43f43e46f972c725404bbc"),
     ("full_n4_p2_5", FieldParams(4, 2.5), 7.0, _CTL.with_rmax(40.0), FULL_RANGE_POLICY,
-     REACHED_RMAX, 1344, "8dfe4bd8b6cb44109ee0f202ba7ef1814fb6465240d3983231b202ff8dcf752a"),
+     REACHED_RMAX, 222, "8c070bc9d0a644df406b2dd0e8635debffd2e3ea01b9e1f8feb4929a710bbb26"),
     # u' starts at -0.0 on the constant shot: the signed-zero case
-    ("rest_height", FL, 1.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 3362,
-     "b9c04e2766c91328aaf94a96e4f20a4ffd08cf638cd30c752f596b1db46e3350"),
-    ("rmax_clipped", FL, 2.0, _CTL.with_rmax(7.3), FULL_RANGE_POLICY, REACHED_RMAX, 343,
-     "3cc34ec284223f2a842ec8f86d732dfd77519c9041084e55780f86841d4fcff0"),
+    ("rest_height", FL, 1.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 423,
+     "5a71f397441ebf803cd098f35b27514c01fa72b9f2b7e11f9812ad5f9cad8cdc"),
+    ("rmax_clipped", FL, 2.0, _CTL.with_rmax(7.3), FULL_RANGE_POLICY, REACHED_RMAX, 68,
+     "ed6b69e5382454d1f7ed08999dc6c49639db49206d459340f9d80347dcd3ca22"),
     ("tightened", FL, 3.0, _CTL.tightened(10.0).with_rmax(15.0), FULL_RANGE_POLICY,
-     REACHED_RMAX, 1159, "a461cc86ed5b397e9fe08ecb77f480abc2534fc1810feb64413e17df0ff385b2"),
-    ("guard", FL, 4.337387679942187, _CTL.with_rmax(200.0), FULL_RANGE_POLICY,
-     VARIATION_DIVERGED, 979, "dce3dcd6426f427bf14bc90977b180a02e5bb37cf53dfafc6a146e076ef844a2"),
+     REACHED_RMAX, 160, "b99faa297d2167e4e806763719eafaa5f3411e4973211e582bb3a0781364ac6d"),
+    ("guard", FL, 4.337387679999739, _CTL.with_rmax(200.0), FULL_RANGE_POLICY,
+     VARIATION_DIVERGED, 182, "fea699743536974e89aa5c4984ef6de3fed4f95f5d82d101132bc6dabcf2980e"),
     # run with the step budget _MAX_STEPS set to 40
     ("step_limit", FL, 5.0, _CTL, FULL_RANGE_POLICY, STEP_LIMIT, 41,
-     "4a13b05edf1a27cf4fefec71b8ada5990ffa0537c8d427f12a102d8ed95cf71e"),
+     "8b84ff300e6d31c7ae8a3200cf1800b297001721254561ac823518f3b6e6f8a5"),
     # the shrunken series start at large heights (r0 = 7.46e-7 and 1.23e-6)
-    ("shrunk_r0_p4", FieldParams(3, 4.0), 99.52, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 766,
-     "d1547315fa58076673f369edd1dcec6977c1601e4f2ad958800c450addc2e4b9"),
+    ("shrunk_r0_p4", FieldParams(3, 4.0), 99.52, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 158,
+     "9a94eb46c21b162058e7f246ffdf285f7df2f25171ef0bb4641206eecf1ac1f5"),
     ("shrunk_r0_n6", FieldParams(6, 1.9), 96066.5, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE,
-     966, "6dd57dfb32b5d23a484f297f89ba1a4868c738652ed48304a5a4c4e330948c21"),
+     228, "d31da36155a97896c192fe2d91a2b7193c83b766916299ceb5709f01da6a5268"),
     # trapped before the first step: only the start-of-run energy check runs
     ("trapped_at_start", FL, 1.2, _CTL, CLASSIFY_POLICY, ENERGY_NONPOSITIVE, 1,
      "7ee1a78eab5f7a486b40c99e20706ebd186f85edd39b124531770c6caa49a523"),
-    ("full_p1_25", FieldParams(3, 1.25), 6.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 1518,
-     "ccba53ca9550c35b01332d15b93797c6466dfd53d25bb3f972b10bfc2893e7fa"),
+    ("full_p1_25", FieldParams(3, 1.25), 6.0, _CTL, FULL_RANGE_POLICY, REACHED_RMAX, 474,
+     "a574e5831823b728d7f4336605cd752edfac1a17cd1e290db3c7e944047a4b0b"),
 ]
 
 
@@ -263,7 +265,7 @@ def test_value_is_eval_dense_bit_for_bit(monkeypatch, name, field, alpha, contro
 def test_dense_columns_are_filled_when_the_trajectory_is_built(march):
     traj = march(ProblemParams(FL, 5.0, _CTL.with_rmax(20.0)), FULL_RANGE_POLICY)
     n_seg = len(traj.knots) - 1
-    assert [len(q) for q in traj.coeffs] == [4 * n_seg] * 4
+    assert [len(q) for q in traj.coeffs] == [7 * n_seg] * 4
     assert [len(mids) for mids in traj.midpoints] == [n_seg] * 4
     assert not hasattr(traj, "slopes")
     # the copy slices both columns of every component
@@ -271,7 +273,7 @@ def test_dense_columns_are_filled_when_the_trajectory_is_built(march):
     n_cut = len(cut.knots) - 1
     assert n_cut < n_seg
     for c in range(4):
-        assert list(cut.coeffs[c]) == list(traj.coeffs[c][:4 * n_cut])
+        assert list(cut.coeffs[c]) == list(traj.coeffs[c][:7 * n_cut])
         assert list(cut.midpoints[c]) == list(traj.midpoints[c][:n_cut])
 
 
@@ -336,3 +338,41 @@ def test_node_count_does_not_depend_on_the_stepper_knobs(shot):
         # the trap has not fired by 2 * r_max: the count is a lower bound that
         # a longer range may raise (large heights at n = 3 need r in the 1e3s)
         assert longer.count >= base.count
+
+
+def _sign_changes(values):
+    """Sign changes along values, a zero taking no side."""
+    count, prev = 0, 0.0
+    for val in values:
+        if val != 0.0:
+            if prev != 0.0 and (prev < 0.0) != (val < 0.0):
+                count += 1
+            prev = val
+    return count
+
+
+def _dense_scan_count(traj, points=16):
+    """Sign changes of u read off the dense output at ``points`` evenly spaced
+    radii of every segment (its left knot first), then at the last knot."""
+    knots = traj.knots
+    values = [traj.value(0, a + (b - a) * j / points)
+              for a, b in zip(knots, knots[1:]) for j in range(points)]
+    return _sign_changes(values + [traj.states[-1][0]])
+
+
+def _grid_count(traj):
+    """``count_nodes``' sign changes over the knots and segment midpoints,
+    also for a run that gave up."""
+    ended = dataclasses.replace(traj, termination=TerminationCause(REACHED_RMAX, traj.r_end))
+    return count_nodes(ended).count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shot=_shots(), full_range=st.booleans())
+def test_the_midpoint_grid_sees_every_sign_change_of_the_dense_output(shot, full_range):
+    # DOP853's segments are up to _MAX_STEP long: the knots and midpoints must
+    # still isolate every zero that a 16-point scan of each segment finds
+    field, alpha = shot
+    traj = integrate(ProblemParams(field, alpha),
+                     FULL_RANGE_POLICY if full_range else CLASSIFY_POLICY)
+    assert _grid_count(traj) == _dense_scan_count(traj)

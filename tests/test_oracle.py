@@ -1,10 +1,13 @@
-"""Bracket ends against an independent scipy DOP853 oracle.
+"""Bracket ends against two independent scipy oracles: DOP853 and Radau.
 
 The oracle shares no code with the package: its own fourth-order Taylor
 start, inside the core length alpha**(-(p-1)/2) at any height, then scipy's
 ``solve_ivp`` to the radius where the energy first drops to zero, from
-where on the node count is final.  At both points alpha_2 lies at heights
-where the series start has to shrink below its default radius.
+where on the node count is final.  The package marches with DOP853 too, so
+the implicit Radau IIA method (order 5, its own step control, at rel 1e-13)
+counts every bracket end as well: the two oracles share no method family.
+At both points alpha_2 lies at heights where the series start has to shrink
+below its default radius.
 """
 
 import pytest
@@ -14,7 +17,12 @@ from boundstate_lab import FieldParams, IntegratorControls, ProblemParams, find_
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
 
-def oracle_node_count(n: int, p: float, alpha: float, r_max: float = 100.0) -> int:
+# solve_ivp method and its (rtol, atol)
+ORACLES = {"DOP853": (1e-12, 1e-14), "Radau": (1e-13, 1e-15)}
+
+
+def oracle_node_count(n: int, p: float, alpha: float, r_max: float = 100.0,
+                      method: str = "DOP853") -> int:
     r0 = 1e-3 * min(1.0, alpha ** (-(p - 1.0) / 2.0))
     fa = alpha**p - alpha
     fpa = p * alpha ** (p - 1.0) - 1.0
@@ -33,10 +41,16 @@ def oracle_node_count(n: int, p: float, alpha: float, r_max: float = 100.0) -> i
         u, up = y
         return 0.5 * up * up - 0.5 * u * u + abs(u) ** (p + 1.0) / (p + 1.0)
 
+    def jac(r, y):
+        return [[0.0, 1.0], [1.0 - p * abs(y[0]) ** (p - 1.0), -(n - 1.0) / r]]
+
     trapped.terminal = True
     trapped.direction = -1.0
-    sol = scipy_integrate.solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=1e-12,
-                                    atol=1e-14, max_step=0.5, events=(zero_u, trapped))
+    rtol, atol = ORACLES[method]
+    options = {"jac": jac} if method == "Radau" else {}
+    sol = scipy_integrate.solve_ivp(rhs, (r0, r_max), y0, method=method, rtol=rtol,
+                                    atol=atol, max_step=0.5, events=(zero_u, trapped),
+                                    **options)
     assert sol.status == 1 and len(sol.t_events[1]) == 1, "oracle shot never trapped"
     return len(sol.t_events[0])
 
@@ -47,6 +61,14 @@ def test_large_height_bracket_matches_the_oracle(n, p, k):
     assert (entry.nodes_lo, entry.nodes_hi) == (k, k + 1)
     assert oracle_node_count(n, p, entry.alpha_lo * (1.0 - 1e-8)) == k
     assert oracle_node_count(n, p, entry.alpha_hi * (1.0 + 1e-8)) == k + 1
+
+
+@pytest.mark.parametrize("n, p, k", [(3, 3.0, 0), (3, 4.0, 2)])
+def test_bracket_ends_match_the_radau_oracle(n, p, k):
+    entry = find_alpha_k(FieldParams(n, p), k, tol=1e-10)
+    assert (entry.nodes_lo, entry.nodes_hi) == (k, k + 1)
+    assert oracle_node_count(n, p, entry.alpha_lo * (1.0 - 1e-8), method="Radau") == k
+    assert oracle_node_count(n, p, entry.alpha_hi * (1.0 + 1e-8), method="Radau") == k + 1
 
 
 def test_ladder_at_3_4_gives_the_oracle_alpha_2():

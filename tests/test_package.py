@@ -76,8 +76,8 @@ def test_identity_sides_read_their_ingredients_from_the_record():
 
 
 def test_the_python_step_reads_the_tableau_by_index():
-    # the kernel writes the step out term by term; _march weighs the stages by
-    # _A, _E and _P themselves, so integrate.py names no single entry (_A21)
+    # _march weighs the stages by _A, _E and _P themselves, so integrate.py
+    # names no single entry (_A21)
     tree = ast.parse((Path(boundstate_lab.__file__).resolve().parent
                       / "integrate.py").read_text())
     entries = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
@@ -93,30 +93,90 @@ def _kernel_source() -> str:
     return (Path(boundstate_lab.__file__).resolve().parent / "_dopri.c").read_text()
 
 
+def _kernel_array(name: str) -> list:
+    """The static double array ``name`` of _dopri.c, its rows as lists."""
+    body = re.search(rf"^static const double {name}(?:\[\d+\])+ = \{{(.*?)^\}};",
+                     _kernel_source(), re.M | re.S)[1]
+    rows = re.findall(r"\{([^{}]*)\}", body) or [body]
+    return [[float(x) for x in row.replace("\n", " ").split(",") if x.strip()] for row in rows]
+
+
+def _bits(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def test_the_kernel_spells_integrates_tableau_bit_for_bit():
-    # every C/A/B/E/P #define of _dopri.c, evaluated as its quotient, is the
-    # fraction integrate holds, and every nonzero weight the step reads has one
+    # every DOP853 constant of _dopri.c is the double integrate holds: the
+    # nodes C, the stage weights A (each row s over slopes 0..s-1, zeros
+    # trailing), the error weights E5 and E3, and the dense-output rows D
     integrate_module = importlib.import_module("boundstate_lab.integrate")
     c, a, e, p = (getattr(integrate_module, name) for name in ("_C", "_A", "_E", "_P"))
-    want = {f"C{j + 1}": c[j] for j in range(1, 6)}
-    want.update({f"A{i + 1}{j + 1}": a[i][j] for i in range(1, 6) for j in range(i)})
-    want.update({f"B{j + 1}": a[6][j] for j in range(6) if a[6][j]})
-    want.update({f"E{j + 1}": e[j] for j in range(7) if e[j]})
-    want.update({f"P{i + 1}{j + 1}": p[i][j] for i in range(7) for j in range(4) if p[i][j]})
-    defined = {}
-    for name, value in re.findall(r"^#define ([CABEP]\d+) (.+)$", _kernel_source(), re.M):
-        number = r"(-?\d+\.\d+)"
-        fraction = re.fullmatch(rf"\({number} / {number}\)", value)
-        defined[name] = (float(fraction[1]) / float(fraction[2]) if fraction
-                         else float(re.fullmatch(number, value)[1]))
-    assert defined.keys() == want.keys()
-    for name, value in want.items():
-        assert struct.pack("<d", defined[name]) == struct.pack("<d", value), name
+    assert (len(c), len(a), [len(row) for row in a]) == (16, 16, list(range(16)))
+    assert [len(row) for row in e] == [12, 12] and [len(row) for row in p] == [16] * 4
+    (kernel_c,) = _kernel_array("C")
+    assert _bits(kernel_c) == _bits(c)
+    kernel_a = _kernel_array("A")
+    assert len(kernel_a) == 16
+    for s, (row, want) in enumerate(zip(kernel_a, a)):
+        assert _bits(row[:s]) == _bits(want), s
+        assert all(x == 0.0 for x in row[s:]), s
+    assert [_bits(row) for row in _kernel_array("E5") + _kernel_array("E3")] == [
+        _bits(row) for row in e]
+    assert [_bits(row) for row in _kernel_array("D")] == [_bits(row) for row in p]
     # and so is every constant of the step-size controller
-    for name in ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY"):
+    for name in ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY", "EXPONENT"):
         value = re.search(rf"^#define {name} (\S+)$", _kernel_source(), re.M)[1]
         want_value = getattr(integrate_module, f"_{name}")
         assert struct.pack("<d", float(value)) == struct.pack("<d", want_value), name
+
+
+# Dormand-Prince 5(4), the pair the march used before DOP853, as fractions
+_DOPRI5 = [
+    (1, 5), (3, 10), (4, 5), (8, 9), (3, 40), (9, 40), (44, 45), (-56, 15), (32, 9),
+    (19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729), (9017, 3168), (-355, 33),
+    (46732, 5247), (49, 176), (-5103, 18656), (35, 384), (500, 1113), (125, 192),
+    (-2187, 6784), (11, 84), (71, 57600), (-71, 16695), (71, 1920), (-17253, 339200),
+    (22, 525), (-1, 40), (-8048581381, 2820520608), (8663915743, 2820520608),
+    (-12715105075, 11282082432), (131558114200, 32700410799),
+    (-68118460800, 10900136933), (87487479700, 32700410799), (-1754552775, 470086768),
+    (14199869525, 1410260304), (-10690763975, 1880347072), (127303824393, 49829197408),
+    (-318862633887, 49829197408), (701980252875, 199316789632), (-282668133, 205662961),
+    (2019193451, 616988883), (-1453857185, 822651844), (40617522, 29380423),
+    (-110615467, 29380423), (69997945, 29380423),
+]
+
+
+def test_no_dopri5_constant_remains():
+    # no number written in integrate.py or _dopri.c, nor any quotient of two
+    # of them, is a DOPRI5 coefficient, except the 1/5 that DOP853's dense
+    # stage 14 shares
+    package = Path(boundstate_lab.__file__).resolve().parent
+    dopri5 = {num / den for num, den in _DOPRI5} - {0.2}
+    written = set()
+    for node in ast.walk(ast.parse((package / "integrate.py").read_text())):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            written.add(float(node.value))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and all(isinstance(side, ast.Constant) for side in (node.left, node.right))):
+            written.add(node.left.value / node.right.value)
+    number = r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+    source = _kernel_source()
+    written.update(float(x) for x in re.findall(rf"(?<![\w.]){number}", source))
+    written.update(float(a) / float(b)
+                   for a, b in re.findall(rf"({number})\s*/\s*({number})", source))
+    assert sorted(written & dopri5) == []
+    assert 0.2 in written  # the shared node is written, so the scan reads the tables
+
+
+def test_the_loader_reserves_the_kernels_columns_per_knot():
+    # r, u, u', v, v' per knot, then each component's COEFFS dense-output
+    # coefficients and its midpoint
+    defined = dict(re.findall(r"^#define (COEFFS|COLUMNS) (\d+)", _kernel_source(), re.M))
+    assert int(defined["COLUMNS"]) == 5 + 4 * (int(defined["COEFFS"]) + 1)
+    dopri = importlib.import_module("boundstate_lab._dopri")
+    assert dopri._COLUMNS == int(defined["COLUMNS"])
+    assert int(defined["COEFFS"]) == 7
 
 
 def test_the_kernel_has_one_march_entry_and_one_step_loop():

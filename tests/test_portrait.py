@@ -436,4 +436,4 @@ def test_counted_and_swept_classify_shots_read_the_columns_as_built(alpha):
         assert all(a is b for a, b in zip([*traj.coeffs, *traj.midpoints], columns))
         assert [list(col) for col in columns] == before
         n_seg = len(traj.knots) - 1
-        assert [len(col) for col in columns] == [4 * n_seg] * 4 + [n_seg] * 4
+        assert [len(col) for col in columns] == [7 * n_seg] * 4 + [n_seg] * 4

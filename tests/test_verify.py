@@ -189,12 +189,7 @@ def test_level_locator_matches_the_bisection_reference(p):
                 assert got is None
                 continue
             located += 1
-            # _refine_root returns the midpoint of its last bracket.  When a
-            # secant step lands on the root, the next ones round onto the
-            # bracket end and fall back to bisection, and 8 such halvings can
-            # leave the bracket a few times wider than its nominal
-            # 1e-12 max(1, r); the worst seen on these shots is 3.9 times.
-            assert abs(got - want) <= 1e-11 * max(1.0, want), (k, mu, got, want)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (k, mu, got, want)
     assert located > 0
 
 
