@@ -272,11 +272,11 @@ def test_kept_shots_match_the_python_step_on_sampled_shots(params, full_range):
     _assert_same_kept_shot(params, FULL_RANGE_POLICY if full_range else CLASSIFY_POLICY)
 
 
-# a full-range shot of 181 steps, 182 knots
-LONG_SHOT = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=40.0))
+# a full-range shot of 820 steps, 821 knots
+LONG_SHOT = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=199.8))
 
 
-@pytest.mark.parametrize("budget, tag", [(180, STEP_LIMIT), (181, REACHED_RMAX),
+@pytest.mark.parametrize("budget, tag", [(819, STEP_LIMIT), (820, REACHED_RMAX),
                                          (integrate_module._MAX_STEPS, REACHED_RMAX)])
 def test_a_kept_shot_has_room_for_every_step_of_its_budget(monkeypatch, budget, tag):
     if _dopri._kernel() is None:
