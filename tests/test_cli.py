@@ -331,8 +331,8 @@ def test_console_script_entry_point(tmp_path):
     assert "trajectory" not in payload["result"]  # repr=False: the shot stays out
 
 
-# Artifact digests recorded from the per-cell CSV writer and the _grid-based
-# event scan; a faster writer or scan must reproduce every byte.
+# Artifact digests recorded from the DOP853 march, the per-cell CSV writer and
+# the grid-based event scan; a faster writer or scan must reproduce every byte.
 GOLDEN_ARTIFACTS = [
     (3, "3", "3", "solve", "s33a3.csv",
      "903ffc9cbb9fe5d4c399aba6c29871f6b3b9f2bc24f156708f4b91030b1a9cab"),
@@ -369,8 +369,9 @@ def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-# The classify, ladder and sweep tables in both formats, recorded before the
-# option table replaced the per-key converters, flags and defaults of cli.py.
+# The classify, ladder and sweep tables in both formats, first recorded before
+# the option table replaced the per-key converters, flags and defaults of
+# cli.py; the classify and sweep ones again for the DOP853 march.
 GOLDEN_TABLES = [
     (["classify", "--alpha", "5"], "c33a5.json",
      "495e6203d3ecb6acbc11fec9d3b82ed3b3880dccfa2ee700a2c4aa880ef455da"),
