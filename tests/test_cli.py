@@ -331,6 +331,52 @@ def test_console_script_entry_point(tmp_path):
     assert "trajectory" not in payload["result"]  # repr=False: the shot stays out
 
 
+# A digest case keeps the id it was first collected under: the id shows the
+# digest first recorded for the case, not a re-recorded one, so moving the
+# bytes on purpose (the DOP853 march moved these) does not rename the case.
+FIRST_DIGESTS = {
+    "903ffc9cbb9fe5d4c399aba6c29871f6b3b9f2bc24f156708f4b91030b1a9cab":
+        "4ca77038bc4ec8c0716e461af1e527ca22e44cf98338e0296ad299d9d8efb8bc",
+    "80892ed5d69b8927b6674dcc0a6ea0e51a3a8647644374e21966aabbcddab0e1":
+        "c2029162c6c9591be7adbe45ac8978304b04acc7604989e3e246ab25eaf79182",
+    "43c6046d566075c4f41c63f96ae90ac8470180491f4ec916c9f019218119cb6a":
+        "5f1e34174545a7863ecae90e9ffd1c2be1b0939e98b22ffa5f216fdcf522f647",
+    "ff789ce6cc1f299171098ca4de625398596af097a14c3f34c89a5406c445faad":
+        "8c28d787dc953e90f55769345ec72971af6527302ead56b364c5146711542b40",
+    "5059191897fd37c783f057f2ed0a4bd1668ff186abee440a856bb6a795ef82e8":
+        "79f305aa63ec7c82b915801cb28012405989b4a77590a3b7471df6612ce94823",
+    "3a408f667eb03814d70303e969a171a8c42d795048a8ff10b4c66d524b5394be":
+        "1d8cd020dfebf5ec12f693ec579cf94aef61457459005d31fcba9cc2e7dd779a",
+    "6f1b626a1953b0d6888639105167ff26cd6d01dd0254a8ba0f7961398e036b57":
+        "e9a53f67abe902bcb5f56cad65dee072ee00ff82dbc612a37f7a5626b0aba062",
+    "12cecd57e71f0cfa4b2396fc6a3849834bccffc5eda29b34681be68c1f9a3b4e":
+        "3f1cbf33d73de5fbdaa657ee770680f892336d8a9add95c85b4963bd665b720b",
+    "3e61f4753191898f384dc09699c3b5e7719c79750738bd1b5d1f701e835a95f1":
+        "aff53f7ade4f04504cea206dbffb00034130032ac671dd222aaf0668aa6f68f6",
+    "495e6203d3ecb6acbc11fec9d3b82ed3b3880dccfa2ee700a2c4aa880ef455da":
+        "2fa5e9883ffae22fb4a9307ab3c822b3334867296762ac95bbc0b49075a5f77d",
+    "615800b07bc773b25651a62193da8f222e73fc7cbf0f72f5d1761c2f7f6595c8":
+        "5b4974cb186945590ac8231689a04953847750a5262d539f89c83f89b65205bc",
+    "ad1aa9a44dd082330ceb33fedfc7ee0cfa5cd7db1c5c6bd0b8fd6973c990a882":
+        "7957e45dd21c868ac9b809a4ea11fb88629cccd45ac582469b588c0d5d5abc14",
+    "4d3dc68245e85fd73e9885302c24b9c2b6a72cab4c521444560557477c1b3c12":
+        "1a04e2408c2efcc967bdba040aedf5ce728196e14df2c9b49e3600ecd06db201",
+    "9ed9e2a59e1540e170dd10b712b4c683b0ddadeb9f5919e11e6998966dbf7512":
+        "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30",
+    "4bb4bcc6b9d172720a568df0bd1f0b762df18ec8f5c22b93730f6697bc51b032":
+        "7b26cd06d3ca55c8a17daa043470e8e0b4b4a6efbee10537e6c0b690abdd4d77",
+    "e25c93bf84cda29defbe9c43a2ccb5914917b7af843948430f21cf85b9840ce1":
+        "cbda8b37d42f4ee2087d03dddc3c6872869d2e94610c09f2c6fb78039a49de59",
+    "d2518e2c368cebba49fd318ce04f48c9401b56d6b978b96ed0685039f99e0436":
+        "23cdfe29a51e715dce72836e11afb4d77a06a3c016b3d62bc81fd779d1d62a64",
+}
+
+
+def first_recorded(value):
+    """pytest id of one parameter: a re-recorded digest shows its first one."""
+    return FIRST_DIGESTS.get(value) if isinstance(value, str) else None
+
+
 # Artifact digests recorded from the DOP853 march, the per-cell CSV writer and
 # the grid-based event scan; a faster writer or scan must reproduce every byte.
 GOLDEN_ARTIFACTS = [
@@ -355,7 +401,8 @@ GOLDEN_ARTIFACTS = [
 ]
 
 
-@pytest.mark.parametrize("n, p, alpha, command, name, digest", GOLDEN_ARTIFACTS)
+@pytest.mark.parametrize("n, p, alpha, command, name, digest", GOLDEN_ARTIFACTS,
+                         ids=first_recorded)
 def test_artifact_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
                                                    n, p, alpha, command, name, digest):
     # a relative --out and no output directory keep the echoed out line fixed
@@ -388,7 +435,8 @@ GOLDEN_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("args, name, digest", GOLDEN_TABLES)
+@pytest.mark.parametrize("args, name, digest", GOLDEN_TABLES,
+                         ids=first_recorded)
 def test_table_bytes_match_the_recorded_digests(tmp_path, monkeypatch, args, name, digest):
     monkeypatch.delenv(OUTDIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -405,7 +453,8 @@ GOLDEN_VERIFY = [
 ]
 
 
-@pytest.mark.parametrize("n, p, name, digest", GOLDEN_VERIFY)
+@pytest.mark.parametrize("n, p, name, digest", GOLDEN_VERIFY,
+                         ids=first_recorded)
 def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
                                                         n, p, name, digest):
     # the core preset's JSON report, margins to 17 digits, pinned byte for byte
@@ -427,7 +476,8 @@ GOLDEN_VERIFY_PRESETS = [
 ]
 
 
-@pytest.mark.parametrize("preset, n, p, code, name, digest", GOLDEN_VERIFY_PRESETS)
+@pytest.mark.parametrize("preset, n, p, code, name, digest", GOLDEN_VERIFY_PRESETS,
+                         ids=first_recorded)
 def test_verify_preset_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
                                                         preset, n, p, code, name, digest):
     monkeypatch.delenv(OUTDIR_ENV, raising=False)

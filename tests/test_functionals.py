@@ -242,9 +242,15 @@ GOLDEN_LEDGER = [
     ("3", "4d4d5d56bd2cc27ce4bda903dc5ce2861a04375333b061fe256c0e98dcb5d8f5"),
     ("1.25", "0b795ae7d72bd7ff961aaf4a40048b747d1cc5d0368b812eaf4f3a507d3482a9"),
 ]
+# Each case keeps the id it was first collected under, which shows the digest
+# first recorded for it (the DOP853 march re-recorded both).
+LEDGER_IDS = [
+    "3-24cba1f9fec1709e0240e1dc2682e964fcdbc60d6b1767073a861e178983d7f7",
+    "1.25-02e73562dcd6d9f938a28e725ed79329252a5ea5a1ebbb2b2df19549080dd614",
+]
 
 
-@pytest.mark.parametrize("p, digest", GOLDEN_LEDGER)
+@pytest.mark.parametrize("p, digest", GOLDEN_LEDGER, ids=LEDGER_IDS)
 def test_the_core_identity_ledger_matches_the_recorded_digest(tmp_path, monkeypatch, p, digest):
     reports = []
 
