@@ -13,11 +13,12 @@ The kernel is compiled on the first shot, not at import, with the C compiler tha
 this interpreter (``sysconfig``'s ``CC``) and the flags in ``_FLAGS``: no fused
 multiply-add, fast-math or ``-march``, which would change the bits.  ``-funroll-loops``
 changes none: it unrolls the tableau loops, so that the zero weights drop out at compile
-time (0.88 -> 0.66 us per step on classify-policy shots).  The library goes to
+time (0.88 -> 0.66 us per step on classify-policy shots).  The compiler reads from stdin
+``_declarations()``, integrate's constants as C, then ``_dopri.c``.  The library goes to
 ``$XDG_CACHE_HOME/boundstate_lab/`` (else ``~/.cache/boundstate_lab/``) under a name keyed
-by two 64-bit checksums (``zlib``'s CRC-32 and Adler-32) of the source, the compiler, the
+by two 64-bit checksums (``zlib``'s CRC-32 and Adler-32) of those bytes, the compiler, the
 flags and the platform, and is loaded through ``ctypes``; a build then removes every other
-``_dopri-*.so`` there, the libraries of older sources, compilers or flags.
+``_dopri-*.so`` there, the libraries of older constants, sources, compilers or flags.
 Without a compiler, or when the build or the load fails, both runs return
 None and the caller marches the shot in Python, which also stays the
 reference the kernel is tested against.
@@ -38,6 +39,24 @@ _OVERFLOW = 8  # the kernel's END_OVERFLOW: a pow overflowed where ** raises
 _COLUMNS = 37  # per knot: r, u, u', v, v'; seven coefficients and a midpoint per component
 
 
+def _declarations() -> str:
+    """integrate's tableau, step-size controller and ``_COLUMNS`` as the C declarations that
+    ``_dopri.c`` indexes: each double is its ``repr``, which reads back as the same double."""
+    ig = _integrate
+
+    def braced(values: tuple) -> str:  # a table has one row per line; A's empty row gets a zero
+        if values and isinstance(values[0], tuple):
+            return "{\n" + "".join(f"    {braced(row)},\n" for row in values) + "}"
+        return "{" + (", ".join(map(repr, values)) or "0.0") + "}"
+
+    arrays = (("C[16]", ig._C), ("A[16][15]", ig._A), ("E5[12]", ig._E[0]),
+              ("E3[12]", ig._E[1]), ("D[4][16]", ig._P))
+    controller = ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY", "EXPONENT")
+    return "".join([*(f"static const double {name} = {braced(rows)};\n" for name, rows in arrays),
+                    *(f"#define {name} {getattr(ig, '_' + name)!r}\n" for name in controller),
+                    f"#define COLUMNS {_COLUMNS}\n"])
+
+
 @functools.cache
 def _kernel():
     """The kernel's entry point, built and loaded once per process, or None."""
@@ -55,8 +74,8 @@ def _kernel():
     import zlib
     from pathlib import Path
 
-    source = Path(__file__).with_name("_dopri.c")
-    data = source.read_bytes() + " ".join([*cc, *_FLAGS, sysconfig.get_platform()]).encode()
+    code = _declarations().encode() + Path(__file__).with_name("_dopri.c").read_bytes()
+    data = code + " ".join([*cc, *_FLAGS, sysconfig.get_platform()]).encode()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"))
     cache /= "boundstate_lab"
     lib = cache / f"_dopri-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
@@ -66,7 +85,7 @@ def _kernel():
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
-            subprocess.run([*cc, *_FLAGS, "-o", tmp, str(source), "-lm"],
+            subprocess.run([*cc, *_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=code,
                            check=True, capture_output=True)
             os.replace(tmp, lib)
         except (OSError, subprocess.CalledProcessError):

@@ -24,7 +24,7 @@ oscillation of the profile, so that grid isolates every event.  Every shot
 marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
 ``_march``, its dense coefficients and its midpoints in C, bit for bit.
 ``_march``, the Python step, is its fallback and its reference; both read
-the tableau below by index.
+the tableau below by index, the kernel from the C that ``_dopri`` writes of it.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from

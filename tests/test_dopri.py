@@ -380,10 +380,49 @@ def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path, fres
     assert sorted(cache.iterdir()) == sorted(built + others + stale[1:])
 
 
-def _ladder_artifact(monkeypatch, workdir):
+@pytest.mark.skipif(not _compiler_on_path(), reason="the interpreter's C compiler is absent")
+def test_the_kernel_follows_an_edited_constant(monkeypatch, tmp_path, fresh_loader):
+    # the loader compiles integrate's constants: a new step bound names a new
+    # library, which marches the golden shots as _march does under that bound
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _dopri._kernel() is not None
+    before = sorted((tmp_path / "boundstate_lab").glob("_dopri-*.so"))
+    _dopri._kernel.cache_clear()
+    monkeypatch.setattr(integrate_module, "_MAX_STEP", 0.125)
+    assert _dopri._kernel() is not None
+    after = sorted((tmp_path / "boundstate_lab").glob("_dopri-*.so"))
+    assert len(before) == len(after) == 1 and before != after
+    golden = {case[0]: case for case in GOLDEN_BITS}
+    _, field, alpha, controls, _, _, knots, _ = golden["full_p3"]
+    params = ProblemParams(field, alpha, controls)
+    assert _assert_same_kept_shot(params, FULL_RANGE_POLICY) == REACHED_RMAX
+    traj = _dopri.kept_run(params, FULL_RANGE_POLICY)
+    assert len(traj.knots) > controls.r_max / 0.125 > knots  # steps of at most 0.125
+    _, field, alpha, controls, *_ = golden["classify_p3"]
+    assert _assert_same_shot(ProblemParams(field, alpha, controls)) == ENERGY_NONPOSITIVE
+
+
+@pytest.mark.skipif(shutil.which("false") is None, reason="no false on PATH")
+def test_a_compile_that_fails_leaves_no_file_and_the_same_ladder(monkeypatch, tmp_path,
+                                                                 fresh_loader):
+    # a CC found on PATH whose every build exits 1: the loader gives up, removes
+    # its temporary library, and every shot runs in Python
+    monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
+    kernel_bytes = _ladder_artifact(monkeypatch, tmp_path / "kernel", "0..1")
+    _dopri._kernel.cache_clear()
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "false" if name == "CC" else real(name))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _dopri._kernel() is None
+    assert list((tmp_path / "cache" / "boundstate_lab").iterdir()) == []
+    assert _ladder_artifact(monkeypatch, tmp_path / "python", "0..1") == kernel_bytes
+
+
+def _ladder_artifact(monkeypatch, workdir, ks="0..2"):
     workdir.mkdir()
     monkeypatch.chdir(workdir)
-    assert main(["ladder", "--n", "3", "--p", "3", "--k", "0..2", "--tol", "1e-10",
+    assert main(["ladder", "--n", "3", "--p", "3", "--k", ks, "--tol", "1e-10",
                  "--out", "lad"]) == EXIT_OK
     return (workdir / "lad.json").read_bytes()
 

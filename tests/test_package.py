@@ -93,11 +93,16 @@ def _kernel_source() -> str:
     return (Path(boundstate_lab.__file__).resolve().parent / "_dopri.c").read_text()
 
 
+def _kernel_declarations() -> str:
+    """The C the loader writes of integrate's constants, ahead of _dopri.c."""
+    return importlib.import_module("boundstate_lab._dopri")._declarations()
+
+
 def _kernel_array(name: str) -> list:
-    """The static double array ``name`` of _dopri.c, its rows as lists."""
-    body = re.search(rf"^static const double {name}(?:\[\d+\])+ = \{{(.*?)^\}};",
-                     _kernel_source(), re.M | re.S)[1]
-    rows = re.findall(r"\{([^{}]*)\}", body) or [body]
+    """The static double array ``name`` the kernel compiles, its rows as lists."""
+    body = re.search(rf"^static const double {name}(?:\[\d+\])+ = (\{{.*?\}});$",
+                     _kernel_declarations(), re.M | re.S)[1]
+    rows = re.findall(r"\{([^{}]*)\}", body)
     return [[float(x) for x in row.replace("\n", " ").split(",") if x.strip()] for row in rows]
 
 
@@ -107,8 +112,8 @@ def _bits(values) -> bytes:
 
 
 def test_the_kernel_spells_integrates_tableau_bit_for_bit():
-    # every DOP853 constant of _dopri.c is the double integrate holds: the
-    # nodes C, the stage weights A (each row s over slopes 0..s-1, zeros
+    # every DOP853 constant the kernel compiles is the double integrate holds:
+    # the nodes C, the stage weights A (each row s over slopes 0..s-1, zeros
     # trailing), the error weights E5 and E3, and the dense-output rows D
     integrate_module = importlib.import_module("boundstate_lab.integrate")
     c, a, e, p = (getattr(integrate_module, name) for name in ("_C", "_A", "_E", "_P"))
@@ -126,9 +131,13 @@ def test_the_kernel_spells_integrates_tableau_bit_for_bit():
     assert [_bits(row) for row in _kernel_array("D")] == [_bits(row) for row in p]
     # and so is every constant of the step-size controller
     for name in ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY", "EXPONENT"):
-        value = re.search(rf"^#define {name} (\S+)$", _kernel_source(), re.M)[1]
+        value = re.search(rf"^#define {name} (\S+)$", _kernel_declarations(), re.M)[1]
         want_value = getattr(integrate_module, f"_{name}")
         assert struct.pack("<d", float(value)) == struct.pack("<d", want_value), name
+    # and _dopri.c keeps no second copy of any of them
+    assert "static const double" not in _kernel_source()
+    assert re.findall(r"^#define (MAX_STEP|MIN_FACTOR|MAX_FACTOR|SAFETY|EXPONENT|COLUMNS)\b",
+                      _kernel_source(), re.M) == []
 
 
 # Dormand-Prince 5(4), the pair the march used before DOP853, as fractions
@@ -148,9 +157,9 @@ _DOPRI5 = [
 
 
 def test_no_dopri5_constant_remains():
-    # no number written in integrate.py or _dopri.c, nor any quotient of two
-    # of them, is a DOPRI5 coefficient, except the 1/5 that DOP853's dense
-    # stage 14 shares
+    # no number written in integrate.py (the kernel compiles its tables too) or
+    # _dopri.c, nor any quotient of two of them, is a DOPRI5 coefficient,
+    # except the 1/5 that DOP853's dense stage 14 shares
     package = Path(boundstate_lab.__file__).resolve().parent
     dopri5 = {num / den for num, den in _DOPRI5} - {0.2}
     written = set()
@@ -166,13 +175,14 @@ def test_no_dopri5_constant_remains():
     written.update(float(a) / float(b)
                    for a, b in re.findall(rf"({number})\s*/\s*({number})", source))
     assert sorted(written & dopri5) == []
-    assert 0.2 in written  # the shared node is written, so the scan reads the tables
+    assert 0.2 in written  # the shared node is written, so the scan reads integrate's tables
 
 
 def test_the_loader_reserves_the_kernels_columns_per_knot():
     # r, u, u', v, v' per knot, then each component's COEFFS dense-output
-    # coefficients and its midpoint
-    defined = dict(re.findall(r"^#define (COEFFS|COLUMNS) (\d+)", _kernel_source(), re.M))
+    # coefficients and its midpoint; COLUMNS comes with the loader's declarations
+    defined = dict(re.findall(r"^#define (COEFFS|COLUMNS) (\d+)",
+                              _kernel_declarations() + _kernel_source(), re.M))
     assert int(defined["COLUMNS"]) == 5 + 4 * (int(defined["COEFFS"]) + 1)
     dopri = importlib.import_module("boundstate_lab._dopri")
     assert dopri._COLUMNS == int(defined["COLUMNS"])
