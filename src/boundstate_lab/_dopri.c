@@ -7,7 +7,8 @@
  * -ffp-contract=off (no fused multiply-add) and without fast-math each double
  * matches the Python run bit for bit.  pow and sqrt are libm's, which CPython's
  * ** and math module call too; min and max keep the argument order of Python's
- * builtins (max(a, b) is b only if b > a).
+ * builtins (max(a, b) is b only if b > a).  f, f' and the energy are field's,
+ * which _march reads; a pow that overflows is inf here and in integrate._power.
  *
  * A kept shot hands in columns, and the march stores its trajectory there:
  * each knot and its state, and each component's seven dense-output
@@ -17,19 +18,14 @@
  * and u' alone: their equation does not read v.  Either way, while it steps
  * the kernel counts the sign changes of u over the knots and the segment
  * midpoints, as portrait.count_nodes does from Trajectory.midpoints, and
- * splits the knots into blocks at each sign change seen at the knots alone.
- * Of the last two blocks it keeps two rows, the two classify._estimate_rows
- * picks: the first knot with the least |u| + |u'| since the next-to-last
- * block opened, and since the last one did, the knot where the energy trap
- * fires left out.
+ * keeps the two rows classify._estimate_rows picks (see dopri_march).
  */
 #include <math.h>
 
-/* How the run ended; indices into integrate._ENDS.  END_OVERFLOW means a pow
- * overflowed, where ** raises, so the caller reruns the shot in Python. */
+/* How the run ended; indices into integrate._ENDS. */
 enum {
     END_RMAX, END_TRAPPED_AT_START, END_DIVERGED_AT_START, END_BUDGET,
-    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED, END_OVERFLOW
+    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED
 };
 
 #define COEFFS 7 /* dense-output coefficients per segment and component */
@@ -42,23 +38,11 @@ struct field {
 static double py_max(double a, double b) { return b > a ? b : a; }
 static double py_min(double a, double b) { return b < a ? b : a; }
 
-/* |x|**s, or 0 at x = 0; sets *overflow where ** would raise. */
-static double abs_pow(double x, double s, int *overflow)
+/* The slope (u', u'', v', v'') at r and y, in its first width components.
+ * field.abs_pow's exact zero needs no branch here: pow(0, s) is 0 for s > 0. */
+static void slope(double *k, double r, const double *y, int width, const struct field *fl)
 {
-    double e;
-    if (x == 0.0)
-        return 0.0;
-    e = pow(fabs(x), s);
-    if (isinf(e) && isfinite(x))
-        *overflow = 1;
-    return e;
-}
-
-/* The slope (u', u'', v', v'') at r and y, in its first width components. */
-static void slope(double *k, double r, const double *y, int width, const struct field *fl,
-                  int *overflow)
-{
-    double apw = abs_pow(y[0], fl->p_m1, overflow), drag = fl->n_minus_1 / r;
+    double apw = pow(fabs(y[0]), fl->p_m1), drag = fl->n_minus_1 / r;
     k[0] = y[1];
     k[1] = -drag * y[1] - (apw - 1.0) * y[0];
     if (width == 4) {
@@ -80,23 +64,20 @@ static double weigh(const double *w, int m, double (*k)[4], int c)
 
 /* Stage s of the step of size h from r and y, in its first width components. */
 static void stage(double (*k)[4], int s, double r, double h, const double *y, int width,
-                  const struct field *fl, int *overflow)
+                  const struct field *fl)
 {
     double ys[4];
     int c;
     for (c = 0; c < width; c++)
         ys[c] = y[c] + h * weigh(A[s], s, k, c);
-    slope(k[s], r + C[s] * h, ys, width, fl, overflow);
+    slope(k[s], r + C[s] * h, ys, width, fl);
 }
 
-/* Energy u'^2/2 - u^2/2 + |u|^(p+1)/(p+1), as the Python energy-trap test
- * writes it. */
-static double energy(double u, double up, double p_p1, double inv_p_p1, int *overflow)
+/* The energy u'^2/2 + F(u), F(u) = -u^2/2 + |u|^(p+1)/(p+1), as field._energy
+ * and field.big_F write it. */
+static double energy(double u, double up, double p)
 {
-    double well = -0.5 * u * u;
-    if (u != 0.0)
-        well += abs_pow(u, p_p1, overflow) * inv_p_p1;
-    return 0.5 * up * up + well;
+    return 0.5 * up * up + (-0.5 * u * u + pow(fabs(u), p + 1.0) / (p + 1.0));
 }
 
 /* Component c's seven dense-output coefficients of the step of size h from
@@ -142,31 +123,30 @@ static void put(double *cols, long room, long i, double r, const double *y)
  * of room doubles (r, u, u', v, v' at each knot), then four of COEFFS * room
  * (the coefficients of u, u', v, v', COEFFS per segment), then four of room
  * (u, u', v, v' at each segment midpoint): COLUMNS doubles per knot.  On
- * return out holds the last knot and the step size, and counts the
- * sign-change count, the number of blocks and the accepted steps; rows holds
- * the least-key knot since block blocks - 2 opened (the first knot while
- * there is one block), then since block blocks - 1 did.  Returns the END_
- * index. */
+ * return out holds the last knot and the step size, and counts the sign-change
+ * count, the number of blocks (a sign change at the knots opens one) and the
+ * accepted steps; rows holds the knot of least |u| + |u'| since block blocks - 2
+ * opened (the first knot while there is one block), then since block blocks - 1
+ * did, the knot where the energy trap fires left out.  Returns the END_ index. */
 int dopri_march(const double *in, long max_steps, int stop_on_energy, double *rows,
                 double *out, long *counts, double *cols)
 {
     const long room = max_steps + 1;
     const struct field fl = {in[0], in[1], in[1] - 1.0};
     const double atol = in[2], rtol = in[3], r_max = in[4], v_guard = in[5];
-    const double p_p1 = in[1] + 1.0, inv_p_p1 = 1.0 / p_p1;
     const int width = cols ? 4 : 2; /* the dense stages: all four components, or u's pair */
     double r = in[6], y[4] = {in[7], in[8], in[9], in[10]};
     double k[16][4], h = 0.0, norm;
     double prev = y[0], prev_knot = y[0];
     long count = 0, blocks = 1, steps = 0;
-    int overflow = 0, rejected = 0, trapped, end, i, c, s;
+    int rejected = 0, trapped, end, i, c, s;
 
     keep(rows, r, y);
     keep(rows + 6, r, y);
     if (cols)
         put(cols, room, 0, r, y);
 
-    if (stop_on_energy && energy(y[0], y[1], p_p1, inv_p_p1, &overflow) <= 0.0) {
+    if (stop_on_energy && energy(y[0], y[1], fl.p) <= 0.0) {
         end = END_TRAPPED_AT_START;
         goto done;
     }
@@ -175,7 +155,7 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, double *ro
         goto done;
     }
 
-    slope(k[0], r, y, 4, &fl, &overflow);
+    slope(k[0], r, y, 4, &fl);
     h = py_min(py_min(10.0 * r, MAX_STEP), r_max - r);
 
     for (;;) {
@@ -196,13 +176,11 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, double *ro
         }
 
         for (s = 1; s < 12; s++)
-            stage(k, s, r, h, y, 4, &fl, &overflow);
+            stage(k, s, r, h, y, 4, &fl);
         for (c = 0; c < 4; c++)
             y_new[c] = y[c] + h * weigh(A[12], 12, k, c);
         r_new = clipped ? r_max : r + h;
-        slope(k[12], r_new, y_new, 4, &fl, &overflow);
-        if (overflow)
-            return END_OVERFLOW;
+        slope(k[12], r_new, y_new, 4, &fl);
 
         if (!(isfinite(y_new[0]) && isfinite(y_new[1]) && isfinite(y_new[2])
               && isfinite(y_new[3]))) {
@@ -232,7 +210,7 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, double *ro
          * u's alone.  The node count then reads u at the midpoint and at the
          * new knot. */
         for (s = 13; s < 16; s++)
-            stage(k, s, r, h, y, width, &fl, &overflow);
+            stage(k, s, r, h, y, width, &fl);
         theta = (0.5 * (r + r_new) - r) / (r_new - r);
         if (cols) {
             double *q = cols + 5 * room + COEFFS * steps;
@@ -257,7 +235,7 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, double *ro
         /* A sign change at the knots opens a block at the new knot: the
          * last block's row becomes the next-to-last's.  The knot where the
          * energy trap fires is not read. */
-        trapped = stop_on_energy && energy(y_new[0], y_new[1], p_p1, inv_p_p1, &overflow) <= 0.0;
+        trapped = stop_on_energy && energy(y_new[0], y_new[1], fl.p) <= 0.0;
         if (y_new[0] != 0.0 && !trapped) {
             if (prev_knot != 0.0 && (prev_knot < 0.0) != (y_new[0] < 0.0)) {
                 for (i = 0; i < 6; i++)
@@ -302,8 +280,6 @@ int dopri_march(const double *in, long max_steps, int stop_on_energy, double *ro
     }
 
 done:
-    if (overflow)
-        return END_OVERFLOW;
     out[0] = r;
     out[1] = h;
     counts[0] = count;

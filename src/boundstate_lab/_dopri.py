@@ -19,9 +19,9 @@ time (0.88 -> 0.66 us per step on classify-policy shots).  The compiler reads fr
 by two 64-bit checksums (``zlib``'s CRC-32 and Adler-32) of those bytes, the compiler, the
 flags and the platform, and is loaded through ``ctypes``; a build then removes every other
 ``_dopri-*.so`` there, the libraries of older constants, sources, compilers or flags.
-Without a compiler, or when the build or the load fails, both runs return
-None and the caller marches the shot in Python, which also stays the
-reference the kernel is tested against.
+Without a compiler, or when the build or the load fails (which warns), both runs return
+None and the shot marches in Python, the reference the kernel is tested against; else a
+shot leaves the kernel only when its columns cannot be mapped.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from . import integrate as _integrate
 from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, series_start
 
 _FLAGS = ("-O2", "-funroll-loops", "-ffp-contract=off", "-fPIC", "-shared")
-_OVERFLOW = 8  # the kernel's END_OVERFLOW: a pow overflowed where ** raises
 _COLUMNS = 37  # per knot: r, u, u', v, v'; seven coefficients and a midpoint per component
 
 
@@ -71,8 +70,12 @@ def _kernel():
     import ctypes
     import subprocess
     import tempfile
+    import warnings
     import zlib
     from pathlib import Path
+
+    def unused(why: object) -> None:  # warned once: the cache keeps the None
+        warnings.warn(f"no DOP853 kernel, every shot runs in Python: {why}", RuntimeWarning)
 
     code = _declarations().encode() + Path(__file__).with_name("_dopri.c").read_bytes()
     data = code + " ".join([*cc, *_FLAGS, sysconfig.get_platform()]).encode()
@@ -88,17 +91,20 @@ def _kernel():
             subprocess.run([*cc, *_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=code,
                            check=True, capture_output=True)
             os.replace(tmp, lib)
-        except (OSError, subprocess.CalledProcessError):
+        except (OSError, subprocess.CalledProcessError) as exc:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            return None
+            if isinstance(exc, OSError):
+                return unused(exc)
+            first = exc.stderr.decode(errors="replace").partition("\n")[0]
+            return unused(f"{' '.join(cc)} exited with status {exc.returncode}: {first}")
         for old in set(cache.glob("_dopri-*.so")) - {lib}:  # other sources, compilers or flags
             with contextlib.suppress(OSError):  # another process removed it first
                 old.unlink()
     try:
         fn = ctypes.CDLL(str(lib)).dopri_march
-    except (OSError, AttributeError):
-        return None
+    except (OSError, AttributeError) as exc:
+        return unused(exc)
     doubles = ctypes.POINTER(ctypes.c_double)
     fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, doubles, doubles,
                    ctypes.POINTER(ctypes.c_long), doubles)
@@ -111,8 +117,8 @@ _local = threading.local()  # per thread: kept-run columns, in private pages map
 
 def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     """(termination, counts, rows, columns) of the kernel's run from ``params``,
-    or None without a kernel or its columns, or where a power overflows.  The
-    start is Python's; a kept run has room for every knot the budget allows."""
+    or None without a kernel or its columns.  The start is Python's, and so are
+    its exceptions; a kept run has room for every knot the budget allows."""
     fn = _kernel()
     if fn is None:
         return None
@@ -132,14 +138,12 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
                              _integrate._V_GUARD, start.r, start.u, start.up, start.v, start.vp)
     out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * 12)()
     end = fn(inputs, max_steps, stop_on_energy, rows, out, counts, cols if kept else None)
-    if end == _OVERFLOW:
-        return None  # the Python step raises where ** does
     return _termination(end, out[0], out[1]), counts, rows, cols
 
 
 def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int, tuple] | None:
     """(termination, sign-change count, estimate rows) of the classify-policy
-    shot from ``params``, or None where the shot must be run in Python.
+    shot from ``params``, or None without a kernel.  The shot then runs in Python.
 
     The count is ``portrait.count_nodes``' over the knots and segment
     midpoints.  The rows are a pair, as ``classify._estimate_rows`` returns
@@ -160,7 +164,7 @@ def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int
 
 def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
     """The trajectory ``integrate`` returns for the shot from ``params``, or
-    None where it must be run in Python.  Each column leaves in one copy."""
+    None without a kernel or its columns.  Each column leaves in one copy."""
     run = _run(params, policy.stop_on_energy, True)
     if run is None:
         return None

@@ -527,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (BracketNotFound, MonotonicityViolation, InterlacingViolation,
             AmbiguousEvent, IndeterminateCount, IntegrationError,
-            DenseRangeError) as exc:
+            DenseRangeError, OverflowError) as exc:  # a power past the largest double
         _note(f"integration failure: {exc}")
         return EXIT_INTEGRATOR
     except OSError as exc:

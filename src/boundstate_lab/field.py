@@ -3,9 +3,9 @@
 Everything downstream integrates or inspects radial profiles of a scalar
 field whose pointwise nonlinearity is ``f(u) = -u + |u|**(p-1) * u``.  This
 module owns that nonlinearity, its derivative, its primitive (the potential
-well ``big_F``), the tilted wells ``big_F_a`` used by the parametric
-Wronskian functionals, and the two critical amplitudes that organize the
-classification of shooting heights:
+well ``big_F``), the profile energy ``_energy`` in that well, the tilted wells
+``big_F_a`` used by the parametric Wronskian functionals, and the two critical
+amplitudes that organize the classification of shooting heights:
 
 * ``alpha_star``  -- the positive zero of the well.  Profiles confined below
   it have negative energy and oscillate about the rest height 1.
@@ -90,6 +90,11 @@ def big_F(u: float, params: FieldParams, power: float | None = None) -> float:
     """
     power = abs_pow(u, params.p + 1.0) if power is None else power
     return -0.5 * u * u + power / (params.p + 1.0)
+
+
+def _energy(up: float, Fu: float) -> float:
+    """The profile energy E = u'**2/2 + F(u), given u' and F(u) = ``big_F(u)``."""
+    return 0.5 * up * up + Fu
 
 
 def big_F_a(u: float, a: float, params: FieldParams, power: float | None = None) -> float:

@@ -11,7 +11,7 @@ the largest magnitude seen for that identity along the trajectory.
 
 Where each formula lives:
 
-* ``eval_aux`` defines all of the above (E by ``_energy``); ``AuxSample`` carries them and,
+* ``eval_aux`` defines all of the above but E; ``AuxSample`` carries them and,
   outside its fields, what the sides read: fu, fpu, Fu = f(u), f'(u), F(u); upm1, upp1 =
   |u|**(p-1), |u|**(p+1); rn, rn1 = r**n, r**(n-1).  It fills the frozen record's __dict__.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
@@ -20,8 +20,8 @@ Where each formula lives:
   ``AuxSample``, the state with its functionals.  The left sides not in it
   (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the two slopes) are
   written there, and so is every right side.
-* f, F, F_a, κ_a, g1 and g2 come from ``field``; u'' comes from
-  ``integrate._u_second``.
+* f, F, F_a, κ_a, g1, g2 and E (``_energy``) come from ``field``; u'' comes
+  from ``integrate._u_second``.  The march reads the same definitions.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .field import (
-    FieldParams, abs_pow, big_F, big_F_a, critical_amplitudes, f, f_prime, g1, g2, kappa_a,
+    FieldParams, _energy, abs_pow, big_F, big_F_a, critical_amplitudes, f, f_prime, g1, g2,
+    kappa_a,
 )
 from .integrate import State, Trajectory, _u_second
 from .quadrature import adaptive_quadrature
@@ -104,11 +105,6 @@ class AuxSample(State):
     B0: float | None
     phi_n: float | None
     varpi: float | None
-
-
-def _energy(up: float, Fu: float) -> float:
-    """The profile energy E = u'**2/2 + F(u), given u' and F(u)."""
-    return 0.5 * up * up + Fu
 
 
 def eval_aux(state: State, field: FieldParams) -> AuxSample:

@@ -24,7 +24,8 @@ oscillation of the profile, so that grid isolates every event.  Every shot
 marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
 ``_march``, its dense coefficients and its midpoints in C, bit for bit.
 ``_march``, the Python step, is its fallback and its reference; both read
-the tableau below by index, the kernel from the C that ``_dopri`` writes of it.
+the tableau below by index, the kernel from the C that ``_dopri`` writes of it,
+and ``_march`` reads f, f' and the energy from ``field``, u'' from ``_u_second``.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .field import FieldParams, ParameterError, abs_pow, f, f_prime
+from .field import FieldParams, ParameterError, _energy, abs_pow, big_F, f, f_prime
 
 # --- DOP853 tableau (Hairer, Norsett and Wanner; scipy's dop853_coefficients) -
 
@@ -427,8 +428,16 @@ def _interpolate(y: float, q: Sequence[float], j: int, theta: float) -> float:
 
 def _u_second(fld: FieldParams, r: float, u: float, up: float, fu: float | None = None) -> float:
     """u'' from the radial equation, given f(u) as ``fu`` by a caller that
-    holds it; ``_march`` writes it out in its ``rhs``."""
+    holds it, as ``_march`` does."""
     return -(fld.n - 1.0) / r * up - (f(u, fld) if fu is None else fu)
+
+
+def _power(u: float, s: float) -> float:
+    """``abs_pow(u, s)``, or inf where ``**`` overflows and raises, as C's pow gives it."""
+    try:
+        return abs_pow(u, s)
+    except OverflowError:
+        return math.inf
 
 
 def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Trajectory:
@@ -479,29 +488,21 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
     ctl = params.controls
     start = series_start(params)
     n_minus_1 = fld.n - 1.0
-    p = fld.p
-    p_m1 = p - 1.0
-    p_p1 = p + 1.0
-    inv_p_p1 = 1.0 / p_p1
+    p_m1, p_p1 = fld.p - 1.0, fld.p + 1.0
     atol, rtol, r_max = ctl.abs_tol, ctl.rel_tol, ctl.r_max
 
     def rhs(r: float, y: Sequence[float]) -> tuple[float, float, float, float]:
-        # (u', -(n-1)/r u' - f(u), v', -(n-1)/r v' - f'(u) v), f(u) = (|u|^(p-1) - 1) u
+        # (u', u'', v', v''): v'' = -(n-1)/r v' - f'(u) v; f and f' share |u|^(p-1)
         u, up, v, vp = y
-        apw = 0.0 if u == 0.0 else abs(u) ** p_m1
-        drag = n_minus_1 / r
-        return up, -drag * up - (apw - 1.0) * u, vp, -drag * vp - (p * apw - 1.0) * v
+        power = _power(u, p_m1)
+        return (up, _u_second(fld, r, u, up, f(u, fld, power)),
+                vp, -n_minus_1 / r * vp - f_prime(u, fld, power) * v)
 
     def stage(s: int, r: float, h: float, y: tuple, k: list) -> tuple:
         return rhs(r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))])
 
-    def energy(y: tuple[float, float, float, float]) -> float:
-        # E = u'^2/2 - u^2/2 + |u|^(p+1)/(p+1); the shot is trapped once E <= 0
-        u, up = y[0], y[1]
-        well = -0.5 * u * u
-        if u != 0.0:
-            well += abs(u) ** p_p1 * inv_p_p1
-        return 0.5 * up * up + well
+    def energy(y: tuple[float, float, float, float]) -> float:  # trapped once E <= 0
+        return _energy(y[1], big_F(y[0], fld, _power(y[0], p_p1)))
 
     r = start.r
     y = (start.u, start.up, start.v, start.vp)

@@ -31,9 +31,9 @@ from .classify import (
     find_alpha_k,
     node_count_of_alpha,
 )
-from .field import FieldParams, big_F, critical_amplitudes
+from .field import FieldParams, _energy, big_F, critical_amplitudes
 from .functionals import (
-    _R_FLOOR, AuxSample, _energy, bridge_integral, eval_aux, identity_residuals, probe_radii,
+    _R_FLOOR, AuxSample, bridge_integral, eval_aux, identity_residuals, probe_radii,
 )
 from .integrate import (
     FULL_RANGE_POLICY,

@@ -77,6 +77,22 @@ def test_missing_output_directory_exits_three_before_the_command_runs(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "--p", "4.9", "--alpha", "1e100"],
+    ["solve", "--p", "4.9", "--alpha", "1e100"],
+    ["export", "--p", "4.9", "--alpha", "1e100"],
+    ["sweep", "--p", "4.9", "--alpha", "1e100"],
+    ["classify", "--p", "3", "--alpha", "1e200"],
+], ids=["classify", "solve", "export", "sweep", "classify_p3"])
+def test_an_overflowing_series_start_exits_two_and_writes_nothing(tmp_path, capsys, args):
+    # any alpha > 0 is in the domain, but f(alpha) can overflow a double there:
+    # the series start raises, and the command ends as an integration failure
+    assert main([*args, "--n", "3", "--out", str(tmp_path / "x")]) == EXIT_INTEGRATOR
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ladder_brackets_increase_and_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "lad"
     args = ["ladder", "--k", "0..2", "--tol", "1e-8", "--out", str(out)]

@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from boundstate_lab import (
 )
 from boundstate_lab import _dopri
 from boundstate_lab.cli import EXIT_OK, main
+from boundstate_lab.field import _energy, big_F
 from boundstate_lab.integrate import (
     ENERGY_NONPOSITIVE,
     REACHED_RMAX,
@@ -78,21 +80,11 @@ def _reference(params):
     return traj.termination, count, classify_module._estimate_rows(traj, count), traj
 
 
-def _deferred_overflow(got, want, params):
-    """The kernel gave the shot back where a power (``**``, as math.exp once
-    did) raises during the run;
-    an exception from the series start must come from both sides alike."""
-    if got is not None or want[0] is not OverflowError:
-        return False
-    series_start(params)  # raises, failing the test, if the start was refused
-    return True
-
-
 def _assert_same_shot(params):
     got = _run_or_error(_dopri.counted_run, params)
     want = _run_or_error(_reference, params)
-    if isinstance(want[0], type):  # the same exception and text, or the kernel's deferral
-        assert got == want or _deferred_overflow(got, want, params)
+    if isinstance(want[0], type):  # the same exception and text
+        assert got == want
         return None
     end, count, rows = got
     want_end, want_count, want_rows, traj = want
@@ -139,12 +131,18 @@ def test_kernel_matches_the_python_step_on_every_stop(monkeypatch, guard, budget
     _assert_same_shot(ProblemParams(FL, 5.0, dataclasses.replace(controls, r0=controls.r_max)))
 
 
-def test_kernel_defers_where_math_exp_raises():
-    # the series start sits at u = -1.7e213, where |u|**(p+1) overflows
-    params = ProblemParams(FieldParams(3, 4.9), 1e60, IntegratorControls(r0=1e-40))
-    assert _dopri.counted_run(params) is None
-    with pytest.raises(OverflowError):
-        node_count_of_alpha(params.field, params.alpha, params.controls)
+# the series start sits at u = -1.7e265, where |u|**(p+1) and |u|**(p-1) overflow
+OVERFLOWING_START = ProblemParams(FieldParams(3, 4.9), 1e60, IntegratorControls(r0=1e-14))
+
+
+def test_kernel_ends_alike_where_a_power_overflows():
+    # the energy is inf in both marches, so the shot is not trapped, and its
+    # variation trips the guard at the start; the kernel keeps the shot
+    assert _dopri.counted_run(OVERFLOWING_START) is not None
+    assert _assert_same_shot(OVERFLOWING_START) == VARIATION_DIVERGED
+    nc = node_count_of_alpha(OVERFLOWING_START.field, OVERFLOWING_START.alpha,
+                             OVERFLOWING_START.controls)
+    assert not nc.final
 
 
 @pytest.mark.parametrize("alpha", [1e100, 1e200])
@@ -155,6 +153,20 @@ def test_an_overflow_in_the_series_start_is_raised_not_deferred(alpha):
     _assert_same_shot(params)
     for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
         _assert_same_kept_shot(params, policy)
+
+
+# the start energy lies within an ulp of zero here: big_F's |u|**(p+1) / (p+1)
+# puts it at -5.6e-17, a product by 1/(p+1) would put it at +1.7e-16
+EDGE_OF_THE_TRAP = ProblemParams(FieldParams(3, 1.5), 1.56250000000434,
+                                 IntegratorControls(r0=1e-5))
+
+
+def test_both_marches_trap_by_the_energy_of_field():
+    start = series_start(EDGE_OF_THE_TRAP)
+    assert _energy(start.up, big_F(start.u, EDGE_OF_THE_TRAP.field)) < 0.0
+    assert _assert_same_shot(EDGE_OF_THE_TRAP) == ENERGY_NONPOSITIVE
+    assert _assert_same_kept_shot(EDGE_OF_THE_TRAP, CLASSIFY_POLICY) == ENERGY_NONPOSITIVE
+    assert integrate(EDGE_OF_THE_TRAP).termination.detail == "energy nonpositive at series start"
 
 
 @st.composite
@@ -176,7 +188,8 @@ def _counted_shots(draw):
     return ProblemParams(FieldParams(n, p), alpha, controls)
 
 
-# a loose run near the critical exponent whose u overflows |u|**(p-1) after the start
+# a loose run near the critical exponent whose u overflows |u|**(p-1) after the
+# start: both marches end it as a non-finite state
 OVERFLOWING_SHOT = ProblemParams(FieldParams(3, 4.75), 100.0,
                                  IntegratorControls(r0=1e-3, abs_tol=1e-8, rel_tol=1e-6, r_max=1.0))
 
@@ -229,8 +242,8 @@ def _assert_same_trajectory(got, want):
 def _assert_same_kept_shot(params, policy):
     got = _run_or_error(lambda p: _dopri.kept_run(p, policy), params)
     want = _run_or_error(lambda p: integrate_module._march(p, policy), params)
-    if isinstance(want, tuple):  # the same exception and text, or the kernel's deferral
-        assert got == want or _deferred_overflow(got, want, params)
+    if isinstance(want, tuple):  # the same exception and text
+        assert got == want
         return None
     _assert_same_trajectory(got, want)
     if len(want.knots) > 2:  # a copy cut inside the run slices the flat columns alike
@@ -315,14 +328,15 @@ def test_a_forked_child_marches_in_its_own_columns():
 
 @pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
                          ids=["classify", "full_range"])
-def test_a_kept_shot_defers_where_math_exp_raises(monkeypatch, policy):
-    # as in the counted test; a full-range shot has no energy check, and its
-    # variation would trip the guard at the start, so the guard is lifted
+def test_a_kept_shot_ends_alike_where_a_power_overflows(monkeypatch, policy):
+    # as in the counted test, with the guard lifted: the first slope overflows
+    # to inf in both marches, and so the first step's state is not finite
     monkeypatch.setattr(integrate_module, "_V_GUARD", 1e300)
-    params = ProblemParams(FieldParams(3, 4.9), 1e60, IntegratorControls(r0=1e-40))
-    assert _dopri.kept_run(params, policy) is None
-    with pytest.raises(OverflowError):
-        integrate(params, policy)
+    assert _dopri.kept_run(OVERFLOWING_START, policy) is not None
+    assert _assert_same_kept_shot(OVERFLOWING_START, policy) == STEP_UNDERFLOW
+    traj = integrate(OVERFLOWING_START, policy)
+    assert traj.knots == [OVERFLOWING_START.controls.r0]
+    assert traj.termination.detail.startswith("non-finite state after step")
 
 
 def _compiler_on_path():
@@ -405,8 +419,8 @@ def test_the_kernel_follows_an_edited_constant(monkeypatch, tmp_path, fresh_load
 @pytest.mark.skipif(shutil.which("false") is None, reason="no false on PATH")
 def test_a_compile_that_fails_leaves_no_file_and_the_same_ladder(monkeypatch, tmp_path,
                                                                  fresh_loader):
-    # a CC found on PATH whose every build exits 1: the loader gives up, removes
-    # its temporary library, and every shot runs in Python
+    # a CC found on PATH whose every build exits 1: the loader warns once, gives
+    # up, removes its temporary library, and every shot runs in Python
     monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
     kernel_bytes = _ladder_artifact(monkeypatch, tmp_path / "kernel", "0..1")
     _dopri._kernel.cache_clear()
@@ -414,7 +428,8 @@ def test_a_compile_that_fails_leaves_no_file_and_the_same_ladder(monkeypatch, tm
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: "false" if name == "CC" else real(name))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert _dopri._kernel() is None
+    with pytest.warns(RuntimeWarning, match="no DOP853 kernel.*: false exited with status 1: $"):
+        assert _dopri._kernel() is None
     assert list((tmp_path / "cache" / "boundstate_lab").iterdir()) == []
     assert _ladder_artifact(monkeypatch, tmp_path / "python", "0..1") == kernel_bytes
 
@@ -454,7 +469,9 @@ def test_without_a_compiler_the_python_step_gives_the_same_ladder(monkeypatch, t
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: "no-such-cc-boundstate" if name == "CC" else real(name))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert _dopri.counted_run(ProblemParams(FL, 5.0)) is None
+    with warnings.catch_warnings():  # no compiler is a supported platform: no warning
+        warnings.simplefilter("error")
+        assert _dopri.counted_run(ProblemParams(FL, 5.0)) is None
     assert _ladder_artifact(monkeypatch, tmp_path / "python") == kernel_bytes
     assert not (tmp_path / "cache").exists()
 

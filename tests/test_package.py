@@ -89,6 +89,23 @@ def test_the_python_step_reads_the_tableau_by_index():
     assert {"_A", "_E", "_P"} <= read
 
 
+def test_the_python_step_reads_the_equation_where_it_is_defined():
+    # _march writes no power, f, f', u'' or E of its own: its only power is the
+    # step-size controller's, and E is spelled in field alone, beside F
+    package = Path(boundstate_lab.__file__).resolve().parent
+    march = next(node for node in ast.parse((package / "integrate.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_march")
+    powers = {ast.unparse(node) for node in ast.walk(march)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)}
+    assert powers == {"norm ** _EXPONENT"}
+    read = {node.id for node in ast.walk(march) if isinstance(node, ast.Name)}
+    assert {"f", "f_prime", "big_F", "_energy", "_u_second"} <= read
+    energy_homes = [path.name for path in sorted(package.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name == "_energy"]
+    assert energy_homes == ["field.py"]
+
+
 def _kernel_source() -> str:
     return (Path(boundstate_lab.__file__).resolve().parent / "_dopri.c").read_text()
 
