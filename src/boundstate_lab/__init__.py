@@ -1,4 +1,12 @@
-"""Shooting-method laboratory for radial bound states of a semilinear scalar field."""
+"""Shooting-method laboratory for radial bound states of a semilinear scalar field.
+
+The names from ``classify``, ``field``, ``integrate`` and ``portrait`` are bound
+at import, since every command loads those modules.  The names from
+``functionals`` and ``verify`` are bound on first read (PEP 562), so a process
+loads those two modules, and ``quadrature``, only when it reads one of them.
+"""
+
+import importlib
 
 from .classify import (
     BOUND_STATE_CANDIDATE,
@@ -32,20 +40,6 @@ from .field import (
     g2,
     kappa_a,
 )
-from .functionals import (
-    IDENTITY_NAMES,
-    AuxSample,
-    BridgeIntegral,
-    IdentityReport,
-    IdentityResidual,
-    MissingEvents,
-    ProbeUndefined,
-    SingularityWarning,
-    bridge_integral,
-    eval_aux,
-    identity_residuals,
-    probe_radii,
-)
 from .integrate import (
     CLASSIFY_POLICY,
     FULL_RANGE_POLICY,
@@ -70,18 +64,31 @@ from .portrait import (
     detect_events,
     find_zeros,
 )
-from .verify import (
-    CHECK_IDS,
-    PRESETS,
-    CaseSpec,
-    CheckRecord,
-    MalformedPlan,
-    VerificationPlan,
-    VerificationReport,
-    default_cases,
-    run_checks,
-    truncate_for_structure,
-)
+
+# The names bound on first read, each with the module that defines it.
+_LAZY = {
+    **dict.fromkeys(("IDENTITY_NAMES", "AuxSample", "BridgeIntegral", "IdentityReport",
+                     "IdentityResidual", "MissingEvents", "ProbeUndefined",
+                     "SingularityWarning", "bridge_integral", "eval_aux",
+                     "identity_residuals", "probe_radii"), "functionals"),
+    **dict.fromkeys(("CHECK_IDS", "PRESETS", "CaseSpec", "CheckRecord", "MalformedPlan",
+                     "VerificationPlan", "VerificationReport", "default_cases", "run_checks",
+                     "truncate_for_structure"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # bound: later reads no longer come here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "AlphaLadder",

@@ -17,16 +17,22 @@ Flags override config-file entries (same keys, flat ``key=value`` lines);
 built-in defaults fill the rest.  Every artifact embeds the fully
 resolved configuration.  The only environment variable honored is
 BOUNDSTATE_LAB_OUTDIR, the directory for relative output paths.
+
+A process pays only for what its command runs: ``verify`` (with its
+``functionals`` and ``quadrature``) is imported by the verify command
+alone, and ``functionals`` by ``export --functionals``; the parser is
+built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -41,7 +47,6 @@ from .classify import (
     find_alpha_k,
 )
 from .field import FieldParams, ParameterError, critical_amplitudes
-from .functionals import AuxSample, eval_aux
 from .integrate import (
     FULL_RANGE_POLICY,
     STEP_LIMIT,
@@ -50,7 +55,6 @@ from .integrate import (
     IntegrationError,
     IntegratorControls,
     ProblemParams,
-    State,
     Trajectory,
     integrate,
 )
@@ -60,13 +64,6 @@ from .portrait import (
     InterlacingViolation,
     detect_events,
     find_zeros,
-)
-from .verify import (
-    PRESETS,
-    MalformedPlan,
-    VerificationPlan,
-    default_cases,
-    run_checks,
 )
 
 EXIT_OK = 0
@@ -79,8 +76,6 @@ OUTDIR_ENV = "BOUNDSTATE_LAB_OUTDIR"
 
 _TOL_LO = 1e-15
 _TOL_HI = 1e-3
-
-_AUX_COLUMNS = tuple(f.name for f in dc_fields(AuxSample)[len(dc_fields(State)):])
 
 
 class UsageError(ValueError):
@@ -143,8 +138,10 @@ _FLAG_EXTRAS: dict[str, dict[str, Any]] = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """One parser for every command: each takes the same flags."""
+    """One parser for every command: each takes the same flags.  Built once per
+    process: parsing reads it and never changes it."""
     parser = _Parser(prog="boundstate-lab", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", type=str, default=None,
@@ -198,15 +195,21 @@ class RunConfig:
             raise UsageError(f"--out needs a file name stem, got {self.out!r}")
         if self.format not in _FORMATS:
             raise UsageError(f"unknown format {self.format!r}; choose from {', '.join(_FORMATS)}")
-        if self.command == "verify" and self.preset not in PRESETS:
-            raise UsageError(
-                f"unknown preset {self.preset!r}; choose from {', '.join(sorted(PRESETS))}"
-            )
-        for name in self.functionals:
-            if name not in _AUX_COLUMNS:
+        if self.command == "verify":
+            from .verify import PRESETS
+
+            if self.preset not in PRESETS:
                 raise UsageError(
-                    f"unknown functional {name!r}; choose from {', '.join(_AUX_COLUMNS)}"
+                    f"unknown preset {self.preset!r}; choose from {', '.join(sorted(PRESETS))}"
                 )
+        if self.functionals:
+            from .functionals import _AUX_COLUMNS
+
+            for name in self.functionals:
+                if name not in _AUX_COLUMNS:
+                    raise UsageError(
+                        f"unknown functional {name!r}; choose from {', '.join(_AUX_COLUMNS)}"
+                    )
 
     def field(self) -> FieldParams:
         return FieldParams(n=self.n, p=self.p)
@@ -467,6 +470,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .verify import PRESETS, MalformedPlan, VerificationPlan, default_cases, run_checks
+
     field = cfg.field()
     checks = cfg.checks if cfg.checks is not None else PRESETS[cfg.preset]
     plan = VerificationPlan(
@@ -475,7 +480,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         controls=cfg.controls(),
         bracket_tol=cfg.tol,
     )
-    report = run_checks(plan)
+    try:
+        report = run_checks(plan)
+    except MalformedPlan as exc:  # --checks named no check, or an unknown one
+        raise UsageError(str(exc)) from exc
     payload = artio.artifact(artio.verification_body(report), cfg.echo())
     _write_artifacts([(_out_stem(cfg) + ".json", artio.json_text(payload))])
     sys.stdout.write(artio.verification_table(report))
@@ -488,6 +496,8 @@ def cmd_export(cfg: RunConfig) -> int:
         return EXIT_INTEGRATOR
     columns = artio.TRAJECTORY_COLUMNS + cfg.functionals
     if cfg.functionals:
+        from .functionals import eval_aux
+
         field = traj.params.field
         row = attrgetter(*columns)  # one tuple of the named fields
         rows = [row(eval_aux(state, field)) for state in traj.samples()]
@@ -522,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
         if outdir and not os.path.isdir(outdir):  # found before the command runs
             raise FileNotFoundError(errno.ENOENT, "no such output directory", outdir)
         return _DISPATCH[cfg.command](cfg)
-    except (UsageError, MalformedPlan, ParameterError, artio.ConfigSyntaxError) as exc:
+    except (UsageError, ParameterError, artio.ConfigSyntaxError) as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
     except (BracketNotFound, MonotonicityViolation, InterlacingViolation,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 from .field import (
@@ -105,6 +105,10 @@ class AuxSample(State):
     B0: float | None
     phi_n: float | None
     varpi: float | None
+
+
+# The functionals' names, in field order: the columns ``export --functionals`` may add.
+_AUX_COLUMNS = tuple(fd.name for fd in fields(AuxSample)[len(fields(State)):])
 
 
 def eval_aux(state: State, field: FieldParams) -> AuxSample:

@@ -275,7 +275,9 @@ def series_start(params: ProblemParams) -> State:
     all at alpha.  The default r0 is 1e-6 * max(1, alpha) wherever both stay
     within abs_tol; at larger heights, where the core narrows like
     alpha**(-(p-1)/2), it shrinks to the radius where the larger of them
-    equals abs_tol.  Nonpositive tolerances raise IntegrationError.
+    equals abs_tol.  Nonpositive tolerances raise IntegrationError, and so
+    does a height where that radius comes out 0 (the r0**4 coefficient
+    overflows); an r0 outside (0, r_max) raises ParameterError.
     """
     if params.controls.abs_tol <= 0.0 or params.controls.rel_tol <= 0.0:
         raise IntegrationError("tolerances must be positive")
@@ -293,6 +295,9 @@ def series_start(params: ProblemParams) -> State:
         abs_tol = params.controls.abs_tol
         if c4 * r0**4 > abs_tol:
             r0 = (abs_tol / c4) ** 0.25
+            if not r0 > 0.0:  # c4 overflowed: no radius keeps the dropped terms within abs_tol
+                raise IntegrationError(f"no series start radius at alpha={alpha!r}: "
+                                       f"the r0**4 coefficient is {c4}")
     if not (0.0 < r0 < params.controls.r_max):
         raise ParameterError(f"series start r0={r0} must lie in (0, r_max)")
     return State(
@@ -336,7 +341,9 @@ class Trajectory:
 
     def state_at_knot(self, i: int) -> State:
         u, up, v, vp = self.states[i]
-        return State(r=self.knots[i], u=u, up=up, v=v, vp=vp)
+        state = object.__new__(State)  # filled through __dict__, as eval_dense fills it
+        state.__dict__.update(r=self.knots[i], u=u, up=up, v=v, vp=vp)
+        return state
 
     def samples(self) -> Iterator[State]:
         for i in range(len(self.knots)):

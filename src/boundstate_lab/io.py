@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .integrate import Trajectory
-from .verify import VerificationReport
+
+if TYPE_CHECKING:  # a type only: importing verify would load it for every command
+    from .verify import VerificationReport
 
 SCHEMA = "boundstate-lab/1"
 

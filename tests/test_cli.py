@@ -19,13 +19,13 @@ from boundstate_lab.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     OUTDIR_ENV,
-    _AUX_COLUMNS,
     _OPTIONS,
     _sweep_grid,
     build_parser,
     main,
     resolve_config,
 )
+from boundstate_lab.functionals import _AUX_COLUMNS
 from boundstate_lab.io import SCHEMA
 
 
@@ -70,7 +70,7 @@ def test_missing_output_directory_exits_three_before_the_command_runs(tmp_path, 
     def refuse(*args, **kwargs):
         raise AssertionError("the checks ran")
 
-    monkeypatch.setattr(importlib.import_module("boundstate_lab.cli"), "run_checks", refuse)
+    monkeypatch.setattr(importlib.import_module("boundstate_lab.verify"), "run_checks", refuse)
     monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "missing"))
     assert main(["verify", "--preset", "core", "--n", "3", "--p", "3"]) == EXIT_IO
     assert capsys.readouterr().err.startswith("i/o failure: ")
@@ -83,9 +83,11 @@ def test_missing_output_directory_exits_three_before_the_command_runs(tmp_path, 
     ["export", "--p", "4.9", "--alpha", "1e100"],
     ["sweep", "--p", "4.9", "--alpha", "1e100"],
     ["classify", "--p", "3", "--alpha", "1e200"],
-], ids=["classify", "solve", "export", "sweep", "classify_p3"])
+    ["classify", "--p", "3", "--alpha", "1e80"],
+], ids=["classify", "solve", "export", "sweep", "classify_p3", "classify_p3_radius"])
 def test_an_overflowing_series_start_exits_two_and_writes_nothing(tmp_path, capsys, args):
-    # any alpha > 0 is in the domain, but f(alpha) can overflow a double there:
+    # any alpha > 0 is in the domain, but f(alpha) can overflow a double there,
+    # or, lower, the r0**4 coefficient that places the default series start:
     # the series start raises, and the command ends as an integration failure
     assert main([*args, "--n", "3", "--out", str(tmp_path / "x")]) == EXIT_INTEGRATOR
     err = capsys.readouterr().err
@@ -330,6 +332,29 @@ def test_unknown_command_exits_one_and_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert main(["ladder", "--help"]) == EXIT_OK
     assert "--functionals" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_no_call_leaves_a_flag_behind(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert run_cli("ladder", "--k", "0..1", "--tol", "1e-8", cwd=tmp_path) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("ladder", "--tol", "1e-8", cwd=tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: ladder needs --k (a count or LO..HI)\n"
+    assert resolve_config(build_parser().parse_args(["ladder"])).k is None
+
+
+def test_a_command_other_than_verify_loads_neither_verify_nor_functionals(tmp_path):
+    # a fresh process: importing the CLI and running a shot leaves verify, and
+    # with it functionals and quadrature, unloaded
+    package_root = str(Path(boundstate_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    lazy = [f"boundstate_lab.{name}" for name in ("verify", "functionals", "quadrature")]
+    script = ("import sys, boundstate_lab.cli as cli; loaded = [set(sys.modules)]; "
+              f"cli.main(['solve', '--alpha', '5', '--out', {str(tmp_path / 's')!r}]); "
+              f"loaded.append(set(sys.modules)); print([sorted(set({lazy!r}) & m) for m in loaded])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "[[], []]"
 
 
 def test_console_script_entry_point(tmp_path):

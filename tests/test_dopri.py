@@ -36,6 +36,7 @@ from boundstate_lab import (
 from boundstate_lab import _dopri
 from boundstate_lab.cli import EXIT_OK, main
 from boundstate_lab.field import _energy, big_F
+from boundstate_lab.functionals import _AUX_COLUMNS
 from boundstate_lab.integrate import (
     ENERGY_NONPOSITIVE,
     REACHED_RMAX,
@@ -51,10 +52,17 @@ from test_classify import _plain_bracket
 from test_integrate import GOLDEN_BITS
 
 classify_module = importlib.import_module("boundstate_lab.classify")
-cli_module = importlib.import_module("boundstate_lab.cli")
 integrate_module = importlib.import_module("boundstate_lab.integrate")
 
 FL = FieldParams(3, 3.0)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """Skips a test that compares the kernel with the Python step where there
+    is no kernel to compare: the interpreter's C compiler is absent."""
+    if _dopri._kernel() is None:
+        pytest.skip("no kernel to run")
 
 
 def _verdict(fn, *args):
@@ -103,6 +111,7 @@ def _assert_same_shot(params):
 
 @pytest.mark.parametrize("name, field, alpha, controls",
                          [case[:4] for case in GOLDEN_BITS], ids=[case[0] for case in GOLDEN_BITS])
+@pytest.mark.usefixtures("kernel")
 def test_kernel_matches_the_python_step_on_the_golden_shots(monkeypatch, name, field, alpha,
                                                              controls):
     if name == "step_limit":
@@ -122,6 +131,7 @@ TRAPS = [
 
 
 @pytest.mark.parametrize("guard, budget, controls, tag", TRAPS)
+@pytest.mark.usefixtures("kernel")
 def test_kernel_matches_the_python_step_on_every_stop(monkeypatch, guard, budget, controls, tag):
     monkeypatch.setattr(integrate_module, "_V_GUARD", guard)
     monkeypatch.setattr(integrate_module, "_MAX_STEPS", budget)
@@ -135,6 +145,7 @@ def test_kernel_matches_the_python_step_on_every_stop(monkeypatch, guard, budget
 OVERFLOWING_START = ProblemParams(FieldParams(3, 4.9), 1e60, IntegratorControls(r0=1e-14))
 
 
+@pytest.mark.usefixtures("kernel")
 def test_kernel_ends_alike_where_a_power_overflows():
     # the energy is inf in both marches, so the shot is not trapped, and its
     # variation trips the guard at the start; the kernel keeps the shot
@@ -146,6 +157,7 @@ def test_kernel_ends_alike_where_a_power_overflows():
 
 
 @pytest.mark.parametrize("alpha", [1e100, 1e200])
+@pytest.mark.usefixtures("kernel")
 def test_an_overflow_in_the_series_start_is_raised_not_deferred(alpha):
     params = ProblemParams(FL, alpha)
     with pytest.raises(OverflowError):
@@ -161,6 +173,7 @@ EDGE_OF_THE_TRAP = ProblemParams(FieldParams(3, 1.5), 1.56250000000434,
                                  IntegratorControls(r0=1e-5))
 
 
+@pytest.mark.usefixtures("kernel")
 def test_both_marches_trap_by_the_energy_of_field():
     start = series_start(EDGE_OF_THE_TRAP)
     assert _energy(start.up, big_F(start.u, EDGE_OF_THE_TRAP.field)) < 0.0
@@ -202,6 +215,7 @@ MANY_ZEROS_SHOT = ProblemParams(FL, 15000.0)
 @given(params=_counted_shots())
 @example(params=OVERFLOWING_SHOT)
 @example(params=MANY_ZEROS_SHOT)
+@pytest.mark.usefixtures("kernel")
 def test_kernel_matches_the_python_step_on_sampled_shots(params):
     _assert_same_shot(params)
 
@@ -256,6 +270,7 @@ def _assert_same_kept_shot(params, policy):
                          ids=["classify", "full_range"])
 @pytest.mark.parametrize("name, field, alpha, controls",
                          [case[:4] for case in GOLDEN_BITS], ids=[case[0] for case in GOLDEN_BITS])
+@pytest.mark.usefixtures("kernel")
 def test_kept_shots_match_the_python_step_on_the_golden_shots(monkeypatch, name, field, alpha,
                                                               controls, policy):
     if name == "step_limit":
@@ -264,6 +279,7 @@ def test_kept_shots_match_the_python_step_on_the_golden_shots(monkeypatch, name,
 
 
 @pytest.mark.parametrize("guard, budget, controls, tag", TRAPS)
+@pytest.mark.usefixtures("kernel")
 def test_kept_shots_match_the_python_step_on_every_stop(monkeypatch, guard, budget, controls,
                                                         tag):
     monkeypatch.setattr(integrate_module, "_V_GUARD", guard)
@@ -281,6 +297,7 @@ def test_kept_shots_match_the_python_step_on_every_stop(monkeypatch, guard, budg
 @settings(max_examples=40, deadline=None)
 @given(params=_counted_shots(), full_range=st.booleans())
 @example(params=OVERFLOWING_SHOT, full_range=False)
+@pytest.mark.usefixtures("kernel")
 def test_kept_shots_match_the_python_step_on_sampled_shots(params, full_range):
     _assert_same_kept_shot(params, FULL_RANGE_POLICY if full_range else CLASSIFY_POLICY)
 
@@ -291,9 +308,8 @@ LONG_SHOT = ProblemParams(FieldParams(3, 1.5), 3.0, IntegratorControls(r_max=199
 
 @pytest.mark.parametrize("budget, tag", [(819, STEP_LIMIT), (820, REACHED_RMAX),
                                          (integrate_module._MAX_STEPS, REACHED_RMAX)])
+@pytest.mark.usefixtures("kernel")
 def test_a_kept_shot_has_room_for_every_step_of_its_budget(monkeypatch, budget, tag):
-    if _dopri._kernel() is None:
-        pytest.skip("no kernel to run")
     monkeypatch.setattr(integrate_module, "_MAX_STEPS", budget)
     assert _assert_same_kept_shot(LONG_SHOT, FULL_RANGE_POLICY) == tag
     assert len(_dopri._local.cols) == _dopri._COLUMNS * (budget + 1)  # mapped for this budget
@@ -309,9 +325,8 @@ def _column_bytes(traj):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+@pytest.mark.usefixtures("kernel")
 def test_a_forked_child_marches_in_its_own_columns():
-    if _dopri._kernel() is None:
-        pytest.skip("no kernel to run")
     params = ProblemParams(FL, 5.0)
     want = _dopri.kept_run(params, FULL_RANGE_POLICY)
     before = _column_bytes(want)
@@ -328,6 +343,7 @@ def test_a_forked_child_marches_in_its_own_columns():
 
 @pytest.mark.parametrize("policy", [CLASSIFY_POLICY, FULL_RANGE_POLICY],
                          ids=["classify", "full_range"])
+@pytest.mark.usefixtures("kernel")
 def test_a_kept_shot_ends_alike_where_a_power_overflows(monkeypatch, policy):
     # as in the counted test, with the guard lifted: the first slope overflows
     # to inf in both marches, and so the first step's state is not finite
@@ -447,7 +463,7 @@ def _ladder_artifact(monkeypatch, workdir, ks="0..2"):
 KEPT_COMMANDS = {
     "solve": ["solve", "--n", "3", "--p", "1.5", "--alpha", "4"],
     "export": ["export", "--n", "4", "--p", "2", "--alpha", "10",
-               "--functionals", ",".join(cli_module._AUX_COLUMNS)],
+               "--functionals", ",".join(_AUX_COLUMNS)],
     "sweep": ["sweep", "--n", "3", "--p", "3", "--alpha-range", "0.5..16", "--points", "16"],
     "verify": ["verify", "--n", "3", "--p", "3", "--preset", "core"],
 }

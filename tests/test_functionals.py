@@ -28,7 +28,6 @@ from boundstate_lab import (
     probe_radii,
 )
 from boundstate_lab import find_alpha_k, functionals, truncate_for_structure, verify
-from boundstate_lab import cli as cli_module
 from boundstate_lab import field as field_module
 from boundstate_lab.cli import EXIT_OK, OUTDIR_ENV, main
 from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
@@ -94,7 +93,7 @@ def test_aux_sample_is_immutable_and_keeps_its_ingredients_out_of_the_schema():
             setattr(aux, name, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(aux, name)
-    assert not set(ingredients) & set(cli_module._AUX_COLUMNS)
+    assert not set(ingredients) & set(functionals._AUX_COLUMNS)
     assert not set(ingredients) & set(plain(aux))
     assert list(plain(aux)) == [fld.name for fld in dataclasses.fields(AuxSample)]
     assert aux == AuxSample(**plain(aux)) and repr(aux) == repr(AuxSample(**plain(aux)))

@@ -7,13 +7,25 @@ import struct
 import types
 from pathlib import Path
 
+import pytest
+
 import boundstate_lab
 
 
 def test_all_is_sorted_unique_and_matches_the_bound_names():
+    # the names from functionals and verify are bound on first read (PEP 562):
+    # every name the package offers resolves to what it names, never to a
+    # submodule (integrate and classify are both), and once all are read the
+    # package binds __all__
     names = boundstate_lab.__all__
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+    offered = {name: getattr(boundstate_lab, name) for name in dir(boundstate_lab)
+               if not name.startswith("_")}
+    assert set(names) <= set(offered)
+    assert [name for name in names if isinstance(offered[name], types.ModuleType)] == []
+    with pytest.raises(AttributeError):
+        boundstate_lab.no_such_name
     bound = {name for name, value in vars(boundstate_lab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
