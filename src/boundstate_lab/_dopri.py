@@ -155,11 +155,17 @@ def counted_run(params: ProblemParams) -> tuple[_integrate.TerminationCause, int
     if run is None:
         return None
     end, (count, blocks, _), rows, _ = run
+    return end, count, _estimate_pair(count, blocks, tuple(rows[:5]), tuple(rows[6:11]))
+
+
+def _estimate_pair(count: int, blocks: int, two: tuple, last: tuple) -> tuple:
+    """The pair of rows for alpha_(count-1) and alpha_count, from ``two`` and ``last``,
+    the rows of the last two of the shot's ``blocks`` (at most count + 1) sign-change blocks."""
     picked = [None, None]
-    for j, at in ((blocks - 2, 0), (blocks - 1, 6)):  # at most count + 1 blocks
+    for j, row in ((blocks - 2, two), (blocks - 1, last)):
         if j >= max(count - 1, 0):
-            picked[j - count + 1] = tuple(rows[at:at + 5])
-    return end, count, tuple(picked)
+            picked[j - count + 1] = row
+    return tuple(picked)
 
 
 def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:

@@ -209,11 +209,8 @@ def _estimate_rows(traj: Trajectory, count: int) -> tuple:
             two = i
         if keys[i] < keys[last]:
             last = i
-    rows: list = [None, None]
-    for j, i in ((blocks - 2, two), (blocks - 1, last)):  # at most count + 1 blocks
-        if j >= max(count - 1, 0):
-            rows[j - count + 1] = (knots[i], *states[i])
-    return tuple(rows)
+    return _dopri._estimate_pair(count, blocks, (knots[two], *states[two]),
+                                 (knots[last], *states[last]))
 
 
 def _alpha_k_estimates(field: FieldParams, alpha: float, rows: tuple) -> tuple[float, float]:

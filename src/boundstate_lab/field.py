@@ -32,11 +32,12 @@ class SingularInputError(ValueError):
     """Scalar map evaluated where it is undefined."""
 
 
-def abs_pow(u: float, s: float) -> float:
-    """|u|**s, with an exact 0.0 branch at u = 0."""
+def abs_pow(u: float | complex, s: float) -> float | complex:
+    """|u|**s as (+-u)**s with the sign of Re u, and exactly 0.0 at u = 0: abs(u)**s's
+    bits at a real u, its holomorphic continuation at a complex u off Re u = 0."""
     if u == 0.0:
         return 0.0
-    return abs(u) ** s
+    return (u if u.real > 0.0 else -u) ** s
 
 
 @dataclass(frozen=True)

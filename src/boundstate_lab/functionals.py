@@ -5,9 +5,10 @@ here from a dense-output state: energy layers (E, Ê), Pohozaev-type layers
 (P, P1, P2), the logarithmic slope ω, the variation pairings (ϱ, Q and its
 shifted family Q1, Q2, Qn, M, the Wronskian-corrected T1, T2, B0), and the
 tail weight ϖ.  Each functional satisfies a first-order identity in r; the
-identity checker differentiates the left side by central differences on the
-dense output and compares against the closed-form right side, normalized by
-the largest magnitude seen for that identity along the trajectory.
+identity checker differentiates the left side by the complex step, reading it
+at r + iη through the dense output's polynomial, and compares against the
+closed-form right side, normalized by the largest magnitude seen for that
+identity along the trajectory.
 
 Where each formula lives:
 
@@ -16,10 +17,11 @@ Where each formula lives:
   |u|**(p-1), |u|**(p+1); rn, rn1 = r**n, r**(n-1).  It fills the frozen record's __dict__.
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
-* ``_IDENTITIES`` maps each identity to its two sides.  Both read one
-  ``AuxSample``, the state with its functionals.  The left sides not in it
-  (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the two slopes) are
-  written there, and so is every right side.
+* ``_IDENTITIES`` maps each identity to its two sides.  Each reads one
+  ``AuxSample``, the state with its functionals: the left side the record at
+  r + iη, in complex arithmetic, and the right side the real one at r.  The
+  left sides not in it (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the
+  two slopes) are written there, and so is every right side.
 * f, F, F_a, κ_a, g1, g2 and E (``_energy``) come from ``field``; u'' comes
   from ``integrate._u_second``.  The march reads the same definitions.
 """
@@ -41,24 +43,21 @@ from .quadrature import adaptive_quadrature
 
 _GOLDEN = 0.6180339887498949
 
-# Central-difference step of the identity checks, relative to max(1, r).
-# probe_radii shifts each probe so that r - h and r + h fall inside one dense
-# segment, which holds only for the h identity_residuals differentiates with.
-# At 1e-5 the stencil's own h**2 error reached 2.8e-6 of log_slope's scale on
-# a probe near a zero of u (the (3, 1.25) k = 2 bracket shot), whatever the
-# tolerances; at 3e-6 it is 11 times smaller, and roundoff is not yet seen.
-_H_SCALE = 3e-6
+# Imaginary step of the identity checks: Im g(r + iη)/η = g'(r) + O(η²) takes
+# no difference, so it has no cancellation and any η this small reads g' to
+# roundoff (Squire & Trapp, SIAM Review 40 (1998) 110-112).
+_ETA = 1e-30
 
 # Guard thresholds for identities with a removable or genuine singularity.
 # Probes are admissible only when the denominator variable is both large
-# relative to its derivative scale and large in absolute terms, so a central
-# difference with h ~ _H_SCALE never straddles a sign change.
+# relative to its derivative scale and large in absolute terms, so a quotient
+# by it is read where it is smooth and its size is not roundoff.
 _RATIO_FLOOR = 0.04
 _ABS_FLOOR = 0.02
 
 # Identities that divide by a power of r amplify dense-output error near the
-# origin (the finite difference sees interpolant noise scaled by 1/r^n), so
-# they carry a minimum-radius guard.
+# origin (the derivative sees interpolant noise scaled by 1/r^n), so they
+# carry a minimum-radius guard.
 _R_FLOOR = 0.1
 
 # Half-width of the moat probe_radii keeps around each exclusion radius.
@@ -152,11 +151,11 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
     return x
 
 
-# Identity registry: name -> (lhs, rhs, guards).  Both sides read the
-# AuxSample at one radius, with the field and the family parameter a; lhs is
-# differentiated by central differences and rhs is the closed form its
-# derivative must equal.  guards names what must stay away from zero at the
-# probe: "u", "up", or "r" (the minimum-radius guard).
+# Identity registry: name -> (lhs, rhs, guards).  Each side reads an AuxSample,
+# the field and the family parameter a: lhs, at r + iη, is differentiated by
+# the complex step, and rhs, at r, is the closed form its derivative must
+# equal.  guards names what must stay away from zero at the probe: "u", "up",
+# or "r" (the minimum-radius guard).
 _Side = Callable[[AuxSample, FieldParams, float], float]
 _amplitudes = functools.lru_cache(maxsize=8)(critical_amplitudes)  # per field, not per probe
 
@@ -308,17 +307,15 @@ def probe_radii(
     r_hi: float | None = None,
     exclusion_radii: Iterable[float] = (),
 ) -> list[float]:
-    """Low-discrepancy probe radii, kept clear of events and segment knots.
+    """Low-discrepancy probe radii in (r_start, r_hi), kept clear of events.
 
     A golden-ratio sequence fills (r_start, r_hi).  Candidates within
     _EXCLUSION_HALFWIDTH of an exclusion radius are dropped: for fractional
     powers the state is only finitely smooth across zeros of u, so the
-    interpolant needs a real moat there, not just collision avoidance.
-    Candidates whose central-difference stencil would straddle a
-    dense-output knot are shifted into the containing segment, or dropped
-    if the segment is too short to hold the stencil.
+    interpolant needs a real moat there, not just collision avoidance.  The
+    moat also keeps probes off Re u = 0, where (+-u)**s, which
+    identity_residuals reads at complex radii, is not holomorphic.
     """
-    knots = traj.knots
     lo = traj.r_start
     hi = traj.r_end if r_hi is None else min(r_hi, traj.r_end)
     span = hi - lo
@@ -330,21 +327,9 @@ def probe_radii(
     for _ in range(count):
         x = (x + _GOLDEN) % 1.0
         r = lo + span * x
-        h = _H_SCALE * max(1.0, r)
-        if r - 2.0 * h <= lo or r + 2.0 * h >= hi:
-            continue
         i = bisect_left(excl, r)  # the nearest exclusion radii are excl[i - 1] and excl[i]
-        if any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl[max(i - 1, 0):i + 1]):
-            continue
-        seg = traj.segment_index(r)
-        a, b = knots[seg], knots[seg + 1]
-        if b - a < 4.0 * h:
-            continue
-        if r - h < a:
-            r = a + 1.25 * h
-        elif r + h > b:
-            r = b - 1.25 * h
-        out.append(r)
+        if not any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl[max(i - 1, 0):i + 1]):
+            out.append(r)
     return sorted(set(out))
 
 
@@ -353,19 +338,19 @@ def identity_residuals(
     probes: Sequence[float],
     identities: Sequence[str] | None = None,
 ) -> IdentityReport:
-    """Central-difference check of every registered identity at the probes.
+    """Complex-step check of every registered identity at the probes.
 
-    For each identity the left side is differentiated with a 2h central
-    stencil on the dense output and compared to the closed-form right side
-    evaluated at the probe.  Residuals are reported relative to the largest
-    magnitude (of either side) the identity attains over the probe set.
-    An identity whose two sides stay below abs_tol / _H_SCALE at every
-    probe, the derivative error an abs_tol-sized error in its left side makes
-    across the stencil, has no scale to be read against and is reported
-    undefined (no probes used).  On the constant shot alpha = 1, where u = 1
-    and u' = 0 exactly, that holds for the identities in u alone.  A probe
-    failing an identity's guard is skipped for that identity.  The family
-    identities are checked at a = _FAMILY_A.
+    Each probe reads two records: the real one at r, for the right sides,
+    the guards and the connection, and one at r + iη, whose left side's
+    imaginary part over η is the left side's derivative at r.  Residuals are
+    reported relative to the largest magnitude (of either side) the identity
+    attains over the probe set.  An identity whose two sides stay below
+    abs_tol at every probe has nothing the march resolves to be read against
+    and is reported undefined (no probes used).  On the constant shot
+    alpha = 1, where u = 1 and u' = 0 exactly, that holds for the identities
+    in u alone, which read roundoff.  A probe failing an identity's guard is
+    skipped for that identity.  The family identities are checked at
+    a = _FAMILY_A.
     """
     field, a = traj.params.field, _FAMILY_A
     names = list(identities) if identities is not None else list(_IDENTITIES)
@@ -381,18 +366,16 @@ def identity_residuals(
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
-        h = _H_SCALE * max(1.0, r)
-        x_mid = eval_aux(traj.eval_dense(r), field)
-        x_lo = eval_aux(traj.eval_dense(r - h), field)
-        x_hi = eval_aux(traj.eval_dense(r + h), field)
-        admitted = {guards: _admits(x_mid, field, guards) for guards in guard_sets}
+        x = eval_aux(traj.eval_dense(r), field)
+        z = eval_aux(traj.eval_dense(complex(r, _ETA)), field)
+        admitted = {guards: _admits(x, field, guards) for guards in guard_sets}
         for lhs, rhs, guards, acc in checks:
             if not admitted[guards]:
                 continue
-            fd = (lhs(x_hi, field, a) - lhs(x_lo, field, a)) / (2.0 * h)
-            want = rhs(x_mid, field, a)
-            res, scale = abs(fd - want), abs(fd)
-            if abs(want) > scale:  # max(abs(fd), abs(want)), NaN included
+            d = lhs(z, field, a).imag / _ETA
+            want = rhs(x, field, a)
+            res, scale = abs(d - want), abs(d)
+            if abs(want) > scale:  # max(abs(d), abs(want)), NaN included
                 scale = abs(want)
             acc[0] += 1
             if acc[0] == 1 or res > acc[1]:  # as max() over the probes: the first, then larger
@@ -404,12 +387,12 @@ def identity_residuals(
         # Q - P v/u = omega (M - varpi), checked without differentiation.
         if not admitted["u", "up"]:
             continue
-        pv_u = x_mid.P * x_mid.v / x_mid.u
-        rel = abs(x_mid.Q - pv_u - x_mid.omega * (x_mid.M - x_mid.varpi))
-        rel /= abs(x_mid.Q) + abs(pv_u) + 1e-30
+        pv_u = x.P * x.v / x.u
+        rel = abs(x.Q - pv_u - x.omega * (x.M - x.varpi))
+        rel /= abs(x.Q) + abs(pv_u) + 1e-30
         conn_worst = max(conn_worst, rel)
 
-    resolution = traj.params.controls.abs_tol / _H_SCALE
+    resolution = traj.params.controls.abs_tol
     recs = []
     for name in names:
         used, res, scale = accs[name]

@@ -277,27 +277,31 @@ def series_start(params: ProblemParams) -> State:
     alpha**(-(p-1)/2), it shrinks to the radius where the larger of them
     equals abs_tol.  Nonpositive tolerances raise IntegrationError, and so
     does a height where that radius comes out 0 (the r0**4 coefficient
-    overflows); an r0 outside (0, r_max) raises ParameterError.
+    overflows) or where a power of alpha or of r0 overflows; an r0 outside
+    (0, r_max) raises ParameterError.
     """
     if params.controls.abs_tol <= 0.0 or params.controls.rel_tol <= 0.0:
         raise IntegrationError("tolerances must be positive")
     alpha = params.alpha
     fld = params.field
-    f_alpha = f(alpha, fld)
-    fp_alpha = f_prime(alpha, fld)
     n = float(fld.n)
     r0 = params.controls.r0
-    if r0 is None:
-        r0 = 1e-6 * max(1.0, alpha)
-        fpp_alpha = fld.p * (fld.p - 1.0) * abs_pow(alpha, fld.p - 1.0) / alpha
-        c4 = max(abs(f_alpha * fp_alpha), abs(fp_alpha * fp_alpha + fpp_alpha * f_alpha))
-        c4 /= 8.0 * n * (n + 2.0)
-        abs_tol = params.controls.abs_tol
-        if c4 * r0**4 > abs_tol:
-            r0 = (abs_tol / c4) ** 0.25
-            if not r0 > 0.0:  # c4 overflowed: no radius keeps the dropped terms within abs_tol
-                raise IntegrationError(f"no series start radius at alpha={alpha!r}: "
-                                       f"the r0**4 coefficient is {c4}")
+    try:
+        f_alpha = f(alpha, fld)
+        fp_alpha = f_prime(alpha, fld)
+        if r0 is None:
+            r0 = 1e-6 * max(1.0, alpha)
+            fpp_alpha = fld.p * (fld.p - 1.0) * abs_pow(alpha, fld.p - 1.0) / alpha
+            c4 = max(abs(f_alpha * fp_alpha), abs(fp_alpha * fp_alpha + fpp_alpha * f_alpha))
+            c4 /= 8.0 * n * (n + 2.0)
+            abs_tol = params.controls.abs_tol
+            if c4 * r0**4 > abs_tol:
+                r0 = (abs_tol / c4) ** 0.25
+                if not r0 > 0.0:  # c4 overflowed: no radius keeps the dropped terms within abs_tol
+                    raise IntegrationError(f"no series start radius at alpha={alpha!r}: "
+                                           f"the r0**4 coefficient is {c4}")
+    except OverflowError:  # a power of alpha, or of the default r0, past the largest double
+        raise IntegrationError(f"no series start at alpha={alpha!r}: a power overflows") from None
     if not (0.0 < r0 < params.controls.r_max):
         raise ParameterError(f"series start r0={r0} must lie in (0, r_max)")
     return State(
@@ -371,17 +375,19 @@ class Trajectory:
         vals.append(states[-1][c])
         return vals
 
-    def segment_index(self, r: float) -> int:
-        """Index of the dense segment containing r (knots are its ends)."""
-        if not (self.knots[0] <= r <= self.knots[-1]):
+    def segment_index(self, r: float | complex) -> int:
+        """Index of the dense segment containing Re r (knots are its ends)."""
+        x = r.real
+        if not (self.knots[0] <= x <= self.knots[-1]):
             raise DenseRangeError(
                 f"r={r} outside integrated range [{self.knots[0]}, {self.knots[-1]}]"
             )
-        i = bisect_right(self.knots, r) - 1
+        i = bisect_right(self.knots, x) - 1
         return min(i, len(self.knots) - 2)
 
-    def eval_dense(self, r: float) -> State:
-        """Interpolated state at any radius in [r_start, r_end]."""
+    def eval_dense(self, r: float | complex) -> State:
+        """Interpolated state at any radius in [r_start, r_end]; at a complex r,
+        the segment's polynomial continued there (the segment of Re r)."""
         i = self.segment_index(r)
         r_lo = self.knots[i]
         theta = (r - r_lo) / (self.knots[i + 1] - r_lo)

@@ -656,8 +656,9 @@ def _check_bridge_integral(prep: _Prepared) -> _Outcome:
 
 def _check_identity_residuals(prep: _Prepared) -> _Outcome:
     # Brackets are probed on the structural cut: in the capture zone beyond
-    # it |v| reaches guard scale and finite differences of the pairing and
-    # barrier functionals measure interpolation noise, not identity validity.
+    # it |v| reaches guard scale, and the complex-step derivatives of the
+    # pairing and barrier functionals, which differentiate the dense output's
+    # polynomial, measure its interpolation noise, not identity validity.
     # Long free runs are capped at r = 40 for the same reason, and the
     # terminal 1% is dropped since the last segments end mid-step.
     traj = prep.struct

@@ -84,14 +84,18 @@ def test_missing_output_directory_exits_three_before_the_command_runs(tmp_path, 
     ["sweep", "--p", "4.9", "--alpha", "1e100"],
     ["classify", "--p", "3", "--alpha", "1e200"],
     ["classify", "--p", "3", "--alpha", "1e80"],
-], ids=["classify", "solve", "export", "sweep", "classify_p3", "classify_p3_radius"])
+    ["classify", "--p", "3", "--alpha", "1e100"],
+], ids=["classify", "solve", "export", "sweep", "classify_p3", "classify_p3_radius",
+        "classify_p3_r0"])
 def test_an_overflowing_series_start_exits_two_and_writes_nothing(tmp_path, capsys, args):
     # any alpha > 0 is in the domain, but f(alpha) can overflow a double there,
     # or, lower, the r0**4 coefficient that places the default series start:
-    # the series start raises, and the command ends as an integration failure
+    # the series start raises, naming the height, and the command ends as an
+    # integration failure
     assert main([*args, "--n", "3", "--out", str(tmp_path / "x")]) == EXIT_INTEGRATOR
     err = capsys.readouterr().err
     assert err.startswith("integration failure: ") and err.count("\n") == 1
+    assert "alpha=" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -374,7 +378,8 @@ def test_console_script_entry_point(tmp_path):
 
 # A digest case keeps the id it was first collected under: the id shows the
 # digest first recorded for the case, not a re-recorded one, so moving the
-# bytes on purpose (the DOP853 march moved these) does not rename the case.
+# bytes on purpose (the DOP853 march moved these, and the complex-step identity
+# ledger the four verify reports) does not rename the case.
 FIRST_DIGESTS = {
     "903ffc9cbb9fe5d4c399aba6c29871f6b3b9f2bc24f156708f4b91030b1a9cab":
         "4ca77038bc4ec8c0716e461af1e527ca22e44cf98338e0296ad299d9d8efb8bc",
@@ -402,13 +407,13 @@ FIRST_DIGESTS = {
         "7957e45dd21c868ac9b809a4ea11fb88629cccd45ac582469b588c0d5d5abc14",
     "4d3dc68245e85fd73e9885302c24b9c2b6a72cab4c521444560557477c1b3c12":
         "1a04e2408c2efcc967bdba040aedf5ce728196e14df2c9b49e3600ecd06db201",
-    "9ed9e2a59e1540e170dd10b712b4c683b0ddadeb9f5919e11e6998966dbf7512":
+    "f29c55c3d0818b937ccbd7616f1d976aeef222e2937234e73fea91cbbf8c4e7c":
         "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30",
-    "4bb4bcc6b9d172720a568df0bd1f0b762df18ec8f5c22b93730f6697bc51b032":
+    "5432f7d1d9481c05199dded93984d756cc0ed3ff2d68fe5a8f31235b9d427ab0":
         "7b26cd06d3ca55c8a17daa043470e8e0b4b4a6efbee10537e6c0b690abdd4d77",
-    "e25c93bf84cda29defbe9c43a2ccb5914917b7af843948430f21cf85b9840ce1":
+    "bdb1085671e098e9901fadc1e2c714d68732559a853ff5ae8a10ba4b88e7b5c2":
         "cbda8b37d42f4ee2087d03dddc3c6872869d2e94610c09f2c6fb78039a49de59",
-    "d2518e2c368cebba49fd318ce04f48c9401b56d6b978b96ed0685039f99e0436":
+    "c7402c7f569977b8d11a7398f619bf08b6aa03771ab41f899bc095e31d4471f4":
         "23cdfe29a51e715dce72836e11afb4d77a06a3c016b3d62bc81fd779d1d62a64",
 }
 
@@ -488,9 +493,9 @@ def test_table_bytes_match_the_recorded_digests(tmp_path, monkeypatch, args, nam
 
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
-     "9ed9e2a59e1540e170dd10b712b4c683b0ddadeb9f5919e11e6998966dbf7512"),
+     "f29c55c3d0818b937ccbd7616f1d976aeef222e2937234e73fea91cbbf8c4e7c"),
     (3, "1.25", "v3125.json",
-     "4bb4bcc6b9d172720a568df0bd1f0b762df18ec8f5c22b93730f6697bc51b032"),
+     "5432f7d1d9481c05199dded93984d756cc0ed3ff2d68fe5a8f31235b9d427ab0"),
 ]
 
 
@@ -511,9 +516,9 @@ def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 # by design, so the run exits 4), residual the only one with a lone bracket case.
 GOLDEN_VERIFY_PRESETS = [
     ("full", 3, "3", EXIT_VERIFY, "v33full.json",
-     "e25c93bf84cda29defbe9c43a2ccb5914917b7af843948430f21cf85b9840ce1"),
+     "bdb1085671e098e9901fadc1e2c714d68732559a853ff5ae8a10ba4b88e7b5c2"),
     ("residual", 3, "1.25", EXIT_OK, "v3125res.json",
-     "d2518e2c368cebba49fd318ce04f48c9401b56d6b978b96ed0685039f99e0436"),
+     "c7402c7f569977b8d11a7398f619bf08b6aa03771ab41f899bc095e31d4471f4"),
 ]
 
 

@@ -39,6 +39,7 @@ from boundstate_lab.field import _energy, big_F
 from boundstate_lab.functionals import _AUX_COLUMNS
 from boundstate_lab.integrate import (
     ENERGY_NONPOSITIVE,
+    IntegrationError,
     REACHED_RMAX,
     STEP_LIMIT,
     STEP_UNDERFLOW,
@@ -160,8 +161,9 @@ def test_kernel_ends_alike_where_a_power_overflows():
 @pytest.mark.usefixtures("kernel")
 def test_an_overflow_in_the_series_start_is_raised_not_deferred(alpha):
     params = ProblemParams(FL, alpha)
-    with pytest.raises(OverflowError):
+    with pytest.raises(IntegrationError) as raised:  # naming the height
         series_start(params)
+    assert f"alpha={alpha!r}" in str(raised.value)
     _assert_same_shot(params)
     for policy in (CLASSIFY_POLICY, FULL_RANGE_POLICY):
         _assert_same_kept_shot(params, policy)

@@ -170,9 +170,9 @@ def test_identity_residuals_test_each_distinct_guard_once_per_probe(monkeypatch)
 
 
 def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch):
-    # every ingredient of a record is evaluated once, so a probe (three records,
-    # five guards, 22 identities) takes 17 powers on this shot; 44 when each
-    # side evaluated its own f, F, |u|**(p-1) and critical amplitudes
+    # every ingredient of a record is evaluated once, so a probe (two records,
+    # five guards, 22 identities) takes at most 17 powers on this shot; 44 when
+    # each side evaluated its own f, F, |u|**(p-1) and critical amplitudes
     traj = _full_run(3.0, rmax=10.0)
     probes = probe_radii(traj, 60)
     calls = []
@@ -190,6 +190,52 @@ def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch
     identity_residuals(traj, probes)
     assert len(direct) + functionals._amplitudes.cache_info().misses <= 1
     assert len(probes) == 60 and len(calls) <= 17 * len(probes)
+
+
+def test_each_probe_reads_one_real_and_one_complex_record(monkeypatch):
+    # the right sides, guards and connection read the record at r, and every
+    # left side's derivative the one at r + i eta: two records per probe
+    traj = _full_run(3.0, rmax=10.0)
+    probes = probe_radii(traj, 60)
+    radii = []
+
+    def counted(state, field):
+        radii.append(state.r)
+        return eval_aux(state, field)
+
+    monkeypatch.setattr(functionals, "eval_aux", counted)
+    identity_residuals(traj, probes)
+    assert len(radii) == 2 * len(probes)
+    assert radii[0::2] == probes
+    assert radii[1::2] == [complex(r, functionals._ETA) for r in probes]
+
+
+def test_the_dense_output_read_at_a_complex_radius_gives_the_slope():
+    # Im u(r + i eta) / eta is the derivative of u's interpolant, which agrees
+    # with the interpolated u' at the tolerance level of the shot's slope scale
+    # (at most 63 times it here, near the origin where the steps are longest)
+    traj = _full_run(3.0, rmax=20.0)
+    ctrl = traj.params.controls
+    allowed = 100.0 * (ctrl.abs_tol + ctrl.rel_tol * max(abs(st[1]) for st in traj.states))
+    eta = 1e-30  # no difference is taken, so any eta this small reads the same slope
+    for r in probe_radii(traj, 200):
+        want = traj.eval_dense(r).up
+        got = traj.eval_dense(complex(r, eta)).u.imag / eta
+        assert abs(got - want) <= allowed, r
+
+
+def test_the_shallow_k2_bracket_ledger_reads_below_5e_8(monkeypatch):
+    # the (3, 1.25) k = 2 bracket-midpoint shot of `verify --preset core`:
+    # a difference stencil's own error put its worst residual at 1.5e-7 to 2.5e-7
+    reports = []
+    recorded = functionals.identity_residuals
+    monkeypatch.setattr(verify, "identity_residuals",
+                        lambda traj, probes: reports.append(recorded(traj, probes)) or reports[-1])
+    case = verify.CaseSpec(FieldParams(3, 1.25), verify.BOUND_BRACKET, k=2)
+    report = verify.run_checks(verify.VerificationPlan(cases=(case,),
+                                                       checks=("identity_residuals",)))
+    assert [rec.status for rec in report.records] == [verify.PASS]
+    assert len(reports) == 1 and reports[0].worst().max_rel_residual < 5e-8
 
 
 def test_identity_residuals_reject_unknown_names():
@@ -238,11 +284,12 @@ def test_constant_shot_reports_its_trivial_identities_as_undefined():
 # residual and scale, and the connection residual, to the last bit.  The
 # verify report digests carry only each record's worst margin.
 GOLDEN_LEDGER = [
-    ("3", "4d4d5d56bd2cc27ce4bda903dc5ce2861a04375333b061fe256c0e98dcb5d8f5"),
-    ("1.25", "0b795ae7d72bd7ff961aaf4a40048b747d1cc5d0368b812eaf4f3a507d3482a9"),
+    ("3", "cc3c957c5818b6d0db1836531d225836c659bb5df1ddf33418aebe7c90063f3d"),
+    ("1.25", "54edbfef5ed7bea41f4c7e59dcc63e55aae65402dd96b3b29f1131c018bd6551"),
 ]
 # Each case keeps the id it was first collected under, which shows the digest
-# first recorded for it (the DOP853 march re-recorded both).
+# first recorded for it (the DOP853 march and the complex-step ledger each
+# re-recorded both).
 LEDGER_IDS = [
     "3-24cba1f9fec1709e0240e1dc2682e964fcdbc60d6b1767073a861e178983d7f7",
     "1.25-02e73562dcd6d9f938a28e725ed79329252a5ea5a1ebbb2b2df19549080dd614",

@@ -63,6 +63,18 @@ def test_only_integrate_evaluates_segments_and_defines_u_second():
     assert u_second_homes == ["integrate.py"]
 
 
+def test_the_identity_ledger_has_no_difference_step_and_probes_read_no_segments():
+    # identity_residuals differentiates by the complex step, so functionals.py
+    # names no difference step, and probe_radii fits no stencil into a segment
+    path = Path(boundstate_lab.__file__).resolve().parent / "functionals.py"
+    tree = ast.parse(path.read_text())
+    assert "_H_SCALE" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    probe = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "probe_radii")
+    read = {node.attr for node in ast.walk(probe) if isinstance(node, ast.Attribute)}
+    assert read & {"segment_index", "knots"} == set()
+
+
 def test_identity_sides_read_their_ingredients_from_the_record():
     # eval_aux evaluates f, f', F and r**(n-1) once per record, and the
     # amplitudes are taken once per field, so no side in the registry, nor a
