@@ -32,6 +32,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .field import (
@@ -342,9 +343,12 @@ def identity_residuals(
 
     Each probe reads two records: the real one at r, for the right sides,
     the guards and the connection, and one at r + iη, whose left side's
-    imaginary part over η is the left side's derivative at r.  Residuals are
-    reported relative to the largest magnitude (of either side) the identity
-    attains over the probe set.  An identity whose two sides stay below
+    imaginary part over η is the left side's derivative at r.  Each distinct
+    guard set is tested once per probe and keeps the records it admits; each
+    identity is then one column of derivatives and one of right sides over
+    its guard set's records, reduced by ``max``.  Residuals are reported
+    relative to the largest magnitude (of either side) the identity attains
+    over the probe set.  An identity whose two sides stay below
     abs_tol at every probe has nothing the march resolves to be read against
     and is reported undefined (no probes used).  On the constant shot
     alpha = 1, where u = 1 and u' = 0 exactly, that holds for the identities
@@ -358,47 +362,42 @@ def identity_residuals(
         if name not in _IDENTITIES:
             raise KeyError(f"unknown identity: {name}")
 
-    accs = {name: [0, 0.0, 0.0] for name in names}  # probes used, max residual, max scale
-    checks = [(*_IDENTITIES[name], accs[name]) for name in names]
     # each distinct guard is tested once per probe; the connection reads ("u", "up")
-    guard_sets = {guards for _, _, guards, _ in checks} | {("u", "up")}
-    conn_worst = 0.0
+    guard_sets = [*(_IDENTITIES[name][2] for name in names), ("u", "up")]
+    admitted = {guards: ([], []) for guards in guard_sets}  # its real and complex records
     for r in probes:
         if not traj.r_start < r < traj.r_end:
             raise ProbeUndefined(f"probe {r} outside trajectory range")
         x = eval_aux(traj.eval_dense(r), field)
         z = eval_aux(traj.eval_dense(complex(r, _ETA)), field)
-        admitted = {guards: _admits(x, field, guards) for guards in guard_sets}
-        for lhs, rhs, guards, acc in checks:
-            if not admitted[guards]:
-                continue
-            d = lhs(z, field, a).imag / _ETA
-            want = rhs(x, field, a)
-            res, scale = abs(d - want), abs(d)
-            if abs(want) > scale:  # max(abs(d), abs(want)), NaN included
-                scale = abs(want)
-            acc[0] += 1
-            if acc[0] == 1 or res > acc[1]:  # as max() over the probes: the first, then larger
-                acc[1] = res
-            if acc[0] == 1 or scale > acc[2]:
-                acc[2] = scale
-
-        # Pointwise connection between the u-frame and v-frame functionals:
-        # Q - P v/u = omega (M - varpi), checked without differentiation.
-        if not admitted["u", "up"]:
-            continue
-        pv_u = x.P * x.v / x.u
-        rel = abs(x.Q - pv_u - x.omega * (x.M - x.varpi))
-        rel /= abs(x.Q) + abs(pv_u) + 1e-30
-        conn_worst = max(conn_worst, rel)
+        for guards, (xs, zs) in admitted.items():
+            if _admits(x, field, guards):
+                xs.append(x)
+                zs.append(z)
 
     resolution = traj.params.controls.abs_tol
     recs = []
     for name in names:
-        used, res, scale = accs[name]
+        lhs, rhs, guards = _IDENTITIES[name]
+        xs, zs = admitted[guards]
+        ds = [lhs(z, field, a).imag / _ETA for z in zs]
+        wants = [rhs(x, field, a) for x in xs]
+        # max keeps its first item and takes a later one only if larger, NaN included
+        res = max(map(abs, map(sub, ds, wants)), default=0.0)
+        scale = max(map(max, map(abs, ds), map(abs, wants)), default=0.0)
         if scale < resolution:  # no probes at all, or nothing to resolve
-            used, res, scale = 0, 0.0, 0.0
-        recs.append(IdentityResidual(name, used, res, scale))
+            recs.append(IdentityResidual(name, 0, 0.0, 0.0))
+        else:
+            recs.append(IdentityResidual(name, len(ds), res, scale))
+
+    # Pointwise connection between the u-frame and v-frame functionals:
+    # Q - P v/u = omega (M - varpi), checked without differentiation.
+    conn_worst = 0.0
+    for x in admitted["u", "up"][0]:
+        pv_u = x.P * x.v / x.u
+        rel = abs(x.Q - pv_u - x.omega * (x.M - x.varpi))
+        rel /= abs(x.Q) + abs(pv_u) + 1e-30
+        conn_worst = max(conn_worst, rel)
     return IdentityReport(tuple(recs), conn_worst)
 
 

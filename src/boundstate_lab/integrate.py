@@ -364,6 +364,12 @@ class Trajectory:
         rs.append(knots[-1])
         return rs
 
+    @cached_property
+    def roots(self) -> dict[int, list[float]]:
+        """Sign-change radii on the ``grid`` of each component scanned so far, by
+        component index; ``portrait.find_zeros`` fills it and hands out copies."""
+        return {}
+
     def grid_values(self, c: int) -> list[float]:
         """State component c on the ``grid`` radii: the stored state at each
         knot and the dense value at each segment midpoint."""
@@ -392,11 +398,14 @@ class Trajectory:
         r_lo = self.knots[i]
         theta = (r - r_lo) / (self.knots[i + 1] - r_lo)
         j = 7 * i
-        u, up, v, vp = (_interpolate(y, q, j, theta) for y, q in zip(self.states[i], self.coeffs))
+        y, q = self.states[i], self.coeffs
         # filled through __dict__, as eval_aux fills AuxSample: the frozen
         # __init__'s object.__setattr__ per field cost half of the read
         state = object.__new__(State)
-        state.__dict__.update(r=r, u=u, up=up, v=v, vp=vp)
+        state.__dict__.update(r=r, u=_interpolate(y[0], q[0], j, theta),
+                              up=_interpolate(y[1], q[1], j, theta),
+                              v=_interpolate(y[2], q[2], j, theta),
+                              vp=_interpolate(y[3], q[3], j, theta))
         return state
 
     def value(self, c: int, r: float) -> float:

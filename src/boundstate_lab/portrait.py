@@ -16,11 +16,13 @@ A trajectory's qualitative shape is summarized by its ordered events:
 Events are bracketed on ``Trajectory.grid`` (the knots plus each segment's
 midpoint, owned by ``integrate``; u'' comes from ``integrate._u_second``) and
 located by the Illinois method on ``Trajectory.value``, to an absolute radius
-tolerance of 1e-12 * max(1, r).  A crossing that brushes a
-level closer than 1e-8 is flagged rather than trusted; overlapping event
-brackets raise ``AmbiguousEvent``; a walk that cannot reconcile the zeros
-with the criticals raises ``InterlacingViolation`` (usually a sign the
-integration tolerance is too loose for the requested structure).
+tolerance of 1e-12 * max(1, r); the zeros of u, u' and v come from
+``find_zeros``, which scans each component of a trajectory once.  A
+crossing that brushes a level closer than 1e-8 is flagged rather than
+trusted; overlapping event brackets raise ``AmbiguousEvent``; a walk that
+cannot reconcile the zeros with the criticals raises
+``InterlacingViolation`` (usually a sign the integration tolerance is too
+loose for the requested structure).
 """
 
 from __future__ import annotations
@@ -190,18 +192,15 @@ def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePort
     fld = traj.params.field
     alpha_star = amplitudes.alpha_star
     rs = traj.grid
-    us, ups, vs = (traj.grid_values(c) for c in range(3))
+    us, ups = traj.grid_values(0), traj.grid_values(1)
     upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]
 
     read = traj.value
-    du = lambda r: read(0, r)
-    dup = lambda r: read(1, r)
-    dv = lambda r: read(2, r)
     dupp = lambda r: _u_second(fld, r, read(0, r), read(1, r))
 
-    zero_rs = _sign_change_roots(rs, us, du)
-    crit_rs = _sign_change_roots(rs, ups, dup)
-    zv_rs = _sign_change_roots(rs, vs, dv)
+    zero_rs = find_zeros(traj, "u")
+    crit_rs = find_zeros(traj, "up")
+    zv_rs = find_zeros(traj, "v")
     infl_rs = _sign_change_roots(rs, upps, dupp)
 
     zeros_u = [LabeledPoint(r=r, value=read(1, r)) for r in zero_rs]
@@ -366,10 +365,16 @@ _COMPONENTS = ("u", "up", "v", "vp")
 def find_zeros(traj: Trajectory, component: str = "u") -> list[float]:
     """Zero radii of one state component (cheap path: no phase structure).
 
-    The scan reads ``Trajectory.grid_values``, the grid ``detect_events`` also
-    scans, and refines each sign change through ``Trajectory.value``.
+    The scan reads ``Trajectory.grid_values`` and refines each sign change
+    through ``Trajectory.value``.  Each component of a trajectory is scanned
+    once: its roots are kept in ``Trajectory.roots``, which ``detect_events``
+    reads through here too, and every call returns a fresh list.
     """
     if component not in _COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     c = _COMPONENTS.index(component)
-    return _sign_change_roots(traj.grid, traj.grid_values(c), lambda r: traj.value(c, r))
+    roots = traj.roots.get(c)
+    if roots is None:
+        roots = traj.roots[c] = _sign_change_roots(traj.grid, traj.grid_values(c),
+                                                   lambda r: traj.value(c, r))
+    return list(roots)

@@ -311,6 +311,113 @@ def test_the_core_identity_ledger_matches_the_recorded_digest(tmp_path, monkeypa
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
 
+def _reference_identity_residuals(traj, probes):
+    """The per-probe loop identity_residuals replaced: for every probe, each
+    identity updates its probe count, running residual and running scale."""
+    field, a = traj.params.field, functionals._FAMILY_A
+    names = list(functionals._IDENTITIES)
+    accs = {name: [0, 0.0, 0.0] for name in names}
+    checks = [(*functionals._IDENTITIES[name], accs[name]) for name in names]
+    guard_sets = {guards for _, _, guards, _ in checks} | {("u", "up")}
+    conn_worst = 0.0
+    for r in probes:
+        if not traj.r_start < r < traj.r_end:
+            raise ProbeUndefined(f"probe {r} outside trajectory range")
+        x = eval_aux(traj.eval_dense(r), field)
+        z = eval_aux(traj.eval_dense(complex(r, functionals._ETA)), field)
+        admitted = {guards: functionals._admits(x, field, guards) for guards in guard_sets}
+        for lhs, rhs, guards, acc in checks:
+            if not admitted[guards]:
+                continue
+            d = lhs(z, field, a).imag / functionals._ETA
+            want = rhs(x, field, a)
+            res, scale = abs(d - want), abs(d)
+            if abs(want) > scale:
+                scale = abs(want)
+            acc[0] += 1
+            if acc[0] == 1 or res > acc[1]:
+                acc[1] = res
+            if acc[0] == 1 or scale > acc[2]:
+                acc[2] = scale
+        if not admitted["u", "up"]:
+            continue
+        pv_u = x.P * x.v / x.u
+        rel = abs(x.Q - pv_u - x.omega * (x.M - x.varpi))
+        rel /= abs(x.Q) + abs(pv_u) + 1e-30
+        conn_worst = max(conn_worst, rel)
+    resolution = traj.params.controls.abs_tol
+    recs = []
+    for name in names:
+        used, res, scale = accs[name]
+        if scale < resolution:
+            used, res, scale = 0, 0.0, 0.0
+        recs.append(functionals.IdentityResidual(name, used, res, scale))
+    return functionals.IdentityReport(tuple(recs), conn_worst)
+
+
+@pytest.fixture(scope="module")
+def core_ledger_calls():
+    """(trajectory, probes) of every ledger check of `verify --preset core`
+    at (3, 3) and (3, 1.25)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "identity_residuals",
+                   lambda traj, probes: calls.append((traj, probes)) or identity_residuals(
+                       traj, probes))
+        for fl in (FieldParams(3, 3.0), FieldParams(3, 1.25)):
+            verify.run_checks(verify.VerificationPlan(
+                cases=verify.default_cases(fl, "core"), checks=("identity_residuals",)))
+    assert len(calls) == 12
+    return calls
+
+
+def test_the_ledger_reads_as_the_per_probe_loop_on_every_core_case(core_ledger_calls):
+    # repr: the same bits in every field of every record
+    for traj, probes in core_ledger_calls:
+        got = identity_residuals(traj, probes)
+        assert repr(got) == repr(_reference_identity_residuals(traj, probes))
+
+
+@pytest.mark.parametrize("side", [0, 1])  # left, right
+@pytest.mark.parametrize("at", [0, 7])  # the probe that reads NaN
+def test_a_nan_side_reads_as_the_per_probe_loop(monkeypatch, core_ledger_calls, side, at):
+    # max, like the loop, keeps a NaN met first and never takes one met later
+    traj, probes = core_ledger_calls[2]  # (3, 3) alpha = 5
+    nan = complex(math.nan, math.nan) if side == 0 else math.nan  # the left side's .imag
+    for name in ("energy", "corrected_t1"):  # unguarded and guarded by u
+        sides = list(functionals._IDENTITIES[name])
+        fn = sides[side]
+        sides[side] = lambda x, fl, a, fn=fn: nan if x.r.real == probes[at] else fn(x, fl, a)
+        monkeypatch.setitem(functionals._IDENTITIES, name, tuple(sides))
+    got = identity_residuals(traj, probes)
+    assert repr(got) == repr(_reference_identity_residuals(traj, probes))
+    assert ("nan" in repr(got)) == (at == 0)
+
+
+def test_a_side_that_raises_reaches_run_checks_as_from_the_per_probe_loop(monkeypatch):
+    lhs, rhs, guards = functionals._IDENTITIES["pairing_q"]
+    seen = []
+
+    def failing(x, fl, a):
+        seen.append(x.r)
+        if len(seen) == 5:
+            raise ZeroDivisionError(f"side fails at r={x.r!r}")
+        return rhs(x, fl, a)
+
+    monkeypatch.setitem(functionals._IDENTITIES, "pairing_q", (lhs, failing, guards))
+    plan = verify.VerificationPlan(cases=(verify.CaseSpec(FL, verify.OSCILLATORY_CASE,
+                                                          alpha=5.0),),
+                                   checks=("identity_residuals",))
+    got = verify.run_checks(plan)
+    at = seen[4]
+    seen.clear()
+    monkeypatch.setattr(verify, "identity_residuals", _reference_identity_residuals)
+    want = verify.run_checks(plan)
+    assert seen[4] == at
+    assert got == want
+    assert got.records[0].notes == f"check raised: side fails at r={at!r}"
+
+
 def test_bridge_integral_empty_range_is_flagged():
     traj = _full_run(3.0, rmax=10.0)
     out = bridge_integral(traj, 2.0, 1.5, 1.0)

@@ -75,6 +75,26 @@ def test_the_identity_ledger_has_no_difference_step_and_probes_read_no_segments(
     assert read & {"segment_index", "knots"} == set()
 
 
+def test_detect_events_reads_the_zeros_of_u_up_and_v_through_find_zeros():
+    # find_zeros keeps each component's roots on the trajectory, so the cross-
+    # oracle gate and the ledger reuse what detect_events found; detect_events
+    # hands _sign_change_roots no grid_values column (it scans u'' itself)
+    path = Path(boundstate_lab.__file__).resolve().parent / "portrait.py"
+    detect = next(node for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "detect_events")
+    columns = {target.id for node in ast.walk(detect) if isinstance(node, ast.Assign)
+               and "grid_values" in ast.unparse(node.value)
+               for target in ast.walk(node.targets[0]) if isinstance(target, ast.Name)}
+    calls = [node for node in ast.walk(detect) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)]
+    scanned = [ast.unparse(arg) for call in calls if call.func.id == "_sign_change_roots"
+               for arg in call.args]
+    assert {"us", "ups"} <= columns
+    assert [arg for arg in scanned if arg in columns or "grid_values" in arg] == []
+    assert sorted(call.args[1].value for call in calls if call.func.id == "find_zeros") == [
+        "u", "up", "v"]
+
+
 def test_identity_sides_read_their_ingredients_from_the_record():
     # eval_aux evaluates f, f', F and r**(n-1) once per record, and the
     # amplitudes are taken once per field, so no side in the registry, nor a

@@ -1,5 +1,6 @@
 """Event-detection tests: zeros, criticals, labels, node counts, inflections."""
 
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -7,15 +8,20 @@ import pytest
 from boundstate_lab import (
     CLASSIFY_POLICY,
     FULL_RANGE_POLICY,
+    PRESETS,
+    CaseSpec,
     FieldParams,
     IntegratorControls,
     ProblemParams,
+    VerificationPlan,
     count_nodes,
     critical_amplitudes,
     detect_events,
     find_zeros,
     integrate,
+    run_checks,
 )
+from boundstate_lab import portrait
 from boundstate_lab.field import CriticalAmplitudes, abs_pow
 from boundstate_lab.integrate import ENERGY_NONPOSITIVE, State, Trajectory
 from boundstate_lab.portrait import (
@@ -31,6 +37,7 @@ from boundstate_lab.portrait import (
     _refine_root,
     _sign_change_roots,
 )
+from boundstate_lab.verify import BOUND_BRACKET
 
 FL = FieldParams(3, 3.0)
 
@@ -437,3 +444,43 @@ def test_counted_and_swept_classify_shots_read_the_columns_as_built(alpha):
         assert [list(col) for col in columns] == before
         n_seg = len(traj.knots) - 1
         assert [len(col) for col in columns] == [7 * n_seg] * 4 + [n_seg] * 4
+
+
+def test_a_verify_case_scans_each_component_of_each_trajectory_once(monkeypatch):
+    # detect_events, the cross-oracle gate, the ledger's exclusion radii and
+    # the structural cut read u, u' and v through find_zeros, which keeps each
+    # trajectory's roots, so no component of a trajectory is scanned twice
+    columns = []  # (trajectory, component, values) of each grid_values call
+    grid_values = Trajectory.grid_values
+
+    def recorded(self, c):
+        columns.append((self, c, grid_values(self, c)))
+        return columns[-1][2]
+
+    scanned = []  # (trajectory, component) of each scan of a grid_values column
+    scan = portrait._sign_change_roots
+
+    def counted(rs, vals, g):
+        scanned.extend((id(traj), c) for traj, c, col in columns if col is vals)
+        return scan(rs, vals, g)
+
+    monkeypatch.setattr(Trajectory, "grid_values", recorded)
+    monkeypatch.setattr(portrait, "_sign_change_roots", counted)
+    case = CaseSpec(FL, BOUND_BRACKET, k=1)
+    report = run_checks(VerificationPlan(cases=(case,), checks=PRESETS["core"]))
+    assert len(report.records) == len(PRESETS["core"])
+    assert {c for _, c in scanned} == {0, 1, 2, 3}
+    assert max(Counter(scanned).values()) == 1
+
+
+def test_find_zeros_hands_out_copies_and_a_truncated_copy_scans_afresh():
+    traj = _run(20.0)
+    zeros = find_zeros(traj, "u")
+    want = list(zeros)
+    assert len(want) >= 2 and set(traj.roots) == {0}
+    zeros[0] = -1.0
+    zeros.append(0.0)
+    assert find_zeros(traj, "u") == want
+    cut = traj.truncated_at(0.5 * (want[0] + want[1]))
+    assert cut.roots == {}
+    assert find_zeros(cut, "u") == want[:1]
