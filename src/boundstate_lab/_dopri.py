@@ -4,7 +4,8 @@
 each sum in the order in which ``_march`` takes it, so every knot, state,
 dense coefficient, midpoint, node count and termination matches the Python run
 bit for bit.  A kept shot (``kept_run``) hands it columns and gets back the
-trajectory ``integrate`` returns, its dense coefficients and midpoints built
+trajectory ``integrate`` returns in the kernel's own layout, a column per
+component of its knot values, dense coefficients and midpoints, all built
 in C; a counted shot (``counted_run``) hands it none and keeps only what a
 bracket search reads: the node count and the pair of rows its estimates of
 alpha_(count-1) and alpha_count read, however many sign changes the shot has.
@@ -182,7 +183,7 @@ def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
         values.frombytes(view[8 * start:8 * (start + length)])
         return values
 
-    knots, u, up, v, vp = (column(k * room, n_seg + 1).tolist() for k in range(5))
-    return Trajectory(params, knots, list(zip(u, up, v, vp)),
+    knots, *values = (column(k * room, n_seg + 1).tolist() for k in range(5))
+    return Trajectory(params, knots, values,
                       [column((5 + 7 * c) * room, 7 * n_seg) for c in range(4)],
                       [column((_COLUMNS - 4 + c) * room, n_seg) for c in range(4)], end)

@@ -194,13 +194,12 @@ def _estimate_rows(traj: Trajectory, count: int) -> tuple:
     knot since the last two such sign changes and since the last.  The knot
     where the energy trap fired is not read: the shot has left the separatrix
     there, and with DOP853's long steps it may lie well inside the well."""
-    knots, states = traj.knots, traj.states
-    if traj.termination.tag == ENERGY_NONPOSITIVE and len(states) > 1:
-        states = states[:-1]
-    keys = [abs(u) + abs(up) for u, up, _, _ in states]
+    knots, y = traj.knots, traj.knot_values
+    us = y[0][:-1] if traj.termination.tag == ENERGY_NONPOSITIVE and len(knots) > 1 else y[0]
+    keys = [abs(u) + abs(up) for u, up in zip(us, y[1])]
     two = last = 0
-    blocks, prev = 1, states[0][0]
-    for i, (u, _, _, _) in enumerate(states):
+    blocks, prev = 1, us[0]
+    for i, u in enumerate(us):
         if u != 0.0:
             if prev != 0.0 and (prev < 0.0) != (u < 0.0):
                 two, last, blocks = last, i, blocks + 1
@@ -209,8 +208,8 @@ def _estimate_rows(traj: Trajectory, count: int) -> tuple:
             two = i
         if keys[i] < keys[last]:
             last = i
-    return _dopri._estimate_pair(count, blocks, (knots[two], *states[two]),
-                                 (knots[last], *states[last]))
+    return _dopri._estimate_pair(count, blocks, (knots[two], *(col[two] for col in y)),
+                                 (knots[last], *(col[last] for col in y)))
 
 
 def _alpha_k_estimates(field: FieldParams, alpha: float, rows: tuple) -> tuple[float, float]:

@@ -13,9 +13,9 @@ The origin is a regular singular point, so integration starts at a small
 outward only.  The stepper is DOP853, the 8th-order Dormand-Prince pair with
 5th- and 3rd-order error estimators, its step-size control and its 7th-order
 dense output (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5, II.6 and
-II.10).  A trajectory holds each component's seven dense-output coefficients
-and its value at each segment midpoint as flat columns, built with the
-march, for event location and probing without re-integrating.
+II.10).  A trajectory holds each component's value at each knot, its seven
+dense-output coefficients per segment and its value at each segment midpoint
+as flat columns, built with the march, for event location and probing.
 
 Only this module stores and evaluates segments.  Every zero, node count and
 level crossing downstream is read off ``Trajectory.grid``, the knots plus
@@ -318,11 +318,11 @@ class Trajectory:
     """Dense solution of one shooting run.
 
     ``knots`` are the accepted step endpoints (strictly increasing, first
-    one is the series start).  ``states`` are the states at the knots.
-    Segment ``i`` covers [knots[i], knots[i+1]].  Both columns below are
-    flat and filled when the trajectory is built: ``coeffs[c]`` holds
-    component c's seven dense-output coefficients, those of segment i at
-    7*i..7*i+6, and ``midpoints[c]`` component c at each segment midpoint, bit
+    one is the series start).  Segment ``i`` covers [knots[i], knots[i+1]].
+    Each component c of (u, u', v, v') has three flat columns, filled when
+    the trajectory is built: ``knot_values[c]`` holds it at each knot,
+    ``coeffs[c]`` its seven dense-output coefficients, those of segment i at
+    7*i..7*i+6, and ``midpoints[c]`` its value at each segment midpoint, bit
     for bit as ``value`` reads it there.  The stepper's minimum step keeps
     each midpoint strictly inside its segment; only a final step clipped to
     r_max can be shorter, and ``value`` reads it too.
@@ -330,7 +330,7 @@ class Trajectory:
 
     params: ProblemParams
     knots: list[float]
-    states: list[tuple[float, float, float, float]]
+    knot_values: list[list[float]]
     coeffs: list[Sequence[float]]
     midpoints: list[Sequence[float]]
     termination: TerminationCause
@@ -344,9 +344,9 @@ class Trajectory:
         return self.knots[-1]
 
     def state_at_knot(self, i: int) -> State:
-        u, up, v, vp = self.states[i]
+        u, up, v, vp = self.knot_values
         state = object.__new__(State)  # filled through __dict__, as eval_dense fills it
-        state.__dict__.update(r=self.knots[i], u=u, up=up, v=v, vp=vp)
+        state.__dict__.update(r=self.knots[i], u=u[i], up=up[i], v=v[i], vp=vp[i])
         return state
 
     def samples(self) -> Iterator[State]:
@@ -371,14 +371,11 @@ class Trajectory:
         return {}
 
     def grid_values(self, c: int) -> list[float]:
-        """State component c on the ``grid`` radii: the stored state at each
-        knot and the dense value at each segment midpoint."""
-        states = self.states
-        vals: list[float] = []
-        for state, mid in zip(states, self.midpoints[c]):
-            vals.append(state[c])
-            vals.append(mid)
-        vals.append(states[-1][c])
+        """State component c on the ``grid`` radii: its value at each knot and
+        the dense value at each segment midpoint."""
+        vals = [0.0] * (2 * len(self.knots) - 1)
+        vals[::2] = self.knot_values[c]
+        vals[1::2] = self.midpoints[c]
         return vals
 
     def segment_index(self, r: float | complex) -> int:
@@ -388,8 +385,10 @@ class Trajectory:
             raise DenseRangeError(
                 f"r={r} outside integrated range [{self.knots[0]}, {self.knots[-1]}]"
             )
-        i = bisect_right(self.knots, x) - 1
-        return min(i, len(self.knots) - 2)
+        i = min(bisect_right(self.knots, x) - 1, len(self.knots) - 2)
+        if i < 0:  # one knot: the run ended at its series start
+            raise DenseRangeError(f"r={r}: the run has no segment past its series start")
+        return i
 
     def eval_dense(self, r: float | complex) -> State:
         """Interpolated state at any radius in [r_start, r_end]; at a complex r,
@@ -398,21 +397,21 @@ class Trajectory:
         r_lo = self.knots[i]
         theta = (r - r_lo) / (self.knots[i + 1] - r_lo)
         j = 7 * i
-        y, q = self.states[i], self.coeffs
+        (u, up, v, vp), q = self.knot_values, self.coeffs
         # filled through __dict__, as eval_aux fills AuxSample: the frozen
         # __init__'s object.__setattr__ per field cost half of the read
         state = object.__new__(State)
-        state.__dict__.update(r=r, u=_interpolate(y[0], q[0], j, theta),
-                              up=_interpolate(y[1], q[1], j, theta),
-                              v=_interpolate(y[2], q[2], j, theta),
-                              vp=_interpolate(y[3], q[3], j, theta))
+        state.__dict__.update(r=r, u=_interpolate(u[i], q[0], j, theta),
+                              up=_interpolate(up[i], q[1], j, theta),
+                              v=_interpolate(v[i], q[2], j, theta),
+                              vp=_interpolate(vp[i], q[3], j, theta))
         return state
 
     def value(self, c: int, r: float) -> float:
         """Component c of ``eval_dense(r)``, bit for bit, without a State."""
         i = self.segment_index(r)
         r_lo = self.knots[i]
-        return _interpolate(self.states[i][c], self.coeffs[c], 7 * i,
+        return _interpolate(self.knot_values[c][i], self.coeffs[c], 7 * i,
                             (r - r_lo) / (self.knots[i + 1] - r_lo))
 
     def truncated_at(self, r_cut: float) -> "Trajectory":
@@ -422,14 +421,15 @@ class Trajectory:
         near-bound-state shot departs from the profile it shadows.  The
         copy ends at a knot, so no partial segment is ever exposed.
         """
-        if r_cut <= self.knots[0]:
-            raise DenseRangeError(f"truncation radius {r_cut} at or before the start")
+        if r_cut <= self.knots[0] or len(self.knots) < 2:
+            raise DenseRangeError(f"truncation radius {r_cut} keeps no segment past the "
+                                  f"series start r={self.knots[0]}")
         n_keep = bisect_right(self.knots, r_cut) - 1
         n_keep = max(1, min(n_keep, len(self.knots) - 1))
         return Trajectory(
             params=self.params,
             knots=self.knots[: n_keep + 1],
-            states=self.states[: n_keep + 1],
+            knot_values=[y[: n_keep + 1] for y in self.knot_values],
             coeffs=[q[: 7 * n_keep] for q in self.coeffs],
             midpoints=[mids[:n_keep] for mids in self.midpoints],
             termination=TerminationCause(
@@ -467,11 +467,11 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
 
     Every accepted step keeps its local error below abs_tol + rel_tol*|y|
     componentwise (DOP853's RMS norm of its 5th-order estimate, damped where
-    the 3rd-order one is small).  The returned trajectory always carries
-    at least one dense segment unless the very first state already trips a
-    stop, and its termination tag says exactly why the march ended.  The
-    march runs in the compiled kernel of ``_dopri`` when that loads, and
-    otherwise in ``_march``, bit for bit alike.
+    the 3rd-order one is small).  The returned trajectory carries at least
+    one dense segment unless the very first state already trips a stop (a
+    dense read of that one-knot run raises DenseRangeError), and its
+    termination tag says exactly why the march ended.  The march runs in the
+    compiled kernel of ``_dopri`` when that loads, else in ``_march``, bit for bit alike.
     """
     from ._dopri import kept_run  # imported here: _dopri imports this module
 
@@ -528,11 +528,11 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
 
     r = start.r
     y = (start.u, start.up, start.v, start.vp)
-    knots, states = [r], [y]
+    knots, values = [r], [[yc] for yc in y]
     coeffs, mids = [[], [], [], []], [[], [], [], []]
 
     def finish(end: int, h: float = 0.0) -> Trajectory:
-        return Trajectory(params, knots, states, coeffs, mids, _termination(end, knots[-1], h))
+        return Trajectory(params, knots, values, coeffs, mids, _termination(end, knots[-1], h))
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.
@@ -588,8 +588,8 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
                  *(h * row[c] for row in rows))
             coeffs[c] += q
             mids[c].append(_interpolate(y_c, q, 0, theta))
+            values[c].append(y_new[c])
         knots.append(r_new)
-        states.append(y_new)
         r, y, k1 = r_new, y_new, k[12]
 
         if policy.stop_on_energy and energy(y) <= 0.0:

@@ -124,7 +124,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float, float]]:
-    return [(r, *state) for r, state in zip(traj.knots, traj.states)]
+    return list(zip(traj.knots, *traj.knot_values))
 
 
 def plain(obj: Any) -> Any:

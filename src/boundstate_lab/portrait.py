@@ -340,14 +340,12 @@ def count_nodes(traj: Trajectory) -> NodeCount:
     Raises IndeterminateCount if the stepper gave up (step limit or
     underflow): such a run says nothing trustworthy about the count.
     """
-    count = 0
-    prev = traj.states[0][0]
-    for mid, (u_hi, _, _, _) in zip(traj.midpoints[0], traj.states[1:]):
-        for val in (mid, u_hi):
-            if val != 0.0:
-                if prev != 0.0 and (prev < 0.0) != (val < 0.0):
-                    count += 1
-                prev = val
+    count, prev = 0, 0.0
+    for val in traj.grid_values(0):
+        if val != 0.0:
+            if prev != 0.0 and (prev < 0.0) != (val < 0.0):
+                count += 1
+            prev = val
     return _node_count(traj.termination, count)
 
 

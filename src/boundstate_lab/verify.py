@@ -175,10 +175,10 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
     floor = 10.0 * _DECAY_EPS
     best_r = None
     best_u = math.inf
-    for i, r in enumerate(traj.knots):
+    for r, u in zip(traj.knots, traj.knot_values[0]):
         if r <= anchor:
             continue
-        au = abs(traj.states[i][0])
+        au = abs(u)
         if au <= floor:
             return traj.truncated_at(r)
         if au < best_u:
@@ -229,13 +229,13 @@ def _prepare(case: CaseSpec, plan: VerificationPlan,
     tight = integrate(ProblemParams(field, alpha, ctrl.tightened(10.0)),
                       FULL_RANGE_POLICY)
     gate_note = ""
-    u_scale = max(abs(st[0]) for st in struct.states)
-    up_scale = max(abs(st[1]) for st in struct.states)
+    u_scale = max(map(abs, struct.knot_values[0]))
+    up_scale = max(map(abs, struct.knot_values[1]))
     r_cap = min(struct.r_end, tight.r_end)
     if entry is not None:
         last_loud = struct.r_start
-        for i, r in enumerate(struct.knots):
-            if abs(struct.states[i][0]) >= 1e-3 * u_scale:
+        for r, u in zip(struct.knots, struct.knot_values[0]):
+            if abs(u) >= 1e-3 * u_scale:
                 last_loud = r
         r_cap = min(r_cap, last_loud)
     span = r_cap - struct.r_start
@@ -289,7 +289,7 @@ def _check_energy_monotone(prep: _Prepared) -> _Outcome:
     ctrl = traj.params.controls
     worst = math.inf
     prev = None
-    for u, up, _, _ in traj.states:
+    for u, up in zip(*traj.knot_values[:2]):
         e = _energy(up, big_F(u, prep.case.field))
         if prev is not None:
             slack = 10.0 * (ctrl.abs_tol + ctrl.rel_tol * abs(prev)) + 1e-15
@@ -304,10 +304,10 @@ def _check_velocity_bound(prep: _Prepared) -> _Outcome:
         return _skip("stationary shot, bound degenerate")
     fl = prep.case.field
     cap = math.sqrt(2.0 * (big_F(prep.alpha, fl) - big_F(1.0, fl)))
-    peak = max(abs(st[1]) for st in prep.full.states)
+    peak = max(map(abs, prep.full.knot_values[1]))
     margin = (cap - peak) / cap
     status = PASS if margin > 0.0 else FAIL
-    return status, margin, len(prep.full.states), f"cap={cap:.6g} peak={peak:.6g}"
+    return status, margin, len(prep.full.knots), f"cap={cap:.6g} peak={peak:.6g}"
 
 
 def _positivity_scan(
@@ -357,7 +357,7 @@ def _check_omega_monotone(prep: _Prepared) -> _Outcome:
         return _skip("no zeros: nodal intervals undefined")
     worst = math.inf
     count = 0
-    u_scale = max(abs(st[0]) for st in traj.states)
+    u_scale = max(map(abs, traj.knot_values[0]))
     for lo, hi in zip(edges, edges[1:]):
         pad = 1e-4 * (hi - lo)
         prev = None
@@ -567,7 +567,7 @@ def _check_tango(prep: _Prepared) -> _Outcome:
     elif extra[0] <= c_k:
         problems.append(f"tau_{k+1}={extra[0]:.4g} not past c_k={c_k:.4g}")
     margin = math.inf
-    v_scale = max(abs(st[2]) for st in traj.states)
+    v_scale = max(map(abs, traj.knot_values[2]))
     for t in inner:
         st = traj.eval_dense(t)
         if st.up * st.vp <= 0.0:
@@ -687,8 +687,8 @@ def _check_tail_asymptotics(prep: _Prepared) -> _Outcome:
     traj = prep.struct
     band_lo, band_hi = 1e-5, 1e-3
     last_r = None
-    for i, r in enumerate(traj.knots):
-        if band_lo < abs(traj.states[i][0]) < band_hi:
+    for r, u in zip(traj.knots, traj.knot_values[0]):
+        if band_lo < abs(u) < band_hi:
             last_r = r
     if last_r is None:
         return _skip("no samples with |u| in (1e-5, 1e-3)")
@@ -721,7 +721,7 @@ def _check_v_divergence(prep: _Prepared) -> _Outcome:
     if ref_r >= traj.r_end:
         return _skip("no room past tau_{k+1}")
     ref = abs(traj.value(2, ref_r))
-    end = abs(traj.states[-1][2])
+    end = abs(traj.knot_values[2][-1])
     margin = end / (1e3 * ref) - 1.0
     status = PASS if margin > 0.0 else FAIL
     return status, margin, 2, f"|v(r_stop)|={end:.3g} vs 1e3*|v(tau+1)|={1e3 * ref:.3g}"

@@ -278,7 +278,8 @@ def test_estimate_rows_are_the_rows_one_scan_per_row_picks(data, size, extra, tr
     count = len(starts) - 1 + extra  # midpoints may show more sign changes than knots
     end = TerminationCause(ENERGY_NONPOSITIVE if trapped else REACHED_RMAX, knots[-1])
     rows = classify_module._estimate_rows(
-        SimpleNamespace(knots=knots, states=states, termination=end), count)
+        SimpleNamespace(knots=knots, knot_values=[list(col) for col in zip(*states)],
+                        termination=end), count)
     assert len(rows) == 2
     for j, row in zip((count - 1, count), rows):  # the rows for alpha_(count-1), alpha_count
         if j < 0 or j >= len(starts):

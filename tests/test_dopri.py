@@ -243,14 +243,14 @@ def _pack(values):
 
 
 def _assert_same_trajectory(got, want):
-    """Knots, states, termination and all four components' coefficient and
+    """Knots, termination and all four components' knot-value, coefficient and
     midpoint columns, in bytes."""
     assert _pack(got.knots) == _pack(want.knots)
-    assert _pack(x for st in got.states for x in st) == _pack(x for st in want.states for x in st)
     assert (got.termination.tag, got.termination.detail) == (want.termination.tag,
                                                              want.termination.detail)
     assert _pack([got.termination.r_stop]) == _pack([want.termination.r_stop])
     for c in range(4):
+        assert _pack(got.knot_values[c]) == _pack(want.knot_values[c])
         assert _pack(got.coeffs[c]) == _pack(want.coeffs[c])
         assert _pack(got.midpoints[c]) == _pack(want.midpoints[c])
 

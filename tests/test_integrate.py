@@ -162,18 +162,19 @@ def test_knots_cover_and_terminate_cleanly():
                      FULL_RANGE_POLICY)
     assert traj.r_start < 1e-5
     assert traj.r_end == pytest.approx(12.0, abs=1e-12)
-    assert len(traj.knots) == len(traj.states)
+    assert [len(y) for y in traj.knot_values] == [len(traj.knots)] * 4
     assert all(len(traj.coeffs[c]) == 7 * (len(traj.knots) - 1) for c in range(4))
     assert all(len(traj.midpoints[c]) == len(traj.knots) - 1 for c in range(4))
     assert math.isfinite(traj.termination.r_stop)
 
 
 def _bits_digest(traj):
-    """SHA-256 of the packed knots, states and dense coefficients (segment by
-    segment, u, u', v, v' in turn)."""
+    """SHA-256 of the packed knots, the states at the knots (knot by knot,
+    u, u', v, v' in turn) and dense coefficients (segment by segment, u, u',
+    v, v' in turn)."""
     flat = list(traj.knots)
-    for state in traj.states:
-        flat.extend(state)
+    for i in range(len(traj.knots)):
+        flat.extend(y[i] for y in traj.knot_values)
     for j in range(0, 7 * (len(traj.knots) - 1), 7):
         for q in traj.coeffs:
             flat.extend(q[j:j + 7])
@@ -258,6 +259,68 @@ def test_value_is_eval_dense_bit_for_bit(monkeypatch, name, field, alpha, contro
         got = [traj.value(c, r) for r in rs]
         want = [getattr(traj.eval_dense(r), comp) for r in rs]
         assert struct.pack(f"<{len(rs)}d", *got) == struct.pack(f"<{len(rs)}d", *want)
+
+
+def _reference_grid_values(traj, c):
+    """The grid values of component c as they were read off per-knot
+    (u, u', v, v') tuples: each knot's state, then its segment's midpoint."""
+    states = list(zip(*traj.knot_values))
+    vals = []
+    for state, mid in zip(states, traj.midpoints[c]):
+        vals.append(state[c])
+        vals.append(mid)
+    vals.append(states[-1][c])
+    return vals
+
+
+def _reference_count(traj):
+    """The sign changes of u as they were walked off per-knot tuples: each
+    segment's midpoint, then the knot that ends it."""
+    states = list(zip(*traj.knot_values))
+    count = 0
+    prev = states[0][0]
+    for mid, (u_hi, _, _, _) in zip(traj.midpoints[0], states[1:]):
+        for val in (mid, u_hi):
+            if val != 0.0:
+                if prev != 0.0 and (prev < 0.0) != (val < 0.0):
+                    count += 1
+                prev = val
+    return count
+
+
+@pytest.mark.parametrize("march", [integrate, integrate_module._march],
+                         ids=["integrate", "python_step"])
+@pytest.mark.parametrize(
+    "name, field, alpha, controls, policy",
+    [case[:5] for case in GOLDEN_BITS],
+    ids=[case[0] for case in GOLDEN_BITS],
+)
+def test_the_knot_columns_read_as_the_per_knot_tuples_did(monkeypatch, march, name, field,
+                                                          alpha, controls, policy):
+    if name == "step_limit":
+        monkeypatch.setattr(integrate_module, "_MAX_STEPS", 40)
+    traj = march(ProblemParams(field, alpha, controls), policy)
+    for c in range(4):
+        got, want = traj.grid_values(c), _reference_grid_values(traj, c)
+        assert len(got) == len(want) == len(traj.grid)
+        assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(want)}d", *want)
+    assert _grid_count(traj) == _reference_count(traj)
+
+
+@pytest.mark.parametrize("march", [integrate, integrate_module._march],
+                         ids=["integrate", "python_step"])
+def test_a_run_without_a_segment_raises_dense_range_error(march):
+    # the height 0.5 sits below the well zero: the classify policy stops the
+    # run at its series start, which is its one knot
+    traj = march(ProblemParams(FL, 0.5), CLASSIFY_POLICY)
+    assert traj.termination.tag == ENERGY_NONPOSITIVE
+    assert len(traj.knots) == 1
+    for read in (traj.eval_dense, lambda r: traj.value(0, r)):
+        with pytest.raises(DenseRangeError, match="series start"):
+            read(traj.r_start)
+    with pytest.raises(DenseRangeError, match="series start"):
+        traj.truncated_at(1.0)
+    assert traj.state_at_knot(0) == series_start(ProblemParams(FL, 0.5))
 
 
 @pytest.mark.parametrize("march", [integrate, integrate_module._march],
@@ -357,7 +420,7 @@ def _dense_scan_count(traj, points=16):
     knots = traj.knots
     values = [traj.value(0, a + (b - a) * j / points)
               for a, b in zip(knots, knots[1:]) for j in range(points)]
-    return _sign_changes(values + [traj.states[-1][0]])
+    return _sign_changes(values + [traj.knot_values[0][-1]])
 
 
 def _grid_count(traj):

@@ -161,7 +161,7 @@ def test_trajectory_csv_has_one_row_per_sample():
     assert len(rows) - 1 == len(traj.knots)
     first = rows[1].split(",")
     assert float(first[0]) == traj.r_start
-    assert float(first[1]) == traj.states[0][0]
+    assert float(first[1]) == traj.knot_values[0][0]
 
 
 def test_verification_table_lists_every_record():

@@ -1,6 +1,7 @@
 """The package as a whole: its namespace and the layout of its source."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import struct
@@ -61,6 +62,25 @@ def test_only_integrate_evaluates_segments_and_defines_u_second():
                 u_second_homes.append(path.name)
     assert coeff_readers == {"integrate.py"}
     assert u_second_homes == ["integrate.py"]
+
+
+def test_trajectories_keep_their_knot_states_as_columns():
+    # Trajectory holds knot_values[c], one column per component as the kernel
+    # writes them: no states field, no module reads one, and kept_run hands
+    # the kernel's columns over without zipping them into per-knot tuples
+    package = Path(boundstate_lab.__file__).resolve().parent
+    from boundstate_lab.integrate import Trajectory
+
+    names = {f.name for f in dataclasses.fields(Trajectory)}
+    assert "states" not in names and "knot_values" in names
+    readers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "states"})
+    assert readers == []
+    kept = next(node for node in ast.parse((package / "_dopri.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "kept_run")
+    assert [ast.unparse(node) for node in ast.walk(kept) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "zip"] == []
 
 
 def test_the_identity_ledger_has_no_difference_step_and_probes_read_no_segments():

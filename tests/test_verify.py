@@ -195,7 +195,7 @@ def test_level_locator_matches_the_bisection_reference(p):
 
 def test_level_locator_returns_none_without_a_sign_change(mid1_struct):
     traj = mid1_struct
-    top = max(abs(st[0]) for st in traj.states)
+    top = max(map(abs, traj.knot_values[0]))
     above = lambda r: abs(traj.eval_dense(r).u) - 2.0 * top
     assert _refine_root(above, traj.r_start, traj.r_end) is None
     assert _refine_root(lambda r: -1.0 - r * r, -1.0, 1.0) is None
