@@ -13,7 +13,6 @@ from .classify import (
     CONSTANT,
     INDETERMINATE,
     OSCILLATORY,
-    AlphaLadder,
     BracketNotFound,
     LadderEntry,
     MonotonicityViolation,
@@ -27,13 +26,11 @@ from .classify import (
     zero_monotonicity_scan,
 )
 from .field import (
-    CriticalAmplitudes,
     FieldParams,
     ParameterError,
     SingularInputError,
     big_F,
     big_F_a,
-    critical_amplitudes,
     f,
     f_prime,
     g1,
@@ -46,7 +43,6 @@ from .integrate import (
     IntegratorControls,
     ProblemParams,
     State,
-    StopPolicy,
     TerminationCause,
     Trajectory,
     integrate,
@@ -91,7 +87,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "AlphaLadder",
     "AmbiguousEvent",
     "AuxSample",
     "BOUND_STATE_CANDIDATE",
@@ -102,7 +97,6 @@ __all__ = [
     "CONSTANT",
     "CaseSpec",
     "CheckRecord",
-    "CriticalAmplitudes",
     "FULL_RANGE_POLICY",
     "FieldParams",
     "IDENTITY_NAMES",
@@ -129,7 +123,6 @@ __all__ = [
     "SingularityWarning",
     "SolutionClass",
     "State",
-    "StopPolicy",
     "TerminationCause",
     "Trajectory",
     "VerificationPlan",
@@ -142,7 +135,6 @@ __all__ = [
     "build_ladder",
     "classify",
     "count_nodes",
-    "critical_amplitudes",
     "default_cases",
     "detect_events",
     "eval_aux",

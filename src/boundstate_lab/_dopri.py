@@ -33,7 +33,7 @@ import threading
 from array import array
 
 from . import integrate as _integrate
-from .integrate import ProblemParams, StopPolicy, Trajectory, _termination, series_start
+from .integrate import ProblemParams, Trajectory, _termination, series_start
 
 _FLAGS = ("-O2", "-funroll-loops", "-ffp-contract=off", "-fPIC", "-shared")
 _COLUMNS = 37  # per knot: r, u, u', v, v'; seven coefficients and a midpoint per component
@@ -169,10 +169,10 @@ def _estimate_pair(count: int, blocks: int, two: tuple, last: tuple) -> tuple:
     return tuple(picked)
 
 
-def kept_run(params: ProblemParams, policy: StopPolicy) -> Trajectory | None:
+def kept_run(params: ProblemParams, stop_on_energy: bool) -> Trajectory | None:
     """The trajectory ``integrate`` returns for the shot from ``params``, or
     None without a kernel or its columns.  Each column leaves in one copy."""
-    run = _run(params, policy.stop_on_energy, True)
+    run = _run(params, stop_on_energy, True)
     if run is None:
         return None
     end, (_, _, n_seg), _, cols = run

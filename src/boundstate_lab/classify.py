@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import _dopri
-from .field import FieldParams, abs_pow, critical_amplitudes
+from .field import FieldParams, abs_pow
 from .integrate import (
     CLASSIFY_POLICY,
     ENERGY_NONPOSITIVE,
@@ -105,7 +105,7 @@ def _decay_evidence(traj: Trajectory) -> tuple[bool, float | None]:
 def classify(
     field: FieldParams,
     alpha: float,
-    controls: IntegratorControls | None = None,
+    controls: IntegratorControls = IntegratorControls(),
 ) -> SolutionClass:
     """Classify the shot from height alpha.
 
@@ -116,15 +116,14 @@ def classify(
     reaches r_max without decay evidence is retried once at doubled r_max
     before giving up as Indeterminate.
     """
-    ctrl = controls if controls is not None else IntegratorControls()
     if alpha == 1.0:  # nothing to integrate: u = 1 and u' = 0 at every radius
         return SolutionClass(CONSTANT, 0, None, _CONSTANT_WITNESS, "shot from the rest height")
 
-    traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
+    traj = integrate(ProblemParams(field, alpha, controls), CLASSIFY_POLICY)
     decayed, err = _decay_evidence(traj)
     if traj.termination.tag == REACHED_RMAX and not decayed:
         traj = integrate(
-            ProblemParams(field, alpha, ctrl.with_rmax(2.0 * ctrl.r_max)),
+            ProblemParams(field, alpha, controls.with_rmax(2.0 * controls.r_max)),
             CLASSIFY_POLICY,
         )
         decayed, err = _decay_evidence(traj)
@@ -173,7 +172,7 @@ def _counted_shot(
 def node_count_of_alpha(
     field: FieldParams,
     alpha: float,
-    controls: IntegratorControls | None = None,
+    controls: IntegratorControls = IntegratorControls(),
 ) -> NodeCount:
     """Final node count of the shot from alpha.
 
@@ -181,8 +180,7 @@ def node_count_of_alpha(
     zeros can occur).  A run that reaches r_max still undecided is retried
     once at doubled r_max.
     """
-    ctrl = controls if controls is not None else IntegratorControls()
-    return _counted_shot(field, alpha, ctrl)[0]
+    return _counted_shot(field, alpha, controls)[0]
 
 
 def _estimate_rows(traj: Trajectory, count: int) -> tuple:
@@ -263,19 +261,6 @@ class LadderEntry:
         return self.alpha_hi - self.alpha_lo
 
 
-@dataclass(frozen=True)
-class AlphaLadder:
-    field: FieldParams
-    tol: float
-    entries: tuple[LadderEntry, ...]
-
-    def entry(self, k: int) -> LadderEntry:
-        for item in self.entries:
-            if item.k == k:
-                return item
-        raise KeyError(f"no ladder entry for k={k}")
-
-
 class _CountCache:
     """Final node counts by height for one field under one set of controls.
 
@@ -290,9 +275,9 @@ class _CountCache:
     integrating, and the searches that had to redo plain bisection.
     """
 
-    def __init__(self, field: FieldParams, controls: IntegratorControls | None):
+    def __init__(self, field: FieldParams, controls: IntegratorControls):
         self.field = field
-        self.controls = controls if controls is not None else IntegratorControls()
+        self.controls = controls
         self.seen: dict[float, int] = {}
         self.estimates: dict[float, tuple[float, float]] = {}
         self.integrated = 0
@@ -375,7 +360,7 @@ def find_alpha_k(
     field: FieldParams,
     k: int,
     tol: float = 1e-10,
-    controls: IntegratorControls | None = None,
+    controls: IntegratorControls = IntegratorControls(),
     *,
     counts: _CountCache | None = None,
 ) -> LadderEntry:
@@ -402,21 +387,19 @@ def find_alpha_k(
         raise ValueError("k must be nonnegative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    own = _CountCache(field, controls)
     if counts is None:
-        counts = own
-    elif (counts.field, counts.controls) != (own.field, own.controls):
+        counts = _CountCache(field, controls)
+    elif (counts.field, counts.controls) != (field, controls):
         raise ValueError("count cache was built for another field or other controls")
-    amps = critical_amplitudes(field)
 
-    lo = amps.alpha_upper_star * (1.0 + 1e-6)
+    lo = field.alpha_upper_star * (1.0 + 1e-6)
     if counts(lo) > k:
         raise BracketNotFound(
             f"count already exceeds {k} at the lower search edge alpha={lo}"
         )
-    hi = 2.0 * amps.alpha_upper_star
+    hi = 2.0 * field.alpha_upper_star
     while counts(hi) <= k:
-        if hi > _EXPANSION_CAP * amps.alpha_upper_star:
+        if hi > _EXPANSION_CAP * field.alpha_upper_star:
             counts.audit()
             raise BracketNotFound(
                 f"no jump past {k} nodes below alpha={hi:.6g}"
@@ -444,9 +427,10 @@ def build_ladder(
     field: FieldParams,
     k_max: int,
     tol: float = 1e-10,
-    controls: IntegratorControls | None = None,
-) -> AlphaLadder:
-    """Ladder entries for k = 0 .. k_max; amplitudes must come out increasing."""
+    controls: IntegratorControls = IntegratorControls(),
+) -> tuple[LadderEntry, ...]:
+    """Ladder entries for k = 0 .. k_max, entry k at index k; amplitudes must
+    come out increasing."""
     counts = _CountCache(field, controls)
     entries = []
     for k in range(k_max + 1):
@@ -456,7 +440,7 @@ def build_ladder(
             raise MonotonicityViolation(
                 f"ladder entries k={prev.k} and k={cur.k} are out of order"
             )
-    return AlphaLadder(field=field, tol=tol, entries=tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -470,7 +454,7 @@ class ZeroMonotonicityReport:
 def zero_monotonicity_scan(
     field: FieldParams,
     alphas: list[float],
-    controls: IntegratorControls | None = None,
+    controls: IntegratorControls = IntegratorControls(),
 ) -> ZeroMonotonicityReport:
     """First-zero radius z_1(alpha) across a scan; it must fall as alpha grows.
 
@@ -478,11 +462,10 @@ def zero_monotonicity_scan(
     the comparison.  violations holds the indices i where
     z_1(alphas[i]) >= z_1(alphas[i-1]).
     """
-    ctrl = controls if controls is not None else IntegratorControls()
     ordered = sorted(alphas)
     zs: list[float | None] = []
     for alpha in ordered:
-        traj = integrate(ProblemParams(field, alpha, ctrl), CLASSIFY_POLICY)
+        traj = integrate(ProblemParams(field, alpha, controls), CLASSIFY_POLICY)
         zeros = find_zeros(traj, "u")
         zs.append(zeros[0] if zeros else None)
     violations = []

@@ -46,7 +46,7 @@ from .classify import (
     classify,
     find_alpha_k,
 )
-from .field import FieldParams, ParameterError, critical_amplitudes
+from .field import FieldParams, ParameterError
 from .integrate import (
     FULL_RANGE_POLICY,
     STEP_LIMIT,
@@ -342,7 +342,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     traj = _full_shot(cfg)
     if traj is None:
         return EXIT_INTEGRATOR
-    portrait = detect_events(traj, critical_amplitudes(traj.params.field))
+    portrait = detect_events(traj)
     _note(f"terminated {traj.termination.tag} at r={traj.termination.r_stop:.6g}; "
           f"{len(traj.knots)} samples, {len(portrait.zeros_u)} zeros, "
           f"phase kind {portrait.phase_kind}")

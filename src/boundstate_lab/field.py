@@ -5,7 +5,8 @@ field whose pointwise nonlinearity is ``f(u) = -u + |u|**(p-1) * u``.  This
 module owns that nonlinearity, its derivative, its primitive (the potential
 well ``big_F``), the profile energy ``_energy`` in that well, the tilted wells
 ``big_F_a`` used by the parametric Wronskian functionals, and the two critical
-amplitudes that organize the classification of shooting heights:
+amplitudes that organize the classification of shooting heights, which
+``FieldParams`` computes once per record:
 
 * ``alpha_star``  -- the positive zero of the well.  Profiles confined below
   it have negative energy and oscillate about the rest height 1.
@@ -46,10 +47,18 @@ class FieldParams:
 
     The exponent must satisfy 1 < p < (n + 2)/(n - 2); outside that range
     the shooting classification this package implements does not apply.
+    The largest doubles below (n + 2)/(n - 2) at some n (7, 8, 16, 33, 128)
+    are refused too: there (n + 2) - p*(n - 2) rounds to 0.0, and
+    ``alpha_upper_star`` divides by it.
     """
 
     n: int
     p: float
+
+    # Each amplitude is computed on its first read and kept on the record by
+    # object.__setattr__.  functools.cached_property would write the record's
+    # __dict__, and every later read of n and p would then take 3x as long.
+    _alpha_star = _alpha_upper_star = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
@@ -59,17 +68,29 @@ class FieldParams:
             raise ParameterError(
                 f"exponent p={self.p} outside the subcritical range (1, {p_crit}) for n={self.n}"
             )
+        if not self._denominator > 0.0:
+            raise ParameterError(f"(n+2) - p*(n-2) = {self._denominator} must be positive")
 
+    @property
+    def _denominator(self) -> float:
+        return (self.n + 2) - self.p * (self.n - 2)
 
-@dataclass(frozen=True)
-class CriticalAmplitudes:
-    """The two amplitudes that bound the interesting shooting heights.
+    @property
+    def alpha_star(self) -> float:
+        """((p+1)/2)**(1/(p-1)), the positive zero of ``big_F``; computed once."""
+        if self._alpha_star is None:
+            value = ((self.p + 1.0) / 2.0) ** (1.0 / (self.p - 1.0))
+            object.__setattr__(self, "_alpha_star", value)
+        return self._alpha_star
 
-    alpha_star < alpha_upper_star always, and both exceed 1.
-    """
-
-    alpha_star: float
-    alpha_upper_star: float
+    @property
+    def alpha_upper_star(self) -> float:
+        """(2*(p+1)/((n+2) - p*(n-2)))**(1/(p-1)), the dilation-identity
+        threshold; computed once.  It exceeds ``alpha_star``, and both exceed 1."""
+        if self._alpha_upper_star is None:
+            value = (2.0 * (self.p + 1.0) / self._denominator) ** (1.0 / (self.p - 1.0))
+            object.__setattr__(self, "_alpha_upper_star", value)
+        return self._alpha_upper_star
 
 
 def f(u: float, params: FieldParams, power: float | None = None) -> float:
@@ -127,23 +148,3 @@ def g2(u: float, params: FieldParams, power: float | None = None) -> float:
         raise SingularInputError("g2 is undefined at u = 0")
     power = abs_pow(u, 1.0 - params.p) if power is None else power
     return g1(u, params, power) - power
-
-
-def critical_amplitudes(params: FieldParams) -> CriticalAmplitudes:
-    """Closed forms for the two critical shooting heights.
-
-    alpha_star = ((p+1)/2)**(1/(p-1)) is the positive zero of ``big_F``;
-    alpha_upper_star = (2*(p+1)/((n+2) - p*(n-2)))**(1/(p-1)) marks the
-    dilation-identity threshold.  The denominator is positive exactly in
-    the subcritical range, which ``FieldParams`` already enforces; it is
-    re-checked here so the closed form never returns garbage.
-    """
-    n, p = params.n, params.p
-    denom = (n + 2) - p * (n - 2)
-    if denom <= 0.0:
-        raise ParameterError(f"(n+2) - p*(n-2) = {denom} must be positive")
-    expo = 1.0 / (p - 1.0)
-    return CriticalAmplitudes(
-        alpha_star=((p + 1.0) / 2.0) ** expo,
-        alpha_upper_star=(2.0 * (p + 1.0) / denom) ** expo,
-    )

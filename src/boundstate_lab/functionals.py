@@ -22,23 +22,20 @@ Where each formula lives:
   r + iη, in complex arithmetic, and the right side the real one at r.  The
   left sides not in it (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the
   two slopes) are written there, and so is every right side.
-* f, F, F_a, κ_a, g1, g2 and E (``_energy``) come from ``field``; u'' comes
-  from ``integrate._u_second``.  The march reads the same definitions.
+* f, F, F_a, κ_a, g1, g2 and E (``_energy``) come from ``field``, and so do
+  the two critical amplitudes, which each ``FieldParams`` computes once; u''
+  comes from ``integrate._u_second``.  The march reads the same definitions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
-from .field import (
-    FieldParams, _energy, abs_pow, big_F, big_F_a, critical_amplitudes, f, f_prime, g1, g2,
-    kappa_a,
-)
+from .field import FieldParams, _energy, abs_pow, big_F, big_F_a, f, f_prime, g1, g2, kappa_a
 from .integrate import State, Trajectory, _u_second
 from .quadrature import adaptive_quadrature
 
@@ -158,7 +155,6 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
 # equal.  guards names what must stay away from zero at the probe: "u", "up",
 # or "r" (the minimum-radius guard).
 _Side = Callable[[AuxSample, FieldParams, float], float]
-_amplitudes = functools.lru_cache(maxsize=8)(critical_amplitudes)  # per field, not per probe
 
 
 def _family_w(x: AuxSample, a: float) -> float:
@@ -172,13 +168,12 @@ def _barrier_ba(x: AuxSample, fl: FieldParams, a: float) -> float:
 
 
 def _p_crit_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
-    upper = _amplitudes(fl).alpha_upper_star
+    upper = fl.alpha_upper_star
     return 2.0 * x.rn1 * x.u**2 * (abs_pow(x.u / upper, fl.p - 1.0) - 1.0)
 
 
 def _p2_rhs(x: AuxSample, fl: FieldParams, a: float) -> float:
-    amp = _amplitudes(fl)
-    ratio = amp.alpha_star * x.u / amp.alpha_upper_star
+    ratio = fl.alpha_star * x.u / fl.alpha_upper_star
     return -(4.0 / fl.n) * x.rn * x.u * x.up * (abs_pow(ratio, fl.p - 1.0) - 1.0)
 
 

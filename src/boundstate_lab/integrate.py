@@ -31,8 +31,9 @@ Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
 there on the profile is confined below the well zero and its node count is
 final), when the variation passes the guard magnitude, or when the stepper
-gives up (step budget / underflow).  Callers choose via ``StopPolicy``
-whether the energy trap should stop the run; the guards are always active.
+gives up (step budget / underflow).  Callers choose by ``stop_on_energy``
+whether the energy trap should stop the run: ``CLASSIFY_POLICY`` (True) or
+``FULL_RANGE_POLICY`` (False); the guards are always active.
 """
 
 from __future__ import annotations
@@ -224,21 +225,12 @@ class ProblemParams:
             raise ParameterError(f"shooting height alpha must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class StopPolicy:
-    """Which optional termination causes are armed.
-
-    Classification runs keep the energy trap on (node counts become final
-    the moment the energy is nonpositive).  Verification runs that need the
-    whole radial range turn it off and run to r_max; the variation guard
-    and the step budget stay armed either way.
-    """
-
-    stop_on_energy: bool = True
-
-
-CLASSIFY_POLICY = StopPolicy(stop_on_energy=True)
-FULL_RANGE_POLICY = StopPolicy(stop_on_energy=False)
+# Whether the energy trap stops a run.  Classification runs keep it on (node
+# counts become final the moment the energy is nonpositive); verification runs
+# that need the whole radial range turn it off and run to r_max.  The variation
+# guard and the step budget stay armed either way.
+CLASSIFY_POLICY = True
+FULL_RANGE_POLICY = False
 
 
 @dataclass(frozen=True)
@@ -419,13 +411,13 @@ class Trajectory:
 
         Used by structural checks that must ignore the stretch where a
         near-bound-state shot departs from the profile it shadows.  The
-        copy ends at a knot, so no partial segment is ever exposed.
+        copy ends at a knot, so no partial segment is ever exposed; where no
+        whole segment ends by r_cut, DenseRangeError is raised.
         """
-        if r_cut <= self.knots[0] or len(self.knots) < 2:
-            raise DenseRangeError(f"truncation radius {r_cut} keeps no segment past the "
-                                  f"series start r={self.knots[0]}")
         n_keep = bisect_right(self.knots, r_cut) - 1
-        n_keep = max(1, min(n_keep, len(self.knots) - 1))
+        if n_keep < 1:
+            raise DenseRangeError(f"truncation radius {r_cut} keeps no whole segment past "
+                                  f"the series start r={self.knots[0]}")
         return Trajectory(
             params=self.params,
             knots=self.knots[: n_keep + 1],
@@ -462,7 +454,7 @@ def _power(u: float, s: float) -> float:
         return math.inf
 
 
-def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Trajectory:
+def integrate(params: ProblemParams, stop_on_energy: bool = CLASSIFY_POLICY) -> Trajectory:
     """March the system outward from the series start until a stop fires.
 
     Every accepted step keeps its local error below abs_tol + rel_tol*|y|
@@ -475,8 +467,8 @@ def integrate(params: ProblemParams, policy: StopPolicy = CLASSIFY_POLICY) -> Tr
     """
     from ._dopri import kept_run  # imported here: _dopri imports this module
 
-    traj = kept_run(params, policy)
-    return traj if traj is not None else _march(params, policy)
+    traj = kept_run(params, stop_on_energy)
+    return traj if traj is not None else _march(params, stop_on_energy)
 
 
 def _weigh(weights: Sequence[float], slopes: list) -> tuple:
@@ -496,7 +488,7 @@ def _weigh(weights: Sequence[float], slopes: list) -> tuple:
     return acc
 
 
-def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
+def _march(params: ProblemParams, stop_on_energy: bool) -> Trajectory:
     """``integrate``'s march in Python: the kernel's fallback and its bit reference.
 
     The step reads the tableau by index: stage s = 1..11 at r + _C[s] h from
@@ -536,7 +528,7 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
 
     # The start state can already sit in the trap (e.g. alpha below the well
     # zero); report it without taking a step.
-    if policy.stop_on_energy and energy(y) <= 0.0:
+    if stop_on_energy and energy(y) <= 0.0:
         return finish(_TRAPPED_AT_START)
     if abs(y[2]) > _V_GUARD:
         return finish(_DIVERGED_AT_START)
@@ -592,7 +584,7 @@ def _march(params: ProblemParams, policy: StopPolicy) -> Trajectory:
         knots.append(r_new)
         r, y, k1 = r_new, y_new, k[12]
 
-        if policy.stop_on_energy and energy(y) <= 0.0:
+        if stop_on_energy and energy(y) <= 0.0:
             return finish(_TRAPPED)
         if abs(y[2]) > _V_GUARD or abs(y[3]) > _V_GUARD:
             return finish(_DIVERGED)

@@ -31,7 +31,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .field import CriticalAmplitudes
 from .integrate import (
     ENERGY_NONPOSITIVE,
     STEP_LIMIT,
@@ -183,14 +182,15 @@ def _sign_change_roots(
     return roots
 
 
-def detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePortrait:
-    """Locate all events and assemble the phase structure.
+def detect_events(traj: Trajectory) -> PhasePortrait:
+    """Locate all events and assemble the phase structure; the phase labels
+    cross the well zero ``alpha_star`` of the trajectory's field.
 
     Raises InterlacingViolation when zeros/criticals cannot be reconciled
     and AmbiguousEvent when two located events collapse onto each other.
     """
     fld = traj.params.field
-    alpha_star = amplitudes.alpha_star
+    alpha_star = fld.alpha_star
     rs = traj.grid
     us, ups = traj.grid_values(0), traj.grid_values(1)
     upps = [_u_second(fld, r, u, up) for r, u, up in zip(rs, us, ups)]

@@ -31,7 +31,7 @@ from .classify import (
     find_alpha_k,
     node_count_of_alpha,
 )
-from .field import FieldParams, _energy, big_F, critical_amplitudes
+from .field import FieldParams, _energy, big_F
 from .functionals import (
     _R_FLOOR, AuxSample, bridge_integral, eval_aux, identity_residuals, probe_radii,
 )
@@ -167,10 +167,9 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
     |u| <= 10 * _DECAY_EPS.  Without such a knot the cut falls back to the
     minimum of |u| past the anchor.
     """
-    amps = critical_amplitudes(traj.params.field)
     anchor = 0.0
     for r in find_zeros(traj, "up"):
-        if abs(traj.value(0, r)) > amps.alpha_star:
+        if abs(traj.value(0, r)) > traj.params.field.alpha_star:
             anchor = r
     floor = 10.0 * _DECAY_EPS
     best_r = None
@@ -198,7 +197,6 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
 def _prepare(case: CaseSpec, plan: VerificationPlan,
              counts: dict[FieldParams, _CountCache]) -> _Prepared:
     field = case.field
-    amps = critical_amplitudes(field)
     entry = None
     if case.family == BOUND_BRACKET:
         cache = counts.setdefault(field, _CountCache(field, plan.controls))
@@ -217,7 +215,7 @@ def _prepare(case: CaseSpec, plan: VerificationPlan,
     portrait = None
     portrait_note = ""
     try:
-        portrait = detect_events(struct, amps)
+        portrait = detect_events(struct)
     except Exception as exc:  # recorded, not raised: checks degrade to skips
         portrait_note = f"portrait failed: {exc}"
 
@@ -502,7 +500,6 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
     if port is None or not port.phases or not _phaseful(prep):
         return _skip("no phase structure resolved")
     fl = prep.case.field
-    amps = critical_amplitudes(fl)
     crits = [pt.r for pt in port.crits_u]
     traj = prep.struct
     worst = math.inf
@@ -514,11 +511,11 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
         c_i = crits[i - 1]
         c_prev = crits[i - 2] if i >= 2 else traj.r_start
         u_ci = abs(traj.value(0, c_i))
-        if u_ci <= amps.alpha_star:
+        if u_ci <= fl.alpha_star:
             continue
         z_i = ph.z.r
         for j in range(12):
-            mu = amps.alpha_star + (u_ci - amps.alpha_star) * j / 12.0
+            mu = fl.alpha_star + (u_ci - fl.alpha_star) * j / 12.0
             level = lambda r: abs(traj.value(0, r)) - mu
             r_mu = _refine_root(level, c_prev + 1e-9, z_i - 1e-9)
             rbar_mu = _refine_root(level, z_i + 1e-9, c_i - 1e-9)

@@ -35,7 +35,7 @@ def ladder33(field33):
 @pytest.fixture(scope="session")
 def mid1_full(field33, ladder33):
     """Full-range run from the k=1 bracket midpoint."""
-    alpha = ladder33.entry(1).midpoint
+    alpha = ladder33[1].midpoint
     return integrate(ProblemParams(field33, alpha, IntegratorControls()),
                      FULL_RANGE_POLICY)
 

@@ -19,7 +19,6 @@ from boundstate_lab import (
     NodeCount,
     ProblemParams,
     classify,
-    critical_amplitudes,
     find_alpha_k,
     find_zeros,
     integrate,
@@ -53,14 +52,14 @@ BRACKET_42 = {0: (8.671934300011344, 8.671934300016801),
 
 def test_ladder_matches_frozen_amplitudes(ladder33):
     for k, alpha_k in enumerate(LADDER_33):
-        entry = ladder33.entry(k)
+        entry = ladder33[k]
         assert entry.alpha_lo <= alpha_k <= entry.alpha_hi
         assert entry.width <= 1e-12 * entry.alpha_lo * 1.01
         assert (entry.nodes_lo, entry.nodes_hi) == (k, k + 1)
 
 
 def test_ladder_entries_strictly_increase(ladder33):
-    entries = ladder33.entries
+    entries = ladder33
     for prev, cur in zip(entries, entries[1:]):
         assert cur.alpha_lo > prev.alpha_hi
 
@@ -107,7 +106,7 @@ def test_bracket_midpoint_classifies_as_a_candidate(field33, ladder33, monkeypat
     # has grown like e^r and poisons the slope before the energy trap.
     monkeypatch.setattr(classify_module, "_DECAY_EPS", 1e-5)
     monkeypatch.setattr(classify_module, "_SLOPE_EPS", 0.1)
-    alpha = ladder33.entry(0).midpoint
+    alpha = ladder33[0].midpoint
     result = classify(field33, alpha, IntegratorControls().with_rmax(12.0))
     assert result.tag == BOUND_STATE_CANDIDATE
     assert result.node_count == 0
@@ -135,9 +134,9 @@ def test_a_jump_in_the_last_doubling_interval_is_bracketed(monkeypatch):
     # perfbench/oracle.py counts 2 at 57,742.39 and 3 at 57,742.41
     field = FieldParams(3, 4.921)
     calls = _count_integrations(monkeypatch)
-    counts = _CountCache(field, None)
+    counts = _CountCache(field, IntegratorControls())
     entries = [find_alpha_k(field, k, tol=1e-10, counts=counts) for k in range(3)]
-    cap = classify_module._EXPANSION_CAP * critical_amplitudes(field).alpha_upper_star
+    cap = classify_module._EXPANSION_CAP * field.alpha_upper_star
     assert max(calls) > cap
     assert (entries[2].nodes_lo, entries[2].nodes_hi) == (2, 3)
     assert 57742.39 <= entries[2].alpha_lo < entries[2].alpha_hi <= 57742.41
@@ -214,7 +213,7 @@ def test_shared_count_cache_gives_the_same_brackets_with_fewer_shots(field33, mo
     fresh = [find_alpha_k(field33, k, tol=1e-8) for k in range(3)]
     fresh_calls = len(calls)
     calls.clear()
-    counts = _CountCache(field33, None)
+    counts = _CountCache(field33, IntegratorControls())
     shared = [find_alpha_k(field33, k, tol=1e-8, counts=counts) for k in range(3)]
     assert shared == fresh
     assert len(calls) == counts.integrated == len(counts.seen) < fresh_calls
@@ -222,10 +221,10 @@ def test_shared_count_cache_gives_the_same_brackets_with_fewer_shots(field33, mo
 
 def test_count_cache_for_another_field_or_controls_is_rejected(field33):
     with pytest.raises(ValueError):
-        find_alpha_k(field33, 0, counts=_CountCache(FieldParams(3, 1.5), None))
+        find_alpha_k(field33, 0, counts=_CountCache(FieldParams(3, 1.5), IntegratorControls()))
     with pytest.raises(ValueError):
         find_alpha_k(field33, 0, counts=_CountCache(field33, IntegratorControls(r_max=50.0)))
-    # None means the default controls, on either side
+    # find_alpha_k's default controls are IntegratorControls()
     counts = _CountCache(field33, IntegratorControls())
     assert find_alpha_k(field33, 0, tol=1e-6, counts=counts).nodes_hi == 1
 
@@ -234,7 +233,7 @@ def test_count_cache_for_another_field_or_controls_is_rejected(field33):
 
 def _plain_bracket(counts, k, tol):
     """Reference search: the doubling phase, then a count at every midpoint."""
-    upper = critical_amplitudes(counts.field).alpha_upper_star
+    upper = counts.field.alpha_upper_star
     lo, hi = upper * (1.0 + 1e-6), 2.0 * upper
     while counts(hi) <= k:
         lo, hi = hi, 2.0 * hi
@@ -295,7 +294,7 @@ SEARCH_POINTS = [((3, 3.0), 1e-10), ((3, 1.5), 1e-10), ((4, 2.0), 1e-10), ((5, 1
 
 @pytest.mark.parametrize("point, tol", SEARCH_POINTS)
 def test_predicted_brackets_are_the_plain_bisection_brackets(point, tol):
-    counts = _CountCache(FieldParams(*point), None)
+    counts = _CountCache(FieldParams(*point), IntegratorControls())
     entries = [find_alpha_k(counts.field, k, tol=tol, counts=counts) for k in range(3)]
     assert counts.fallbacks == 0
     assert counts.skipped > 0
@@ -315,7 +314,7 @@ def test_a_biased_estimate_falls_back_to_the_plain_bracket(field33, monkeypatch)
         return tuple(e * (1.0 + 1e-3) for e in original(field, alpha, rows))
 
     monkeypatch.setattr(classify_module, "_alpha_k_estimates", biased)
-    counts = _CountCache(field33, None)
+    counts = _CountCache(field33, IntegratorControls())
     entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
     assert counts.fallbacks == 1
     assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 0, 1e-10)
@@ -333,7 +332,7 @@ def test_a_wrong_side_extrapolation_falls_back_to_the_plain_bracket(field33, mon
         return tuple(out)
 
     monkeypatch.setattr(classify_module, "_alpha_k_estimates", overshooting)
-    counts = _CountCache(field33, None)
+    counts = _CountCache(field33, IntegratorControls())
     entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
     assert any(counts.estimates[a][1] > entry.alpha_hi
                for a, c in counts.seen.items() if c == 0)
@@ -348,7 +347,7 @@ def test_the_ladder_points_keep_their_integration_budget():
     points = [(3, 3.0), (3, 1.5), (4, 2.0), (5, 1.6), (3, 4.0)]
     total = 0
     for point in points:
-        counts = _CountCache(FieldParams(*point), None)
+        counts = _CountCache(FieldParams(*point), IntegratorControls())
         for k in range(3):
             find_alpha_k(counts.field, k, tol=1e-10, counts=counts)
         assert counts.fallbacks == 0
@@ -372,7 +371,7 @@ def test_a_non_monotone_count_never_yields_a_silent_bracket(field33, monkeypatch
         return count, rows
 
     monkeypatch.setattr(classify_module, "_counted_shot", faulty)
-    counts = _CountCache(field33, None)
+    counts = _CountCache(field33, IntegratorControls())
     try:
         entry = find_alpha_k(field33, 0, tol=1e-10, counts=counts)
     except MonotonicityViolation:

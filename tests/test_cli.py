@@ -117,6 +117,32 @@ def test_supercritical_exponent_exits_one(tmp_path):
                    cwd=tmp_path) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--alpha", "5"],
+    ["classify", "--alpha", "5"],
+    ["ladder", "--k", "0"],
+    ["sweep", "--alpha-range", "1..5", "--points", "3"],
+    ["verify"],
+    ["export", "--alpha", "5"],
+], ids=lambda args: args[0])
+def test_a_point_without_an_upper_amplitude_exits_one_before_any_shot(tmp_path, monkeypatch,
+                                                                      capsys, args):
+    # at n = 7 the largest double below 9/5 passes the range check, but
+    # (n+2) - p*(n-2) rounds to 0.0 there: every command refuses the point
+    # as a usage error before its first series start, and writes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shot started")
+
+    for module in ("integrate", "_dopri"):
+        monkeypatch.setattr(importlib.import_module(f"boundstate_lab.{module}"),
+                            "series_start", refuse)
+    argv = [*args, "--n", "7", "--p", "1.7999999999999998", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: (n+2) - p*(n-2) = 0.0 must be positive\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_low_range_counts_are_zero(tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep", "--alpha-range", "0.1..1.4", "--points", "5",

@@ -230,7 +230,7 @@ def test_a_high_ladder_bracket_runs_every_counted_shot_in_the_kernel(monkeypatch
 
         monkeypatch.setattr(classify_module, "integrate", refuse)
         monkeypatch.setattr(integrate_module, "_march", refuse)
-    counts = classify_module._CountCache(FL, None)
+    counts = classify_module._CountCache(FL, IntegratorControls())
     entry = find_alpha_k(FL, 70, tol=1e-10, counts=counts)
     assert (entry.alpha_lo, entry.alpha_hi) == (13165.749744415283, 13165.749745368958)
     assert (entry.alpha_lo, entry.alpha_hi) == _plain_bracket(counts, 70, 1e-10)

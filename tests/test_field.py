@@ -12,7 +12,6 @@ from boundstate_lab import (
     SingularInputError,
     big_F,
     big_F_a,
-    critical_amplitudes,
     f,
     f_prime,
     g1,
@@ -23,29 +22,28 @@ from boundstate_lab.field import abs_pow
 
 
 def test_critical_amplitudes_cubic_three_d():
-    amps = critical_amplitudes(FieldParams(3, 3.0))
-    assert amps.alpha_star == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert amps.alpha_upper_star == pytest.approx(2.0, abs=1e-15)
+    fl = FieldParams(3, 3.0)
+    assert fl.alpha_star == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert fl.alpha_upper_star == pytest.approx(2.0, abs=1e-15)
 
 
 def test_critical_amplitudes_quadratic_four_d():
-    amps = critical_amplitudes(FieldParams(4, 2.0))
-    assert amps.alpha_star == pytest.approx(1.5, abs=1e-15)
-    assert amps.alpha_upper_star == pytest.approx(3.0, abs=1e-15)
+    fl = FieldParams(4, 2.0)
+    assert fl.alpha_star == pytest.approx(1.5, abs=1e-15)
+    assert fl.alpha_upper_star == pytest.approx(3.0, abs=1e-15)
 
 
 def test_amplitudes_ordered_and_above_rest_height():
     for n, p in ((3, 1.2), (3, 2.5), (3, 4.9), (4, 1.5), (5, 1.4), (6, 1.9)):
-        amps = critical_amplitudes(FieldParams(n, p))
-        assert 1.0 < amps.alpha_star < amps.alpha_upper_star
+        fl = FieldParams(n, p)
+        assert 1.0 < fl.alpha_star < fl.alpha_upper_star
 
 
 def test_well_signs():
     fl = FieldParams(3, 3.0)
-    amps = critical_amplitudes(fl)
     assert big_F(1.0, fl) < 0.0
-    assert big_F(amps.alpha_star, fl) == pytest.approx(0.0, abs=1e-15)
-    assert big_F(amps.alpha_star * 1.01, fl) > 0.0
+    assert big_F(fl.alpha_star, fl) == pytest.approx(0.0, abs=1e-15)
+    assert big_F(fl.alpha_star * 1.01, fl) > 0.0
     assert big_F(0.0, fl) == 0.0
 
 
@@ -58,6 +56,27 @@ def test_parameter_validation():
         FieldParams(3, 1.0)
     with pytest.raises(ParameterError):
         FieldParams(4, 3.0)  # critical exponent for n=4
+
+
+@pytest.mark.parametrize("n", [7, 8, 16, 33, 128])
+def test_a_point_whose_upper_amplitude_denominator_rounds_to_zero_is_refused(n):
+    # the largest double below (n+2)/(n-2) passes the range check, but there
+    # (n+2) - p*(n-2) rounds to 0.0 and alpha_upper_star would divide by it
+    p = math.nextafter((n + 2) / (n - 2), 0.0)
+    assert 1.0 < p < (n + 2) / (n - 2) and (n + 2) - p * (n - 2) == 0.0
+    with pytest.raises(ParameterError, match=r"^\(n\+2\) - p\*\(n-2\) = 0\.0 must be positive$"):
+        FieldParams(n, p)
+
+
+def test_the_amplitudes_are_computed_once_per_record_and_leave_its_identity():
+    fl = FieldParams(3, 3.0)
+    assert (fl._alpha_star, fl._alpha_upper_star) == (None, None)
+    first = fl.alpha_star, fl.alpha_upper_star
+    assert (fl._alpha_star, fl._alpha_upper_star) == first  # kept on the record
+    assert (fl.alpha_star, fl.alpha_upper_star) == first
+    # the closed forms, bit for bit
+    assert first == (((3.0 + 1.0) / 2.0) ** (1.0 / 2.0), (2.0 * 4.0 / (5 - 3.0)) ** (1.0 / 2.0))
+    assert fl == FieldParams(3, 3.0) and hash(fl) == hash(FieldParams(3, 3.0))
 
 
 def test_nonlinearity_zeros_and_oddness():

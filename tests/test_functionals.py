@@ -18,7 +18,6 @@ from boundstate_lab import (
     ProblemParams,
     State,
     bridge_integral,
-    critical_amplitudes,
     detect_events,
     eval_aux,
     find_zeros,
@@ -173,7 +172,16 @@ def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch
     # every ingredient of a record is evaluated once, so a probe (two records,
     # five guards, 22 identities) takes at most 17 powers on this shot; 44 when
     # each side evaluated its own f, F, |u|**(p-1) and critical amplitudes
-    traj = _full_run(3.0, rmax=10.0)
+    evaluated = []  # the amplitudes computed, each on the first read of a FieldParams
+    for name in ("alpha_star", "alpha_upper_star"):
+        def counted_read(fl, name=name, read=vars(FieldParams)[name].fget):
+            if getattr(fl, "_" + name) is None:  # not kept yet: this read computes it
+                evaluated.append(name)
+            return read(fl)
+
+        monkeypatch.setattr(FieldParams, name, property(counted_read))
+    fresh = ProblemParams(FieldParams(3, 3.0), 3.0, IntegratorControls().with_rmax(10.0))
+    traj = integrate(fresh, FULL_RANGE_POLICY)
     probes = probe_radii(traj, 60)
     calls = []
 
@@ -183,12 +191,8 @@ def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch
 
     monkeypatch.setattr(field_module, "abs_pow", counted)
     monkeypatch.setattr(functionals, "abs_pow", counted)
-    direct = []  # critical_amplitudes called around the per-field cache
-    monkeypatch.setattr(functionals, "critical_amplitudes",
-                        lambda fl: direct.append(fl) or critical_amplitudes(fl))
-    functionals._amplitudes.cache_clear()
     identity_residuals(traj, probes)
-    assert len(direct) + functionals._amplitudes.cache_info().misses <= 1
+    assert sorted(evaluated) == ["alpha_star", "alpha_upper_star"]
     assert len(probes) == 60 and len(calls) <= 17 * len(probes)
 
 
@@ -440,7 +444,7 @@ def test_bridge_integral_positive_on_the_shallow_ground_case():
     entry = find_alpha_k(fl, 0, tol=1e-12)
     full = integrate(ProblemParams(fl, entry.midpoint), FULL_RANGE_POLICY)
     struct = truncate_for_structure(full)
-    portrait = detect_events(struct, critical_amplitudes(fl))
+    portrait = detect_events(struct)
     b1 = portrait.phases[0].b.r
     tau1 = portrait.zeros_v[0].r
     assert tau1 > b1

@@ -354,6 +354,17 @@ def test_grid_is_built_once_and_a_truncated_copy_builds_its_own():
         assert cut.grid_values(c) == full.grid_values(c)[: 2 * len(cut.knots) - 1]
 
 
+def test_a_cut_inside_the_first_segment_keeps_no_segment():
+    # the first step of the full-range (3,3) alpha = 5 shot ends at 5.5e-05: a
+    # cut before it keeps no whole segment, as a cut at the series start does
+    full = integrate(ProblemParams(FL, 5.0), FULL_RANGE_POLICY)
+    assert full.knots[0] < 3e-5 < full.knots[1]
+    with pytest.raises(DenseRangeError, match="no whole segment"):
+        full.truncated_at(3e-5)
+    cut = full.truncated_at(full.knots[1])
+    assert cut.knots == full.knots[:2] and cut.termination.r_stop == full.knots[1]
+
+
 def test_control_helpers_change_only_their_fields(monkeypatch):
     base = IntegratorControls(r0=1e-7, r_max=50.0)
     tight = base.tightened(4.0)

@@ -16,7 +16,6 @@ from boundstate_lab import (
     FieldParams,
     IntegratorControls,
     ProblemParams,
-    critical_amplitudes,
     detect_events,
     integrate,
 )
@@ -145,7 +144,7 @@ def test_plain_portrait_matches_the_stdlib_asdict():
     fl = FieldParams(3, 3.0)
     traj = integrate(ProblemParams(fl, 5.0, IntegratorControls().with_rmax(30.0)),
                      FULL_RANGE_POLICY)
-    portrait = detect_events(traj, critical_amplitudes(fl))
+    portrait = detect_events(traj)
     assert portrait.zeros_u and portrait.phases
     again = json.loads(json_text(plain(portrait)))
     assert again == json.loads(json.dumps(dataclasses.asdict(portrait)))

@@ -139,6 +139,28 @@ def test_identity_sides_read_their_ingredients_from_the_record():
     assert not [node for node in sides if "** (fl.n - 1)" in ast.unparse(node)]
 
 
+def test_no_record_holds_what_the_program_already_has():
+    # the field computes its two amplitudes (no CriticalAmplitudes, no
+    # critical_amplitudes, no per-field cache in functionals), a stop policy
+    # is the bool the kernel takes (no StopPolicy), a ladder is its entries
+    # (no AlphaLadder), and detect_events reads alpha_star off its trajectory
+    package = Path(boundstate_lab.__file__).resolve().parent
+    gone = {"CriticalAmplitudes", "StopPolicy", "AlphaLadder"}
+    defined, called = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone:
+                defined.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.Call) and "critical_amplitudes" in ast.unparse(node.func):
+                called.append(f"{path.name}:{node.lineno}")
+    assert defined == [] and called == []
+    assert "lru_cache" not in (package / "functionals.py").read_text()
+    assert not gone & {*boundstate_lab.__all__} and "critical_amplitudes" not in dir(boundstate_lab)
+    detect = next(node for node in ast.parse((package / "portrait.py").read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "detect_events")
+    assert [arg.arg for arg in detect.args.args] == ["traj"]
+
+
 def test_the_python_step_reads_the_tableau_by_index():
     # _march weighs the stages by _A, _E and _P themselves, so integrate.py
     # names no single entry (_A21)

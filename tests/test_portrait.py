@@ -15,14 +15,13 @@ from boundstate_lab import (
     ProblemParams,
     VerificationPlan,
     count_nodes,
-    critical_amplitudes,
     detect_events,
     find_zeros,
     integrate,
     run_checks,
 )
 from boundstate_lab import portrait
-from boundstate_lab.field import CriticalAmplitudes, abs_pow
+from boundstate_lab.field import abs_pow
 from boundstate_lab.integrate import ENERGY_NONPOSITIVE, State, Trajectory
 from boundstate_lab.portrait import (
     _RADIUS_TOL,
@@ -49,7 +48,7 @@ def _run(alpha, rmax=30.0):
 
 def test_single_node_shot_events():
     traj = _run(5.0)
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     assert len(portrait.zeros_u) == 1
     # independently refined location, frozen from a 10x tighter run
     assert portrait.zeros_u[0].r == pytest.approx(1.885771377923148, abs=1e-8)
@@ -61,28 +60,27 @@ def test_single_node_shot_events():
 
 def test_single_node_shot_labels_ordered():
     traj = _run(5.0)
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     ph = portrait.phases[0]
     assert ph.index == 1
     assert ph.b is not None and ph.r is not None and ph.z is not None
     assert ph.b.r < ph.r.r < ph.z.r
     assert ph.uncertain == ()
     # |u| crosses alpha_star at b and the rest height at r
-    amps = critical_amplitudes(FL)
-    assert abs(traj.eval_dense(ph.b.r).u) == pytest.approx(amps.alpha_star, abs=1e-9)
+    assert abs(traj.eval_dense(ph.b.r).u) == pytest.approx(FL.alpha_star, abs=1e-9)
     assert abs(traj.eval_dense(ph.r.r).u) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_trapped_shot_has_no_zeros_but_a_tail():
     traj = _run(0.5)
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     assert portrait.zeros_u == []
     assert portrait.phase_kind == TAIL_OSCILLATORY
     assert len(portrait.tail_crits_u) >= 3
 
 
 def test_bracket_midpoint_structure(mid1_struct):
-    portrait = detect_events(mid1_struct, critical_amplitudes(FL))
+    portrait = detect_events(mid1_struct)
     assert len(portrait.zeros_u) == 1
     assert len(portrait.crits_u) == 1
     z1 = portrait.zeros_u[0].r
@@ -97,7 +95,7 @@ def test_bracket_midpoint_structure(mid1_struct):
 
 
 def test_bracket_midpoint_decay_labels(mid1_struct):
-    portrait = detect_events(mid1_struct, critical_amplitudes(FL))
+    portrait = detect_events(mid1_struct)
     last = portrait.phases[-1]
     # the closing phase records |u| falling back through alpha_star and 1
     assert last.b is not None and last.r is not None
@@ -121,7 +119,7 @@ def test_node_counts_finalize_only_in_the_energy_trap():
 
 def test_find_zeros_components_are_consistent():
     traj = _run(5.0)
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     zs_u = find_zeros(traj, "u")
     zs_v = find_zeros(traj, "v")
     assert zs_u == pytest.approx([q.r for q in portrait.zeros_u], abs=1e-10)
@@ -132,7 +130,7 @@ def test_find_zeros_components_are_consistent():
 
 def test_zeros_interlace_with_criticals_on_a_two_node_shot():
     traj = _run(16.0, rmax=12.0)
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     zs = [q.r for q in portrait.zeros_u]
     cs = [q.r for q in portrait.crits_u]
     assert len(zs) == 2
@@ -203,14 +201,14 @@ def _ref_u_second(traj: Trajectory, s: State) -> float:
     return -(fld.n - 1.0) / s.r * s.up - fu
 
 
-def _ref_detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> PhasePortrait:
+def _ref_detect_events(traj: Trajectory) -> PhasePortrait:
     """Locate all events and assemble the phase structure.
 
     Raises InterlacingViolation when zeros/criticals cannot be reconciled
     and AmbiguousEvent when two located events collapse onto each other.
     """
     fld = traj.params.field
-    alpha_star = amplitudes.alpha_star
+    alpha_star = fld.alpha_star
     rs, sts = _ref_grid(traj)
     us = [s.u for s in sts]
     ups = [s.up for s in sts]
@@ -358,11 +356,11 @@ def _ref_detect_events(traj: Trajectory, amplitudes: CriticalAmplitudes) -> Phas
     )
 
 
-def _outcome(detect, traj, amps):
+def _outcome(detect, traj):
     """The portrait's repr (every float to the last bit, signed zeros
     included), or the error it raised."""
     try:
-        return repr(detect(traj, amps))
+        return repr(detect(traj))
     except (InterlacingViolation, AmbiguousEvent) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -386,8 +384,7 @@ EVENT_SHOTS = [
 @pytest.mark.parametrize("field, alpha", EVENT_SHOTS)
 def test_detect_events_matches_the_eval_dense_grid_bitwise(field, alpha, policy):
     traj = integrate(ProblemParams(field, alpha), policy)
-    amps = critical_amplitudes(field)
-    assert _outcome(detect_events, traj, amps) == _outcome(_ref_detect_events, traj, amps)
+    assert _outcome(detect_events, traj) == _outcome(_ref_detect_events, traj)
 
 
 @pytest.mark.parametrize("alpha, rmax, cut", [(35.0, 9.37, None), (2.0, 7.3, None),
@@ -397,14 +394,12 @@ def test_detect_events_on_clipped_and_truncated_runs_bitwise(alpha, rmax, cut):
     assert traj.knots[-1] == rmax
     if cut is not None:
         traj = traj.truncated_at(cut)
-    amps = critical_amplitudes(FL)
-    assert _outcome(detect_events, traj, amps) == _outcome(_ref_detect_events, traj, amps)
+    assert _outcome(detect_events, traj) == _outcome(_ref_detect_events, traj)
 
 
 def test_detect_events_on_the_structural_copy_bitwise(mid1_struct):
-    amps = critical_amplitudes(FL)
-    want = _outcome(_ref_detect_events, mid1_struct, amps)
-    assert _outcome(detect_events, mid1_struct, amps) == want
+    want = _outcome(_ref_detect_events, mid1_struct)
+    assert _outcome(detect_events, mid1_struct) == want
 
 
 def test_detect_events_reads_its_grid_from_the_stored_segments(monkeypatch):
@@ -425,7 +420,7 @@ def test_detect_events_reads_its_grid_from_the_stored_segments(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Trajectory, name, counting(name))
-    portrait = detect_events(traj, critical_amplitudes(FL))
+    portrait = detect_events(traj)
     assert len(portrait.zeros_u) == 1
     assert 0 < len(calls["value"]) < len(traj.knots)
     assert calls["eval_dense"] == []

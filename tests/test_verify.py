@@ -18,7 +18,6 @@ from boundstate_lab import (
     truncate_for_structure,
 )
 from boundstate_lab import verify
-from boundstate_lab.field import critical_amplitudes
 from boundstate_lab.portrait import _refine_root
 from boundstate_lab.verify import (
     BOUND_BRACKET,
@@ -155,7 +154,7 @@ def _bisect_abs_u(traj, mu, lo, hi):
 def _reflection_windows(prep):
     """Every (level, lo, hi) the reflection check hands the level locator."""
     port = prep.portrait
-    alpha_star = critical_amplitudes(prep.case.field).alpha_star
+    alpha_star = prep.case.field.alpha_star
     crits = [pt.r for pt in port.crits_u]
     traj = prep.struct
     for ph in port.phases:
