@@ -4,11 +4,14 @@ Every comparison functional used by the classification argument is evaluated
 here from a dense-output state: energy layers (E, Ê), Pohozaev-type layers
 (P, P1, P2), the logarithmic slope ω, the variation pairings (ϱ, Q and its
 shifted family Q1, Q2, Qn, M, the Wronskian-corrected T1, T2, B0), and the
-tail weight ϖ.  Each functional satisfies a first-order identity in r; the
-identity checker differentiates the left side by the complex step, reading it
-at r + iη through the dense output's polynomial, and compares against the
-closed-form right side, normalized by the largest magnitude seen for that
-identity along the trajectory.
+tail weight ϖ.  Each functional satisfies a first-order identity in r, which
+is checked two ways, each differentiating the left side by the complex step
+and comparing it with the closed-form right side, normalized by the largest
+magnitude seen for that identity over the probes: ``identity_residuals``
+(the ledger) reads the left side at r + iη through the dense output's
+polynomial, so its residual carries the march's error, and
+``identity_formula_residuals`` at the state y + iη F(y), along the exact
+flow through the dense state y, so that only roundoff remains.
 
 Where each formula lives:
 
@@ -22,9 +25,13 @@ Where each formula lives:
   r + iη, in complex arithmetic, and the right side the real one at r.  The
   left sides not in it (-u'/u, r^(n-1) u', r^(n-1) v', u'v' + f(u) v and the
   two slopes) are written there, and so is every right side.
+  ``_connection_rhs`` is the right side of the pointwise connection
+  Q - P v/u = ω (M - ϖ).
 * f, F, F_a, κ_a, g1, g2 and E (``_energy``) come from ``field``, and so do
   the two critical amplitudes, which each ``FieldParams`` computes once; u''
-  comes from ``integrate._u_second``.  The march reads the same definitions.
+  comes from ``integrate._u_second``, and the radial system F = (u', u'', v',
+  v'') from ``integrate._rhs``, which the march steps.  The march reads the
+  same definitions.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from operator import sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .field import FieldParams, _energy, abs_pow, big_F, big_F_a, f, f_prime, g1, g2, kappa_a
-from .integrate import State, Trajectory, _u_second
+from .integrate import State, Trajectory, _rhs, _u_second
 from .quadrature import adaptive_quadrature
 
 _GOLDEN = 0.6180339887498949
@@ -255,6 +262,13 @@ _IDENTITIES: dict[str, tuple[_Side, _Side, tuple[str, ...]]] = {
 IDENTITY_NAMES: tuple[str, ...] = tuple(_IDENTITIES)
 
 
+def _connection_rhs(x: AuxSample) -> float:
+    """omega (M - varpi), equal to Q - P v/u wherever u and u' are nonzero: the
+    pointwise connection between the u-frame and v-frame functionals, checked
+    without differentiation."""
+    return x.omega * (x.M - x.varpi)
+
+
 @dataclass(frozen=True)
 class IdentityResidual:
     identity: str
@@ -318,13 +332,14 @@ def probe_radii(
     if span <= 0.0:
         return []
     excl = sorted(exclusion_radii)
+    last, moat = len(excl), _EXCLUSION_HALFWIDTH
     out: list[float] = []
     x = 0.5
     for _ in range(count):
         x = (x + _GOLDEN) % 1.0
         r = lo + span * x
-        i = bisect_left(excl, r)  # the nearest exclusion radii are excl[i - 1] and excl[i]
-        if not any(abs(r - e) < _EXCLUSION_HALFWIDTH for e in excl[max(i - 1, 0):i + 1]):
+        i = bisect_left(excl, r)  # the nearest exclusion radii: excl[i - 1] < r <= excl[i]
+        if (i == 0 or r - excl[i - 1] >= moat) and (i == last or excl[i] - r >= moat):
             out.append(r)
     return sorted(set(out))
 
@@ -336,12 +351,15 @@ def identity_residuals(
 ) -> IdentityReport:
     """Complex-step check of every registered identity at the probes.
 
-    Each probe reads two records: the real one at r, for the right sides,
-    the guards and the connection, and one at r + iη, whose left side's
-    imaginary part over η is the left side's derivative at r.  Each distinct
-    guard set is tested once per probe and keeps the records it admits; each
-    identity is then one column of derivatives and one of right sides over
-    its guard set's records, reduced by ``max``.  Residuals are reported
+    Each probe reads two records: one at r + iη, whose left side's
+    imaginary part over η is the left side's derivative at r, and the real
+    one at r, for the right sides, the guards and the connection.  One dense
+    read at r + iη gives both states: its real part is the real read's state,
+    bit for bit.  Each distinct
+    guard set is tested once per probe and keeps the records it admits (an
+    identity without guards takes every record); each identity is then one
+    column of derivatives and one of right sides over its guard set's
+    records, reduced by ``max``.  Residuals are reported
     relative to the largest magnitude (of either side) the identity attains
     over the probe set.  An identity whose two sides stay below
     abs_tol at every probe has nothing the march resolves to be read against
@@ -351,6 +369,57 @@ def identity_residuals(
     skipped for that identity.  The family identities are checked at
     a = _FAMILY_A.
     """
+    field = traj.params.field
+
+    def records() -> Iterator[tuple[AuxSample, AuxSample]]:
+        for r in probes:
+            _check_probe(traj, r)
+            z = traj.eval_dense(complex(r, _ETA))
+            x = object.__new__(State)  # filled through __dict__, as eval_dense fills it
+            x.__dict__.update(r=r, u=z.u.real, up=z.up.real, v=z.v.real, vp=z.vp.real)
+            yield eval_aux(x, field), eval_aux(z, field)
+
+    return _ledger(traj, identities, records())
+
+
+def identity_formula_residuals(traj: Trajectory, probes: Sequence[float]) -> IdentityReport:
+    """The identities' formulas checked at roundoff, apart from the march.
+
+    At each probe the real record is the dense state y at r, and the complex
+    one the state y + iη F(y) at r + iη, where F is the radial system
+    ``integrate._rhs``: each left side's imaginary part over η is then its
+    derivative along the exact flow through y, not along the interpolant,
+    and equals its right side up to roundoff (the complex step, Squire and
+    Trapp, SIAM Review 40 (1998) 110-112).  Guards, scales, undefined
+    identities and the connection Q - P v/u = ω (M - ϖ), an algebraic
+    identity of the state, read as in ``identity_residuals``.
+    """
+    field = traj.params.field
+
+    def records() -> Iterator[tuple[AuxSample, AuxSample]]:
+        for r in probes:
+            _check_probe(traj, r)
+            x = traj.eval_dense(r)
+            y = (x.u, x.up, x.v, x.vp)
+            z = State(complex(r, _ETA), *(complex(yc, _ETA * fc)
+                                          for yc, fc in zip(y, _rhs(field, r, y))))
+            yield eval_aux(x, field), eval_aux(z, field)
+
+    return _ledger(traj, None, records())
+
+
+def _check_probe(traj: Trajectory, r: float) -> None:
+    if not traj.r_start < r < traj.r_end:
+        raise ProbeUndefined(f"probe {r} outside trajectory range")
+
+
+def _ledger(
+    traj: Trajectory,
+    identities: Sequence[str] | None,
+    records: Iterable[tuple[AuxSample, AuxSample]],
+) -> IdentityReport:
+    """Each identity's residual over the (real, complex) record pairs its
+    guards admit, and the connection over those admitted by ("u", "up")."""
     field, a = traj.params.field, _FAMILY_A
     names = list(identities) if identities is not None else list(_IDENTITIES)
     for name in names:
@@ -360,13 +429,9 @@ def identity_residuals(
     # each distinct guard is tested once per probe; the connection reads ("u", "up")
     guard_sets = [*(_IDENTITIES[name][2] for name in names), ("u", "up")]
     admitted = {guards: ([], []) for guards in guard_sets}  # its real and complex records
-    for r in probes:
-        if not traj.r_start < r < traj.r_end:
-            raise ProbeUndefined(f"probe {r} outside trajectory range")
-        x = eval_aux(traj.eval_dense(r), field)
-        z = eval_aux(traj.eval_dense(complex(r, _ETA)), field)
+    for x, z in records:
         for guards, (xs, zs) in admitted.items():
-            if _admits(x, field, guards):
+            if not guards or _admits(x, field, guards):
                 xs.append(x)
                 zs.append(z)
 
@@ -385,12 +450,10 @@ def identity_residuals(
         else:
             recs.append(IdentityResidual(name, len(ds), res, scale))
 
-    # Pointwise connection between the u-frame and v-frame functionals:
-    # Q - P v/u = omega (M - varpi), checked without differentiation.
     conn_worst = 0.0
     for x in admitted["u", "up"][0]:
         pv_u = x.P * x.v / x.u
-        rel = abs(x.Q - pv_u - x.omega * (x.M - x.varpi))
+        rel = abs(x.Q - pv_u - _connection_rhs(x))
         rel /= abs(x.Q) + abs(pv_u) + 1e-30
         conn_worst = max(conn_worst, rel)
     return IdentityReport(tuple(recs), conn_worst)

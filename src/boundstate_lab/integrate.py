@@ -25,7 +25,8 @@ marches in the compiled kernel of ``_dopri.c`` when that loads: the step of
 ``_march``, its dense coefficients and its midpoints in C, bit for bit.
 ``_march``, the Python step, is its fallback and its reference; both read
 the tableau below by index, the kernel from the C that ``_dopri`` writes of it,
-and ``_march`` reads f, f' and the energy from ``field``, u'' from ``_u_second``.
+and ``_march`` steps the radial system ``_rhs``, which reads f and f' from
+``field`` and u'' from ``_u_second``, and reads the energy from ``field``.
 
 Termination is explicit and tagged: the run ends at ``r_max``, or earlier
 when the profile energy drops to zero or below (the oscillation trap: from
@@ -454,6 +455,16 @@ def _power(u: float, s: float) -> float:
         return math.inf
 
 
+def _rhs(fld: FieldParams, r: float, y: Sequence[float]) -> tuple[float, float, float, float]:
+    """(u', u'', v', v''), the radial system at r: u'' from ``_u_second`` and
+    v'' = -(n-1)/r v' - f'(u) v, f and f' sharing one |u|^(p-1).  ``_march``
+    steps it, and ``functionals`` checks the identity formulas along it."""
+    u, up, v, vp = y
+    power = _power(u, fld.p - 1.0)
+    return (up, _u_second(fld, r, u, up, f(u, fld, power)),
+            vp, -(fld.n - 1.0) / r * vp - f_prime(u, fld, power) * v)
+
+
 def integrate(params: ProblemParams, stop_on_energy: bool = CLASSIFY_POLICY) -> Trajectory:
     """March the system outward from the series start until a stop fires.
 
@@ -501,19 +512,11 @@ def _march(params: ProblemParams, stop_on_energy: bool) -> Trajectory:
     fld = params.field
     ctl = params.controls
     start = series_start(params)
-    n_minus_1 = fld.n - 1.0
-    p_m1, p_p1 = fld.p - 1.0, fld.p + 1.0
+    p_p1 = fld.p + 1.0
     atol, rtol, r_max = ctl.abs_tol, ctl.rel_tol, ctl.r_max
 
-    def rhs(r: float, y: Sequence[float]) -> tuple[float, float, float, float]:
-        # (u', u'', v', v''): v'' = -(n-1)/r v' - f'(u) v; f and f' share |u|^(p-1)
-        u, up, v, vp = y
-        power = _power(u, p_m1)
-        return (up, _u_second(fld, r, u, up, f(u, fld, power)),
-                vp, -n_minus_1 / r * vp - f_prime(u, fld, power) * v)
-
     def stage(s: int, r: float, h: float, y: tuple, k: list) -> tuple:
-        return rhs(r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))])
+        return _rhs(fld, r + _C[s] * h, [yc + h * a for yc, a in zip(y, _weigh(_A[s], k))])
 
     def energy(y: tuple[float, float, float, float]) -> float:  # trapped once E <= 0
         return _energy(y[1], big_F(y[0], fld, _power(y[0], p_p1)))
@@ -533,7 +536,7 @@ def _march(params: ProblemParams, stop_on_energy: bool) -> Trajectory:
     if abs(y[2]) > _V_GUARD:
         return finish(_DIVERGED_AT_START)
 
-    k1 = rhs(r, y)
+    k1 = _rhs(fld, r, y)
     h = min(10.0 * r, _MAX_STEP, r_max - r)
     rejected = False
 
@@ -552,7 +555,7 @@ def _march(params: ProblemParams, stop_on_energy: bool) -> Trajectory:
             k.append(stage(s, r, h, y, k))
         y_new = tuple(yc + h * a for yc, a in zip(y, _weigh(_A[12], k)))
         r_new = r_max if clipped else r + h
-        k.append(rhs(r_new, y_new))
+        k.append(_rhs(fld, r_new, y_new))
 
         if not all(map(math.isfinite, y_new)):
             return finish(_NONFINITE)

@@ -12,7 +12,9 @@ bound state it shadows.  Every derived quantity is cross-checked against a
 re-integration at 10x tighter tolerances before its checks run.
 
 This module locates no event itself: ``portrait`` locates every event
-radius, level crossings included.  Its functionals come from ``functionals``.
+radius, level crossings included.  Its functionals come from ``functionals``,
+and the identity check reads both of its identity checks there: the ledger
+at every probe, for the march, and the formulas at a few, for roundoff.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .classify import (
 )
 from .field import FieldParams, _energy, big_F
 from .functionals import (
-    _R_FLOOR, AuxSample, bridge_integral, eval_aux, identity_residuals, probe_radii,
+    _R_FLOOR, AuxSample, bridge_integral, eval_aux, identity_formula_residuals,
+    identity_residuals, probe_radii,
 )
 from .integrate import (
     FULL_RANGE_POLICY,
@@ -651,30 +654,60 @@ def _check_bridge_integral(prep: _Prepared) -> _Outcome:
     return status, result.value, 15, f"I_1={result.value:.6g} over ({b1:.4g}, {tau1:.4g})"
 
 
-def _check_identity_residuals(prep: _Prepared) -> _Outcome:
-    # Brackets are probed on the structural cut: in the capture zone beyond
-    # it |v| reaches guard scale, and the complex-step derivatives of the
-    # pairing and barrier functionals, which differentiate the dense output's
-    # polynomial, measure its interpolation noise, not identity validity.
-    # Long free runs are capped at r = 40 for the same reason, and the
-    # terminal 1% is dropped since the last segments end mid-step.
-    traj = prep.struct
+# The identity check reads each identity twice.  The ledger
+# (``functionals.identity_residuals``) differentiates each left side along the
+# dense output: its residual is the formula's slip plus the march's part, which
+# reads at most 2.3e-7 of the identity's largest magnitude on the core cases,
+# so _LEDGER_LIMIT = 1e-6 leaves it 4x.  The formula check
+# (``functionals.identity_formula_residuals``) differentiates each left side
+# along the exact flow through the dense state, where only roundoff remains:
+# at most 7.5e-14 (340 unit roundoffs) over every probe of the core cases at
+# (3,3), (3,1.1)-(3,1.4), (3,1.25) and (4,1.5).  _FORMULA_LIMIT = 1e-11 sits a
+# factor of about 100 above that floor and 100 below a 1e-9 slip of a right
+# side, which the ledger reads as 1e-9 beside its 1e-6 limit.  It also bounds
+# the pointwise connection Q - P v/u = omega (M - varpi), an algebraic
+# identity of the state, which the ledger reads at every probe.
+_LEDGER_LIMIT = 1e-6
+_FORMULA_LIMIT = 1e-11
+# The formulas do not depend on the shot, so a few probes spread over its
+# range check them; the ledger reads every probe.
+_FORMULA_PROBES = 16
+
+
+def _identity_probes(traj: Trajectory) -> list[float]:
+    """The probe radii of the identity check on a prepared shot's ``struct``.
+
+    Brackets are probed on the structural cut: in the capture zone beyond it
+    |v| reaches guard scale, and the complex-step derivatives of the pairing
+    and barrier functionals, which differentiate the dense output's
+    polynomial, measure its interpolation noise, not identity validity.
+    Long free runs are capped at r = 40 for the same reason, and the
+    terminal 1% is dropped since the last segments end mid-step.
+    """
     events: list[float] = []
     for comp in ("u", "up", "v", "vp"):
         events.extend(find_zeros(traj, comp))
     r_hi = traj.r_end - 0.01 * (traj.r_end - traj.r_start)
     r_hi = min(r_hi, 40.0)
-    probes = probe_radii(traj, 500, r_hi=r_hi, exclusion_radii=events)
+    return probe_radii(traj, 500, r_hi=r_hi, exclusion_radii=events)
+
+
+def _check_identity_residuals(prep: _Prepared) -> _Outcome:
+    traj = prep.struct
+    probes = _identity_probes(traj)
     if len(probes) < 10:
         return _skip("trajectory too short to probe")
     rep = identity_residuals(traj, probes)
     worst = rep.worst()
-    fd_margin = 1.0 - worst.max_rel_residual / 1e-6
-    conn_margin = 1.0 - rep.connection_rel_residual / 1e-9
-    margin = min(fd_margin, conn_margin)
+    formulas = identity_formula_residuals(
+        traj, probes[:: math.ceil(len(probes) / _FORMULA_PROBES)]).worst()
+    margin = min(1.0 - worst.max_rel_residual / _LEDGER_LIMIT,
+                 1.0 - rep.connection_rel_residual / _FORMULA_LIMIT,
+                 1.0 - formulas.max_rel_residual / _FORMULA_LIMIT)
     status = PASS if margin > 0.0 else FAIL
     notes = (f"worst {worst.identity}: {worst.max_rel_residual:.3g}; "
-             f"conn: {rep.connection_rel_residual:.3g}")
+             f"conn: {rep.connection_rel_residual:.3g}; "
+             f"formula {formulas.identity}: {formulas.max_rel_residual:.3g}")
     return status, margin, len(probes), notes
 
 

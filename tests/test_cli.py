@@ -405,7 +405,8 @@ def test_console_script_entry_point(tmp_path):
 # A digest case keeps the id it was first collected under: the id shows the
 # digest first recorded for the case, not a re-recorded one, so moving the
 # bytes on purpose (the DOP853 march moved these, and the complex-step identity
-# ledger the four verify reports) does not rename the case.
+# ledger and then the identity check's formula half the four verify reports)
+# does not rename the case.
 FIRST_DIGESTS = {
     "903ffc9cbb9fe5d4c399aba6c29871f6b3b9f2bc24f156708f4b91030b1a9cab":
         "4ca77038bc4ec8c0716e461af1e527ca22e44cf98338e0296ad299d9d8efb8bc",
@@ -433,13 +434,13 @@ FIRST_DIGESTS = {
         "7957e45dd21c868ac9b809a4ea11fb88629cccd45ac582469b588c0d5d5abc14",
     "4d3dc68245e85fd73e9885302c24b9c2b6a72cab4c521444560557477c1b3c12":
         "1a04e2408c2efcc967bdba040aedf5ce728196e14df2c9b49e3600ecd06db201",
-    "f29c55c3d0818b937ccbd7616f1d976aeef222e2937234e73fea91cbbf8c4e7c":
+    "8bd68bbc291b6176b9d1d1894c6520707e4dcc13587b2860a16af2c077b365a8":
         "b702c3e700dbd4760fe958ba69d736a6018cf8f2fc8f314766bf36c9e74e9d30",
-    "5432f7d1d9481c05199dded93984d756cc0ed3ff2d68fe5a8f31235b9d427ab0":
+    "eab05420509e5e6e4416a76a0d87bbace5b757b19d97023eb65c23714dc37ca9":
         "7b26cd06d3ca55c8a17daa043470e8e0b4b4a6efbee10537e6c0b690abdd4d77",
-    "bdb1085671e098e9901fadc1e2c714d68732559a853ff5ae8a10ba4b88e7b5c2":
+    "6aebdf14ffc03e621e3f789e595df2520dff2cbed4349b0e751f32d4b21b5031":
         "cbda8b37d42f4ee2087d03dddc3c6872869d2e94610c09f2c6fb78039a49de59",
-    "c7402c7f569977b8d11a7398f619bf08b6aa03771ab41f899bc095e31d4471f4":
+    "b0ac9189ca7a7f98d2d8ebcf76baad3c9998fac69e46bcbb77f810e8cacccdc8":
         "23cdfe29a51e715dce72836e11afb4d77a06a3c016b3d62bc81fd779d1d62a64",
 }
 
@@ -519,9 +520,9 @@ def test_table_bytes_match_the_recorded_digests(tmp_path, monkeypatch, args, nam
 
 GOLDEN_VERIFY = [
     (3, "3", "v33.json",
-     "f29c55c3d0818b937ccbd7616f1d976aeef222e2937234e73fea91cbbf8c4e7c"),
+     "8bd68bbc291b6176b9d1d1894c6520707e4dcc13587b2860a16af2c077b365a8"),
     (3, "1.25", "v3125.json",
-     "5432f7d1d9481c05199dded93984d756cc0ed3ff2d68fe5a8f31235b9d427ab0"),
+     "eab05420509e5e6e4416a76a0d87bbace5b757b19d97023eb65c23714dc37ca9"),
 ]
 
 
@@ -542,9 +543,9 @@ def test_verify_report_bytes_match_the_recorded_digests(tmp_path, monkeypatch,
 # by design, so the run exits 4), residual the only one with a lone bracket case.
 GOLDEN_VERIFY_PRESETS = [
     ("full", 3, "3", EXIT_VERIFY, "v33full.json",
-     "bdb1085671e098e9901fadc1e2c714d68732559a853ff5ae8a10ba4b88e7b5c2"),
+     "6aebdf14ffc03e621e3f789e595df2520dff2cbed4349b0e751f32d4b21b5031"),
     ("residual", 3, "1.25", EXIT_OK, "v3125res.json",
-     "c7402c7f569977b8d11a7398f619bf08b6aa03771ab41f899bc095e31d4471f4"),
+     "b0ac9189ca7a7f98d2d8ebcf76baad3c9998fac69e46bcbb77f810e8cacccdc8"),
 ]
 
 

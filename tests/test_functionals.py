@@ -28,8 +28,9 @@ from boundstate_lab import (
 )
 from boundstate_lab import find_alpha_k, functionals, truncate_for_structure, verify
 from boundstate_lab import field as field_module
-from boundstate_lab.cli import EXIT_OK, OUTDIR_ENV, main
 from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
+from boundstate_lab.functionals import identity_formula_residuals
+from boundstate_lab.integrate import _rhs
 from boundstate_lab.io import plain
 
 FL = FieldParams(3, 3.0)
@@ -159,8 +160,10 @@ def test_identity_residuals_test_each_distinct_guard_once_per_probe(monkeypatch)
 
     monkeypatch.setattr(functionals, "_admits", counted)
     assert identity_residuals(traj, probes) == full
-    distinct = {guards for _, _, guards in functionals._IDENTITIES.values()}
+    # an identity without guards takes every record without a call
+    distinct = {guards for _, _, guards in functionals._IDENTITIES.values()} - {()}
     assert ("u", "up") in distinct and len(calls) == len(probes) * len(distinct)
+    assert () not in calls
     # a single identity reads the same residual, and the connection check still
     # reads its own ("u", "up") guard
     for name, want in zip(IDENTITY_NAMES, full.residuals):
@@ -228,18 +231,17 @@ def test_the_dense_output_read_at_a_complex_radius_gives_the_slope():
         assert abs(got - want) <= allowed, r
 
 
-def test_the_shallow_k2_bracket_ledger_reads_below_5e_8(monkeypatch):
-    # the (3, 1.25) k = 2 bracket-midpoint shot of `verify --preset core`:
-    # a difference stencil's own error put its worst residual at 1.5e-7 to 2.5e-7
-    reports = []
-    recorded = functionals.identity_residuals
-    monkeypatch.setattr(verify, "identity_residuals",
-                        lambda traj, probes: reports.append(recorded(traj, probes)) or reports[-1])
+def test_the_shallow_k2_bracket_ledger_reads_below_5e_8():
+    # the (3, 1.25) k = 2 bracket-midpoint shot of `verify --preset core`, on
+    # the probes the identity check places: a difference stencil's own error
+    # put its worst residual at 1.5e-7 to 2.5e-7
     case = verify.CaseSpec(FieldParams(3, 1.25), verify.BOUND_BRACKET, k=2)
-    report = verify.run_checks(verify.VerificationPlan(cases=(case,),
-                                                       checks=("identity_residuals",)))
+    plan = verify.VerificationPlan(cases=(case,), checks=("identity_residuals",))
+    report = verify.run_checks(plan)
     assert [rec.status for rec in report.records] == [verify.PASS]
-    assert len(reports) == 1 and reports[0].worst().max_rel_residual < 5e-8
+    struct = verify._prepare(case, plan, {}).struct
+    ledger = identity_residuals(struct, verify._identity_probes(struct))
+    assert ledger.worst().max_rel_residual < 5e-8
 
 
 def test_identity_residuals_reject_unknown_names():
@@ -300,18 +302,28 @@ LEDGER_IDS = [
 ]
 
 
+def _core_ledger_inputs(field, bracket_tol):
+    """(trajectory, probes) of each case of `verify --preset core` at ``field``:
+    the prepared structural shot and the probe radii the identity check places
+    on it, the cases prepared in plan order sharing one count cache, as
+    run_checks prepares them."""
+    plan = verify.VerificationPlan(cases=verify.default_cases(field, "core"),
+                                   checks=("identity_residuals",), bracket_tol=bracket_tol)
+    counts = {}
+    inputs = []
+    for case in plan.cases:
+        prep = verify._prepare(case, plan, counts)
+        assert prep.gate_note == ""
+        inputs.append((prep.struct, verify._identity_probes(prep.struct)))
+    return inputs
+
+
 @pytest.mark.parametrize("p, digest", GOLDEN_LEDGER, ids=LEDGER_IDS)
-def test_the_core_identity_ledger_matches_the_recorded_digest(tmp_path, monkeypatch, p, digest):
-    reports = []
-
-    def recorded(traj, probes):
-        reports.append(identity_residuals(traj, probes))
-        return reports[-1]
-
-    monkeypatch.setattr(verify, "identity_residuals", recorded)
-    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
-    assert main(["verify", "--preset", "core", "--n", "3", "--p", p, "--out", "v"]) == EXIT_OK
-    assert len(reports) == 6
+def test_the_core_identity_ledger_matches_the_recorded_digest(p, digest):
+    # the CLI's bracket tolerance, 1e-10, and default controls
+    inputs = _core_ledger_inputs(FieldParams(3, float(p)), bracket_tol=1e-10)
+    reports = [identity_residuals(traj, probes) for traj, probes in inputs]
+    assert len(reports) == 6 and all(len(probes) >= 10 for _, probes in inputs)
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
 
@@ -361,16 +373,10 @@ def _reference_identity_residuals(traj, probes):
 
 @pytest.fixture(scope="module")
 def core_ledger_calls():
-    """(trajectory, probes) of every ledger check of `verify --preset core`
-    at (3, 3) and (3, 1.25)."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "identity_residuals",
-                   lambda traj, probes: calls.append((traj, probes)) or identity_residuals(
-                       traj, probes))
-        for fl in (FieldParams(3, 3.0), FieldParams(3, 1.25)):
-            verify.run_checks(verify.VerificationPlan(
-                cases=verify.default_cases(fl, "core"), checks=("identity_residuals",)))
+    """(trajectory, probes) of every identity check of `verify --preset core`
+    at (3, 3) and (3, 1.25), at the plan's default bracket tolerance."""
+    calls = [call for fl in (FieldParams(3, 3.0), FieldParams(3, 1.25))
+             for call in _core_ledger_inputs(fl, bracket_tol=1e-12)]
     assert len(calls) == 12
     return calls
 
@@ -399,6 +405,9 @@ def test_a_nan_side_reads_as_the_per_probe_loop(monkeypatch, core_ledger_calls, 
 
 
 def test_a_side_that_raises_reaches_run_checks_as_from_the_per_probe_loop(monkeypatch):
+    # a right side that raises on its fifth call stops the ledger where it stops
+    # the per-probe loop, on the shot and probes of the identity check, and
+    # run_checks records the check's failure
     lhs, rhs, guards = functionals._IDENTITIES["pairing_q"]
     seen = []
 
@@ -409,17 +418,21 @@ def test_a_side_that_raises_reaches_run_checks_as_from_the_per_probe_loop(monkey
         return rhs(x, fl, a)
 
     monkeypatch.setitem(functionals._IDENTITIES, "pairing_q", (lhs, failing, guards))
-    plan = verify.VerificationPlan(cases=(verify.CaseSpec(FL, verify.OSCILLATORY_CASE,
-                                                          alpha=5.0),),
-                                   checks=("identity_residuals",))
-    got = verify.run_checks(plan)
+    case = verify.CaseSpec(FL, verify.OSCILLATORY_CASE, alpha=5.0)
+    plan = verify.VerificationPlan(cases=(case,), checks=("identity_residuals",))
+    struct = verify._prepare(case, plan, {}).struct
+    probes = verify._identity_probes(struct)
+    with pytest.raises(ZeroDivisionError) as got:
+        identity_residuals(struct, probes)
     at = seen[4]
     seen.clear()
-    monkeypatch.setattr(verify, "identity_residuals", _reference_identity_residuals)
-    want = verify.run_checks(plan)
-    assert seen[4] == at
-    assert got == want
-    assert got.records[0].notes == f"check raised: side fails at r={at!r}"
+    with pytest.raises(ZeroDivisionError) as want:
+        _reference_identity_residuals(struct, probes)
+    assert seen[4] == at and str(got.value) == str(want.value)
+    seen.clear()
+    (rec,) = verify.run_checks(plan).records
+    assert rec.status == verify.FAIL and rec.margin is None
+    assert rec.notes == f"check raised: side fails at r={seen[4]!r}"
 
 
 def test_bridge_integral_empty_range_is_flagged():
@@ -673,3 +686,69 @@ def test_registry_sides_match_the_reference_table(field, alpha):
                     else:
                         assert got == want, (name, side, s)
     assert knots > 100
+
+
+def test_the_identity_formulas_read_roundoff_on_every_core_case(core_ledger_calls):
+    # along the exact flow through the dense state only roundoff remains, at
+    # every probe of every core case, far below the march's part the ledger reads
+    for traj, probes in core_ledger_calls:
+        formulas = identity_formula_residuals(traj, probes)
+        assert [rec.identity for rec in formulas.residuals] == list(IDENTITY_NAMES)
+        assert formulas.worst().max_rel_residual < verify._FORMULA_LIMIT
+        assert formulas.connection_rel_residual < verify._FORMULA_LIMIT
+    traj, probes = core_ledger_calls[2]  # (3, 3) alpha = 5
+    assert identity_residuals(traj, probes).worst().max_rel_residual > 1e-8
+    assert identity_formula_residuals(traj, probes).worst().max_rel_residual < 1e-13
+
+
+def test_the_formula_check_steps_along_the_radial_system(monkeypatch):
+    # each probe reads the real dense state at r and the state y + i eta F(y)
+    # at r + i eta, F being integrate._rhs
+    traj = _full_run(3.0, rmax=10.0)
+    probes = probe_radii(traj, 20)
+    states = []
+    monkeypatch.setattr(functionals, "eval_aux",
+                        lambda state, field: states.append(state) or eval_aux(state, field))
+    identity_formula_residuals(traj, probes)
+    assert len(states) == 2 * len(probes)
+    for r, x, z in zip(probes, states[0::2], states[1::2]):
+        assert x == traj.eval_dense(r)
+        y = (x.u, x.up, x.v, x.vp)
+        slopes = _rhs(FL, r, y)
+        assert z == State(complex(r, functionals._ETA),
+                          *(complex(yc, functionals._ETA * fc) for yc, fc in zip(y, slopes)))
+
+
+def test_the_formula_check_refuses_out_of_range_probes():
+    traj = _full_run(2.0, rmax=10.0)
+    with pytest.raises(ProbeUndefined):
+        identity_formula_residuals(traj, [traj.r_end + 1.0])
+
+
+def test_the_constant_shot_leaves_its_formulas_in_u_alone_undefined():
+    # u = 1 and u' = 0 exactly, so u'' = 0 and the identities in u alone read
+    # 0 = 0 exactly; those that carry v are measured
+    traj = integrate(ProblemParams(FieldParams(3, 1.25), 1.0), FULL_RANGE_POLICY)
+    report = identity_formula_residuals(traj, probe_radii(traj, 16, r_hi=40.0))
+    by_name = {rec.identity: rec for rec in report.residuals}
+    for name in ("energy", "pohozaev_scaled", "pohozaev_p2", "log_slope", "flux_u"):
+        assert by_name[name] == functionals.IdentityResidual(name, 0, 0.0, 0.0)
+    for name in ("energy_layer", "pohozaev", "wronskian_m", "flux_v"):
+        assert by_name[name].probes_used == 16
+    assert report.worst().max_rel_residual < verify._FORMULA_LIMIT
+
+
+@pytest.mark.parametrize("field, alpha", [
+    (FieldParams(3, 3.0), 5.0), (FieldParams(3, 1.25), 1.0), (FieldParams(5, 1.6), 30.0),
+])
+def test_a_complex_read_holds_the_real_read_in_its_real_part(field, alpha):
+    # identity_residuals reads each probe once, at r + i eta, and takes the
+    # real state from the real part: bit for bit the real read, at every knot,
+    # every segment midpoint and every probe
+    traj = integrate(ProblemParams(field, alpha, IntegratorControls().with_rmax(40.0)),
+                     FULL_RANGE_POLICY)
+    radii = [*traj.grid[1:-1], *probe_radii(traj, 500)]
+    for r in radii:
+        x, z = traj.eval_dense(r), traj.eval_dense(complex(r, functionals._ETA))
+        assert pack("<4d", x.u, x.up, x.v, x.vp) == pack(
+            "<4d", z.u.real, z.up.real, z.v.real, z.vp.real), r

@@ -177,15 +177,26 @@ def test_the_python_step_reads_the_tableau_by_index():
 
 def test_the_python_step_reads_the_equation_where_it_is_defined():
     # _march writes no power, f, f', u'' or E of its own: its only power is the
-    # step-size controller's, and E is spelled in field alone, beside F
+    # step-size controller's, its radial system is integrate._rhs, which reads
+    # f, f' and u'' and which the identity formula check reads too,
+    # and E is spelled in field alone, beside F
     package = Path(boundstate_lab.__file__).resolve().parent
-    march = next(node for node in ast.parse((package / "integrate.py").read_text()).body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_march")
-    powers = {ast.unparse(node) for node in ast.walk(march)
+
+    def functions(module):
+        tree = ast.parse((package / module).read_text())
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+    integrate_fns, functionals_fns = functions("integrate.py"), functions("functionals.py")
+    march, rhs = integrate_fns["_march"], integrate_fns["_rhs"]
+    powers = {ast.unparse(node) for fn in (march, rhs) for node in ast.walk(fn)
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)}
     assert powers == {"norm ** _EXPONENT"}
-    read = {node.id for node in ast.walk(march) if isinstance(node, ast.Name)}
-    assert {"f", "f_prime", "big_F", "_energy", "_u_second"} <= read
+    assert {"_rhs", "big_F", "_energy"} <= names(march)
+    assert {"f", "f_prime", "_u_second"} <= names(rhs)
+    assert "_rhs" in names(functionals_fns["identity_formula_residuals"])
     energy_homes = [path.name for path in sorted(package.glob("*.py"))
                     for node in ast.walk(ast.parse(path.read_text()))
                     if isinstance(node, ast.FunctionDef) and node.name == "_energy"]

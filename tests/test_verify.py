@@ -1,6 +1,7 @@
 """Verification-suite tests: presets, plan validation, case preparation."""
 
 import dataclasses
+import importlib
 import math
 import struct
 
@@ -17,7 +18,8 @@ from boundstate_lab import (
     run_checks,
     truncate_for_structure,
 )
-from boundstate_lab import verify
+from boundstate_lab import functionals, verify
+from boundstate_lab.functionals import IDENTITY_NAMES, identity_residuals
 from boundstate_lab.portrait import _refine_root
 from boundstate_lab.verify import (
     BOUND_BRACKET,
@@ -28,6 +30,9 @@ from boundstate_lab.verify import (
     SKIPPED,
     _prepare,
 )
+
+integrate_module = importlib.import_module("boundstate_lab.integrate")
+dopri_module = importlib.import_module("boundstate_lab._dopri")
 
 
 def test_presets_partition_the_check_ids():
@@ -234,3 +239,157 @@ def test_grid_scans_read_each_radius_once(monkeypatch, field33):
     assert calls == prep.struct.grid[: len(calls)]
     for aux in prep.rows:
         assert _bits(aux) == _bits(real(prep.struct.eval_dense(aux.r), field33))
+
+
+def _perturb_the_gate_shot(monkeypatch, perturb):
+    """Make verify's 10x tighter cross-check shot go through ``perturb``."""
+    real = verify.integrate
+    loose = VerificationPlan(cases=(), checks=()).controls.abs_tol
+
+    def integrate(params, stop_on_energy):
+        traj = real(params, stop_on_energy)
+        if params.controls.abs_tol < loose:
+            perturb(traj)
+        return traj
+
+    monkeypatch.setattr(verify, "integrate", integrate)
+
+
+def _every_record_fails_with_the_gate_note(field, gate_note):
+    case = CaseSpec(field, OSCILLATORY_CASE, alpha=5.0)
+    plan = VerificationPlan(cases=(case,), checks=PRESETS["core"])
+    assert _prepare(case, plan, {}).gate_note == gate_note
+    report = run_checks(plan)
+    assert len(report.records) == len(PRESETS["core"])
+    for rec in report.records:
+        assert (rec.status, rec.margin, rec.probes, rec.notes) == (FAIL, None, 0, gate_note)
+
+
+def test_a_gate_shot_that_disagrees_in_u_fails_every_record_of_its_case(monkeypatch, field33):
+    # a bump of 1e-6 * theta (1 - theta) on every segment of the tight shot's u
+    # moves u at the first gate probe (r = 15) far past 10x the tolerance level
+    def bump_u(traj):
+        q = list(traj.coeffs[0])
+        for j in range(1, len(q), 7):
+            q[j] += 1e-6
+        traj.coeffs[0] = q
+
+    _perturb_the_gate_shot(monkeypatch, bump_u)
+    case = CaseSpec(field33, OSCILLATORY_CASE, alpha=5.0)
+    note = _prepare(case, VerificationPlan(cases=(case,), checks=("tango",)), {}).gate_note
+    assert note.startswith("cross-oracle disagreement in u at r=15: |")
+    _every_record_fails_with_the_gate_note(field33, note)
+
+
+def test_a_gate_shot_that_disagrees_in_a_zero_fails_every_record_of_its_case(monkeypatch,
+                                                                              field33):
+    # a bump that vanishes at both knots and the midpoint of the segment where
+    # the tight shot's u first changes sign leaves its grid values, and u and u'
+    # at the five gate probes (r >= 15), as they were, but moves z_1
+    def bump_first_zero(traj):
+        u = traj.knot_values[0]
+        i = next(i for i in range(len(u) - 1) if (u[i] < 0.0) != (u[i + 1] < 0.0))
+        assert traj.knots[i + 1] < 15.0
+        q = list(traj.coeffs[0])
+        q[7 * i + 1] += 1e-5  # 1e-5 * theta (1 - theta) (1 - 4 theta (1 - theta))
+        q[7 * i + 3] -= 4e-5
+        traj.coeffs[0] = q
+
+    _perturb_the_gate_shot(monkeypatch, bump_first_zero)
+    _every_record_fails_with_the_gate_note(field33, "cross-oracle disagreement in z_1")
+
+
+@pytest.fixture(scope="module")
+def free5():
+    """The prepared (3, 3) alpha = 5 shot, on which every identity is defined."""
+    case = CaseSpec(FieldParams(3, 3.0), OSCILLATORY_CASE, alpha=5.0)
+    return _prepare(case, VerificationPlan(cases=(case,), checks=("identity_residuals",)), {})
+
+
+def _slipped(monkeypatch, name, factor):
+    lhs, rhs, guards = functionals._IDENTITIES[name]
+    monkeypatch.setitem(functionals._IDENTITIES, name,
+                        (lhs, lambda x, fl, a: factor * rhs(x, fl, a), guards))
+
+
+def test_the_identity_check_passes_its_shot_with_the_ledger_and_formulas_apart(free5):
+    status, margin, probes, notes = verify._check_identity_residuals(free5)
+    assert (status, probes) == (PASS, len(verify._identity_probes(free5.struct)))
+    # the ledger reads the march, 2e-7 of its 1e-6; the formulas roundoff
+    assert margin == pytest.approx(1.0 - 1.96e-7 / verify._LEDGER_LIMIT, abs=1e-3)
+    assert notes.startswith("worst pairing_q: 1.96e-07; conn: ")
+    formula = float(notes.rpartition(": ")[2])
+    assert 0.0 < formula < verify._FORMULA_LIMIT / 100.0
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_a_right_side_slipped_by_1e_9_fails_the_identity_check(monkeypatch, free5, name):
+    # the ledger reads such a slip as 1e-9 beside the march's 2e-7 and passes
+    # it; the formula check reads it at its own size, 100x its limit
+    _slipped(monkeypatch, name, 1.0 + 1e-9)
+    status, margin, _, notes = verify._check_identity_residuals(free5)
+    assert status == FAIL and margin < -50.0
+    assert f"; formula {name}: 1e-09" in notes
+
+
+def test_a_right_side_slipped_by_3e_11_fails_the_identity_check(monkeypatch, free5):
+    # between the formula limit and ten times it
+    _slipped(monkeypatch, "pairing_q", 1.0 + 3e-11)
+    status, margin, _, notes = verify._check_identity_residuals(free5)
+    assert status == FAIL and -3.0 < margin < -1.0
+    assert notes.endswith("; formula pairing_q: 3e-11")
+
+
+def test_a_connection_slipped_by_1e_9_fails_the_identity_check(monkeypatch, free5):
+    # Q - P v/u = omega (M - varpi) holds to roundoff at every probe
+    rhs = functionals._connection_rhs
+    monkeypatch.setattr(functionals, "_connection_rhs", lambda x: (1.0 + 1e-9) * rhs(x))
+    status, margin, _, notes = verify._check_identity_residuals(free5)
+    assert status == FAIL and margin < -50.0
+    assert "; conn: 1e-09; " in notes
+
+
+def test_a_dense_coefficient_slipped_in_one_segment_fails_the_identity_check(free5):
+    # 1e-9 of u's scale on the theta (1 - theta) coefficient of the segment
+    # holding the middle probe: the ledger reads 5.3e-6, between its limit
+    # and ten times it
+    struct = free5.struct
+    probes = verify._identity_probes(struct)
+    i = struct.segment_index(probes[len(probes) // 2])
+    q = list(struct.coeffs[0])
+    q[7 * i + 1] += 1e-9 * max(map(abs, struct.knot_values[0]))
+    slipped = dataclasses.replace(struct, coeffs=[q, *struct.coeffs[1:]])
+    ledger = identity_residuals(slipped, probes).worst().max_rel_residual
+    assert verify._LEDGER_LIMIT < ledger < 10.0 * verify._LEDGER_LIMIT
+    status, margin, _, _ = verify._check_identity_residuals(
+        dataclasses.replace(free5, struct=slipped))
+    assert status == FAIL and margin == pytest.approx(1.0 - ledger / verify._LEDGER_LIMIT)
+
+
+def test_a_slipped_dense_output_row_fails_the_identity_check(monkeypatch):
+    # one weight of the march's dense output, slipped by 1e-6 in the Python
+    # step that the kernel repeats bit for bit: the cross-check at 10x tighter
+    # tolerances, slipped alike, still agrees, and the ledger fails
+    row = list(integrate_module._P[0])
+    row[5] *= 1.0 + 1e-6
+    monkeypatch.setattr(integrate_module, "_P", (tuple(row), *integrate_module._P[1:]))
+    monkeypatch.setattr(dopri_module, "kept_run", lambda params, stop_on_energy: None)
+    case = CaseSpec(FieldParams(3, 1.25), OSCILLATORY_CASE, alpha=5.0)
+    (rec,) = run_checks(VerificationPlan(cases=(case,), checks=("identity_residuals",))).records
+    assert rec.status == FAIL and rec.margin < 0.0
+    assert rec.notes.startswith("worst ")
+
+
+def test_a_slipped_tableau_weight_fails_the_identity_check(monkeypatch, field33):
+    # one solution weight of the march slipped by 1e-6 in the Python step: the
+    # march drops to first order in that weight's error, which the cross-check
+    # at 10x tighter tolerances, slipped alike, no longer matches
+    row = list(integrate_module._A[12])
+    row[5] *= 1.0 + 1e-6
+    monkeypatch.setattr(integrate_module, "_A", (*integrate_module._A[:12], tuple(row),
+                                                 *integrate_module._A[13:]))
+    monkeypatch.setattr(dopri_module, "kept_run", lambda params, stop_on_energy: None)
+    case = CaseSpec(field33, OSCILLATORY_CASE, alpha=5.0)
+    (rec,) = run_checks(VerificationPlan(cases=(case,), checks=("identity_residuals",))).records
+    assert rec.status == FAIL
+    assert rec.notes.startswith("cross-oracle disagreement in u at r=")
