@@ -16,8 +16,8 @@ flow through the dense state y, so that only roundoff remains.
 Where each formula lives:
 
 * ``eval_aux`` defines all of the above but E; ``AuxSample`` carries them and,
-  outside its fields, what the sides read: fu, fpu, Fu = f(u), f'(u), F(u); upm1, upp1 =
-  |u|**(p-1), |u|**(p+1); rn, rn1 = r**n, r**(n-1).  It fills the frozen record's __dict__.
+  in fields outside its schema, what the sides read: fu, fpu, Fu = f(u), f'(u), F(u);
+  upm1, upp1 = |u|**(p-1), |u|**(p+1); rn, rn1 = r**n, r**(n-1).
 * ``_family_w`` defines W_a = Q - a M, and ``_barrier_ba`` its tilted
   barrier B_a.
 * ``_IDENTITIES`` maps each identity to its two sides.  Each reads one
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field as dc_field, fields
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -84,12 +84,14 @@ class SingularityWarning(RuntimeError):
     """u' vanishes inside an integration range that assumes it does not."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class AuxSample(State):
     """The state at one radius with all auxiliary functionals there.
 
     Entries are None where the functional is undefined: omega, T1 and T2
-    need u != 0; B0, phi_n and varpi need u' != 0.  ``eval_aux`` adds the sides' ingredients.
+    need u != 0; B0, phi_n and varpi need u' != 0.  The last seven fields, the
+    sides' ingredients from ``eval_aux``, are outside the schema (``plain``,
+    ``repr`` and ``==`` skip them) and None on a record built from it alone.
     """
 
     E: float
@@ -109,10 +111,17 @@ class AuxSample(State):
     B0: float | None
     phi_n: float | None
     varpi: float | None
+    fu: float | None = dc_field(default=None, repr=False, compare=False)
+    fpu: float | None = dc_field(default=None, repr=False, compare=False)
+    Fu: float | None = dc_field(default=None, repr=False, compare=False)
+    upm1: float | None = dc_field(default=None, repr=False, compare=False)
+    upp1: float | None = dc_field(default=None, repr=False, compare=False)
+    rn: float | None = dc_field(default=None, repr=False, compare=False)
+    rn1: float | None = dc_field(default=None, repr=False, compare=False)
 
 
 # The functionals' names, in field order: the columns ``export --functionals`` may add.
-_AUX_COLUMNS = tuple(fd.name for fd in fields(AuxSample)[len(fields(State)):])
+_AUX_COLUMNS = tuple(fd.name for fd in fields(AuxSample)[len(fields(State)):] if fd.repr)
 
 
 def eval_aux(state: State, field: FieldParams) -> AuxSample:
@@ -147,13 +156,8 @@ def eval_aux(state: State, field: FieldParams) -> AuxSample:
         phi_n = Qn / (r * up * up)
         varpi = (p - 1.0) / (p + 1.0) * rn1 * (v / up) * upp1
 
-    # filled through __dict__: the frozen __init__'s object.__setattr__ per field cost half
-    x = object.__new__(AuxSample)
-    x.__dict__.update(r=r, u=u, up=up, v=v, vp=vp, E=E, E_hat=E_hat, P=P, P1=P1, P2=P2,
-                      omega=omega, rho=rho, Q=Q, Q1=Q1, Q2=Q2, Qn=Qn, M=M, T1=T1, T2=T2,
-                      B0=B0, phi_n=phi_n, varpi=varpi, fu=fu, fpu=fpu, Fu=Fu, upm1=upm1,
-                      upp1=upp1, rn=rn, rn1=rn1)
-    return x
+    return AuxSample(r, u, up, v, vp, E, E_hat, P, P1, P2, omega, rho, Q, Q1, Q2, Qn, M, T1,
+                     T2, B0, phi_n, varpi, fu, fpu, Fu, upm1, upp1, rn, rn1)
 
 
 # Identity registry: name -> (lhs, rhs, guards).  Each side reads an AuxSample,
@@ -289,7 +293,9 @@ class IdentityReport:
     connection_rel_residual: float
 
     def worst(self) -> IdentityResidual:
-        return max(self.residuals, key=lambda rec: rec.max_rel_residual)
+        """The record with the largest relative residual; the first NaN one, if any."""
+        return max(self.residuals, key=lambda rec: (math.isnan(rec.max_rel_residual),
+                                                    rec.max_rel_residual))
 
 
 def _up_admissible(x: AuxSample, field: FieldParams) -> bool:
@@ -375,8 +381,7 @@ def identity_residuals(
         for r in probes:
             _check_probe(traj, r)
             z = traj.eval_dense(complex(r, _ETA))
-            x = object.__new__(State)  # filled through __dict__, as eval_dense fills it
-            x.__dict__.update(r=r, u=z.u.real, up=z.up.real, v=z.v.real, vp=z.vp.real)
+            x = State(r, z.u.real, z.up.real, z.v.real, z.vp.real)
             yield eval_aux(x, field), eval_aux(z, field)
 
     return _ledger(traj, identities, records())
@@ -442,21 +447,26 @@ def _ledger(
         xs, zs = admitted[guards]
         ds = [lhs(z, field, a).imag / _ETA for z in zs]
         wants = [rhs(x, field, a) for x in xs]
-        # max keeps its first item and takes a later one only if larger, NaN included
-        res = max(map(abs, map(sub, ds, wants)), default=0.0)
+        res = _worst(list(map(abs, map(sub, ds, wants))))
         scale = max(map(max, map(abs, ds), map(abs, wants)), default=0.0)
-        if scale < resolution:  # no probes at all, or nothing to resolve
+        if scale < resolution and not math.isnan(res):  # no probes, or nothing to resolve
             recs.append(IdentityResidual(name, 0, 0.0, 0.0))
         else:
             recs.append(IdentityResidual(name, len(ds), res, scale))
 
-    conn_worst = 0.0
+    rels = []
     for x in admitted["u", "up"][0]:
         pv_u = x.P * x.v / x.u
         rel = abs(x.Q - pv_u - _connection_rhs(x))
-        rel /= abs(x.Q) + abs(pv_u) + 1e-30
-        conn_worst = max(conn_worst, rel)
-    return IdentityReport(tuple(recs), conn_worst)
+        rels.append(rel / (abs(x.Q) + abs(pv_u) + 1e-30))
+    return IdentityReport(tuple(recs), _worst(rels))
+
+
+def _worst(values: list[float]) -> float:
+    """The largest of nonnegative values, 0.0 for none, and NaN if any is NaN:
+    the builtin ``max`` keeps a NaN only when it comes first."""
+    worst = max(values, default=0.0)
+    return math.nan if math.isnan(sum(values)) else worst
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ CLASSIFY_POLICY = True
 FULL_RANGE_POLICY = False
 
 
-@dataclass(frozen=True)
+@dataclass
 class State:
     """Profile/variation state at one radius."""
 
@@ -338,9 +338,7 @@ class Trajectory:
 
     def state_at_knot(self, i: int) -> State:
         u, up, v, vp = self.knot_values
-        state = object.__new__(State)  # filled through __dict__, as eval_dense fills it
-        state.__dict__.update(r=self.knots[i], u=u[i], up=up[i], v=v[i], vp=vp[i])
-        return state
+        return State(self.knots[i], u[i], up[i], v[i], vp[i])
 
     def samples(self) -> Iterator[State]:
         for i in range(len(self.knots)):
@@ -391,14 +389,8 @@ class Trajectory:
         theta = (r - r_lo) / (self.knots[i + 1] - r_lo)
         j = 7 * i
         (u, up, v, vp), q = self.knot_values, self.coeffs
-        # filled through __dict__, as eval_aux fills AuxSample: the frozen
-        # __init__'s object.__setattr__ per field cost half of the read
-        state = object.__new__(State)
-        state.__dict__.update(r=r, u=_interpolate(u[i], q[0], j, theta),
-                              up=_interpolate(up[i], q[1], j, theta),
-                              v=_interpolate(v[i], q[2], j, theta),
-                              vp=_interpolate(vp[i], q[3], j, theta))
-        return state
+        return State(r, _interpolate(u[i], q[0], j, theta), _interpolate(up[i], q[1], j, theta),
+                     _interpolate(v[i], q[2], j, theta), _interpolate(vp[i], q[3], j, theta))
 
     def value(self, c: int, r: float) -> float:
         """Component c of ``eval_dense(r)``, bit for bit, without a State."""

@@ -35,7 +35,7 @@ from .classify import (
 )
 from .field import FieldParams, _energy, big_F
 from .functionals import (
-    _R_FLOOR, AuxSample, bridge_integral, eval_aux, identity_formula_residuals,
+    _R_FLOOR, AuxSample, _worst, bridge_integral, eval_aux, identity_formula_residuals,
     identity_residuals, probe_radii,
 )
 from .integrate import (
@@ -464,8 +464,6 @@ def _check_renewability(prep: _Prepared) -> _Outcome:
     traj, fl = prep.struct, prep.case.field
     crits = [pt.r for pt in port.crits_u]
     live = [ph for ph in port.phases if ph.index - 1 < len(crits)]
-    if not live:
-        return _skip("all phases truncated")
     passed = True
     margin = math.inf
     for ph in live:
@@ -701,9 +699,9 @@ def _check_identity_residuals(prep: _Prepared) -> _Outcome:
     worst = rep.worst()
     formulas = identity_formula_residuals(
         traj, probes[:: math.ceil(len(probes) / _FORMULA_PROBES)]).worst()
-    margin = min(1.0 - worst.max_rel_residual / _LEDGER_LIMIT,
-                 1.0 - rep.connection_rel_residual / _FORMULA_LIMIT,
-                 1.0 - formulas.max_rel_residual / _FORMULA_LIMIT)
+    margin = 1.0 - _worst([worst.max_rel_residual / _LEDGER_LIMIT,
+                           rep.connection_rel_residual / _FORMULA_LIMIT,
+                           formulas.max_rel_residual / _FORMULA_LIMIT])
     status = PASS if margin > 0.0 else FAIL
     notes = (f"worst {worst.identity}: {worst.max_rel_residual:.3g}; "
              f"conn: {rep.connection_rel_residual:.3g}; "

@@ -161,6 +161,21 @@ def test_no_record_holds_what_the_program_already_has():
     assert [arg.arg for arg in detect.args.args] == ["traj"]
 
 
+def test_records_are_built_by_their_constructors():
+    # State and AuxSample are plain dataclasses built by their own __init__: no
+    # module makes an instance with object.__new__ or touches a __dict__; the
+    # parameter records stay frozen (a FieldParams is a dict key)
+    package = Path(boundstate_lab.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "__dict__" or ast.unparse(node) == "object.__new__")]
+    assert found == []
+    for record in (boundstate_lab.FieldParams, boundstate_lab.IntegratorControls,
+                   boundstate_lab.ProblemParams):
+        assert record.__dataclass_params__.frozen, record.__name__
+
+
 def test_the_python_step_reads_the_tableau_by_index():
     # _march weighs the stages by _A, _E and _P themselves, so integrate.py
     # names no single entry (_A21)

@@ -20,7 +20,7 @@ from boundstate_lab import (
 )
 from boundstate_lab import functionals, verify
 from boundstate_lab.functionals import IDENTITY_NAMES, identity_residuals
-from boundstate_lab.portrait import _refine_root
+from boundstate_lab.portrait import LabeledPoint, _refine_root
 from boundstate_lab.verify import (
     BOUND_BRACKET,
     EXPLICIT,
@@ -217,6 +217,69 @@ def test_unique_inflection_on_the_bracket_midpoint(field33):
     assert rec.notes == ""
 
 
+@pytest.fixture(scope="module")
+def tango_preps(field33):
+    """The prepared (3, 3) k = 1 and k = 2 bracket shots, keyed by k.  On the
+    k = 1 shot z_1 = 0.5011, c_1 = 1.188 and the zeros of v are 0.1534 and
+    1.402; on the k = 2 shot u' < 0 < v' at r = 0.4, between z_1 = 0.2381
+    and c_1 = 0.5417."""
+    preps = {}
+    for k in (1, 2):
+        case = CaseSpec(field33, BOUND_BRACKET, k=k)
+        preps[k] = _prepare(case, VerificationPlan(cases=(case,), checks=("tango",)), {})
+    return preps
+
+
+def _with_events(prep, edit):
+    """``prep`` with its portrait's zeros of u, zeros of v and phase criticals
+    replaced by ``edit(zeros, taus, crits)`` of their radii."""
+    port = prep.portrait
+    radii = ([pt.r for pt in events] for events in (port.zeros_u, port.zeros_v, port.crits_u))
+    zeros, taus, crits = ([LabeledPoint(r, 0.0) for r in rs] for rs in edit(*radii))
+    return dataclasses.replace(prep, portrait=dataclasses.replace(
+        port, zeros_u=zeros, zeros_v=taus, crits_u=crits))
+
+
+TANGO_PROBLEMS = [
+    (1, lambda z, t, c: ([], t, c), "0 zeros of u, wanted 1"),
+    (1, lambda z, t, c: (z, t[1:], c), "0 zeros of v on [0, z_k], wanted 1"),
+    (1, lambda z, t, c: (z, t[:1], c), "0 zeros of v past z_k, wanted 1"),
+    (2, lambda z, t, c: (z, [t[0], 0.2, t[2]], c), "tau_2=0.2 outside its zero gap"),
+    (1, lambda z, t, c: (z, [t[0], 1.0], c), "tau_2=1 not past c_k=1.188"),
+    (2, lambda z, t, c: (z, [t[0], 0.4, t[2]], c), "u'v' <= 0 at tau=0.4"),
+]
+
+
+@pytest.mark.parametrize("k, edit, note", TANGO_PROBLEMS,
+                         ids=["zeros", "inner_taus", "outer_taus", "tau_gap", "tau_past_c",
+                              "upvp_sign"])
+def test_each_tango_problem_fails_a_doctored_bracket_portrait(tango_preps, k, edit, note):
+    # each doctored portrait of a passing bracket shot breaks one claim; the
+    # margin, |v| at the zeros of u over max |v|, is the real shot's where its
+    # zeros are kept and 1 without a zero
+    prep = tango_preps[k]
+    status, margin, _, notes = verify._check_tango(prep)
+    assert status == PASS and notes == ""
+    doctored = _with_events(prep, edit)
+    want = margin if doctored.portrait.zeros_u else 1.0
+    assert verify._check_tango(doctored) == (FAIL, want, len(doctored.portrait.zeros_v), note)
+
+
+def test_tango_fails_where_v_vanishes_at_a_zero_of_u(tango_preps):
+    # v set to 0 at the knot nearest z_1, and that knot made the zero of u
+    prep = tango_preps[1]
+    struct = prep.struct
+    i = min(range(len(struct.knots)),
+            key=lambda i: abs(struct.knots[i] - prep.portrait.zeros_u[0].r))
+    v = list(struct.knot_values[2])
+    v[i] = 0.0
+    struct = dataclasses.replace(struct, knot_values=[*struct.knot_values[:2], v,
+                                                      struct.knot_values[3]])
+    doctored = _with_events(dataclasses.replace(prep, struct=struct),
+                            lambda z, t, c: ([struct.knots[i]], t, c))
+    assert verify._check_tango(doctored) == (FAIL, 0.0, 2, "v vanishes at z_1")
+
+
 def _bits(record):
     return [None if x is None else struct.pack("<d", x) for x in dataclasses.astuple(record)]
 
@@ -347,6 +410,22 @@ def test_a_connection_slipped_by_1e_9_fails_the_identity_check(monkeypatch, free
     status, margin, _, notes = verify._check_identity_residuals(free5)
     assert status == FAIL and margin < -50.0
     assert "; conn: 1e-09; " in notes
+
+
+def test_a_connection_that_reads_nan_after_its_first_probe_fails_the_identity_check(
+        monkeypatch, free5):
+    # the worst of the connection's column keeps a NaN met at any probe
+    rhs = functionals._connection_rhs
+    calls = []
+
+    def nan_second(x):
+        calls.append(x.r)
+        return math.nan if len(calls) == 2 else rhs(x)
+
+    monkeypatch.setattr(functionals, "_connection_rhs", nan_second)
+    status, margin, _, notes = verify._check_identity_residuals(free5)
+    assert status == FAIL and math.isnan(margin)
+    assert "; conn: nan; " in notes
 
 
 def test_a_dense_coefficient_slipped_in_one_segment_fails_the_identity_check(free5):
