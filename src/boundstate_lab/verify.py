@@ -4,12 +4,16 @@ A plan names trajectory families (explicit heights, oscillatory heights,
 bound-state brackets, the ground state being the k = 0 bracket) and a set of
 check ids.  Each check reads only the prepared shot and returns its outcome:
 status (pass, fail, or skipped-undefined), margin, probe count and notes.
-run_checks names each record by its check id and the case label, one record
-per (case, check); a check that raises is recorded as a failure.  Bracket
-cases evaluate structural checks on the midpoint shot truncated where it
-leaves the decay funnel, since beyond that radius the shot diverges from the
+Bracket cases evaluate structural checks on the midpoint shot truncated where
+it leaves the decay funnel, since beyond that radius the shot diverges from the
 bound state it shadows.  Every derived quantity is cross-checked against a
-re-integration at 10x tighter tolerances before its checks run.
+re-integration at 10x tighter tolerances before its checks run.  run_checks
+names each record by its check id and the case label, one record per (case,
+check); a check that raises is recorded as a failure.  It runs every bracket
+search here, then case i in worker i mod W, W = min(cases, usable CPUs): this
+process, or a forked child that marshals its records back (none without os.fork,
+while another thread runs, or under a trace or profile hook).  Records merge in
+plan order; a child that exits without sending them raises ChildProcessError.
 
 This module locates no event itself: ``portrait`` locates every event
 radius, level crossings included.  Its functionals come from ``functionals``,
@@ -19,10 +23,16 @@ at every probe, for the march, and the formulas at a few, for roundoff.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
+import sys
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
+from . import _dopri
 from .classify import (
     OSCILLATORY,
     _DECAY_EPS,
@@ -133,7 +143,7 @@ class VerificationReport:
         for rec in self.records:
             if rec.margin is None:
                 continue
-            if rec.check not in worst or rec.margin < worst[rec.check]:
+            if rec.check not in worst or rec.margin < worst[rec.check] or math.isnan(rec.margin):
                 worst[rec.check] = rec.margin
         return worst
 
@@ -197,14 +207,25 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _bracket(case: CaseSpec, plan: VerificationPlan,
+             counts: dict[FieldParams, _CountCache]) -> LadderEntry | Exception | None:
+    """A bracket case's bracket, or the exception its search raised; None for a free shot."""
+    if case.family != BOUND_BRACKET:
+        return None
+    try:
+        cache = counts.setdefault(case.field, _CountCache(case.field, plan.controls))
+        return find_alpha_k(case.field, int(case.k), tol=plan.bracket_tol,
+                            controls=plan.controls, counts=cache)
+    except Exception as exc:  # raised again where the case is prepared
+        return exc
+
+
 def _prepare(case: CaseSpec, plan: VerificationPlan,
-             counts: dict[FieldParams, _CountCache]) -> _Prepared:
+             entry: LadderEntry | Exception | None) -> _Prepared:
+    if isinstance(entry, Exception):
+        raise entry
     field = case.field
-    entry = None
-    if case.family == BOUND_BRACKET:
-        cache = counts.setdefault(field, _CountCache(field, plan.controls))
-        entry = find_alpha_k(field, int(case.k), tol=plan.bracket_tol, controls=plan.controls,
-                             counts=cache)
+    if entry is not None:
         alpha = entry.midpoint
         ctrl = plan.controls.with_rmax(_R_MAX_BRACKET)
     else:
@@ -840,25 +861,64 @@ PRESETS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _case_records(plan: VerificationPlan, case: CaseSpec,
+                  entry: LadderEntry | Exception | None) -> list[tuple]:
+    """Per check of the plan on one case, its record's fields: values marshal sends bit for bit."""
+    try:
+        prep = _prepare(case, plan, entry)
+        failed = prep.gate_note
+    except Exception as exc:
+        failed = f"case preparation failed: {exc}"
+    records = []
+    for check in plan.checks:
+        outcome: _Outcome = (FAIL, None, 0, failed)
+        if not failed:
+            try:
+                outcome = _CHECKS[check](prep)
+            except Exception as exc:
+                outcome = FAIL, None, 0, f"check raised: {exc}"
+        records.append((check, case.label, *outcome))
+    return records
+
+
 def run_checks(plan: VerificationPlan) -> VerificationReport:
-    """Execute every requested check on every case; one record per pair."""
+    """Execute every requested check on every case, in plan order; one record per pair."""
     plan.validate()
-    records: list[CheckRecord] = []
     counts: dict[FieldParams, _CountCache] = {}  # bracket searches share counts per field
-    for case in plan.cases:
-        try:
-            prep = _prepare(case, plan, counts)
-            failed = prep.gate_note
-        except Exception as exc:
-            failed = f"case preparation failed: {exc}"
-        for check in plan.checks:
-            outcome: _Outcome = (FAIL, None, 0, failed)
-            if not failed:
+    jobs = [(case, _bracket(case, plan, counts)) for case in plan.cases]
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+    alone = (not hasattr(os, "fork") or threading.active_count() > 1
+             or sys.gettrace() is not None or sys.getprofile() is not None)
+    width = 1 if alone else min(len(jobs), len(cpus))
+    _dopri._kernel()  # loaded before any fork: each child inherits it, or its None
+    children = {}  # pid: the read end of its pipe, until the child is reaped
+    try:
+        for w in range(1, width):
+            rd, wr = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: its cases' records into the pipe
+                status = 1
                 try:
-                    outcome = _CHECKS[check](prep)
-                except Exception as exc:
-                    outcome = FAIL, None, 0, f"check raised: {exc}"
-            records.append(CheckRecord(check, case.label, *outcome))
+                    with open(wr, "wb") as pipe:
+                        marshal.dump([_case_records(plan, *job) for job in jobs[w::width]], pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            children[pid] = open(rd, "rb")
+        shares = [[_case_records(plan, *job) for job in jobs[::width]]]
+        for pid in list(children):
+            sent = children[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if status != 0:
+                raise ChildProcessError(f"verify worker sent no records: exit status {status}")
+            shares.append(marshal.loads(sent))
+    finally:
+        for pid, pipe in children.items():  # only when raising: kill and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    records = [CheckRecord(*rec) for i in range(len(jobs)) for rec in shares[i % width][i // width]]
     return VerificationReport(tuple(records))
 
 

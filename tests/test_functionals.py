@@ -240,7 +240,7 @@ def test_the_shallow_k2_bracket_ledger_reads_below_5e_8():
     plan = verify.VerificationPlan(cases=(case,), checks=("identity_residuals",))
     report = verify.run_checks(plan)
     assert [rec.status for rec in report.records] == [verify.PASS]
-    struct = verify._prepare(case, plan, {}).struct
+    struct = verify._prepare(case, plan, verify._bracket(case, plan, {})).struct
     ledger = identity_residuals(struct, verify._identity_probes(struct))
     assert ledger.worst().max_rel_residual < 5e-8
 
@@ -313,7 +313,7 @@ def _core_ledger_inputs(field, bracket_tol):
     counts = {}
     inputs = []
     for case in plan.cases:
-        prep = verify._prepare(case, plan, counts)
+        prep = verify._prepare(case, plan, verify._bracket(case, plan, counts))
         assert prep.gate_note == ""
         inputs.append((prep.struct, verify._identity_probes(prep.struct)))
     return inputs
@@ -410,7 +410,7 @@ def test_a_nan_side_reads_as_the_per_probe_loop(monkeypatch, core_ledger_calls, 
     assert math.isnan(got.worst().max_rel_residual)
     case = verify.CaseSpec(FL, verify.OSCILLATORY_CASE, alpha=5.0)
     plan = verify.VerificationPlan(cases=(case,), checks=("identity_residuals",))
-    assert verify._identity_probes(verify._prepare(case, plan, {}).struct) == probes
+    assert verify._identity_probes(verify._prepare(case, plan, None).struct) == probes
     (rec,) = verify.run_checks(plan).records
     assert rec.status == verify.FAIL and math.isnan(rec.margin)
     assert rec.notes.startswith("worst energy: nan; ")
@@ -432,7 +432,7 @@ def test_a_side_that_raises_reaches_run_checks_as_from_the_per_probe_loop(monkey
     monkeypatch.setitem(functionals._IDENTITIES, "pairing_q", (lhs, failing, guards))
     case = verify.CaseSpec(FL, verify.OSCILLATORY_CASE, alpha=5.0)
     plan = verify.VerificationPlan(cases=(case,), checks=("identity_residuals",))
-    struct = verify._prepare(case, plan, {}).struct
+    struct = verify._prepare(case, plan, None).struct
     probes = verify._identity_probes(struct)
     with pytest.raises(ZeroDivisionError) as got:
         identity_residuals(struct, probes)

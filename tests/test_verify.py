@@ -1,9 +1,17 @@
 """Verification-suite tests: presets, plan validation, case preparation."""
 
+import cProfile
 import dataclasses
 import importlib
+import json
+import marshal
 import math
+import os
+import pstats
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
@@ -19,6 +27,8 @@ from boundstate_lab import (
     truncate_for_structure,
 )
 from boundstate_lab import functionals, verify
+from boundstate_lab import io as artio
+from boundstate_lab.cli import EXIT_IO, main
 from boundstate_lab.functionals import IDENTITY_NAMES, identity_residuals
 from boundstate_lab.portrait import LabeledPoint, _refine_root
 from boundstate_lab.verify import (
@@ -28,11 +38,17 @@ from boundstate_lab.verify import (
     OSCILLATORY_CASE,
     PASS,
     SKIPPED,
+    _bracket,
     _prepare,
 )
 
 integrate_module = importlib.import_module("boundstate_lab.integrate")
 dopri_module = importlib.import_module("boundstate_lab._dopri")
+
+
+def _prepared(case, plan, counts=None):
+    """The prepared case, its bracket searched first, as run_checks searches it."""
+    return _prepare(case, plan, _bracket(case, plan, {} if counts is None else counts))
 
 
 def test_presets_partition_the_check_ids():
@@ -184,7 +200,7 @@ def test_level_locator_matches_the_bisection_reference(p):
     located = 0
     for k in (1, 2):
         case = CaseSpec(field, BOUND_BRACKET, k=k)
-        prep = _prepare(case, VerificationPlan(cases=(case,), checks=("reflection",)), counts)
+        prep = _prepared(case, VerificationPlan(cases=(case,), checks=("reflection",)), counts)
         traj = prep.struct
         for mu, lo, hi in _reflection_windows(prep):
             want = _bisect_abs_u(traj, mu, lo, hi)
@@ -226,7 +242,7 @@ def tango_preps(field33):
     preps = {}
     for k in (1, 2):
         case = CaseSpec(field33, BOUND_BRACKET, k=k)
-        preps[k] = _prepare(case, VerificationPlan(cases=(case,), checks=("tango",)), {})
+        preps[k] = _prepared(case, VerificationPlan(cases=(case,), checks=("tango",)))
     return preps
 
 
@@ -290,7 +306,7 @@ def test_grid_scans_read_each_radius_once(monkeypatch, field33):
     scans = ("positivity_core", "omega_monotone", "p_over_rn_monotone",
              "qm_first_phase", "t1_first_phase", "q1q2m_first_phase")
     case = CaseSpec(field33, BOUND_BRACKET, k=1)
-    prep = _prepare(case, VerificationPlan(cases=(case,), checks=scans), {})
+    prep = _prepared(case, VerificationPlan(cases=(case,), checks=scans))
     assert prep.rows == []
     real = verify.eval_aux
     calls = []
@@ -321,7 +337,7 @@ def _perturb_the_gate_shot(monkeypatch, perturb):
 def _every_record_fails_with_the_gate_note(field, gate_note):
     case = CaseSpec(field, OSCILLATORY_CASE, alpha=5.0)
     plan = VerificationPlan(cases=(case,), checks=PRESETS["core"])
-    assert _prepare(case, plan, {}).gate_note == gate_note
+    assert _prepared(case, plan).gate_note == gate_note
     report = run_checks(plan)
     assert len(report.records) == len(PRESETS["core"])
     for rec in report.records:
@@ -339,7 +355,7 @@ def test_a_gate_shot_that_disagrees_in_u_fails_every_record_of_its_case(monkeypa
 
     _perturb_the_gate_shot(monkeypatch, bump_u)
     case = CaseSpec(field33, OSCILLATORY_CASE, alpha=5.0)
-    note = _prepare(case, VerificationPlan(cases=(case,), checks=("tango",)), {}).gate_note
+    note = _prepared(case, VerificationPlan(cases=(case,), checks=("tango",))).gate_note
     assert note.startswith("cross-oracle disagreement in u at r=15: |")
     _every_record_fails_with_the_gate_note(field33, note)
 
@@ -366,7 +382,7 @@ def test_a_gate_shot_that_disagrees_in_a_zero_fails_every_record_of_its_case(mon
 def free5():
     """The prepared (3, 3) alpha = 5 shot, on which every identity is defined."""
     case = CaseSpec(FieldParams(3, 3.0), OSCILLATORY_CASE, alpha=5.0)
-    return _prepare(case, VerificationPlan(cases=(case,), checks=("identity_residuals",)), {})
+    return _prepared(case, VerificationPlan(cases=(case,), checks=("identity_residuals",)))
 
 
 def _slipped(monkeypatch, name, factor):
@@ -472,3 +488,259 @@ def test_a_slipped_tableau_weight_fails_the_identity_check(monkeypatch, field33)
     (rec,) = run_checks(VerificationPlan(cases=(case,), checks=("identity_residuals",))).records
     assert rec.status == FAIL
     assert rec.notes.startswith("cross-oracle disagreement in u at r=")
+
+
+def test_worst_by_check_keeps_a_nan_margin_met_after_a_finite_one(monkeypatch, field33):
+    # the energy identity's right side NaN where u < 0: the alpha = 1.5 shot
+    # stays positive and passes, the alpha = 5 shot fails with margin NaN, and
+    # the report's worst margin of the check is that NaN, null in the JSON
+    lhs, rhs, guards = functionals._IDENTITIES["energy"]
+    monkeypatch.setitem(functionals._IDENTITIES, "energy",
+                        (lhs, lambda x, fl, a: math.nan if x.u < 0.0 else rhs(x, fl, a), guards))
+    cases = tuple(CaseSpec(field33, OSCILLATORY_CASE, alpha=a) for a in (1.5, 5.0))
+    report = run_checks(VerificationPlan(cases=cases, checks=("identity_residuals",)))
+    first, second = report.records
+    assert first.status == PASS and math.isfinite(first.margin)
+    assert second.status == FAIL and math.isnan(second.margin)
+    worst = report.worst_by_check()
+    assert list(worst) == ["identity_residuals"] and math.isnan(worst["identity_residuals"])
+    body = json.loads(artio.json_text(artio.verification_body(report)))
+    assert body["worst_by_check"] == {"identity_residuals": None}
+    assert [rec["margin"] for rec in body["records"]] == [first.margin, None]
+    # a finite margin met after the NaN leaves it in place
+    swapped = verify.VerificationReport((second, first))
+    assert math.isnan(swapped.worst_by_check()["identity_residuals"])
+
+
+# The fan-out: case i runs in worker i mod W, W = min(cases, usable CPUs),
+# worker 0 being this process, and the records come back in plan order.
+
+_FREE = tuple(CaseSpec(FieldParams(3, 3.0), OSCILLATORY_CASE, alpha=a)
+              for a in (0.5, 1.5, 2.5, 3.5, 5.0))
+
+
+def _workers(monkeypatch, cpus):
+    """Let run_checks see ``cpus`` usable CPUs and no trace or profile hook, so
+    that it fans out under a coverage or line-census tracer too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+
+
+def _fields(report):
+    """Each record with its margin as bits, so that NaN, -0.0 and every digit count."""
+    return [(rec.check, rec.case, rec.status,
+             None if rec.margin is None else struct.pack("<d", rec.margin), rec.probes, rec.notes)
+            for rec in report.records]
+
+
+def _in_process_and_fanned_out(monkeypatch, plan, cpus):
+    _workers(monkeypatch, 1)
+    in_process = _fields(run_checks(plan))
+    _workers(monkeypatch, cpus)
+    fanned_out = _fields(run_checks(plan))
+    _assert_no_child_remains()
+    return in_process, fanned_out
+
+
+def _assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _marking_pids(monkeypatch):
+    """energy_monotone, patched: its probe count is the pid of the worker that ran it."""
+    monkeypatch.setitem(verify._CHECKS, "energy_monotone",
+                        lambda prep: (PASS, 1.0, os.getpid(), ""))
+
+
+@pytest.mark.parametrize("preset, p", [("core", "3"), ("core", "1.25"), ("full", "3")])
+def test_the_fan_out_gives_the_in_process_records(monkeypatch, preset, p):
+    plan = VerificationPlan(cases=default_cases(FieldParams(3, float(p)), preset),
+                            checks=PRESETS[preset])
+    in_process, fanned_out = _in_process_and_fanned_out(monkeypatch, plan, 2)
+    assert len(in_process) == 6 * len(PRESETS[preset])
+    assert fanned_out == in_process
+
+
+@pytest.mark.parametrize("cpus, width", [(1, 1), (2, 2), (3, 3), (8, 5)])
+def test_case_i_runs_in_worker_i_mod_w(monkeypatch, cpus, width):
+    _workers(monkeypatch, cpus)
+    _marking_pids(monkeypatch)
+    report = run_checks(VerificationPlan(cases=_FREE, checks=("energy_monotone", "velocity_bound")))
+    assert [rec.case for rec in report.records] == [c.label for c in _FREE for _ in range(2)]
+    pids = [rec.probes for rec in report.records if rec.check == "energy_monotone"]
+    for i, pid in enumerate(pids):
+        assert (pid == os.getpid()) == (i % width == 0)
+        assert [q == pid for q in pids] == [j % width == i % width for j in range(len(pids))]
+    _assert_no_child_remains()
+
+
+def test_failed_preparations_and_raising_checks_read_alike_in_every_worker(monkeypatch):
+    # a bracket search that raises (in this process, before any fork), a free
+    # shot whose preparation raises and a check that raises (both patched in
+    # before the fork, so every child inherits them)
+    real = verify.integrate
+
+    def integrate(params, stop_on_energy):
+        if params.alpha == 2.5:
+            raise OverflowError("no shot at alpha = 2.5")
+        return real(params, stop_on_energy)
+
+    velocity = verify._CHECKS["velocity_bound"]
+
+    def velocity_raising_at_5(prep):
+        if prep.alpha == 5.0:
+            raise ZeroDivisionError("velocity at alpha = 5")
+        return velocity(prep)
+
+    monkeypatch.setattr(verify, "integrate", integrate)
+    monkeypatch.setitem(verify._CHECKS, "velocity_bound", velocity_raising_at_5)
+    bracket = CaseSpec(FieldParams(3, 3.0), BOUND_BRACKET, k=1)
+    plan = VerificationPlan(cases=(*_FREE, bracket), checks=("energy_monotone", "velocity_bound"),
+                            bracket_tol=-1.0)
+    in_process, fanned_out = _in_process_and_fanned_out(monkeypatch, plan, 3)
+    assert fanned_out == in_process
+    notes = {(case, check): (status, margin, note)
+             for check, case, status, margin, _, note in fanned_out}
+    assert notes[_FREE[2].label, "energy_monotone"] == (
+        FAIL, None, "case preparation failed: no shot at alpha = 2.5")
+    assert notes[bracket.label, "velocity_bound"] == (
+        FAIL, None, "case preparation failed: tol must be positive")
+    assert notes[_FREE[4].label, "velocity_bound"] == (
+        FAIL, None, "check raised: velocity at alpha = 5")
+    assert notes[_FREE[4].label, "energy_monotone"][0] == PASS
+
+
+def test_a_child_that_dies_raises_with_its_status_and_none_remains(monkeypatch):
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+    energy = verify._CHECKS["energy_monotone"]
+    monkeypatch.setitem(verify._CHECKS, "energy_monotone",
+                        lambda prep: energy(prep) if os.getpid() == parent else os._exit(3))
+    plan = VerificationPlan(cases=_FREE[:4], checks=("energy_monotone",))
+    with pytest.raises(ChildProcessError, match="^verify worker sent no records: exit status 3$"):
+        run_checks(plan)
+    _assert_no_child_remains()
+
+
+class _Interrupt(BaseException):
+    """Raised in this process past run_checks' handlers, as a KeyboardInterrupt is."""
+
+
+def test_a_parent_that_raises_kills_and_reaps_its_children_first(monkeypatch):
+    _workers(monkeypatch, 3)
+    parent = os.getpid()
+
+    def check(prep):
+        if os.getpid() == parent:
+            raise _Interrupt
+        time.sleep(60.0)  # a child this test would wait on, were it not killed
+
+    monkeypatch.setitem(verify._CHECKS, "energy_monotone", check)
+    t0 = time.monotonic()
+    with pytest.raises(_Interrupt):
+        run_checks(VerificationPlan(cases=_FREE[:3], checks=("energy_monotone",)))
+    assert time.monotonic() - t0 < 30.0
+    _assert_no_child_remains()
+
+
+class _Exited(BaseException):
+    """os._exit, patched: the status it was called with."""
+
+
+def _run_the_first_child_here(monkeypatch, plan):
+    """run_checks at two workers with os.fork made to return 0, so that the
+    first child's branch runs in this process: the status it exits with and
+    the read end of its pipe."""
+    _workers(monkeypatch, 2)
+    pipes = []
+    real_pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", lambda: 0)
+
+    def exit_(status):
+        raise _Exited(status)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(_Exited) as exited:
+        run_checks(plan)
+    ((rd, _),) = pipes
+    return exited.value.args[0], rd
+
+
+def test_the_child_branch_marshals_its_cases_into_its_pipe_and_exits_zero(monkeypatch):
+    plan = VerificationPlan(cases=_FREE[:4], checks=("energy_monotone", "velocity_bound"))
+    _workers(monkeypatch, 1)
+    want = [fields for fields in _fields(run_checks(plan))
+            if fields[1] in (_FREE[1].label, _FREE[3].label)]
+    status, rd = _run_the_first_child_here(monkeypatch, plan)
+    assert status == 0
+    with open(rd, "rb") as pipe:
+        sent = marshal.load(pipe)
+    assert [[fields[1] for fields in records] for records in sent] == [
+        [_FREE[1].label] * 2, [_FREE[3].label] * 2]
+    got = verify.VerificationReport(
+        tuple(verify.CheckRecord(*fields) for records in sent for fields in records))
+    assert _fields(got) == want
+
+
+def test_the_child_branch_exits_one_with_nothing_sent_when_a_check_raises_past_its_handler(
+        monkeypatch):
+    def check(prep):
+        raise _Interrupt
+
+    monkeypatch.setitem(verify._CHECKS, "energy_monotone", check)
+    status, rd = _run_the_first_child_here(
+        monkeypatch, VerificationPlan(cases=_FREE[:2], checks=("energy_monotone",)))
+    assert status == 1
+    with open(rd, "rb") as pipe:
+        assert pipe.read() == b""
+
+
+@pytest.mark.parametrize("hold", ["one usable CPU", "no os.fork", "another thread",
+                                  "a trace hook", "a profile hook"])
+def test_every_case_runs_in_process_with(monkeypatch, hold):
+    _workers(monkeypatch, 1 if hold == "one usable CPU" else 3)
+    _marking_pids(monkeypatch)
+    plan = VerificationPlan(cases=_FREE[:4], checks=("energy_monotone", "velocity_bound"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    profiler = cProfile.Profile()
+    if hold == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    elif hold == "another thread":
+        thread.start()
+    elif hold == "a trace hook":
+        monkeypatch.setattr(sys, "gettrace", lambda: print)  # any hook at all
+    elif hold == "a profile hook":
+        monkeypatch.setattr(sys, "getprofile", lambda: profiler)
+        profiler.enable()
+    try:
+        report = run_checks(plan)
+    finally:
+        profiler.disable()
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert {rec.probes for rec in report.records if rec.check == "energy_monotone"} == {
+        os.getpid()}
+    if hold == "a profile hook":  # the profiler saw the check of every case
+        calls = {name: nc for (_, _, name), (_, nc, *_) in pstats.Stats(profiler).stats.items()}
+        assert calls["_check_velocity_bound"] == len(plan.cases)
+
+
+def test_the_cli_reports_a_child_that_dies_as_an_io_failure(monkeypatch, tmp_path, capsys):
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+    energy = verify._CHECKS["energy_monotone"]
+    monkeypatch.setitem(verify._CHECKS, "energy_monotone",
+                        lambda prep: energy(prep) if os.getpid() == parent else os._exit(3))
+    monkeypatch.delenv("BOUNDSTATE_LAB_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--checks", "energy_monotone", "--out", "v"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("i/o failure: verify worker sent no records: exit status 3\n")
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_remains()
