@@ -7,6 +7,7 @@ loads those two modules, and ``quadrature``, only when it reads one of them.
 """
 
 import importlib
+import types
 
 from .classify import (
     BOUND_STATE_CANDIDATE,
@@ -86,73 +87,10 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "AmbiguousEvent",
-    "AuxSample",
-    "BOUND_STATE_CANDIDATE",
-    "BracketNotFound",
-    "BridgeIntegral",
-    "CHECK_IDS",
-    "CLASSIFY_POLICY",
-    "CONSTANT",
-    "CaseSpec",
-    "CheckRecord",
-    "FULL_RANGE_POLICY",
-    "FieldParams",
-    "IDENTITY_NAMES",
-    "INDETERMINATE",
-    "IdentityReport",
-    "IdentityResidual",
-    "IndeterminateCount",
-    "IntegratorControls",
-    "InterlacingViolation",
-    "LabeledPoint",
-    "LadderEntry",
-    "MalformedPlan",
-    "MissingEvents",
-    "MonotonicityViolation",
-    "NodeCount",
-    "OSCILLATORY",
-    "PRESETS",
-    "ParameterError",
-    "PhaseLabels",
-    "PhasePortrait",
-    "ProbeUndefined",
-    "ProblemParams",
-    "SingularInputError",
-    "SingularityWarning",
-    "SolutionClass",
-    "State",
-    "TerminationCause",
-    "Trajectory",
-    "VerificationPlan",
-    "VerificationReport",
-    "Witness",
-    "ZeroMonotonicityReport",
-    "big_F",
-    "big_F_a",
-    "bridge_integral",
-    "build_ladder",
-    "classify",
-    "count_nodes",
-    "default_cases",
-    "detect_events",
-    "eval_aux",
-    "f",
-    "f_prime",
-    "find_alpha_k",
-    "find_zeros",
-    "g1",
-    "g2",
-    "identity_residuals",
-    "integrate",
-    "kappa_a",
-    "node_count_of_alpha",
-    "probe_radii",
-    "run_checks",
-    "series_start",
-    "truncate_for_structure",
-    "zero_monotonicity_scan",
-]
-
 __version__ = "0.1.0"
+
+# Every public name the package binds, bar its submodules and the modules it
+# imports, plus the names bound on first read.
+__all__ = sorted({*(name for name, value in globals().items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+                  *_LAZY})

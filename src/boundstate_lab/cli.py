@@ -27,12 +27,12 @@ built once per process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -109,33 +109,13 @@ def _parse_name_list(text: str) -> tuple[str, ...]:
 _CONTROLS = IntegratorControls()
 _FORMATS = ("json", "csv")
 
-# One row per option: key -> (converter, default, help).  The flag is the key
-# with "-" for "_"; a config file uses the key itself and the same converter.
-# The format default (None here) is csv for export and sweep, json otherwise.
-_OPTIONS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
-    "n": (int, 3, "space dimension"),
-    "p": (float, 3.0, "nonlinearity exponent"),
-    "alpha": (float, None, "shooting height"),
-    "alpha_range": (_parse_range(float), None, "alpha grid range"),
-    "k": (_parse_range(int), None, "node count or count range"),
-    "points": (int, 200, "grid size for sweep (default 200)"),
-    "tol": (float, 1e-10, "bracket tolerance (relative)"),
-    "rmax": (float, _CONTROLS.r_max, "integration range"),
-    "abs_tol": (float, _CONTROLS.abs_tol, "integrator absolute tolerance"),
-    "rel_tol": (float, _CONTROLS.rel_tol, "integrator relative tolerance"),
-    "out": (str, None, "output path stem (suffixes appended per artifact)"),
-    "format": (str, None, "tabular artifact format"),
-    "preset": (str, "core", "verify: check preset (core|residual|full)"),
-    "checks": (_parse_name_list, None, "verify: explicit comma-separated check ids"),
-    "functionals": (_parse_name_list, (), "export: extra functional columns"),
-}
 
-# argparse settings beyond type and help, for the flags that have any
-_FLAG_EXTRAS: dict[str, dict[str, Any]] = {
-    "alpha_range": {"metavar": "LO..HI"},
-    "k": {"metavar": "K|LO..HI"},
-    "format": {"choices": _FORMATS},
-}
+def _option(convert: Callable[[str], Any], default: Any, text: str, **extras: Any) -> Any:
+    """A RunConfig field that is also an option: its flag is the field name with
+    "-" for "_", a config file uses the name itself, both go through convert, and
+    extras are the flag's argparse settings beyond type and help."""
+    return dataclasses.field(default=default,
+                             metadata={"convert": convert, "help": text, "extras": extras})
 
 
 @functools.cache
@@ -146,32 +126,39 @@ def build_parser() -> _Parser:
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value file; flags override it")
-    for key, (convert, _, text) in _OPTIONS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
-                            default=None, help=text, **_FLAG_EXTRAS.get(key, {}))
+    for option in _OPTION_FIELDS:
+        parser.add_argument("--" + option.name.replace("_", "-"), dest=option.name,
+                            type=option.metadata["convert"], default=None,
+                            help=option.metadata["help"], **option.metadata["extras"])
     return parser
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation (defaults applied); fields are the _OPTIONS keys."""
+    """One fully resolved invocation (defaults applied); every field after command
+    is an option, declared by _option."""
 
     command: str
-    n: int
-    p: float
-    alpha: float | None
-    alpha_range: tuple[float, float] | None
-    k: tuple[int, int] | None
-    points: int
-    tol: float
-    rmax: float
-    abs_tol: float
-    rel_tol: float
-    out: str | None
-    format: str
-    preset: str
-    checks: tuple[str, ...] | None
-    functionals: tuple[str, ...]
+    n: int = _option(int, 3, "space dimension")
+    p: float = _option(float, 3.0, "nonlinearity exponent")
+    alpha: float | None = _option(float, None, "shooting height")
+    alpha_range: tuple[float, float] | None = _option(_parse_range(float), None,
+                                                      "alpha grid range", metavar="LO..HI")
+    k: tuple[int, int] | None = _option(_parse_range(int), None, "node count or count range",
+                                        metavar="K|LO..HI")
+    points: int = _option(int, 200, "grid size for sweep (default 200)")
+    tol: float = _option(float, 1e-10, "bracket tolerance (relative)")
+    rmax: float = _option(float, _CONTROLS.r_max, "integration range")
+    abs_tol: float = _option(float, _CONTROLS.abs_tol, "integrator absolute tolerance")
+    rel_tol: float = _option(float, _CONTROLS.rel_tol, "integrator relative tolerance")
+    out: str | None = _option(str, None, "output path stem (suffixes appended per artifact)")
+    # the default None resolves to csv for export and sweep, json otherwise
+    format: str = _option(str, None, "tabular artifact format", choices=_FORMATS)
+    preset: str = _option(str, "core", "verify: check preset (core|residual|full)")
+    checks: tuple[str, ...] | None = _option(_parse_name_list, None,
+                                             "verify: explicit comma-separated check ids")
+    functionals: tuple[str, ...] = _option(_parse_name_list, (),
+                                           "export: extra functional columns")
 
     def validate(self) -> None:
         for label, value in (("tol", self.tol), ("abs-tol", self.abs_tol),
@@ -260,6 +247,9 @@ class RunConfig:
         return out
 
 
+_OPTION_FIELDS = dataclasses.fields(RunConfig)[1:]
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file entries over defaults."""
     file_cfg: dict[str, str] = {}
@@ -268,27 +258,28 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = artio.parse_config_file(args.config)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
+    keys = {field.name for field in dataclasses.fields(RunConfig)}  # command too
     for key in file_cfg:
-        if key not in _OPTIONS and key != "command":
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
     if file_cfg.get("command", args.command) != args.command:
         raise UsageError(
             f"config file names command {file_cfg['command']!r}, invoked {args.command!r}"
         )
 
-    def pick(key: str) -> Any:
+    def pick(option: dataclasses.Field) -> Any:
+        key = option.name
         flag = getattr(args, key)
         if flag is not None:
             return flag
-        convert, default, _ = _OPTIONS[key]
         if key in file_cfg:
             try:
-                return convert(file_cfg[key])
+                return option.metadata["convert"](file_cfg[key])
             except ValueError as exc:
                 raise UsageError(f"config key {key}: {exc}") from exc
-        return default
+        return option.default
 
-    values = {key: pick(key) for key in _OPTIONS}
+    values = {option.name: pick(option) for option in _OPTION_FIELDS}
     if values["format"] is None:
         values["format"] = "csv" if args.command in ("export", "sweep") else "json"
     cfg = RunConfig(command=args.command, **values)
@@ -470,7 +461,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    from .verify import PRESETS, MalformedPlan, VerificationPlan, default_cases, run_checks
+    from .verify import (PRESETS, MalformedPlan, VerificationPlan, default_cases, run_checks,
+                         verification_body, verification_table)
 
     field = cfg.field()
     checks = cfg.checks if cfg.checks is not None else PRESETS[cfg.preset]
@@ -484,9 +476,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = run_checks(plan)
     except MalformedPlan as exc:  # --checks named no check, or an unknown one
         raise UsageError(str(exc)) from exc
-    payload = artio.artifact(artio.verification_body(report), cfg.echo())
+    payload = artio.artifact(verification_body(report), cfg.echo())
     _write_artifacts([(_out_stem(cfg) + ".json", artio.json_text(payload))])
-    sys.stdout.write(artio.verification_table(report))
+    sys.stdout.write(verification_table(report))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

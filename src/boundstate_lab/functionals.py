@@ -507,5 +507,5 @@ def bridge_integral(
         weight = x.u**2 * (1.0 - abs_pow(x.u / u_tilde, p - 1.0))
         return weight * x.phi_n
 
-    value, err = adaptive_quadrature(integrand, b_i, tau_i, rel_tol=1e-10)
+    value, err = adaptive_quadrature(integrand, b_i, tau_i)
     return BridgeIntegral(value, err, b_i, tau_i, u_tilde, False)

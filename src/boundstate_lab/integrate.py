@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .field import FieldParams, ParameterError, _energy, abs_pow, big_F, f, f_prime
@@ -327,6 +326,14 @@ class Trajectory:
     coeffs: list[Sequence[float]]
     midpoints: list[Sequence[float]]
     termination: TerminationCause
+    # Filled on use: the event grid (read through ``grid``), and the sign-change
+    # radii on it of each component scanned so far, by component index, which
+    # ``portrait.find_zeros`` fills and hands out copies of.  Declared fields:
+    # functools.cached_property writes the record's __dict__, after which every
+    # attribute read of the record is slower.
+    _grid: list[float] | None = dc_field(default=None, init=False, repr=False, compare=False)
+    roots: dict[int, list[float]] = dc_field(default_factory=dict, init=False, repr=False,
+                                             compare=False)
 
     @property
     def r_start(self) -> float:
@@ -344,22 +351,19 @@ class Trajectory:
         for i in range(len(self.knots)):
             yield self.state_at_knot(i)
 
-    @cached_property
+    @property
     def grid(self) -> list[float]:
-        """Knots plus segment midpoints, built once; fine enough to isolate every event."""
-        knots = self.knots
-        rs: list[float] = []
-        for r_lo, r_hi in zip(knots, knots[1:]):
-            rs.append(r_lo)
-            rs.append(0.5 * (r_lo + r_hi))
-        rs.append(knots[-1])
-        return rs
-
-    @cached_property
-    def roots(self) -> dict[int, list[float]]:
-        """Sign-change radii on the ``grid`` of each component scanned so far, by
-        component index; ``portrait.find_zeros`` fills it and hands out copies."""
-        return {}
+        """Knots plus segment midpoints, built on first read; fine enough to isolate
+        every event."""
+        if self._grid is None:
+            knots = self.knots
+            rs: list[float] = []
+            for r_lo, r_hi in zip(knots, knots[1:]):
+                rs.append(r_lo)
+                rs.append(0.5 * (r_lo + r_hi))
+            rs.append(knots[-1])
+            self._grid = rs
+        return self._grid
 
     def grid_values(self, c: int) -> list[float]:
         """State component c on the ``grid`` radii: its value at each knot and

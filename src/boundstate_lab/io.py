@@ -15,14 +15,10 @@ a record's field list is its schema, written once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .integrate import Trajectory
-
-if TYPE_CHECKING:  # a type only: importing verify would load it for every command
-    from .verify import VerificationReport
 
 SCHEMA = "boundstate-lab/1"
 
@@ -136,49 +132,3 @@ def plain(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [plain(x) for x in obj]
     return obj
-
-
-def _json_float(x: float | None) -> float | None:
-    # JSON has no inf/nan; an unbounded margin degrades to null.
-    if x is None or not math.isfinite(x):
-        return None
-    return x
-
-
-def verification_body(report: VerificationReport) -> dict[str, Any]:
-    return {
-        "passed": report.passed,
-        "records": [{**plain(rec), "margin": _json_float(rec.margin)}
-                    for rec in report.records],
-        "worst_by_check": {
-            check: _json_float(margin)
-            for check, margin in sorted(report.worst_by_check().items())
-        },
-    }
-
-
-def verification_table(report: VerificationReport) -> str:
-    """Fixed-width text table of the report, one line per record."""
-    header = ("check", "case", "status", "margin", "probes", "notes")
-    rows = [
-        (
-            rec.check,
-            rec.case,
-            rec.status,
-            "" if rec.margin is None else f"{rec.margin:.3e}",
-            str(rec.probes),
-            rec.notes,
-        )
-        for rec in report.records
-    ]
-    widths = [
-        max(len(header[i]), max((len(row[i]) for row in rows), default=0))
-        for i in range(len(header) - 1)
-    ]
-    lines = []
-    for row in [header, *rows]:
-        fixed = "  ".join(str(row[i]).ljust(widths[i]) for i in range(len(widths)))
-        lines.append((fixed + "  " + row[-1]).rstrip())
-    verdict = "PASS" if report.passed else "FAIL"
-    lines.append(f"overall: {verdict} ({len(report.records)} records)")
-    return "\n".join(lines) + "\n"

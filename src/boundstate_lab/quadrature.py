@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+_MAX_PANELS = 4000  # panels before adaptive_quadrature gives up
+
 # 15-point Kronrod abscissae on [-1, 1] (positive half; rule is symmetric).
 _XK = (
     0.991455371120813,
@@ -72,7 +74,6 @@ def adaptive_quadrature(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    max_panels: int = 4000,
 ) -> tuple[float, float]:
     """Integral of fn over (a, b) with summed error under rel_tol * |value|.
 
@@ -83,7 +84,7 @@ def adaptive_quadrature(
         return 0.0, 0.0
     value, err = kronrod_panel(fn, a, b)
     panels = [(a, b, value, err)]
-    while len(panels) < max_panels:
+    while len(panels) < _MAX_PANELS:
         total = sum(p[2] for p in panels)
         total_err = sum(p[3] for p in panels)
         if total_err <= max(rel_tol * abs(total), 1e-300):
@@ -93,4 +94,4 @@ def adaptive_quadrature(
         mid = 0.5 * (lo + hi)
         panels.append((lo, mid) + kronrod_panel(fn, lo, mid))
         panels.append((mid, hi) + kronrod_panel(fn, mid, hi))
-    raise QuadratureError(f"no convergence after {max_panels} panels on ({a}, {b})")
+    raise QuadratureError(f"no convergence after {_MAX_PANELS} panels on ({a}, {b})")

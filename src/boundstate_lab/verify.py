@@ -31,6 +31,7 @@ import sys
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
+from typing import Any
 
 from . import _dopri
 from .classify import (
@@ -56,6 +57,7 @@ from .integrate import (
     Trajectory,
     integrate,
 )
+from .io import plain
 from .portrait import (
     PhasePortrait,
     _refine_root,
@@ -146,6 +148,53 @@ class VerificationReport:
             if rec.check not in worst or rec.margin < worst[rec.check] or math.isnan(rec.margin):
                 worst[rec.check] = rec.margin
         return worst
+
+
+def _json_float(x: float | None) -> float | None:
+    # JSON has no inf/nan; an unbounded margin degrades to null.
+    if x is None or not math.isfinite(x):
+        return None
+    return x
+
+
+def verification_body(report: VerificationReport) -> dict[str, Any]:
+    """The report as the body of the verify command's JSON artifact."""
+    return {
+        "passed": report.passed,
+        "records": [{**plain(rec), "margin": _json_float(rec.margin)}
+                    for rec in report.records],
+        "worst_by_check": {
+            check: _json_float(margin)
+            for check, margin in sorted(report.worst_by_check().items())
+        },
+    }
+
+
+def verification_table(report: VerificationReport) -> str:
+    """Fixed-width text table of the report, one line per record."""
+    header = ("check", "case", "status", "margin", "probes", "notes")
+    rows = [
+        (
+            rec.check,
+            rec.case,
+            rec.status,
+            "" if rec.margin is None else f"{rec.margin:.3e}",
+            str(rec.probes),
+            rec.notes,
+        )
+        for rec in report.records
+    ]
+    widths = [
+        max(len(header[i]), max((len(row[i]) for row in rows), default=0))
+        for i in range(len(header) - 1)
+    ]
+    lines = []
+    for row in [header, *rows]:
+        fixed = "  ".join(str(row[i]).ljust(widths[i]) for i in range(len(widths)))
+        lines.append((fixed + "  " + row[-1]).rstrip())
+    verdict = "PASS" if report.passed else "FAIL"
+    lines.append(f"overall: {verdict} ({len(report.records)} records)")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

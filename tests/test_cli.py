@@ -19,7 +19,7 @@ from boundstate_lab.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     OUTDIR_ENV,
-    _OPTIONS,
+    _OPTION_FIELDS,
     _sweep_grid,
     build_parser,
     main,
@@ -332,7 +332,7 @@ OPTION_TEXTS = {
 }
 
 
-@pytest.mark.parametrize("key", list(_OPTIONS))
+@pytest.mark.parametrize("key", [option.name for option in _OPTION_FIELDS])
 def test_flag_and_config_file_resolve_alike(tmp_path, key):
     text = OPTION_TEXTS[key]
     (tmp_path / "run.cfg").write_text(f"{key}={text}\n")

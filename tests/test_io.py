@@ -31,10 +31,13 @@ from boundstate_lab.io import (
     parse_config_text,
     plain,
     trajectory_rows,
+)
+from boundstate_lab.verify import (
+    CheckRecord,
+    VerificationReport,
     verification_body,
     verification_table,
 )
-from boundstate_lab.verify import CheckRecord, VerificationReport
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import pkgutil
 import re
 import struct
 import types
@@ -31,6 +32,32 @@ def test_all_is_sorted_unique_and_matches_the_bound_names():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
 
+
+
+def test_every_exported_name_is_defined_in_a_package_module():
+    # __all__ is derived from what the package binds; a helper it imports
+    # (ModuleType, say) would land there unseen, so each name must be the very
+    # object one of the package's modules binds, and a class or function must
+    # be bound in the module that defines it
+    modules = [importlib.import_module(f"boundstate_lab.{info.name}")
+               for info in pkgutil.iter_modules(boundstate_lab.__path__)]
+    for name in boundstate_lab.__all__:
+        value = getattr(boundstate_lab, name)
+        homes = [module.__name__ for module in modules if vars(module).get(name) is value]
+        assert homes, name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ in homes, name
+
+
+def test_no_module_uses_cached_property():
+    # functools.cached_property writes the record's __dict__, after which every
+    # attribute read of it is slower; a value built on first read is a declared field
+    package = Path(boundstate_lab.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+             and "cached_property" in {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert found == []
 
 def test_no_source_line_is_longer_than_100_characters():
     package = Path(boundstate_lab.__file__).resolve().parent

@@ -296,6 +296,78 @@ def test_tango_fails_where_v_vanishes_at_a_zero_of_u(tango_preps):
     assert verify._check_tango(doctored) == (FAIL, 0.0, 2, "v vanishes at z_1")
 
 
+def test_ladder_jump_fails_an_entry_whose_k_is_one_too_high(tango_preps):
+    # the k = 1 bracket relabelled k = 2: two nodes just above it, not three,
+    # and one just below it, not two
+    prep = tango_preps[1]
+    assert verify._check_ladder_jump(prep) == (PASS, 1.0, 2, "")
+    doctored = dataclasses.replace(prep, entry=dataclasses.replace(prep.entry, k=2))
+    assert verify._check_ladder_jump(doctored) == (
+        FAIL, 0.0, 2,
+        "N(hi+eps) = 2, wanted 3; classify(lo-eps) = Oscillatory(1), wanted Oscillatory(2)")
+
+
+def test_tau_localization_fails_a_moved_tau_and_skips_without_a_window(tango_preps):
+    # on the k = 1 shot tau_2 = 1.402 lies in (c_1, r_2) = (1.188, 2.042);
+    # moved past r_2 it fails, with margin (r_2 - tau_2) / (r_2 - c_1) < 0
+    prep = tango_preps[1]
+    status, margin, used, notes = verify._check_tau_localization(prep)
+    assert (status, used, notes) == (PASS, 2, "") and margin > 0.0
+    c_1 = prep.portrait.crits_u[0].r
+    r_2 = prep.portrait.phases[1].r.r
+    moved = _with_events(prep, lambda z, t, c: (z, [t[0], 2.5], c))
+    assert verify._check_tau_localization(moved) == (
+        FAIL, (r_2 - 2.5) / (r_2 - c_1), 2, "tau_2 = 2.5 not in (1.188, 2.042)")
+    # without zeros of v no phase has a tau to place
+    bare = _with_events(prep, lambda z, t, c: (z, [], c))
+    assert verify._check_tau_localization(bare) == (
+        SKIPPED, None, 0, "no (c_{i-1}, r_i) windows")
+
+
+@pytest.fixture(scope="module")
+def free_prep(field33):
+    """The prepared (3, 3) alpha = 5 free shot; its tail criticals alternate about 1
+    and close in on it (|u| = 1.233, 0.7936, 1.134, 0.8746, ...)."""
+    case = CaseSpec(field33, OSCILLATORY_CASE, alpha=5.0)
+    return _prepared(case, VerificationPlan(cases=(case,), checks=("tail_dichotomy",)))
+
+
+@pytest.mark.parametrize("values, want", [
+    ((1.5, -0.5, 0.75, -1.25), (FAIL, 0.5, 4, "tail criticals do not alternate about 1")),
+    ((1.25, -0.75, 1.5, -0.5), (FAIL, -1.0, 4, "tail amplitudes not closing in on 1")),
+], ids=["not_alternating", "not_closing_in"])
+def test_tail_dichotomy_fails_a_doctored_free_shot_portrait(free_prep, values, want):
+    # the first four tail criticals keep their radii and take these values
+    status, margin, _, notes = verify._check_tail_dichotomy(free_prep)
+    assert status == PASS and margin > 0.0 and notes == ""
+    port = free_prep.portrait
+    tail = [LabeledPoint(pt.r, value) for pt, value in zip(port.tail_crits_u, values)]
+    doctored = dataclasses.replace(
+        free_prep, portrait=dataclasses.replace(port, tail_crits_u=tail))
+    assert verify._check_tail_dichotomy(doctored) == want
+
+
+def test_a_portrait_that_fails_skips_every_check_that_reads_it(monkeypatch, field33):
+    # a one-case plan runs in this process, so its preparation calls the patched
+    # detect_events; the checks that read no portrait still pass
+    def fail(traj):
+        raise ValueError("no events")
+
+    monkeypatch.setattr(verify, "detect_events", fail)
+    case = CaseSpec(field33, OSCILLATORY_CASE, alpha=5.0)
+    report = run_checks(VerificationPlan(cases=(case,), checks=PRESETS["core"]))
+    noted = set()
+    for rec in report.records:
+        if rec.check in ("energy_monotone", "velocity_bound", "identity_residuals"):
+            assert rec.status == PASS, rec
+            continue
+        assert (rec.status, rec.margin, rec.probes) == (SKIPPED, None, 0), rec
+        if rec.notes.startswith("portrait failed"):
+            assert rec.notes == "portrait failed: no events"
+            noted.add(rec.check)
+    assert noted == {"omega_monotone", "tango", "unique_inflection"}
+
+
 def _bits(record):
     return [None if x is None else struct.pack("<d", x) for x in dataclasses.astuple(record)]
 
@@ -504,7 +576,7 @@ def test_worst_by_check_keeps_a_nan_margin_met_after_a_finite_one(monkeypatch, f
     assert second.status == FAIL and math.isnan(second.margin)
     worst = report.worst_by_check()
     assert list(worst) == ["identity_residuals"] and math.isnan(worst["identity_residuals"])
-    body = json.loads(artio.json_text(artio.verification_body(report)))
+    body = json.loads(artio.json_text(verify.verification_body(report)))
     assert body["worst_by_check"] == {"identity_residuals": None}
     assert [rec["margin"] for rec in body["records"]] == [first.margin, None]
     # a finite margin met after the NaN leaves it in place
