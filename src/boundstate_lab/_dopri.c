@@ -1,4 +1,4 @@
-/* The DOP853 march of integrate._march, for every shot.
+/* The DOP853 march of integrate._march, for every shot, and the CSV rows of io.csv_text.
  *
  * The step reads integrate's tableau by index, from the arrays that
  * _dopri._declarations writes ahead of this file with the controller's
@@ -286,4 +286,86 @@ done:
     counts[1] = blocks;
     counts[2] = steps;
     return end;
+}
+
+/* The CSV rows of io.csv_text: each value as '%.17g' % x writes it, its exact
+ * value rounded half to even to 17 significant digits, for decimal exponents
+ * E = floor(log10|x|) in [-16, 16].  With |x| = m 2^e (m < 2^53) the digits are
+ * m 5^(16-E) 2^(e+16-E), exact in 128 bits.  The binary exponent guesses E and
+ * the truncated digits correct it; rounded ones would give the double just below
+ * a power of ten that power's exponent. */
+#ifndef __SIZEOF_INT128__
+static char *put17(char *out, double x) { return 0; } /* every row is the caller's */
+#else
+typedef unsigned __int128 u128;
+
+/* x as '%.17g' % x writes it, at out: returns the text's end, or NULL out of range. */
+static char *put17(char *out, double x)
+{
+    const u128 lo = 10000000000000000ULL, hi = 10 * lo;
+    double a = fabs(x);
+    int e, E, i, s, len, point;
+    unsigned long long n;
+    u128 m, q, p, unit, low;
+    char d[17];
+    if (!(a > 0.0 && a < 1e17)) /* inf and NaN too */
+        return 0;
+    m = (u128)ldexp(frexp(a, &e), 53);
+    E = (int)floor(e * 0.30102999566398120); /* log10(2^e): E or E + 1 */
+    for (e -= 53, E = E > 16 ? 16 : E; E >= -16; E += q < lo ? -1 : 1) {
+        for (q = m, p = 5, i = 16 - E; i; i >>= 1, p *= p) /* q = m 5^(16-E) */
+            q *= i & 1 ? p : 1;
+        s = e + 16 - E; /* the digits are q 2^s */
+        unit = (u128)1 << (s < 0 ? -s : 0);
+        low = 2 * (q & (unit - 1)); /* twice what lies below the last digit */
+        q = s < 0 ? q >> -s : q << s;
+        if (q >= lo && q < hi)
+            break;
+    }
+    if (E < -16)
+        return 0;
+    q += low > unit || (low == unit && (q & 1));
+    E += q == hi; /* rounded up to the next power of ten */
+    for (n = (unsigned long long)(q == hi ? lo : q), i = 16; i >= 0; i--, n /= 10)
+        d[i] = (char)('0' + n % 10);
+    for (len = 17; d[len - 1] == '0'; len--) /* trailing zeros are dropped */
+        ;
+    point = E < -4 || E > 16 ? 0 : E; /* the point follows digit point, or leads 0.000 */
+    if (x < 0)
+        *out++ = '-';
+    for (i = point - 1; point < 0 && i < 0; i++)
+        *out++ = i == point ? '.' : '0';
+    for (i = 0; i < len || i <= point; i++) {
+        *out++ = d[i];
+        if (i == point && i + 1 < len)
+            *out++ = '.';
+    }
+    if (E < -4 || E > 16) { /* e-05, e+17 */
+        *out++ = 'e';
+        *out++ = E < 0 ? '-' : '+';
+        *out++ = (char)('0' + (E < 0 ? -E : E) / 10);
+        *out++ = (char)('0' + (E < 0 ? -E : E) % 10);
+    }
+    return out;
+}
+#endif
+
+/* The rows x width values at x as CSV rows at out (24 characters a value at
+ * most), each ending in '\n'; a row holding a value put17 does not write is the
+ * empty line.  Returns the length of the text. */
+long csv_rows(const double *x, long rows, long width, char *out)
+{
+    char *start = out, *row;
+    long i, j;
+    for (i = 0; i < rows; i++) {
+        row = out;
+        for (j = 0; j < width && out; j++) {
+            if (j)
+                *out++ = ',';
+            out = put17(out, x[i * width + j]);
+        }
+        out = out ? out : row;
+        *out++ = '\n';
+    }
+    return out - start;
 }

@@ -23,6 +23,10 @@ flags and the platform, and is loaded through ``ctypes``; a build then removes e
 Without a compiler, or when the build or the load fails (which warns), both runs return
 None and the shot marches in Python, the reference the kernel is tested against; else a
 shot leaves the kernel only when its columns cannot be mapped.
+
+The library also holds ``csv_rows``, which ``io.csv_text`` hands a table of plain floats.
+It writes each value as ``'%.17g' % x`` does, in exact integer arithmetic, where the
+decimal exponent lies in [-16, 16]; it leaves a row holding any other value to Python.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ def _declarations() -> str:
 
 @functools.cache
 def _kernel():
-    """The kernel's entry point, built and loaded once per process, or None."""
+    """The kernel's library, built and loaded once per process, or None: ``dopri_march``,
+    and ``csv_rows``, which ``io.csv_text`` calls."""
     import shlex
     import shutil
     import sysconfig
@@ -67,10 +72,7 @@ def _kernel():
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         return None
-    import contextlib
     import ctypes
-    import subprocess
-    import tempfile
     import warnings
     import zlib
     from pathlib import Path
@@ -83,7 +85,11 @@ def _kernel():
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"))
     cache /= "boundstate_lab"
     lib = cache / f"_dopri-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
-    if not lib.exists():
+    if not lib.exists():  # only a build imports what builds
+        import contextlib
+        import subprocess
+        import tempfile
+
         tmp = None
         try:
             cache.mkdir(parents=True, exist_ok=True)
@@ -103,14 +109,17 @@ def _kernel():
             with contextlib.suppress(OSError):  # another process removed it first
                 old.unlink()
     try:
-        fn = ctypes.CDLL(str(lib)).dopri_march
+        dll = ctypes.CDLL(str(lib))
+        march, rows = dll.dopri_march, dll.csv_rows
     except (OSError, AttributeError) as exc:
         return unused(exc)
-    doubles = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = (doubles, ctypes.c_long, ctypes.c_int, doubles, doubles,
-                   ctypes.POINTER(ctypes.c_long), doubles)
-    fn.restype = ctypes.c_int
-    return fn
+    doubles, c_long = ctypes.POINTER(ctypes.c_double), ctypes.c_long
+    march.argtypes = (doubles, c_long, ctypes.c_int, doubles, doubles,
+                      ctypes.POINTER(c_long), doubles)
+    march.restype = ctypes.c_int
+    rows.argtypes = (ctypes.c_void_p, c_long, c_long, ctypes.c_void_p)  # buffer addresses
+    rows.restype = c_long
+    return dll
 
 
 _local = threading.local()  # per thread: kept-run columns, in private pages mapped on write
@@ -120,8 +129,8 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     """(termination, counts, rows, columns) of the kernel's run from ``params``,
     or None without a kernel or its columns.  The start is Python's, and so are
     its exceptions; a kept run has room for every knot the budget allows."""
-    fn = _kernel()
-    if fn is None:
+    lib = _kernel()
+    if lib is None:
         return None
     import mmap
     from ctypes import c_double, c_long
@@ -138,7 +147,8 @@ def _run(params: ProblemParams, stop_on_energy: bool, kept: bool):
     inputs = (c_double * 11)(fld.n - 1.0, fld.p, ctl.abs_tol, ctl.rel_tol, ctl.r_max,
                              _integrate._V_GUARD, start.r, start.u, start.up, start.v, start.vp)
     out, counts, rows = (c_double * 2)(), (c_long * 3)(), (c_double * 12)()
-    end = fn(inputs, max_steps, stop_on_energy, rows, out, counts, cols if kept else None)
+    end = lib.dopri_march(inputs, max_steps, stop_on_energy, rows, out, counts,
+                          cols if kept else None)
     return _termination(end, out[0], out[1]), counts, rows, cols
 
 

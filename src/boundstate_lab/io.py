@@ -15,9 +15,12 @@ a record's field list is its schema, written once.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import fields, is_dataclass
+from itertools import chain
 from typing import Any, Iterable, Mapping, Sequence
 
+from . import _dopri
 from .integrate import Trajectory
 
 SCHEMA = "boundstate-lab/1"
@@ -64,10 +67,23 @@ def csv_text(
 
     A row of plain floats is rendered by one ``%`` format; ``'%.17g' % x``
     gives the same text as ``fnum(x)``.  Any other row goes cell by cell.
+    With a kernel, a table of such rows goes to its ``csv_rows``, which writes
+    those bytes; a row it leaves empty gets the ``%`` format.
     """
     out = _config_lines(config)
     out.append(",".join(columns))
     floats = ",".join(["%.17g"] * len(columns))
+    lib = _dopri._kernel()
+    if lib is not None:
+        rows = list(rows)
+        flat = list(chain.from_iterable(rows))
+        if set(map(len, rows)) == {len(columns)} and set(map(type, flat)) == {float}:
+            values, text = array("d", flat), array("b", bytes(24 * len(flat)))  # 24 bytes a value
+            size = lib.csv_rows(values.buffer_info()[0], len(rows), len(columns),
+                                text.buffer_info()[0])
+            lines = str(memoryview(text)[:size], "ascii").split("\n")
+            out += [line or floats % tuple(row) for line, row in zip(lines, rows)]
+            return "\n".join(out) + "\n"
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} != header width {len(columns)}")

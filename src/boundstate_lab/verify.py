@@ -416,8 +416,6 @@ def _check_positivity_core(prep: _Prepared) -> _Outcome:
 
 
 def _check_omega_monotone(prep: _Prepared) -> _Outcome:
-    if prep.portrait is None:
-        return _skip(prep.portrait_note or "no portrait")
     traj = prep.struct
     zeros = [pt.r for pt in prep.portrait.zeros_u]
     if prep.entry is not None:
@@ -607,8 +605,6 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
 
 def _check_tango(prep: _Prepared) -> _Outcome:
     port = prep.portrait
-    if port is None:
-        return _skip(prep.portrait_note or "no portrait")
     if prep.entry is None:
         return _skip("interlacing claims apply to bracket shots")
     traj = prep.struct
@@ -684,7 +680,7 @@ def _check_unique_inflection(prep: _Prepared) -> _Outcome:
     # critical down to where u crosses the rest height.
     port = prep.portrait
     if port is None or not _phaseful(prep):
-        return _skip(prep.portrait_note or "no phase structure resolved")
+        return _skip("no phase structure resolved")
     r_start = prep.struct.r_start
     windows: list[tuple[float, float, int]] = []
     for ph in port.phases:
@@ -891,6 +887,9 @@ _CHECKS = {
 }
 
 CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
+# Every other check reads the portrait: where detect_events failed, it skips with that cause.
+_PORTRAIT_FREE = ("energy_monotone", "velocity_bound", "identity_residuals",
+                  "tail_asymptotics", "ladder_jump")
 
 # Check sets for the named verification presets.  The core preset leaves out
 # tail_asymptotics: the 0.05 slope band is unreachable at the radii where
@@ -921,7 +920,9 @@ def _case_records(plan: VerificationPlan, case: CaseSpec,
     records = []
     for check in plan.checks:
         outcome: _Outcome = (FAIL, None, 0, failed)
-        if not failed:
+        if not failed and prep.portrait is None and check not in _PORTRAIT_FREE:
+            outcome = _skip(prep.portrait_note)
+        elif not failed:
             try:
                 outcome = _CHECKS[check](prep)
             except Exception as exc:

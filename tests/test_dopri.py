@@ -543,3 +543,17 @@ def test_a_process_that_runs_a_kept_shot_loads_no_hashlib():
          "print(_dopri._kernel() is not None, 'hashlib' in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
     assert proc.stdout.split() == [str(_compiler_on_path()), "False"]
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="the interpreter's C compiler is absent")
+def test_a_process_that_loads_a_cached_kernel_imports_no_build_module():
+    # subprocess, and the seven modules it pulls in, serve a build alone: a CLI
+    # process whose library is already in the cache never imports them
+    assert _dopri._kernel() is not None  # this process built or found the library
+    package_root = str(Path(boundstate_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, boundstate_lab.cli; from boundstate_lab import _dopri; "
+         "print(_dopri._kernel() is not None, 'subprocess' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.split() == ["True", "False"]

@@ -348,6 +348,6 @@ def test_the_loader_reserves_the_kernels_columns_per_knot():
 def test_the_kernel_has_one_march_entry_and_one_step_loop():
     source = _kernel_source()
     entries = re.findall(r"^(?!static)\w[\w ]*?\b(\w+)\(", source, re.M)
-    assert entries == ["dopri_march"]
+    assert entries == ["dopri_march", "csv_rows"]  # the march, then io's CSV row formatter
     assert source.count("for (;;)") == 1
     assert "while (" not in source
