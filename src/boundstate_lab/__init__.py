@@ -19,12 +19,10 @@ from .classify import (
     MonotonicityViolation,
     SolutionClass,
     Witness,
-    ZeroMonotonicityReport,
     build_ladder,
     classify,
     find_alpha_k,
     node_count_of_alpha,
-    zero_monotonicity_scan,
 )
 from .field import (
     FieldParams,

@@ -14,7 +14,7 @@ rows its estimates of alpha_(count-1) and alpha_count read, the only ones
 ``_bisect`` reads (``_estimate_rows``).  It runs in the compiled kernel of
 ``_dopri`` when that loads, and otherwise through ``integrate``,
 ``count_nodes`` and ``_estimate_rows``, which stay the reference the kernel
-matches bit for bit.  ``classify()`` and the scans keep their trajectories.
+matches bit for bit.  ``classify()`` keeps its trajectory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .integrate import (
     Trajectory,
     integrate,
 )
-from .portrait import IndeterminateCount, NodeCount, _node_count, count_nodes, find_zeros
+from .portrait import IndeterminateCount, NodeCount, _node_count, count_nodes
 
 CONSTANT = "Constant"
 OSCILLATORY = "Oscillatory"
@@ -442,43 +442,3 @@ def build_ladder(
             )
     return tuple(entries)
 
-
-@dataclass(frozen=True)
-class ZeroMonotonicityReport:
-    alphas: tuple[float, ...]
-    first_zeros: tuple[float | None, ...]
-    strictly_decreasing: bool
-    violations: tuple[int, ...] = dc_field(default=())
-
-
-def zero_monotonicity_scan(
-    field: FieldParams,
-    alphas: list[float],
-    controls: IntegratorControls = IntegratorControls(),
-) -> ZeroMonotonicityReport:
-    """First-zero radius z_1(alpha) across a scan; it must fall as alpha grows.
-
-    Amplitudes whose shot never crosses zero report None and are skipped in
-    the comparison.  violations holds the indices i where
-    z_1(alphas[i]) >= z_1(alphas[i-1]).
-    """
-    ordered = sorted(alphas)
-    zs: list[float | None] = []
-    for alpha in ordered:
-        traj = integrate(ProblemParams(field, alpha, controls), CLASSIFY_POLICY)
-        zeros = find_zeros(traj, "u")
-        zs.append(zeros[0] if zeros else None)
-    violations = []
-    last = None
-    for i, z in enumerate(zs):
-        if z is None:
-            continue
-        if last is not None and z >= last:
-            violations.append(i)
-        last = z
-    return ZeroMonotonicityReport(
-        alphas=tuple(ordered),
-        first_zeros=tuple(zs),
-        strictly_decreasing=not violations,
-        violations=tuple(violations),
-    )

@@ -11,7 +11,9 @@ magnitude seen for that identity over the probes: ``identity_residuals``
 (the ledger) reads the left side at r + iη through the dense output's
 polynomial, so its residual carries the march's error, and
 ``identity_formula_residuals`` at the state y + iη F(y), along the exact
-flow through the dense state y, so that only roundoff remains.
+flow through the dense state y, so that only roundoff remains.  Both check
+every identity of ``_IDENTITIES``; a caller that wants some of them picks
+their records by name from the report.
 
 Where each formula lives:
 
@@ -350,11 +352,7 @@ def probe_radii(
     return sorted(set(out))
 
 
-def identity_residuals(
-    traj: Trajectory,
-    probes: Sequence[float],
-    identities: Sequence[str] | None = None,
-) -> IdentityReport:
+def identity_residuals(traj: Trajectory, probes: Sequence[float]) -> IdentityReport:
     """Complex-step check of every registered identity at the probes.
 
     Each probe reads two records: one at r + iη, whose left side's
@@ -384,7 +382,7 @@ def identity_residuals(
             x = State(r, z.u.real, z.up.real, z.v.real, z.vp.real)
             yield eval_aux(x, field), eval_aux(z, field)
 
-    return _ledger(traj, identities, records())
+    return _ledger(traj, records())
 
 
 def identity_formula_residuals(traj: Trajectory, probes: Sequence[float]) -> IdentityReport:
@@ -410,7 +408,7 @@ def identity_formula_residuals(traj: Trajectory, probes: Sequence[float]) -> Ide
                                           for yc, fc in zip(y, _rhs(field, r, y))))
             yield eval_aux(x, field), eval_aux(z, field)
 
-    return _ledger(traj, None, records())
+    return _ledger(traj, records())
 
 
 def _check_probe(traj: Trajectory, r: float) -> None:
@@ -418,21 +416,13 @@ def _check_probe(traj: Trajectory, r: float) -> None:
         raise ProbeUndefined(f"probe {r} outside trajectory range")
 
 
-def _ledger(
-    traj: Trajectory,
-    identities: Sequence[str] | None,
-    records: Iterable[tuple[AuxSample, AuxSample]],
-) -> IdentityReport:
+def _ledger(traj: Trajectory, records: Iterable[tuple[AuxSample, AuxSample]]) -> IdentityReport:
     """Each identity's residual over the (real, complex) record pairs its
     guards admit, and the connection over those admitted by ("u", "up")."""
     field, a = traj.params.field, _FAMILY_A
-    names = list(identities) if identities is not None else list(_IDENTITIES)
-    for name in names:
-        if name not in _IDENTITIES:
-            raise KeyError(f"unknown identity: {name}")
 
     # each distinct guard is tested once per probe; the connection reads ("u", "up")
-    guard_sets = [*(_IDENTITIES[name][2] for name in names), ("u", "up")]
+    guard_sets = [*(guards for _, _, guards in _IDENTITIES.values()), ("u", "up")]
     admitted = {guards: ([], []) for guards in guard_sets}  # its real and complex records
     for x, z in records:
         for guards, (xs, zs) in admitted.items():
@@ -442,8 +432,7 @@ def _ledger(
 
     resolution = traj.params.controls.abs_tol
     recs = []
-    for name in names:
-        lhs, rhs, guards = _IDENTITIES[name]
+    for name, (lhs, rhs, guards) in _IDENTITIES.items():
         xs, zs = admitted[guards]
         ds = [lhs(z, field, a).imag / _ETA for z in zs]
         wants = [rhs(x, field, a) for x in xs]

@@ -3,14 +3,17 @@
 A 7-point Gauss rule embedded in a 15-point Kronrod extension supplies the
 panel value and an error estimate from the difference of the two.  Panels
 with the worst estimates are bisected until the summed estimate falls under
-the requested relative tolerance.  All nodes are interior, so integrands
-may be singular (or merely undefined) at the panel endpoints.
+_REL_TOL of the value; past _MAX_PANELS panels it raises QuadratureError.
+Both are module constants: the one program caller,
+``functionals.bridge_integral``, sets neither.  All nodes are interior, so
+integrands may be singular (or merely undefined) at the panel endpoints.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+_REL_TOL = 1e-10  # adaptive_quadrature's summed error bound, relative to |value|
 _MAX_PANELS = 4000  # panels before adaptive_quadrature gives up
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; rule is symmetric).
@@ -69,13 +72,8 @@ def kronrod_panel(fn: Callable[[float], float], a: float, b: float) -> tuple[flo
     return fk * half, abs(fk - fg) * half
 
 
-def adaptive_quadrature(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Integral of fn over (a, b) with summed error under rel_tol * |value|.
+def adaptive_quadrature(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Integral of fn over (a, b) with summed error under _REL_TOL * |value|.
 
     Returns (value, error_estimate).  Deterministic: the worst panel is
     always split first, ties broken by position.
@@ -87,7 +85,7 @@ def adaptive_quadrature(
     while len(panels) < _MAX_PANELS:
         total = sum(p[2] for p in panels)
         total_err = sum(p[3] for p in panels)
-        if total_err <= max(rel_tol * abs(total), 1e-300):
+        if total_err <= max(_REL_TOL * abs(total), 1e-300):
             return total, total_err
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
         lo, hi, _, _ = panels.pop(worst)

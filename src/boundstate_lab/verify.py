@@ -204,7 +204,7 @@ class _Prepared:
     controls: IntegratorControls  # the plan's, before any bracket-shot r_max
     full: Trajectory
     struct: Trajectory
-    portrait: PhasePortrait | None
+    portrait: PhasePortrait | None  # None: detect_events raised, and no check reads it
     entry: LadderEntry | None
     gate_note: str
     portrait_note: str = ""
@@ -244,14 +244,14 @@ def truncate_for_structure(traj: Trajectory) -> Trajectory:
             return traj.truncated_at(r)
         if au < best_u:
             best_u, best_r = au, r
-    if best_r is not None and best_r > anchor:
+    if best_r is not None:
         return traj.truncated_at(best_r)
     return traj
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
-    if count < 2 or hi <= lo:
-        return [lo] if hi <= lo else [lo, hi]
+    if hi <= lo:
+        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -350,7 +350,7 @@ def _nodal_limit(prep: _Prepared) -> float | None:
     bracket shot, else the largest zero radius (None without zeros)."""
     if prep.entry is not None:
         return prep.struct.r_end
-    if prep.portrait is None or not prep.portrait.zeros_u:
+    if not prep.portrait.zeros_u:
         return None
     return prep.portrait.zeros_u[-1].r
 
@@ -471,13 +471,13 @@ def _phaseful(prep: _Prepared) -> bool:
     the well make no phase claims."""
     if prep.entry is not None:
         return True
-    return prep.portrait is not None and bool(prep.portrait.zeros_u)
+    return bool(prep.portrait.zeros_u)
 
 
 def _first_phase_limit(prep: _Prepared) -> float | None:
     """z_1 when the shot has zeros; tau_1 for the ground family, where the
     first-phase claims hold up to the variation's first zero instead."""
-    if prep.portrait is None or not _phaseful(prep):
+    if not _phaseful(prep):
         return None
     if prep.portrait.zeros_u:
         return prep.portrait.zeros_u[0].r
@@ -506,7 +506,7 @@ def _check_t1_first_phase(prep: _Prepared) -> _Outcome:
 
 def _check_q1q2m_first_phase(prep: _Prepared) -> _Outcome:
     port = prep.portrait
-    if port is None or not port.crits_u or not port.zeros_u:
+    if not port.crits_u or not port.zeros_u:
         return _skip("no resolved c_1")
     c1 = port.crits_u[0].r
     z1 = port.zeros_u[0].r
@@ -527,7 +527,7 @@ def _check_renewability(prep: _Prepared) -> _Outcome:
     on a probe grid across [c_{i-1}, b_i].  Phases without a resolved right
     critical point are left out."""
     port = prep.portrait
-    if port is None or not port.crits_u:
+    if not port.crits_u:
         return _skip("no resolved phase criticals")
     traj, fl = prep.struct, prep.case.field
     crits = [pt.r for pt in port.crits_u]
@@ -566,7 +566,7 @@ def _check_renewability(prep: _Prepared) -> _Outcome:
 
 def _check_reflection(prep: _Prepared) -> _Outcome:
     port = prep.portrait
-    if port is None or not port.phases or not _phaseful(prep):
+    if not port.phases or not _phaseful(prep):
         return _skip("no phase structure resolved")
     fl = prep.case.field
     crits = [pt.r for pt in port.crits_u]
@@ -650,7 +650,7 @@ def _check_tango(prep: _Prepared) -> _Outcome:
 
 def _check_tau_localization(prep: _Prepared) -> _Outcome:
     port = prep.portrait
-    if port is None or not port.phases or not _phaseful(prep):
+    if not port.phases or not _phaseful(prep):
         return _skip("no phase structure resolved")
     crits = [pt.r for pt in port.crits_u]
     taus = [pt.r for pt in port.zeros_v]
@@ -679,7 +679,7 @@ def _check_unique_inflection(prep: _Prepared) -> _Outcome:
     # down to the next zero, and on a bound-like run from the closing
     # critical down to where u crosses the rest height.
     port = prep.portrait
-    if port is None or not _phaseful(prep):
+    if not _phaseful(prep):
         return _skip("no phase structure resolved")
     r_start = prep.struct.r_start
     windows: list[tuple[float, float, int]] = []
@@ -704,7 +704,7 @@ def _check_bridge_integral(prep: _Prepared) -> _Outcome:
     if not (fl.n == 3 and fl.p < 2.0):
         return _skip("applies to n=3, p in (1, 2)")
     port = prep.portrait
-    if port is None or not port.phases or port.phases[0].b is None:
+    if not port.phases or port.phases[0].b is None:
         return _skip("b_1 unresolved")
     if not port.zeros_v:
         return _skip("tau_1 unresolved")
@@ -807,7 +807,7 @@ def _check_v_divergence(prep: _Prepared) -> _Outcome:
     if traj.termination.tag == VARIATION_DIVERGED:
         return PASS, math.inf, 1, f"v guard tripped at r = {traj.termination.r_stop:.4f}"
     port = prep.portrait
-    c_k = port.crits_u[-1].r if (port and port.crits_u) else 0.0
+    c_k = port.crits_u[-1].r if port.crits_u else 0.0
     taus = [t for t in find_zeros(traj, "v") if t > c_k]
     if not taus:
         return _skip("no tau_{k+1} found")
@@ -825,7 +825,7 @@ def _check_tail_dichotomy(prep: _Prepared) -> _Outcome:
     if prep.entry is not None:
         return _skip("bracket tails shadow the separatrix")
     port = prep.portrait
-    if port is None or len(port.tail_crits_u) < 4:
+    if len(port.tail_crits_u) < 4:
         return _skip("fewer than 4 tail criticals")
     vals = [abs(pt.value) for pt in port.tail_crits_u]
     above = [v for v in vals if v > 1.0]

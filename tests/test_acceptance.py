@@ -13,6 +13,7 @@ The measurements behind both are in the repository notes and in these
 tests' own printed output.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -37,7 +38,6 @@ from boundstate_lab import (
     probe_radii,
     run_checks,
     truncate_for_structure,
-    zero_monotonicity_scan,
 )
 from boundstate_lab.verify import BOUND_BRACKET, FAIL
 
@@ -128,11 +128,12 @@ def test_c04_identity_residuals_on_free_shots():
                 events.extend(find_zeros(traj, comp))
             r_hi = traj.r_end - 0.01 * (traj.r_end - traj.r_start)
             probes = probe_radii(traj, 500, r_hi=r_hi, exclusion_radii=events)
-            report = identity_residuals(traj, probes, identities=names)
-            worst = report.worst()
+            report = identity_residuals(traj, probes)
+            picked = [r for r in report.residuals if r.identity in names]
+            worst = dataclasses.replace(report, residuals=tuple(picked)).worst()
             worst_rel = max(worst_rel, worst.max_rel_residual)
             worst_conn = max(worst_conn, report.connection_rel_residual)
-            min_used = min(min_used, min(r.probes_used for r in report.residuals))
+            min_used = min(min_used, min(r.probes_used for r in picked))
     dt = time.perf_counter() - t0
     ok = worst_rel < 1e-6 and worst_conn < 1e-9 and min_used >= 50 and dt < 30.0
     _line("identity-residuals", ok,
@@ -208,10 +209,11 @@ def test_c07_residual_case_integral_is_positive():
 
 
 def test_c08_first_zero_strictly_decreasing():
-    report = zero_monotonicity_scan(FL33, [5.0, 6.0, 8.0, 10.0, 15.0])
-    _line("zero-monotonicity", report.strictly_decreasing,
-          f"z1={[f'{z:.6f}' for z in report.first_zeros]}")
-    assert report.strictly_decreasing
+    zs = [find_zeros(integrate(ProblemParams(FL33, a)), "u")[0]
+          for a in (5.0, 6.0, 8.0, 10.0, 15.0)]
+    decreasing = all(b < a for a, b in zip(zs, zs[1:]))
+    _line("zero-monotonicity", decreasing, f"z1={[f'{z:.6f}' for z in zs]}")
+    assert decreasing
 
 
 def test_c09_tail_slope_within_band():

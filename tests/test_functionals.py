@@ -165,11 +165,6 @@ def test_identity_residuals_test_each_distinct_guard_once_per_probe(monkeypatch)
     distinct = {guards for _, _, guards in functionals._IDENTITIES.values()} - {()}
     assert ("u", "up") in distinct and len(calls) == len(probes) * len(distinct)
     assert () not in calls
-    # a single identity reads the same residual, and the connection check still
-    # reads its own ("u", "up") guard
-    for name, want in zip(IDENTITY_NAMES, full.residuals):
-        alone = identity_residuals(traj, probes, identities=[name])
-        assert alone == dataclasses.replace(full, residuals=(want,))
 
 
 def test_one_identity_check_takes_the_amplitudes_once_and_few_powers(monkeypatch):
@@ -245,13 +240,6 @@ def test_the_shallow_k2_bracket_ledger_reads_below_5e_8():
     assert ledger.worst().max_rel_residual < 5e-8
 
 
-def test_identity_residuals_reject_unknown_names():
-    traj = _full_run(2.0, rmax=10.0)
-    probes = probe_radii(traj, 50)
-    with pytest.raises(KeyError):
-        identity_residuals(traj, probes, identities=["not_an_identity"])
-
-
 def test_out_of_range_probes_are_refused():
     traj = _full_run(2.0, rmax=10.0)
     with pytest.raises(ProbeUndefined):
@@ -264,8 +252,9 @@ def test_guarded_probes_leave_the_identity_unmeasured():
     traj = integrate(ProblemParams(FL, 1.0, IntegratorControls().with_rmax(10.0)),
                      FULL_RANGE_POLICY)
     probes = probe_radii(traj, 50)
-    report = identity_residuals(traj, probes, identities=["barrier_b0"])
-    assert report.residuals[0].probes_used == 0
+    report = identity_residuals(traj, probes)
+    by_name = {rec.identity: rec for rec in report.residuals}
+    assert by_name["barrier_b0"].probes_used == 0
 
 
 def test_constant_shot_reports_its_trivial_identities_as_undefined():

@@ -49,6 +49,67 @@ def test_every_exported_name_is_defined_in_a_package_module():
             assert value.__module__ in homes, name
 
 
+def test_every_public_function_has_a_caller_and_every_default_a_setter():
+    # a public module-level function that nothing references outside its own
+    # body is surface no program path reaches, and a default that no call in
+    # the package or perfbench passes is a knob only tests set, which belongs
+    # in a module constant; the README's library example counts as a caller,
+    # and the defaults of a function it calls are the library user's to set
+    root = Path(__file__).resolve().parents[1]
+    package = Path(boundstate_lab.__file__).resolve().parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"}
+    bench = [ast.parse(path.read_text()) for path in sorted((root / "perfbench").glob("*.py"))]
+    readme = (root / "README.md").read_text()
+    example = ast.parse("".join(re.findall(r"```python\n(.*?)```", readme, re.S)))
+
+    def named(tree):  # (node, name) of every name and attribute read in the tree
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node, node.id
+            elif isinstance(node, ast.Attribute):
+                yield node, node.attr
+
+    def calls(trees):  # (name called, call) of every call to a plain or dotted name
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    yield from ((name, node) for func, name in named(node.func)
+                                if func is node.func)
+
+    def passes(call, index, param):
+        return (any(kw.arg in (param, None) for kw in call.keywords)
+                or (index is not None and len(call.args) > index)
+                or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+    program_calls = list(calls([*modules.values(), *bench]))
+    example_calls = {name for name, _ in calls([example])}
+    problems = []
+    for home, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            referenced = any(
+                name == fn.name and not (module == home
+                                         and fn.lineno <= node.lineno <= fn.end_lineno)
+                for module, other in modules.items() for node, name in named(other))
+            if not referenced and not any(name == fn.name for other in [*bench, example]
+                                          for _, name in named(other)):
+                problems.append(fn.name)
+                continue
+            if fn.name in example_calls:
+                continue
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, default
+                          in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            problems += [f"{fn.name}({param})" for index, param in defaulted
+                         if not any(passes(call, index, param)
+                                    for name, call in program_calls if name == fn.name)]
+    assert problems == []
+
+
 def test_no_module_uses_cached_property():
     # functools.cached_property writes the record's __dict__, after which every
     # attribute read of it is slower; a value built on first read is a declared field

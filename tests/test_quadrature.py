@@ -1,6 +1,7 @@
 """Quadrature tests: panel exactness, adaptive refinement, determinism."""
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -18,11 +19,12 @@ def test_panel_is_exact_on_low_degree_polynomials():
     assert err < 1e-12
 
 
-def test_adaptive_oscillatory_integral():
+def test_adaptive_oscillatory_integral(monkeypatch):
     # tolerance is relative, so the target integrals must be nonzero
-    value, _ = adaptive_quadrature(math.sin, 0.0, math.pi, rel_tol=1e-12)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-12)
+    value, _ = adaptive_quadrature(math.sin, 0.0, math.pi)
     assert value == pytest.approx(2.0, rel=1e-12)
-    value2, _ = adaptive_quadrature(math.sin, 0.0, 1.5 * math.pi, rel_tol=1e-12)
+    value2, _ = adaptive_quadrature(math.sin, 0.0, 1.5 * math.pi)
     assert value2 == pytest.approx(1.0, rel=1e-11)
 
 
@@ -37,25 +39,28 @@ def test_empty_and_reversed_ranges_integrate_to_zero():
     assert adaptive_quadrature(math.exp, 2.0, 1.0) == (0.0, 0.0)
 
 
-def test_needle_integrand_forces_refinement():
+def test_needle_integrand_forces_refinement(monkeypatch):
     # mass concentrated near x = 0.3; a single panel misses it badly
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-10)
     fn = lambda x: math.exp(-((x - 0.3) ** 2) / 1e-6)
-    value, err = adaptive_quadrature(fn, 0.0, 1.0, rel_tol=1e-10)
+    value, err = adaptive_quadrature(fn, 0.0, 1.0)
     exact = math.sqrt(math.pi) * 1e-3
     assert value == pytest.approx(exact, rel=1e-9)
 
 
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-14)
     fn = lambda x: math.sin(1.0 / max(x, 1e-300))
     with pytest.raises(QuadratureError, match="after 8 panels"):
-        adaptive_quadrature(fn, 0.0, 1.0, rel_tol=1e-14)
+        adaptive_quadrature(fn, 0.0, 1.0)
 
 
-def test_adaptive_is_deterministic():
+def test_adaptive_is_deterministic(monkeypatch):
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-11)
     fn = lambda x: math.exp(-x) * math.cos(7.0 * x)
-    a = adaptive_quadrature(fn, 0.0, 5.0, rel_tol=1e-11)
-    b = adaptive_quadrature(fn, 0.0, 5.0, rel_tol=1e-11)
+    a = adaptive_quadrature(fn, 0.0, 5.0)
+    b = adaptive_quadrature(fn, 0.0, 5.0)
     assert a == b
 
 
@@ -64,6 +69,8 @@ def test_adaptive_is_deterministic():
        span=st.floats(min_value=0.1, max_value=4.0))
 def test_adaptive_matches_monomial_antiderivative(deg, lo, span):
     hi = lo + span
-    value, _ = adaptive_quadrature(lambda x: x**deg, lo, hi, rel_tol=1e-12)
+    # patched here, not by monkeypatch: hypothesis refuses function-scoped fixtures
+    with patch.object(quadrature, "_REL_TOL", 1e-12):
+        value, _ = adaptive_quadrature(lambda x: x**deg, lo, hi)
     exact = (hi ** (deg + 1) - lo ** (deg + 1)) / (deg + 1)
     assert value == pytest.approx(exact, rel=1e-10, abs=1e-12)
