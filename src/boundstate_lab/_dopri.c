@@ -22,15 +22,8 @@
  */
 #include <math.h>
 
-/* How the run ended; indices into integrate._ENDS. */
-enum {
-    END_RMAX, END_TRAPPED_AT_START, END_DIVERGED_AT_START, END_BUDGET,
-    END_UNDERFLOW, END_NONFINITE, END_TRAPPED, END_DIVERGED
-};
-
 #define COEFFS 7 /* dense-output coefficients per segment and component */
 
-/* The field: n - 1, p and p - 1. */
 struct field {
     double n_minus_1, p, p_m1;
 };
@@ -127,7 +120,8 @@ static void put(double *cols, long room, long i, double r, const double *y)
  * count, the number of blocks (a sign change at the knots opens one) and the
  * accepted steps; rows holds the knot of least |u| + |u'| since block blocks - 2
  * opened (the first knot while there is one block), then since block blocks - 1
- * did, the knot where the energy trap fires left out.  Returns the END_ index. */
+ * did, the knot where the energy trap fires left out.  Returns how the run ended:
+ * END_<NAME>, which _dopri._declarations defines as integrate._<NAME>. */
 int dopri_march(const double *in, long max_steps, int stop_on_energy, double *rows,
                 double *out, long *counts, double *cols)
 {

@@ -44,8 +44,9 @@ _COLUMNS = 37  # per knot: r, u, u', v, v'; seven coefficients and a midpoint pe
 
 
 def _declarations() -> str:
-    """integrate's tableau, step-size controller and ``_COLUMNS`` as the C declarations that
-    ``_dopri.c`` indexes: each double is its ``repr``, which reads back as the same double."""
+    """integrate's tableau, step-size controller, end codes and ``_COLUMNS`` as the C
+    declarations that ``_dopri.c`` reads: each double is its ``repr``, which reads back as the
+    same double, and ``END_<NAME>`` is the index ``integrate._<NAME>`` into ``_ENDS``."""
     ig = _integrate
 
     def braced(values: tuple) -> str:  # a table has one row per line; A's empty row gets a zero
@@ -56,8 +57,11 @@ def _declarations() -> str:
     arrays = (("C[16]", ig._C), ("A[16][15]", ig._A), ("E5[12]", ig._E[0]),
               ("E3[12]", ig._E[1]), ("D[4][16]", ig._P))
     controller = ("MAX_STEP", "MIN_FACTOR", "MAX_FACTOR", "SAFETY", "EXPONENT")
+    ends = ("RMAX", "TRAPPED_AT_START", "DIVERGED_AT_START", "BUDGET", "UNDERFLOW", "NONFINITE",
+            "TRAPPED", "DIVERGED")
     return "".join([*(f"static const double {name} = {braced(rows)};\n" for name, rows in arrays),
                     *(f"#define {name} {getattr(ig, '_' + name)!r}\n" for name in controller),
+                    *(f"#define END_{name} {getattr(ig, '_' + name)}\n" for name in ends),
                     f"#define COLUMNS {_COLUMNS}\n"])
 
 

@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import io as artio
 from .classify import (
@@ -307,15 +307,16 @@ def _write_artifacts(paths_text: Sequence[tuple[str, str]]) -> None:
         _note(f"wrote {path}")
 
 
-def _tabular(cfg: RunConfig, stem: str, columns: Sequence[str],
-             rows: Sequence[Sequence[Any]], body_key: str) -> tuple[str, str]:
-    """(path, text) for one table in the configured format."""
+def _tabular(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence[Any]],
+             body: Mapping[str, Any] | None = None) -> tuple[str, str]:
+    """(path, text) for one table in the configured format: CSV rows, or the
+    JSON body, by default the rows as records under "rows"."""
+    stem = _out_stem(cfg)
     if cfg.format == "csv":
         return stem + ".csv", artio.csv_text(columns, rows, cfg.echo())
-    payload = artio.artifact(
-        {body_key: [dict(zip(columns, row)) for row in rows]}, cfg.echo()
-    )
-    return stem + ".json", artio.json_text(payload)
+    if body is None:
+        body = {"rows": [dict(zip(columns, row)) for row in rows]}
+    return stem + ".json", artio.json_text(artio.artifact(body, cfg.echo()))
 
 
 def _full_shot(cfg: RunConfig) -> Trajectory | None:
@@ -357,14 +358,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_classify(cfg: RunConfig) -> int:
     result = classify(cfg.field(), cfg.need_alpha(), cfg.controls())
     _note(f"alpha={cfg.alpha:g}: {result.tag} ({result.detail})")
-    stem = _out_stem(cfg)
-    if cfg.format == "csv":
-        rows = [_class_row(cfg.alpha, result)]
-        path, text = stem + ".csv", artio.csv_text(_CLASS_COLUMNS, rows, cfg.echo())
-    else:
-        payload = artio.artifact({"result": artio.plain(result)}, cfg.echo())
-        path, text = stem + ".json", artio.json_text(payload)
-    _write_artifacts([(path, text)])
+    _write_artifacts([_tabular(cfg, _CLASS_COLUMNS, [_class_row(cfg.alpha, result)],
+                               {"result": artio.plain(result)})])
     return EXIT_OK
 
 
@@ -401,14 +396,9 @@ def cmd_ladder(cfg: RunConfig) -> int:
         entries.append({"k": k, "status": "ok",
                         **{name: getattr(entry, name) for name in _LADDER_COLUMNS[2:]}})
         _note(f"k={k}: [{entry.alpha_lo:.12g}, {entry.alpha_hi:.12g}]")
-    stem = _out_stem(cfg)
-    if cfg.format == "csv":
-        rows = [tuple(e.get(c) for c in _LADDER_COLUMNS) for e in entries]
-        files = [(stem + ".csv", artio.csv_text(_LADDER_COLUMNS, rows, cfg.echo()))]
-    else:
-        payload = artio.artifact({"entries": entries, "succeeded": ok}, cfg.echo())
-        files = [(stem + ".json", artio.json_text(payload))]
-    _write_artifacts(files)
+    rows = [tuple(e.get(c) for c in _LADDER_COLUMNS) for e in entries]
+    _write_artifacts([_tabular(cfg, _LADDER_COLUMNS, rows,
+                               {"entries": entries, "succeeded": ok})])
     return EXIT_OK if ok > 0 else EXIT_INTEGRATOR
 
 
@@ -456,7 +446,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             return EXIT_INTEGRATOR
     if warnings:
         _note(f"warning: {warnings} indeterminate grid point(s)")
-    _write_artifacts([_tabular(cfg, _out_stem(cfg), artio.SWEEP_COLUMNS, rows, "rows")])
+    _write_artifacts([_tabular(cfg, artio.SWEEP_COLUMNS, rows)])
     return EXIT_OK
 
 
@@ -495,7 +485,7 @@ def cmd_export(cfg: RunConfig) -> int:
         rows = [row(eval_aux(state, field)) for state in traj.samples()]
     else:
         rows = artio.trajectory_rows(traj)
-    _write_artifacts([_tabular(cfg, _out_stem(cfg), columns, rows, "rows")])
+    _write_artifacts([_tabular(cfg, columns, rows)])
     return EXIT_OK
 
 

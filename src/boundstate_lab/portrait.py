@@ -294,7 +294,7 @@ def detect_events(traj: Trajectory) -> PhasePortrait:
         if right is not None:
             rbar = labeled(crossing(1.0, z.r, right))
             bbar = labeled(crossing(alpha_star, rbar.r if rbar else z.r, right))
-            c_height = abs(read(0, right))
+            c_height = abs(crits_phase[i - 1].value)
             for name, level in (("bbar", alpha_star), ("rbar", 1.0)):
                 if abs(c_height - level) < _TANGENCY_TOL * max(1.0, level):
                     uncertain.append(name)

@@ -15,10 +15,14 @@ process, or a forked child that marshals its records back (none without os.fork,
 while another thread runs, or under a trace or profile hook).  Records merge in
 plan order; a child that exits without sending them raises ChildProcessError.
 
-This module locates no event itself: ``portrait`` locates every event
-radius, level crossings included.  Its functionals come from ``functionals``,
-and the identity check reads both of its identity checks there: the ledger
-at every probe, for the march, and the formulas at a few, for roundoff.
+``portrait`` locates the events of a shot: its zeros, criticals, inflections
+and phase labels, and the heights the checks read there.  Two checks refine
+level crossings of |u| themselves, with ``portrait._refine_root`` over whole
+windows: the reflection check at twelve levels in each phase, and the tail
+check where the decay tail crosses 1e-5.  Its functionals come from
+``functionals``, and the identity check reads both of its identity checks
+there: the ledger at every probe, for the march, and the formulas at a few,
+for roundoff.
 """
 
 from __future__ import annotations
@@ -579,7 +583,7 @@ def _check_reflection(prep: _Prepared) -> _Outcome:
             continue
         c_i = crits[i - 1]
         c_prev = crits[i - 2] if i >= 2 else traj.r_start
-        u_ci = abs(traj.value(0, c_i))
+        u_ci = abs(port.crits_u[i - 1].value)
         if u_ci <= fl.alpha_star:
             continue
         z_i = ph.z.r
@@ -710,7 +714,7 @@ def _check_bridge_integral(prep: _Prepared) -> _Outcome:
         return _skip("tau_1 unresolved")
     b1 = port.phases[0].b.r
     tau1 = port.zeros_v[0].r
-    u_tilde = abs(prep.struct.value(0, b1))
+    u_tilde = abs(port.phases[0].b.value)
     result = bridge_integral(prep.struct, b1, tau1, u_tilde)
     if result.empty_range:
         return _skip(f"tau_1={tau1:.4g} <= b_1={b1:.4g}: range empty, positivity premise unmet")

@@ -13,8 +13,8 @@ from boundstate_lab import (
     ProblemParams,
     build_ladder,
     integrate,
-    truncate_for_structure,
 )
+from boundstate_lab.verify import truncate_for_structure
 
 
 @pytest.fixture(scope="session")

@@ -20,26 +20,31 @@ import numpy as np
 
 from boundstate_lab import (
     FULL_RANGE_POLICY,
-    CaseSpec,
     FieldParams,
-    IDENTITY_NAMES,
     IntegratorControls,
     ProblemParams,
-    VerificationPlan,
-    bridge_integral,
     build_ladder,
     classify,
     detect_events,
     find_alpha_k,
     find_zeros,
-    identity_residuals,
     integrate,
     node_count_of_alpha,
+)
+from boundstate_lab.functionals import (
+    IDENTITY_NAMES,
+    bridge_integral,
+    identity_residuals,
     probe_radii,
+)
+from boundstate_lab.verify import (
+    BOUND_BRACKET,
+    FAIL,
+    CaseSpec,
+    VerificationPlan,
     run_checks,
     truncate_for_structure,
 )
-from boundstate_lab.verify import BOUND_BRACKET, FAIL
 
 FL33 = FieldParams(3, 3.0)
 FL42 = FieldParams(4, 2.0)

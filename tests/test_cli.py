@@ -251,6 +251,31 @@ def test_export_functional_columns(tmp_path):
     assert header == "r,u,up,v,vp,E,Q,M"
 
 
+def _table(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_plain_export_writes_the_rows_of_solve(tmp_path):
+    # without --functionals, export writes solve's knot table: the header and
+    # one row per knot of the full-range shot at (3,3), alpha = 5
+    assert run_cli("solve", "--alpha", "5", cwd=tmp_path) == EXIT_OK
+    assert run_cli("export", "--alpha", "5", cwd=tmp_path) == EXIT_OK
+    rows = _table(tmp_path / "export.csv")
+    assert rows == _table(tmp_path / "solve.csv")
+    assert (len(rows), rows[0]) == (525, "r,u,up,v,vp")
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_a_shot_that_exhausts_its_step_budget_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # boundstate_lab.integrate is the function the package binds, so the module
+    # is reached through importlib
+    monkeypatch.setattr(importlib.import_module("boundstate_lab.integrate"), "_MAX_STEPS", 50)
+    assert run_cli(command, "--alpha", "5", cwd=tmp_path) == EXIT_INTEGRATOR
+    assert capsys.readouterr().err.startswith("integration gave up: StepLimit ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_unknown_functional_exits_one(tmp_path):
     assert run_cli("export", "--alpha", "2", "--functionals", "E,nope",
                    cwd=tmp_path) == EXIT_USAGE

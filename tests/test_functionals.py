@@ -9,29 +9,32 @@ import pytest
 
 from boundstate_lab import (
     FULL_RANGE_POLICY,
-    AuxSample,
     FieldParams,
-    IDENTITY_NAMES,
     IntegratorControls,
-    MissingEvents,
-    ProbeUndefined,
     ProblemParams,
     State,
-    bridge_integral,
     detect_events,
-    eval_aux,
     find_zeros,
     g1,
-    identity_residuals,
     integrate,
-    probe_radii,
 )
-from boundstate_lab import find_alpha_k, functionals, truncate_for_structure, verify
+from boundstate_lab import find_alpha_k, functionals, verify
 from boundstate_lab import field as field_module
 from boundstate_lab.field import abs_pow, big_F, big_F_a, f, f_prime, g2, kappa_a
-from boundstate_lab.functionals import identity_formula_residuals
+from boundstate_lab.functionals import (
+    IDENTITY_NAMES,
+    AuxSample,
+    MissingEvents,
+    ProbeUndefined,
+    bridge_integral,
+    eval_aux,
+    identity_formula_residuals,
+    identity_residuals,
+    probe_radii,
+)
 from boundstate_lab.integrate import _rhs
 from boundstate_lab.io import plain
+from boundstate_lab.verify import truncate_for_structure
 
 FL = FieldParams(3, 3.0)
 

@@ -15,23 +15,30 @@ import boundstate_lab
 
 
 def test_all_is_sorted_unique_and_matches_the_bound_names():
-    # the names from functionals and verify are bound on first read (PEP 562):
-    # every name the package offers resolves to what it names, never to a
-    # submodule (integrate and classify are both), and once all are read the
-    # package binds __all__
+    # the package binds its names at import and nowhere else: __all__ is every
+    # public name it binds that is not a submodule (integrate and classify are
+    # both names of a submodule and of a function, and the function wins)
     names = boundstate_lab.__all__
     assert names == sorted(names)
     assert len(set(names)) == len(names)
-    offered = {name: getattr(boundstate_lab, name) for name in dir(boundstate_lab)
-               if not name.startswith("_")}
-    assert set(names) <= set(offered)
-    assert [name for name in names if isinstance(offered[name], types.ModuleType)] == []
-    with pytest.raises(AttributeError):
-        boundstate_lab.no_such_name
+    assert set(names) <= set(dir(boundstate_lab))
+    assert [name for name in names
+            if isinstance(getattr(boundstate_lab, name), types.ModuleType)] == []
     bound = {name for name, value in vars(boundstate_lab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
+    with pytest.raises(AttributeError):
+        boundstate_lab.no_such_name
 
+
+def test_the_package_binds_no_name_on_first_read():
+    # a module __getattr__ (PEP 562) would offer names that the imports of
+    # __init__.py do not show; the names of functionals and verify are read
+    # from those modules
+    assert not {"__getattr__", "__dir__"} & set(vars(boundstate_lab))
+    for name in ("eval_aux", "IDENTITY_NAMES", "run_checks", "PRESETS"):
+        with pytest.raises(AttributeError):
+            getattr(boundstate_lab, name)
 
 
 def test_every_exported_name_is_defined_in_a_package_module():
@@ -351,10 +358,17 @@ def test_the_kernel_spells_integrates_tableau_bit_for_bit():
         value = re.search(rf"^#define {name} (\S+)$", _kernel_declarations(), re.M)[1]
         want_value = getattr(integrate_module, f"_{name}")
         assert struct.pack("<d", float(value)) == struct.pack("<d", want_value), name
+    # and each end code the kernel returns is integrate's index into _ENDS
+    ends = dict(re.findall(r"^#define END_(\w+) (\d+)$", _kernel_declarations(), re.M))
+    assert set(re.findall(r"\bEND_(\w+)", _kernel_source())) <= set(ends)
+    assert {name: int(value) for name, value in ends.items()} == {
+        name: getattr(integrate_module, f"_{name}") for name in ends}
+    assert sorted(map(int, ends.values())) == list(range(len(integrate_module._ENDS)))
     # and _dopri.c keeps no second copy of any of them
     assert "static const double" not in _kernel_source()
-    assert re.findall(r"^#define (MAX_STEP|MIN_FACTOR|MAX_FACTOR|SAFETY|EXPONENT|COLUMNS)\b",
+    assert re.findall(r"^#define (MAX_STEP|MIN_FACTOR|MAX_FACTOR|SAFETY|EXPONENT|COLUMNS|END_)",
                       _kernel_source(), re.M) == []
+    assert not re.search(r"\benum\b", _kernel_source())
 
 
 # Dormand-Prince 5(4), the pair the march used before DOP853, as fractions

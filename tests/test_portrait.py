@@ -8,17 +8,13 @@ import pytest
 from boundstate_lab import (
     CLASSIFY_POLICY,
     FULL_RANGE_POLICY,
-    PRESETS,
-    CaseSpec,
     FieldParams,
     IntegratorControls,
     ProblemParams,
-    VerificationPlan,
     count_nodes,
     detect_events,
     find_zeros,
     integrate,
-    run_checks,
 )
 from boundstate_lab import portrait
 from boundstate_lab.field import abs_pow
@@ -36,7 +32,7 @@ from boundstate_lab.portrait import (
     _refine_root,
     _sign_change_roots,
 )
-from boundstate_lab.verify import BOUND_BRACKET
+from boundstate_lab.verify import BOUND_BRACKET, PRESETS, CaseSpec, VerificationPlan, run_checks
 
 FL = FieldParams(3, 3.0)
 

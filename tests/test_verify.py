@@ -15,31 +15,28 @@ import time
 
 import pytest
 
-from boundstate_lab import (
-    CHECK_IDS,
-    PRESETS,
-    CaseSpec,
-    FieldParams,
-    MalformedPlan,
-    VerificationPlan,
-    default_cases,
-    run_checks,
-    truncate_for_structure,
-)
-from boundstate_lab import functionals, verify
+from boundstate_lab import FieldParams, functionals, verify
 from boundstate_lab import io as artio
 from boundstate_lab.cli import EXIT_IO, main
 from boundstate_lab.functionals import IDENTITY_NAMES, identity_residuals
 from boundstate_lab.portrait import LabeledPoint, _refine_root
 from boundstate_lab.verify import (
     BOUND_BRACKET,
+    CHECK_IDS,
     EXPLICIT,
     FAIL,
     OSCILLATORY_CASE,
     PASS,
+    PRESETS,
     SKIPPED,
+    CaseSpec,
+    MalformedPlan,
+    VerificationPlan,
     _bracket,
     _prepare,
+    default_cases,
+    run_checks,
+    truncate_for_structure,
 )
 
 integrate_module = importlib.import_module("boundstate_lab.integrate")
